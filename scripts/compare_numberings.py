@@ -10,7 +10,7 @@ Usage: python scripts/compare_numberings.py [--t 0.95] [--bits 4] [--samples N]
 import argparse
 import sys
 
-from slicesec import ChannelParams, SlicingScheme, evaluate_scheme, transmit
+from slicesec import ChannelParams, SlicingScheme, evaluate_schemes, transmit
 
 
 def main() -> int:
@@ -28,13 +28,15 @@ def main() -> int:
     print(f"T={args.t}  b={args.bits}  N={args.samples}  seed={args.seed}")
     print(f"{'scheme':>18} {'ber_ab':>8} {'i_ab':>8} {'i_ae':>8} {'i_be':>8} "
           f"{'dI_dir':>8} {'dI_rev':>8}")
-    for pos in ("eqwidth", "eqprob"):
-        for num in ("gray", "binary", "flfsr"):
-            scheme = SlicingScheme.parse(f"{pos}:{num}:{args.bits}")
-            r = evaluate_scheme(realization, scheme)
-            print(f"{str(scheme):>18} {r.ber_ab:8.4f} {r.i_ab:8.4f} "
-                  f"{r.i_ae:8.4f} {r.i_be:8.4f} {r.delta_direct:8.4f} "
-                  f"{r.delta_reverse:8.4f}")
+    schemes = [
+        SlicingScheme.parse(f"{pos}:{num}:{args.bits}")
+        for pos in ("eqwidth", "eqprob")
+        for num in ("gray", "binary", "flfsr")
+    ]
+    for r in evaluate_schemes(realization, schemes):
+        print(f"{str(r.scheme):>18} {r.ber_ab:8.4f} {r.i_ab:8.4f} "
+              f"{r.i_ae:8.4f} {r.i_be:8.4f} {r.delta_direct:8.4f} "
+              f"{r.delta_reverse:8.4f}")
     return 0
 
 

@@ -28,6 +28,7 @@ from .secrecy import (
     default_schemes,
     default_t_grid,
     evaluate_scheme,
+    evaluate_schemes,
     secrecy_deltas,
     sweep,
 )
@@ -39,6 +40,7 @@ from .slicing import (
     Positioning,
     SlicingScheme,
     assign_bins,
+    bin_indices,
     build_labels,
     compute_edges,
     slice_samples,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ CSV_COLUMNS = [
     "ber_ab", "ber_ae", "ber_be", "delta_direct", "delta_reverse",
     "cmi_ab_given_e", "label_collisions",
 ]
+
+INT_COLUMNS = ("bits", "samples", "seed", "label_collisions")
 
 PLOT_MODES = ("mi_vs_t", "delta_vs_t", "best_vs_t")
 
@@ -81,6 +84,8 @@ def _parse_t_spec(spec: str) -> tuple[float, ...]:
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"transmission {v} outside [0, 1] in --t {spec!r}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"duplicate transmission in --t {spec!r}")
     return tuple(values)
 
 
@@ -94,6 +99,8 @@ def _parse_schemes(spec: str, width_multiplier: float) -> tuple[SlicingScheme, .
     )
     if not schemes:
         raise ValueError(f"empty scheme list from {spec!r}")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError(f"duplicate scheme in --schemes {spec!r}")
     return schemes
 
 
@@ -163,8 +170,8 @@ def parse_args(argv: list[str]) -> RunConfig:
         schemes = _parse_schemes(ns.schemes, ns.width_multiplier)
         if ns.samples < 1:
             raise ValueError(f"--samples must be >= 1, got {ns.samples}")
-        if ns.seed < 0:
-            raise ValueError(f"--seed must be nonnegative, got {ns.seed}")
+        if not 0 <= ns.seed < 1 << 64:
+            raise ValueError(f"--seed must lie in [0, 2^64), got {ns.seed}")
         if ns.sigma_alice <= 0:
             raise ValueError(f"--sigma-alice must be positive, got {ns.sigma_alice}")
         if ns.sigma_vacuum < 0:
@@ -215,7 +222,11 @@ def emit_csv(table: SweepTable, path: str) -> None:
 
 
 def read_csv(path: str) -> list[dict]:
-    """Read a sweep CSV back into per-row dicts with numeric fields parsed."""
+    """Read a sweep CSV back into per-row dicts with numeric fields parsed.
+
+    A value that does not parse, or a non-finite float, is rejected with its
+    data row (1-based) and column, so that no NaN margin is ever ranked.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -223,17 +234,24 @@ def read_csv(path: str) -> list[dict]:
             if col not in header:
                 raise ValueError(f"missing column {col!r} in {path}")
         rows = []
-        for raw in reader:
+        for number, raw in enumerate(reader, start=1):
             row = dict(raw)
             for col in header:
                 if col in ("positioning", "numbering"):
                     continue
-                if col in ("bits", "samples", "seed", "label_collisions"):
-                    row[col] = int(raw[col])
-                elif col == "cmi_ab_given_e":
-                    row[col] = float(raw[col]) if raw[col] else None
-                else:
-                    row[col] = float(raw[col])
+                if col == "cmi_ab_given_e" and not raw[col]:
+                    row[col] = None
+                    continue
+                parse = int if col in INT_COLUMNS else float
+                try:
+                    value = parse(raw[col])
+                except (TypeError, ValueError):  # TypeError: the row is short
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}"
+                    )
+                row[col] = value
             row["scheme"] = f"{raw['positioning']}:{raw['numbering']}:{raw['bits']}"
             rows.append(row)
     if not rows:

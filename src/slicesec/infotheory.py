@@ -108,11 +108,58 @@ def mutual_information_bitwise(a: BitMatrix, b: BitMatrix) -> MIEstimate:
     """
     if a.bits.shape != b.bits.shape:
         raise ValueError(f"shape mismatch: {a.bits.shape} vs {b.bits.shape}")
-    total = 0.0
-    for j in range(a.n_bits):
-        counts = _joint_counts(a.bits[:, j].astype(np.int64), b.bits[:, j].astype(np.int64))
-        total += _mi_from_counts(counts)
+    total = bitwise_mi_from_tables(
+        _joint_counts(a.bits[:, j].astype(np.int64), b.bits[:, j].astype(np.int64))
+        for j in range(a.n_bits)
+    )
     return MIEstimate(value=total, alphabet_sizes=(2, 2), n=a.n_symbols)
+
+
+def bitwise_mi_from_tables(tables) -> float:
+    """Sum of the binary plug-in MI of each bit's 2x2 count table, in bit order.
+
+    A table may drop an all-zero trailing row or column, as `_joint_counts`
+    does for a constant bit; the estimate is the same to the last bit.
+    """
+    total = 0.0
+    for counts in tables:
+        total += _mi_from_counts(counts)
+    return total
+
+
+def joint_cells(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Sparse joint histogram of two index vectors over [0, k).
+
+    Returns (x value, y value, count) for each occupied cell, at most
+    min(N, k^2) of them.
+    """
+    codes, counts = np.unique(np.asarray(x, dtype=np.int64) * k + y, return_counts=True)
+    return codes // k, codes % k, counts
+
+
+def label_bit_tables(
+    x: np.ndarray, y: np.ndarray, counts: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Per-bit 2x2 count tables of a labelled symbol pair, shape (b, 2, 2).
+
+    ``x``, ``y`` and ``counts`` are a sparse joint histogram (see
+    `joint_cells`); ``labels`` is the (2^b, b) label table. Entry [j, u, v]
+    counts the samples whose first party's bit j is u and second's is v:
+    each per-bit table is an exact marginal of the symbol joint.
+    """
+    lx, ly = labels[x], labels[y]
+    n = counts.sum()
+    ones_x = counts @ lx
+    ones_y = counts @ ly
+    both = counts @ (lx & ly)
+    return np.stack(
+        [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=1
+    ).reshape(-1, 2, 2)
+
+
+def bit_error_rate_from_tables(tables: np.ndarray) -> float:
+    """Fraction of differing bits over all N*b positions, from `label_bit_tables`."""
+    return int(tables[:, 0, 1].sum() + tables[:, 1, 0].sum()) / int(tables.sum())
 
 
 def conditional_mi(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> MIEstimate:

@@ -17,13 +17,28 @@ import numpy as np
 from .channel import ChannelParams, ChannelRealization, Stream, transmit
 from .infotheory import (
     AlphabetCapacityError,
-    bit_error_rate,
+    bit_error_rate_from_tables,
+    bitwise_mi_from_tables,
     conditional_mi,
-    mutual_information_bitwise,
+    joint_cells,
+    label_bit_tables,
     mutual_information_symbols,
     plugin_bias,
 )
-from .slicing import Numbering, Positioning, SlicingScheme, build_labels, slice_samples
+from .slicing import (
+    LabelTable,
+    Numbering,
+    Positioning,
+    SlicingScheme,
+    bin_indices,
+    build_labels,
+)
+
+# bench/tracing.py wraps these names in this module's namespace (and raises
+# KeyError if one is missing), so they stay importable from here although
+# the engine bins once and derives bitwise MI and BER from joint tables.
+from .infotheory import bit_error_rate, mutual_information_bitwise  # noqa: F401
+from .slicing import slice_samples  # noqa: F401
 
 # The six-method grid studied at 2^4, 2^5 and 2^6 bins.
 DEFAULT_BITS = (4, 5, 6)
@@ -83,51 +98,78 @@ def secrecy_deltas(i_ab: float, i_ae: float, i_be: float) -> tuple[float, float]
 
 
 def evaluate_scheme(realization: ChannelRealization, scheme: SlicingScheme) -> SecrecyReport:
-    """Slice all three parties with the same scheme (own edges each) and report.
+    """Report one scheme on one realization; see `evaluate_schemes`."""
+    return evaluate_schemes(realization, [scheme])[0]
+
+
+def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyReport]:
+    """Slice all three parties with each scheme (own edges each) and report, in order.
 
     The eavesdropper is restricted to the legitimate parties' scheme; her
     only advantage is her own received data.
+
+    Every quantity is a function of the parties' bin indices and the label
+    table. Each party is binned once per (positioning, width multiplier) at
+    the deepest bit count asked for, and shallower depths are exact right
+    shifts of those indices. Symbol MI and CMI are computed once per
+    (positioning, bits). Each numbering's bitwise MI and BER come from the
+    sparse joint symbol histogram of each pair and the label table, since
+    every per-bit 2x2 table is a marginal of that joint.
     """
-    mats = {
-        name: slice_samples(samples, scheme)
-        for name, samples in (
-            ("alice", realization.alice),
-            ("bob", realization.bob),
-            ("eve", realization.eve),
-        )
-    }
-    a, b, e = mats["alice"], mats["bob"], mats["eve"]
-
-    i_ab = mutual_information_bitwise(a, b).value
-    i_ae = mutual_information_bitwise(a, e).value
-    i_be = mutual_information_bitwise(b, e).value
-    delta_direct, delta_reverse = secrecy_deltas(i_ab, i_ae, i_be)
-
-    try:
-        cmi = conditional_mi(a.symbol_index, b.symbol_index, e.symbol_index).value
-    except AlphabetCapacityError:
-        cmi = None
-
+    schemes = list(schemes)
     p = realization.params
-    return SecrecyReport(
-        transmission=p.transmission,
-        scheme=scheme,
-        i_ab=i_ab,
-        i_ae=i_ae,
-        i_be=i_be,
-        i_ab_sym=mutual_information_symbols(a.symbol_index, b.symbol_index).value,
-        i_ae_sym=mutual_information_symbols(a.symbol_index, e.symbol_index).value,
-        i_be_sym=mutual_information_symbols(b.symbol_index, e.symbol_index).value,
-        ber_ab=bit_error_rate(a, b),
-        ber_ae=bit_error_rate(a, e),
-        ber_be=bit_error_rate(b, e),
-        delta_direct=delta_direct,
-        delta_reverse=delta_reverse,
-        cmi_ab_given_e=cmi,
-        label_collisions=build_labels(scheme.numbering, scheme.bits).collisions,
-        n=p.samples,
-        seed=p.seed,
-    )
+    parties = (realization.alice, realization.bob, realization.eve)
+    label_tables: dict[tuple[Numbering, int], LabelTable] = {}
+    reports: dict[SlicingScheme, SecrecyReport] = {}
+
+    groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
+    for scheme in schemes:
+        groups.setdefault((scheme.positioning, scheme.width_multiplier), []).append(scheme)
+
+    for group in groups.values():
+        deepest = max(group, key=lambda s: s.bits)
+        top_indices = [bin_indices(samples, deepest) for samples in parties]
+        for bits in sorted({s.bits for s in group}):
+            a, b, e = (idx >> (deepest.bits - bits) for idx in top_indices)
+            try:
+                cmi = conditional_mi(a, b, e).value
+            except AlphabetCapacityError:
+                cmi = None
+            pairs = ((a, b), (a, e), (b, e))
+            i_ab_sym, i_ae_sym, i_be_sym = (
+                mutual_information_symbols(x, y).value for x, y in pairs
+            )
+            joints = [joint_cells(x, y, 1 << bits) for x, y in pairs]
+
+            for scheme in (s for s in group if s.bits == bits):
+                key = (scheme.numbering, bits)
+                if key not in label_tables:
+                    label_tables[key] = build_labels(scheme.numbering, bits)
+                table = label_tables[key]
+                bit_tables = [label_bit_tables(*joint, table.labels) for joint in joints]
+                i_ab, i_ae, i_be = (bitwise_mi_from_tables(t) for t in bit_tables)
+                ber_ab, ber_ae, ber_be = (bit_error_rate_from_tables(t) for t in bit_tables)
+                delta_direct, delta_reverse = secrecy_deltas(i_ab, i_ae, i_be)
+                reports[scheme] = SecrecyReport(
+                    transmission=p.transmission,
+                    scheme=scheme,
+                    i_ab=i_ab,
+                    i_ae=i_ae,
+                    i_be=i_be,
+                    i_ab_sym=i_ab_sym,
+                    i_ae_sym=i_ae_sym,
+                    i_be_sym=i_be_sym,
+                    ber_ab=ber_ab,
+                    ber_ae=ber_ae,
+                    ber_be=ber_be,
+                    delta_direct=delta_direct,
+                    delta_reverse=delta_reverse,
+                    cmi_ab_given_e=cmi,
+                    label_collisions=table.collisions,
+                    n=p.samples,
+                    seed=p.seed,
+                )
+    return [reports[scheme] for scheme in schemes]
 
 
 def realization_for_cell(base: ChannelParams, t: float, t_index: int) -> ChannelRealization:
@@ -144,7 +186,7 @@ def realization_for_cell(base: ChannelParams, t: float, t_index: int) -> Channel
 def _sweep_cell(args: tuple) -> list[SecrecyReport]:
     base, t, t_index, schemes = args
     realization = realization_for_cell(base, t, t_index)
-    return [evaluate_scheme(realization, scheme) for scheme in schemes]
+    return evaluate_schemes(realization, schemes)
 
 
 def sweep(
@@ -155,8 +197,11 @@ def sweep(
 ) -> SweepTable:
     """Evaluate every scheme at every transmission of the grid.
 
-    Output is bit-identical for any worker count: cell seeds derive from
-    cell content, and rows are assembled in (transmission, scheme) order.
+    Output is bit-identical for any worker count: each cell's random stream
+    is keyed by the cell's index in ``t_grid``, and rows are assembled in
+    (transmission, scheme) order. Because of that keying, a repeated
+    transmission would get a second, different realization, and a repeated
+    scheme a duplicate row; both are rejected.
     """
     t_grid = [float(t) for t in t_grid]
     schemes = list(schemes)
@@ -165,6 +210,8 @@ def sweep(
     for t in t_grid:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"transmission {t} outside [0, 1]")
+    if len(set(t_grid)) != len(t_grid) or len(set(schemes)) != len(schemes):
+        raise ValueError("t_grid and schemes must not repeat a value")
 
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]
     try:
@@ -223,9 +270,10 @@ def post_exchange_conditions(
     rather than estimator bias.
     """
     scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, bits)
-    x = slice_samples(realization.alice, scheme).symbol_index
-    y = slice_samples(realization.bob, scheme).symbol_index
-    z = slice_samples(realization.eve, scheme).symbol_index
+    x, y, z = (
+        bin_indices(samples, scheme)
+        for samples in (realization.alice, realization.bob, realization.eve)
+    )
     n = len(x)
     k = 1 << bits
 

@@ -199,6 +199,20 @@ def assign_bins(samples: np.ndarray, edges: BinEdges) -> np.ndarray:
     return np.searchsorted(edges.boundaries, samples, side="right")
 
 
+def bin_indices(samples: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
+    """Bin indices of one party's samples under ``scheme``, as uint16.
+
+    uint16 holds every index up to MAX_BITS = 16. The indices at any
+    shallower depth b of the same positioning and width multiplier are an
+    exact right shift, ``bin_indices(samples, scheme) >> (scheme.bits - b)``:
+    the equal-width step 2 k std / 2^b and the equal-probability quantile
+    levels i / 2^b differ from the deeper depth's only by a power of two,
+    which floating point scales exactly, so the shallower boundaries are the
+    same floats as every 2^(bits - b)-th deeper boundary.
+    """
+    return assign_bins(samples, compute_edges(samples, scheme)).astype(np.uint16)
+
+
 def build_labels(numbering: Numbering, b: int) -> LabelTable:
     """Build the 2^b-entry codebook for the given numbering method."""
     if not 1 <= b <= MAX_BITS:

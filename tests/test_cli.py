@@ -1,10 +1,13 @@
 import io
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from slicesec import SlicingScheme
 from slicesec.cli import CSV_COLUMNS, main, parse_args, read_csv, selftest
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "golden_sweep.csv"
 
 SMALL_ARGS = [
     "sweep", "--seed", "17", "--samples", "6000", "--t", "0.2,0.5,0.8",
@@ -44,12 +47,22 @@ class TestParseArgs:
         ["sweep", "--samples", "0", "--out", "x.csv"],
         ["sweep", "--workers", "0", "--out", "x.csv"],
         ["sweep", "--frobnicate", "--out", "x.csv"],
+        ["sweep", "--seed", "-1", "--out", "x.csv"],
+        ["sweep", "--seed", str(1 << 64), "--out", "x.csv"],
+        ["sweep", "--seed", "18446744073709551658", "--out", "x.csv"],
+        ["sweep", "--t", "0.5,0.5", "--out", "x.csv"],
+        ["sweep", "--t", "0.2,0.5,0.50", "--out", "x.csv"],
+        ["sweep", "--schemes", "eqprob:gray:4,eqwidth:gray:4,EQPROB:gray:4", "--out", "x.csv"],
         ["notacommand"],
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
+
+    def test_largest_u64_seed_is_accepted(self):
+        config = parse_args(["sweep", "--seed", str((1 << 64) - 1), "--out", "x.csv"])
+        assert config.seed == (1 << 64) - 1
 
     def test_explicit_t_list(self):
         config = parse_args(["sweep", "--t", "0.1,0.5,0.9", "--out", "x.csv"])
@@ -83,6 +96,16 @@ class TestCsv:
                 row["i_ab"] - row["i_be"], abs=1e-9
             )
 
+    def test_matches_golden_file(self, tmp_path):
+        # The golden file was written with these flags by the per-scheme
+        # engine that sliced every party into N x b bit matrices.
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--seed", "42", "--samples", "4000", "--t", "0.05:0.95:0.05",
+            "--schemes", "all", "--workers", "1", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+
     def test_missing_column_is_reported(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("transmission,positioning\n0.5,eqprob\n")
@@ -97,6 +120,29 @@ class TestCsv:
 
     def test_unwritable_output_exits_1(self):
         assert main(SMALL_ARGS + ["--out", "/nonexistent/dir/x.csv"]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize("command", [
+    ["best", "--mode", "direct"],
+    ["plot", "--plot-mode", "best_vs_t", "--mode", "direct"],
+])
+def test_non_finite_value_exits_1_naming_row_and_column(
+    small_csv, tmp_path, capsys, value, command
+):
+    lines = small_csv.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[CSV_COLUMNS.index("delta_direct")] = value
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+
+    argv = [command[0], str(bad), *command[1:]]
+    if command[0] == "plot":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "'delta_direct'" in err and "row 3" in err
 
 
 class TestBest:

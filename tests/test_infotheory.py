@@ -10,13 +10,20 @@ from slicesec import (
     MIEstimate,
     binary_entropy,
     bit_error_rate,
+    build_labels,
     conditional_mi,
     entropy,
     mutual_information_bitwise,
     mutual_information_symbols,
     plugin_bias,
 )
-from slicesec.slicing import BitMatrix
+from slicesec.infotheory import (
+    bit_error_rate_from_tables,
+    bitwise_mi_from_tables,
+    joint_cells,
+    label_bit_tables,
+)
+from slicesec.slicing import BitMatrix, Numbering
 
 
 def brute_force_mi(joint):
@@ -183,6 +190,32 @@ class TestBitwiseMI:
             mutual_information_bitwise(
                 matrix(np.zeros((5, 2))), matrix(np.zeros((5, 3)))
             )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bits=st.integers(min_value=1, max_value=6),
+    numbering=st.sampled_from(list(Numbering)),
+    n=st.integers(min_value=1, max_value=3000),
+    noise=st.integers(min_value=0, max_value=3),
+)
+def test_label_bit_tables_are_marginals_of_the_symbol_joint(seed, bits, numbering, n, noise):
+    # Against the BitMatrix path: expand labels to N x b bits and count per bit.
+    rng = np.random.default_rng(seed)
+    k = 1 << bits
+    x = rng.integers(0, k, size=n)
+    y = np.clip(x + rng.integers(-noise, noise + 1, size=n), 0, k - 1)
+    labels = build_labels(numbering, bits).labels
+    tables = label_bit_tables(*joint_cells(x, y, k), labels)
+
+    bx, by = labels[x], labels[y]
+    for j in range(bits):
+        expected = np.bincount(2 * bx[:, j] + by[:, j], minlength=4).reshape(2, 2)
+        assert np.array_equal(tables[j], expected)
+    assert (bitwise_mi_from_tables(tables)
+            == mutual_information_bitwise(matrix(bx), matrix(by)).value)
+    assert bit_error_rate_from_tables(tables) == bit_error_rate(matrix(bx), matrix(by))
 
 
 class TestConditionalMI:

@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 
 from slicesec import (
+    AlphabetCapacityError,
     ChannelParams,
+    Numbering,
+    Positioning,
     SlicingScheme,
     best_method,
+    bit_error_rate,
+    build_labels,
+    conditional_mi,
     default_schemes,
     default_t_grid,
     evaluate_scheme,
+    evaluate_schemes,
+    mutual_information_bitwise,
+    mutual_information_symbols,
     secrecy_deltas,
+    slice_samples,
     sweep,
     transmit,
 )
@@ -71,6 +81,58 @@ class TestEvaluateScheme:
         assert all(rep.cmi_ab_given_e >= 0.0 for rep in small_table.rows)
 
 
+# Mixed depths, both positionings and two width multipliers, so the batched
+# engine shifts deep bin indices down where evaluate_scheme bins directly.
+MIXED_SCHEMES = [
+    SlicingScheme(pos, num, bits, width)
+    for pos, width in ((Positioning.EQUAL_WIDTH, 3.0), (Positioning.EQUAL_WIDTH, 2.0),
+                       (Positioning.EQUAL_PROBABILITY, 3.0))
+    for num in Numbering
+    for bits in (7, 1, 3)
+]
+
+
+@pytest.fixture(scope="module", params=[0.3, 0.9])
+def mixed_realization(request):
+    return transmit(ChannelParams(transmission=request.param, samples=4000, seed=5))
+
+
+def bitmatrix_report(realization, scheme):
+    """Independent reference: slice each party to an N x b BitMatrix and
+    apply the BitMatrix estimators, one scheme at a time."""
+    a, b, e = (slice_samples(x, scheme)
+               for x in (realization.alice, realization.bob, realization.eve))
+    i_ab, i_ae, i_be = (mutual_information_bitwise(x, y).value
+                        for x, y in ((a, b), (a, e), (b, e)))
+    try:
+        cmi = conditional_mi(a.symbol_index, b.symbol_index, e.symbol_index).value
+    except AlphabetCapacityError:
+        cmi = None
+    p = realization.params
+    return SecrecyReport(
+        transmission=p.transmission, scheme=scheme,
+        i_ab=i_ab, i_ae=i_ae, i_be=i_be,
+        i_ab_sym=mutual_information_symbols(a.symbol_index, b.symbol_index).value,
+        i_ae_sym=mutual_information_symbols(a.symbol_index, e.symbol_index).value,
+        i_be_sym=mutual_information_symbols(b.symbol_index, e.symbol_index).value,
+        ber_ab=bit_error_rate(a, b), ber_ae=bit_error_rate(a, e), ber_be=bit_error_rate(b, e),
+        delta_direct=i_ab - max(i_ae, i_be), delta_reverse=i_ab - i_be,
+        cmi_ab_given_e=cmi,
+        label_collisions=build_labels(scheme.numbering, scheme.bits).collisions,
+        n=p.samples, seed=p.seed,
+    )
+
+
+class TestEvaluateSchemes:
+    def test_batch_equals_one_scheme_at_a_time(self, mixed_realization):
+        batch = evaluate_schemes(mixed_realization, MIXED_SCHEMES)
+        assert batch == [evaluate_scheme(mixed_realization, s) for s in MIXED_SCHEMES]
+
+    def test_matches_bitmatrix_reference_exactly(self, mixed_realization):
+        batch = evaluate_schemes(mixed_realization, MIXED_SCHEMES)
+        assert batch == [bitmatrix_report(mixed_realization, s) for s in MIXED_SCHEMES]
+
+
 class TestSweep:
     def test_row_count_and_order(self, small_table):
         assert len(small_table.rows) == len(SMALL_T) * len(SMALL_SCHEMES)
@@ -103,6 +165,13 @@ class TestSweep:
             sweep(SMALL_T, [], SMALL_BASE)
         with pytest.raises(ValueError):
             sweep([1.5], SMALL_SCHEMES, SMALL_BASE)
+
+    def test_rejects_duplicates(self):
+        # Streams are keyed by grid index, so a repeated T would get new data.
+        with pytest.raises(ValueError, match="repeat"):
+            sweep([0.5, 0.5], SMALL_SCHEMES, SMALL_BASE)
+        with pytest.raises(ValueError, match="repeat"):
+            sweep(SMALL_T, SMALL_SCHEMES[:1] * 2, SMALL_BASE)
 
     def test_default_grids(self):
         assert len(default_t_grid()) == 19

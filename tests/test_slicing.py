@@ -9,6 +9,7 @@ from slicesec import (
     Positioning,
     SlicingScheme,
     assign_bins,
+    bin_indices,
     build_labels,
     compute_edges,
     slice_samples,
@@ -104,6 +105,37 @@ class TestAssignBins:
     def test_edges_must_increase(self):
         with pytest.raises(ValueError):
             BinEdges(np.array([0.0, 0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(256, 3000),
+    top=st.integers(1, 8),
+    shallower=st.integers(0, 7),
+    positioning=st.sampled_from(list(Positioning)),
+    width_multiplier=st.floats(0.25, 8.0),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    decimals=st.sampled_from([None, 1]),
+)
+def test_shallower_bins_are_exact_right_shifts(
+    seed, n, top, shallower, positioning, width_multiplier, scale, decimals
+):
+    bits = max(1, top - shallower)
+    samples = 5.0 + scale * np.random.default_rng(seed).normal(size=n)
+    if decimals is not None:  # coarse values put many samples on boundaries
+        samples = np.round(samples, decimals)
+
+    def indices(b):
+        scheme = SlicingScheme(positioning, Numbering.BINARY, b, width_multiplier)
+        return bin_indices(samples, scheme)
+
+    try:
+        deep = indices(top)
+    except ValueError:  # zero variance or heavy ties: this depth has no valid edges
+        return
+    assert deep.dtype == np.uint16
+    assert np.array_equal(deep >> (top - bits), indices(bits))
 
 
 class TestLabels:
