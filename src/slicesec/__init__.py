@@ -24,7 +24,6 @@ from .infotheory import (
 from .secrecy import (
     SecrecyReport,
     SweepTable,
-    best_method,
     default_schemes,
     default_t_grid,
     evaluate_scheme,

@@ -10,7 +10,6 @@ and parallel schedules cannot perturb results.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,6 @@ import numpy as np
 ALICE_STREAM = 0
 BOB_NOISE_STREAM = 1
 EVE_NOISE_STREAM = 2
-
-_DUMP_MAGIC = b"CVQK"
-_DUMP_VERSION = 1
 
 
 class InfiniteInformationError(ValueError):
@@ -163,37 +159,3 @@ def analytic_gaussian_mi(params: ChannelParams, party: str) -> float:
         )
     return 0.5 * math.log2(1.0 + signal / noise)
 
-
-def dump_realization(realization: ChannelRealization, path: str) -> None:
-    """Write the binary debug dump: header then alice/bob/eve as little-endian f64."""
-    p = realization.params
-    header = _DUMP_MAGIC + struct.pack(
-        "<IQdQ", _DUMP_VERSION, p.samples, p.transmission, p.seed
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in (realization.alice, realization.bob, realization.eve):
-            fh.write(np.asarray(arr, dtype="<f8").tobytes())
-
-
-def load_realization_arrays(path: str) -> dict:
-    """Read a debug dump back; returns header fields and the three arrays."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DUMP_MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        version, n, transmission, seed = struct.unpack("<IQdQ", fh.read(28))
-        if version != _DUMP_VERSION:
-            raise ValueError(f"unsupported dump version {version}")
-        arrays = [
-            np.frombuffer(fh.read(8 * n), dtype="<f8", count=n) for _ in range(3)
-        ]
-    return {
-        "version": version,
-        "samples": n,
-        "transmission": transmission,
-        "seed": seed,
-        "alice": arrays[0],
-        "bob": arrays[1],
-        "eve": arrays[2],
-    }

@@ -259,8 +259,16 @@ def read_csv(path: str) -> list[dict]:
     return rows
 
 
-def _best_rows(rows: list[dict], mode: str) -> list[tuple[float, str]]:
-    delta_key = "delta_direct" if mode == "direct" else "delta_reverse"
+def best_rows(rows: list[dict], mode: str) -> list[tuple[float, str]]:
+    """Per transmission, the scheme of the row maximizing the ``mode`` secrecy margin.
+
+    ``rows`` are `read_csv` rows. Ties break toward fewer bits, then lower
+    Alice-Bob BER, then the lexicographically smallest scheme string, giving
+    a total order.
+    """
+    if mode not in ("direct", "reverse"):
+        raise ValueError(f"mode must be 'direct' or 'reverse', got {mode!r}")
+    delta_key = f"delta_{mode}"
     winners = []
     for t in sorted({r["transmission"] for r in rows}):
         candidates = [r for r in rows if r["transmission"] == t]
@@ -302,7 +310,7 @@ def emit_plot(csv_path: str, plot_mode: str, mode: str, out: str) -> None:
             chart.add(Series(s, [r["transmission"] for r in rs],
                              [r[delta_key] for r in rs]))
     elif plot_mode == "best_vs_t":
-        winners = _best_rows(rows, mode)
+        winners = best_rows(rows, mode)
         chart = Chart(
             title=f"Optimal slicing method ({mode} reconciliation) per transmission",
             x_label="channel transmission",
@@ -417,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         if config.subcommand == "best":
             rows = read_csv(config.csv_path)
             lines = ["transmission,scheme"]
-            lines += [f"{_fmt(t)},{s}" for t, s in _best_rows(rows, config.mode)]
+            lines += [f"{_fmt(t)},{s}" for t, s in best_rows(rows, config.mode)]
             text = "\n".join(lines) + "\n"
             if config.out:
                 with open(config.out, "w") as fh:

@@ -1,9 +1,11 @@
 """Plug-in (maximum likelihood) information estimators over discrete data.
 
-All quantities are in bits (log base 2). Zero-count cells contribute zero.
-No bias correction is applied; the known positive bias of the plug-in MI,
-roughly (|A|-1)(|B|-1)/(2 N ln 2), is exposed as an oracle so tests and
-sanity checks can bound it.
+All quantities are in bits (log base 2). Every estimator reads one sparse
+joint histogram, the occupied cells of `joint_cells`, and sums over those
+cells only, so no estimator allocates an array whose size is a product of
+alphabet sizes. No bias correction is applied; the known positive bias of
+the plug-in MI, roughly (|A|-1)(|B|-1)/(2 N ln 2), is exposed as an oracle
+so tests and sanity checks can bound it.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import numpy as np
 
 from .slicing import BitMatrix
 
-# Largest 3-D joint histogram we are willing to allocate.
+# Largest ka x kb x kz alphabet for which conditional MI is reported. It is an
+# output rule, not a memory bound (only occupied cells are held): above it,
+# from b = 9 bits per party on, the sweep CSV leaves `cmi_ab_given_e` empty.
 CMI_CELL_CAPACITY = 1 << 24
 
 
 class AlphabetCapacityError(ValueError):
-    """The requested joint histogram exceeds the in-memory cell budget."""
+    """The 3-way alphabet exceeds CMI_CELL_CAPACITY cells."""
 
 
 @dataclass(frozen=True)
@@ -62,39 +66,64 @@ def plugin_bias(alphabet_a: int, alphabet_b: int, n: int, conditioning: int = 1)
     return conditioning * (alphabet_a - 1) * (alphabet_b - 1) / (2.0 * n * math.log(2.0))
 
 
-def _joint_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ka = int(a.max()) + 1
-    kb = int(b.max()) + 1
-    flat = np.bincount(a * kb + b, minlength=ka * kb)
-    return flat.reshape(ka, kb)
+def joint_cells(*indices: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Sparse joint histogram of equal-length nonnegative index vectors.
+
+    Returns the coordinates of each occupied cell, one array per input in
+    row-major cell order, and each cell's count. There are at most
+    min(N, product of alphabet sizes) cells.
+    """
+    shape = tuple(int(v.max()) + 1 for v in indices)
+    codes = np.ravel_multi_index(indices, shape)
+    if math.prod(shape) <= 1 << 31:
+        codes = codes.astype(np.int32)  # 32-bit codes sort about twice as fast
+    codes, counts = np.unique(codes, return_counts=True)
+    return np.unravel_index(codes, shape), counts
 
 
-def _mi_from_counts(counts: np.ndarray) -> float:
-    n = counts.sum()
-    p = counts / n
-    pa = p.sum(axis=1, keepdims=True)
-    pb = p.sum(axis=0, keepdims=True)
-    mask = p > 0
-    terms = p[mask] * np.log2(p[mask] / (pa @ pb)[mask])
-    # Summing in sorted order makes the result exactly symmetric in the
-    # arguments (transposing the histogram permutes the same term multiset).
+def plugin_mi(coords: tuple[np.ndarray, ...], counts: np.ndarray) -> float:
+    """Plug-in I(X;Y), or I(X;Y|Z) given a third coordinate, from occupied cells.
+
+    ``coords`` and ``counts`` are a sparse joint histogram (see `joint_cells`).
+    Each marginal is accumulated over the cells in row-major order.
+    """
+    p = counts / counts.sum()
+
+    def marginal(code: np.ndarray) -> np.ndarray:
+        return np.bincount(code, weights=p)[code]
+
+    if len(coords) == 2:
+        ratio = p / (marginal(coords[0]) * marginal(coords[1]))
+    else:
+        x, y, z = coords
+        # Number the occupied (x, z) and (y, z) pairs densely, so that no
+        # marginal spans a product of alphabet sizes.
+        kz = int(z.max()) + 1
+        xz, yz = (np.unique(v * kz + z, return_inverse=True)[1] for v in (x, y))
+        ratio = marginal(z) * p / (marginal(xz) * marginal(yz))
+    terms = p * np.log2(ratio)
+    # Summing in sorted order makes the result exactly symmetric in X and Y
+    # (swapping them permutes the same term multiset).
     terms.sort()
     # The estimate is a KL divergence, nonnegative up to float rounding.
     return max(0.0, float(terms.sum()))
 
 
+def _index_vectors(*vectors) -> list[np.ndarray]:
+    vectors = [np.asarray(v, dtype=np.int64) for v in vectors]
+    if len({len(v) for v in vectors}) != 1:
+        raise ValueError(f"length mismatch: {', '.join(str(len(v)) for v in vectors)}")
+    if len(vectors[0]) == 0:
+        raise ValueError("empty input")
+    return vectors
+
+
 def mutual_information_symbols(a: np.ndarray, b: np.ndarray) -> MIEstimate:
     """Plug-in I(A;B) over two equal-length index vectors."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if len(a) == 0:
-        raise ValueError("empty input")
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    counts = _joint_counts(a, b)
+    a, b = _index_vectors(a, b)
     return MIEstimate(
-        value=_mi_from_counts(counts),
-        alphabet_sizes=counts.shape,
+        value=plugin_mi(*joint_cells(a, b)),
+        alphabet_sizes=(int(a.max()) + 1, int(b.max()) + 1),
         n=len(a),
     )
 
@@ -108,46 +137,35 @@ def mutual_information_bitwise(a: BitMatrix, b: BitMatrix) -> MIEstimate:
     """
     if a.bits.shape != b.bits.shape:
         raise ValueError(f"shape mismatch: {a.bits.shape} vs {b.bits.shape}")
-    total = bitwise_mi_from_tables(
-        _joint_counts(a.bits[:, j].astype(np.int64), b.bits[:, j].astype(np.int64))
-        for j in range(a.n_bits)
-    )
+    total = _sum_over_bits(joint_cells(a.bits[:, j], b.bits[:, j]) for j in range(a.n_bits))
     return MIEstimate(value=total, alphabet_sizes=(2, 2), n=a.n_symbols)
 
 
-def bitwise_mi_from_tables(tables) -> float:
-    """Sum of the binary plug-in MI of each bit's 2x2 count table, in bit order.
+def bitwise_mi_from_tables(tables: np.ndarray) -> float:
+    """Sum of the binary plug-in MI of each bit's 2x2 count table, in bit order."""
+    return _sum_over_bits((np.nonzero(t), t[np.nonzero(t)]) for t in tables)
 
-    A table may drop an all-zero trailing row or column, as `_joint_counts`
-    does for a constant bit; the estimate is the same to the last bit.
-    """
+
+def _sum_over_bits(per_bit_cells) -> float:
+    """Sum of the plug-in MI of each bit's sparse joint histogram, in bit order."""
+    # A plain loop: from Python 3.12 on, sum() compensates float rounding.
     total = 0.0
-    for counts in tables:
-        total += _mi_from_counts(counts)
+    for coords, counts in per_bit_cells:
+        total += plugin_mi(coords, counts)
     return total
 
 
-def joint_cells(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """Sparse joint histogram of two index vectors over [0, k).
-
-    Returns (x value, y value, count) for each occupied cell, at most
-    min(N, k^2) of them.
-    """
-    codes, counts = np.unique(np.asarray(x, dtype=np.int64) * k + y, return_counts=True)
-    return codes // k, codes % k, counts
-
-
 def label_bit_tables(
-    x: np.ndarray, y: np.ndarray, counts: np.ndarray, labels: np.ndarray
+    coords: tuple[np.ndarray, np.ndarray], counts: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Per-bit 2x2 count tables of a labelled symbol pair, shape (b, 2, 2).
 
-    ``x``, ``y`` and ``counts`` are a sparse joint histogram (see
-    `joint_cells`); ``labels`` is the (2^b, b) label table. Entry [j, u, v]
-    counts the samples whose first party's bit j is u and second's is v:
-    each per-bit table is an exact marginal of the symbol joint.
+    ``coords`` and ``counts`` are a sparse joint histogram of two parties
+    (see `joint_cells`); ``labels`` is the (2^b, b) label table. Entry
+    [j, u, v] counts the samples whose first party's bit j is u and second's
+    is v: each per-bit table is an exact marginal of the symbol joint.
     """
-    lx, ly = labels[x], labels[y]
+    lx, ly = labels[coords[0]], labels[coords[1]]
     n = counts.sum()
     ones_x = counts @ lx
     ones_y = counts @ ly
@@ -164,33 +182,14 @@ def bit_error_rate_from_tables(tables: np.ndarray) -> float:
 
 def conditional_mi(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> MIEstimate:
     """Plug-in I(A;B|Z) from the 3-way joint histogram."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    z = np.asarray(z, dtype=np.int64)
-    if not len(a) == len(b) == len(z):
-        raise ValueError(f"length mismatch: {len(a)}, {len(b)}, {len(z)}")
-    if len(a) == 0:
-        raise ValueError("empty input")
-    ka, kb, kz = (int(v.max()) + 1 for v in (a, b, z))
-    if ka * kb * kz > CMI_CELL_CAPACITY:
+    a, b, z = _index_vectors(a, b, z)
+    sizes = tuple(int(v.max()) + 1 for v in (a, b, z))
+    if math.prod(sizes) > CMI_CELL_CAPACITY:
         raise AlphabetCapacityError(
-            f"joint histogram of {ka}x{kb}x{kz} cells exceeds capacity {CMI_CELL_CAPACITY}"
+            f"joint alphabet of {'x'.join(map(str, sizes))} cells exceeds capacity"
+            f" {CMI_CELL_CAPACITY}"
         )
-    n = len(a)
-    counts = np.bincount((a * kb + b) * kz + z, minlength=ka * kb * kz).reshape(ka, kb, kz)
-    p = counts / n
-    pz = p.sum(axis=(0, 1))            # p(z)
-    paz = p.sum(axis=1)                # p(a,z)
-    pbz = p.sum(axis=0)                # p(b,z)
-    mask = p > 0
-    num = pz[None, None, :] * p
-    den = paz[:, None, :] * pbz[None, :, :]
-    terms = p[mask] * np.log2(num[mask] / den[mask])
-    return MIEstimate(
-        value=max(0.0, float(terms.sum())),
-        alphabet_sizes=(ka, kb, kz),
-        n=n,
-    )
+    return MIEstimate(value=plugin_mi(*joint_cells(a, b, z)), alphabet_sizes=sizes, n=len(a))
 
 
 def bit_error_rate(a: BitMatrix, b: BitMatrix) -> float:

@@ -1,4 +1,4 @@
-"""Secrecy evaluation: per-cell reports, grid sweeps, and optimal-scheme selection.
+"""Secrecy evaluation: per-cell reports and grid sweeps.
 
 The secrecy margin is delta_direct = I_AB - max(I_AE, I_BE) for direct
 reconciliation and delta_reverse = I_AB - I_BE for reverse reconciliation,
@@ -24,6 +24,7 @@ from .infotheory import (
     label_bit_tables,
     mutual_information_symbols,
     plugin_bias,
+    plugin_mi,
 )
 from .slicing import (
     LabelTable,
@@ -111,9 +112,9 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     Every quantity is a function of the parties' bin indices and the label
     table. Each party is binned once per (positioning, width multiplier) at
     the deepest bit count asked for, and shallower depths are exact right
-    shifts of those indices. Symbol MI and CMI are computed once per
-    (positioning, bits). Each numbering's bitwise MI and BER come from the
-    sparse joint symbol histogram of each pair and the label table, since
+    shifts of those indices. Per (positioning, bits), each pair's sparse
+    joint symbol histogram is built once; it gives the symbol MI and, with
+    each numbering's label table, that numbering's bitwise MI and BER, since
     every per-bit 2x2 table is a marginal of that joint.
     """
     schemes = list(schemes)
@@ -135,11 +136,8 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
                 cmi = conditional_mi(a, b, e).value
             except AlphabetCapacityError:
                 cmi = None
-            pairs = ((a, b), (a, e), (b, e))
-            i_ab_sym, i_ae_sym, i_be_sym = (
-                mutual_information_symbols(x, y).value for x, y in pairs
-            )
-            joints = [joint_cells(x, y, 1 << bits) for x, y in pairs]
+            joints = [joint_cells(x, y) for x, y in ((a, b), (a, e), (b, e))]
+            i_ab_sym, i_ae_sym, i_be_sym = (plugin_mi(*joint) for joint in joints)
 
             for scheme in (s for s in group if s.bits == bits):
                 key = (scheme.numbering, bits)
@@ -185,8 +183,11 @@ def realization_for_cell(base: ChannelParams, t: float, t_index: int) -> Channel
 
 def _sweep_cell(args: tuple) -> list[SecrecyReport]:
     base, t, t_index, schemes = args
-    realization = realization_for_cell(base, t, t_index)
-    return evaluate_schemes(realization, schemes)
+    try:
+        return evaluate_schemes(realization_for_cell(base, t, t_index), schemes)
+    except Exception as exc:
+        # Name the failing cell as the CSV prints it; sweep() reports the error.
+        raise RuntimeError(f"T={t:.9g}: {exc}") from exc
 
 
 def sweep(
@@ -230,33 +231,6 @@ def sweep(
         schemes=tuple(schemes),
         base=base,
     )
-
-
-def best_method(table: SweepTable, mode: str) -> list[tuple[float, SlicingScheme]]:
-    """Per transmission, the scheme maximizing the requested secrecy margin.
-
-    Ties break toward fewer bits, then lower Alice-Bob BER, then the
-    lexicographically smallest scheme string, giving a total order.
-    """
-    if mode not in ("direct", "reverse"):
-        raise ValueError(f"mode must be 'direct' or 'reverse', got {mode!r}")
-    if not table.rows:
-        raise ValueError("empty sweep table")
-
-    winners = []
-    for t in table.t_grid:
-        candidates = [r for r in table.rows if r.transmission == t]
-        best = min(
-            candidates,
-            key=lambda r: (
-                -(r.delta_direct if mode == "direct" else r.delta_reverse),
-                r.scheme.bits,
-                r.ber_ab,
-                str(r.scheme),
-            ),
-        )
-        winners.append((t, best.scheme))
-    return winners
 
 
 def post_exchange_conditions(

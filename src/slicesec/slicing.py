@@ -28,7 +28,7 @@ class Numbering(str, Enum):
     FLFSR = "flfsr"
 
 
-MAX_BITS = 16  # keeps 2^b x 2^b joint histograms desk-scale
+MAX_BITS = 16  # bin indices are stored as uint16 (see bin_indices)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,7 @@ from slicesec import (
     gaussian_source,
     transmit,
 )
-from slicesec.channel import (
-    BOB_NOISE_STREAM,
-    EVE_NOISE_STREAM,
-    dump_realization,
-    load_realization_arrays,
-)
+from slicesec.channel import BOB_NOISE_STREAM, EVE_NOISE_STREAM
 
 N_BIG = 1_000_000
 # 3-standard-error bands at N = 10^6: SE(mean) = sigma/sqrt(N),
@@ -148,23 +143,3 @@ def test_analytic_mi_zero_noise_signals_infinity():
     with pytest.raises(ValueError):
         analytic_gaussian_mi(ChannelParams(0.5), "mallory")
 
-
-def test_dump_roundtrip(tmp_path):
-    params = ChannelParams(transmission=0.25, samples=333, seed=99)
-    r = transmit(params)
-    path = tmp_path / "real.cvqk"
-    dump_realization(r, str(path))
-    back = load_realization_arrays(str(path))
-    assert back["samples"] == 333
-    assert back["transmission"] == 0.25
-    assert back["seed"] == 99
-    assert np.array_equal(back["alice"], r.alice)
-    assert np.array_equal(back["bob"], r.bob)
-    assert np.array_equal(back["eve"], r.eve)
-
-
-def test_dump_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\0" * 32)
-    with pytest.raises(ValueError):
-        load_realization_arrays(str(path))

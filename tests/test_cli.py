@@ -122,6 +122,17 @@ class TestCsv:
         assert main(SMALL_ARGS + ["--out", "/nonexistent/dir/x.csv"]) == 1
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_error_names_the_failing_transmission(tmp_path, capsys, workers):
+    # Without vacuum noise Bob receives nothing at T = 0: zero variance.
+    assert main([
+        "sweep", "--t", "0,0.5", "--sigma-vacuum", "0", "--samples", "1000",
+        "--schemes", "eqprob:gray:4", "--workers", workers,
+        "--out", str(tmp_path / "x.csv"),
+    ]) == 1
+    assert "T=0: degenerate samples" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
 @pytest.mark.parametrize("command", [
     ["best", "--mode", "direct"],

@@ -207,7 +207,7 @@ def test_label_bit_tables_are_marginals_of_the_symbol_joint(seed, bits, numberin
     x = rng.integers(0, k, size=n)
     y = np.clip(x + rng.integers(-noise, noise + 1, size=n), 0, k - 1)
     labels = build_labels(numbering, bits).labels
-    tables = label_bit_tables(*joint_cells(x, y, k), labels)
+    tables = label_bit_tables(*joint_cells(x, y), labels)
 
     bx, by = labels[x], labels[y]
     for j in range(bits):
@@ -216,6 +216,25 @@ def test_label_bit_tables_are_marginals_of_the_symbol_joint(seed, bits, numberin
     assert (bitwise_mi_from_tables(tables)
             == mutual_information_bitwise(matrix(bx), matrix(by)).value)
     assert bit_error_rate_from_tables(tables) == bit_error_rate(matrix(bx), matrix(by))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sizes=st.tuples(*[st.integers(min_value=1, max_value=5)] * 3),
+    n=st.integers(min_value=1, max_value=400),
+)
+def test_sparse_estimators_match_brute_force_on_the_empirical_pmf(seed, sizes, n):
+    rng = np.random.default_rng(seed)
+    a, b, z = (rng.integers(0, k, size=n) for k in sizes)
+    # Make b depend on a and z, so both estimates are usually positive.
+    b = (b + a * rng.integers(0, 2, size=n) + z) % sizes[1]
+    joint = np.zeros(sizes)
+    np.add.at(joint, (a, b, z), 1.0 / n)
+    assert mutual_information_symbols(a, b).value == pytest.approx(
+        brute_force_mi(joint.sum(axis=2)), abs=1e-12
+    )
+    assert conditional_mi(a, b, z).value == pytest.approx(brute_force_cmi(joint), abs=1e-12)
 
 
 class TestConditionalMI:

@@ -7,7 +7,6 @@ from slicesec import (
     Numbering,
     Positioning,
     SlicingScheme,
-    best_method,
     bit_error_rate,
     build_labels,
     conditional_mi,
@@ -22,12 +21,13 @@ from slicesec import (
     sweep,
     transmit,
 )
+from slicesec.cli import best_rows, emit_csv, read_csv
 from slicesec.secrecy import (
     SecrecyReport,
-    SweepTable,
     post_exchange_conditions,
     realization_for_cell,
 )
+from slicesec.slicing import MAX_BITS
 
 SMALL_T = [0.2, 0.5, 0.8]
 SMALL_SCHEMES = [
@@ -133,6 +133,16 @@ class TestEvaluateSchemes:
         assert batch == [bitmatrix_report(mixed_realization, s) for s in MIXED_SCHEMES]
 
 
+def test_deepest_scheme_runs_on_sparse_histograms():
+    # At MAX_BITS each pair spans 2^32 symbol pairs and the 3-way alphabet
+    # 2^48 cells; only the occupied cells, at most N, are ever held.
+    scheme = SlicingScheme.parse(f"eqwidth:gray:{MAX_BITS}")
+    realization = transmit(ChannelParams(transmission=0.5, samples=70_000, seed=3))
+    (report,) = evaluate_schemes(realization, [scheme])
+    assert all(np.isfinite([report.i_ab_sym, report.i_ae_sym, report.i_be_sym]))
+    assert report.cmi_ab_given_e is None
+
+
 class TestSweep:
     def test_row_count_and_order(self, small_table):
         assert len(small_table.rows) == len(SMALL_T) * len(SMALL_SCHEMES)
@@ -179,73 +189,64 @@ class TestSweep:
         assert len({str(s) for s in default_schemes()}) == 18
 
 
-def _report(t, scheme, delta_direct, delta_reverse, bits=None, ber_ab=0.1):
-    scheme = SlicingScheme.parse(scheme)
-    return SecrecyReport(
-        transmission=t, scheme=scheme,
-        i_ab=max(delta_direct, 0.0) + 1.0, i_ae=1.0, i_be=1.0,
-        i_ab_sym=0.0, i_ae_sym=0.0, i_be_sym=0.0,
-        ber_ab=ber_ab, ber_ae=0.5, ber_be=0.5,
-        delta_direct=delta_direct, delta_reverse=delta_reverse,
-        cmi_ab_given_e=None, label_collisions=0, n=10, seed=0,
-    )
-
-
-def _table(rows):
-    t_grid = tuple(sorted({r.transmission for r in rows}))
-    schemes = tuple({str(r.scheme): r.scheme for r in rows}.values())
-    return SweepTable(rows=tuple(rows), t_grid=t_grid, schemes=schemes,
-                      base=ChannelParams(0.5, samples=10, seed=0))
+def _row(t, scheme, delta_direct, delta_reverse, ber_ab=0.1):
+    """The fields of a `read_csv` row that the winner rule reads."""
+    return {
+        "transmission": t, "scheme": scheme, "bits": SlicingScheme.parse(scheme).bits,
+        "ber_ab": ber_ab, "delta_direct": delta_direct, "delta_reverse": delta_reverse,
+    }
 
 
 class TestBestMethod:
-    def test_single_scheme_wins_everywhere(self, small_table):
-        one = sweep(SMALL_T, SMALL_SCHEMES[:1], SMALL_BASE)
-        winners = best_method(one, "direct")
-        assert [s for _, s in winners] == [SMALL_SCHEMES[0]] * len(SMALL_T)
+    """The one winner rule, `cli.best_rows`, behind `best` and `plot --plot-mode best_vs_t`."""
+
+    def test_single_scheme_wins_everywhere(self, tmp_path):
+        path = str(tmp_path / "one.csv")
+        emit_csv(sweep(SMALL_T, SMALL_SCHEMES[:1], SMALL_BASE), path)
+        winners = best_rows(read_csv(path), "direct")
+        assert [s for _, s in winners] == [str(SMALL_SCHEMES[0])] * len(SMALL_T)
 
     def test_argmax_on_constructed_table(self):
         rows = [
-            _report(0.9, "eqprob:gray:4", 0.5, 0.5),
-            _report(0.9, "eqprob:flfsr:4", 0.3, 0.3),
-            _report(0.3, "eqprob:gray:4", 0.1, 0.1),
-            _report(0.3, "eqprob:flfsr:4", 0.2, 0.2),
+            _row(0.9, "eqprob:gray:4", 0.5, 0.5),
+            _row(0.9, "eqprob:flfsr:4", 0.3, 0.3),
+            _row(0.3, "eqprob:gray:4", 0.1, 0.1),
+            _row(0.3, "eqprob:flfsr:4", 0.2, 0.2),
         ]
-        winners = dict(best_method(_table(rows), "direct"))
-        assert str(winners[0.9]) == "eqprob:gray:4"
-        assert str(winners[0.3]) == "eqprob:flfsr:4"
+        winners = dict(best_rows(rows, "direct"))
+        assert winners[0.9] == "eqprob:gray:4"
+        assert winners[0.3] == "eqprob:flfsr:4"
 
     def test_tie_breaks_toward_fewer_bits(self):
         rows = [
-            _report(0.5, "eqprob:gray:6", 0.4, 0.4),
-            _report(0.5, "eqprob:gray:4", 0.4, 0.4),
+            _row(0.5, "eqprob:gray:6", 0.4, 0.4),
+            _row(0.5, "eqprob:gray:4", 0.4, 0.4),
         ]
-        winners = dict(best_method(_table(rows), "direct"))
-        assert winners[0.5].bits == 4
+        winners = dict(best_rows(rows, "direct"))
+        assert winners[0.5] == "eqprob:gray:4"
 
     def test_tie_breaks_toward_lower_ber(self):
         rows = [
-            _report(0.5, "eqprob:gray:4", 0.4, 0.4, ber_ab=0.2),
-            _report(0.5, "eqwidth:gray:4", 0.4, 0.4, ber_ab=0.1),
+            _row(0.5, "eqprob:gray:4", 0.4, 0.4, ber_ab=0.2),
+            _row(0.5, "eqwidth:gray:4", 0.4, 0.4, ber_ab=0.1),
         ]
-        winners = dict(best_method(_table(rows), "direct"))
-        assert str(winners[0.5]) == "eqwidth:gray:4"
+        winners = dict(best_rows(rows, "direct"))
+        assert winners[0.5] == "eqwidth:gray:4"
 
     def test_shift_invariance(self):
         rows = [
-            _report(0.5, "eqprob:gray:4", 0.4, 0.4),
-            _report(0.5, "eqwidth:flfsr:4", 0.1, 0.1),
+            _row(0.5, "eqprob:gray:4", 0.4, 0.4),
+            _row(0.5, "eqwidth:flfsr:4", 0.1, 0.1),
         ]
         shifted = [
-            _report(0.5, "eqprob:gray:4", 0.4 + 2.5, 0.4),
-            _report(0.5, "eqwidth:flfsr:4", 0.1 + 2.5, 0.1),
+            _row(0.5, "eqprob:gray:4", 0.4 + 2.5, 0.4),
+            _row(0.5, "eqwidth:flfsr:4", 0.1 + 2.5, 0.1),
         ]
-        assert ([str(s) for _, s in best_method(_table(rows), "direct")]
-                == [str(s) for _, s in best_method(_table(shifted), "direct")])
+        assert best_rows(rows, "direct") == best_rows(shifted, "direct")
 
-    def test_mode_validation(self, small_table):
+    def test_mode_validation(self):
         with pytest.raises(ValueError):
-            best_method(small_table, "sideways")
+            best_rows([_row(0.5, "eqprob:gray:4", 0.4, 0.4)], "sideways")
 
 
 def test_post_exchange_conditions_hold_mid_transmission():
