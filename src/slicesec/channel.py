@@ -55,7 +55,11 @@ class Stream:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Physical and sampling parameters of one simulated channel."""
+    """Physical and sampling parameters of one simulated channel.
+
+    ``seed`` is the u64 master seed; a larger value would alias seed mod
+    2^64 in the Philox key while reporting itself unchanged.
+    """
 
     transmission: float
     sigma_alice: float = 1.0
@@ -66,12 +70,16 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.transmission <= 1.0:
             raise ValueError(f"transmission must lie in [0, 1], got {self.transmission}")
-        if self.sigma_alice <= 0:
-            raise ValueError(f"sigma_alice must be positive, got {self.sigma_alice}")
-        if self.sigma_vacuum < 0:
-            raise ValueError(f"sigma_vacuum must be nonnegative, got {self.sigma_vacuum}")
+        if not 0 < self.sigma_alice < math.inf:
+            raise ValueError(f"sigma_alice must be positive and finite, got {self.sigma_alice}")
+        if not 0 <= self.sigma_vacuum < math.inf:
+            raise ValueError(
+                f"sigma_vacuum must be nonnegative and finite, got {self.sigma_vacuum}"
+            )
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)

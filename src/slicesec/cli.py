@@ -12,13 +12,12 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, infotheory, slicing
 from .channel import ChannelParams, Stream, transmit
-from .secrecy import SweepTable, default_schemes, sweep
+from .secrecy import SweepTable, check_grid, default_schemes, sweep
 from .slicing import (
     Numbering,
     Positioning,
@@ -35,73 +34,35 @@ CSV_COLUMNS = [
     "cmi_ab_given_e", "label_collisions",
 ]
 
-INT_COLUMNS = ("bits", "samples", "seed", "label_collisions")
+# How each column parses; every other column is a float.
+COLUMN_TYPES = {
+    "positioning": Positioning, "numbering": Numbering,
+    "bits": int, "samples": int, "seed": int, "label_collisions": int,
+}
 
 PLOT_MODES = ("mi_vs_t", "delta_vs_t", "best_vs_t")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    t_grid: tuple[float, ...] = ()
-    schemes: tuple[SlicingScheme, ...] = ()
-    samples: int = 200_000
-    seed: int = 42
-    sigma_alice: float = 1.0
-    sigma_vacuum: float = 1.0
-    width_multiplier: float = 3.0
-    out: str | None = None
-    mode: str = "direct"
-    workers: int = 1
-    csv_path: str | None = None
-    plot_mode: str | None = None
-
-    def channel_params(self, transmission: float = 0.5) -> ChannelParams:
-        return ChannelParams(
-            transmission=transmission,
-            sigma_alice=self.sigma_alice,
-            sigma_vacuum=self.sigma_vacuum,
-            samples=self.samples,
-            seed=self.seed,
-        )
-
-
 def _parse_t_spec(spec: str) -> tuple[float, ...]:
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"t range must be min:max:step, got {spec!r}")
-        lo, hi, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError(f"t step must be positive, got {step}")
-        count = int(round((hi - lo) / step)) + 1
-        values = [round(lo + i * step, 12) for i in range(count) if lo + i * step <= hi + 1e-9]
-    else:
-        values = [float(p) for p in spec.split(",") if p.strip()]
-    if not values:
-        raise ValueError(f"empty t grid from {spec!r}")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"transmission {v} outside [0, 1] in --t {spec!r}")
-    if len(set(values)) != len(values):
-        raise ValueError(f"duplicate transmission in --t {spec!r}")
-    return tuple(values)
+    if ":" not in spec:
+        return tuple(float(p) for p in spec.split(",") if p.strip())
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"t range must be min:max:step, got {spec!r}")
+    lo, hi, step = (float(p) for p in parts)
+    if not step > 0:
+        raise ValueError(f"t range {spec!r} needs a step > 0")
+    count = int(round((hi - lo) / step)) + 1
+    return tuple(round(lo + i * step, 12) for i in range(count) if lo + i * step <= hi + 1e-9)
 
 
 def _parse_schemes(spec: str, width_multiplier: float) -> tuple[SlicingScheme, ...]:
     if spec.strip().lower() == "all":
         return tuple(default_schemes(width_multiplier))
-    schemes = tuple(
-        SlicingScheme.parse(tok, width_multiplier)
-        for tok in spec.split(",")
-        if tok.strip()
+    return tuple(
+        SlicingScheme.parse(tok, width_multiplier) for tok in spec.split(",") if tok.strip()
     )
-    if not schemes:
-        raise ValueError(f"empty scheme list from {spec!r}")
-    if len(set(schemes)) != len(schemes):
-        raise ValueError(f"duplicate scheme in --schemes {spec!r}")
-    return schemes
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,25 +72,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_channel_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=42, help="master RNG seed (u64)")
-        p.add_argument("--samples", type=int, default=200_000,
-                       help="transmitted points per channel realization")
-        p.add_argument("--sigma-alice", type=float, default=1.0,
-                       help="std dev of Alice's Gaussian modulation")
-        p.add_argument("--sigma-vacuum", type=float, default=1.0,
-                       help="std dev of the added channel noise")
-        p.add_argument("--width-multiplier", type=float, default=3.0,
-                       help="equal-width bins span mean +/- k*std; this is k")
-        p.add_argument("--t", default="0.05:0.95:0.05",
-                       help="transmission grid: min:max:step or comma list")
-        p.add_argument("--schemes", default="all",
-                       help="'all' (18-scheme grid) or comma list like eqprob:gray:4")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="parallel sweep workers (output is worker-count invariant)")
-
     p_sweep = sub.add_parser("sweep", help="run the (T, scheme) grid and write CSV")
-    add_channel_flags(p_sweep)
+    p_sweep.add_argument("--seed", type=int, default=42, help="master RNG seed (u64)")
+    p_sweep.add_argument("--samples", type=int, default=200_000,
+                         help="transmitted points per channel realization")
+    p_sweep.add_argument("--sigma-alice", type=float, default=1.0,
+                         help="std dev of Alice's Gaussian modulation")
+    p_sweep.add_argument("--sigma-vacuum", type=float, default=1.0,
+                         help="std dev of the added channel noise")
+    p_sweep.add_argument("--width-multiplier", type=float, default=3.0,
+                         help="equal-width bins span mean +/- k*std; this is k")
+    p_sweep.add_argument("--t", default="0.05:0.95:0.05",
+                         help="transmission grid: min:max:step or comma list")
+    p_sweep.add_argument("--schemes", default="all",
+                         help="'all' (18-scheme grid) or comma list like eqprob:gray:4")
+    p_sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                         help="parallel sweep workers (output is worker-count invariant)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
     p_best = sub.add_parser("best", help="winning scheme per transmission from a sweep CSV")
@@ -148,51 +106,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> RunConfig:
-    """Parse and validate argv into a RunConfig; usage errors exit with status 2."""
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; usage errors, including any the library raises, exit with status 2.
+
+    For ``sweep`` the namespace also carries the parsed ``t_grid`` and
+    ``schemes`` and the channel parameters as ``base``; every rule on them is
+    stated once, by `check_grid`, `SlicingScheme` and `ChannelParams`.
+    """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-
-    if ns.subcommand == "selftest":
-        return RunConfig(subcommand="selftest")
-
-    if ns.subcommand in ("best", "plot"):
-        return RunConfig(
-            subcommand=ns.subcommand,
-            csv_path=ns.csv_path,
-            mode=ns.mode,
-            out=ns.out,
-            plot_mode=getattr(ns, "plot_mode", None),
-        )
-
+    if ns.subcommand != "sweep":
+        return ns
     try:
-        t_grid = _parse_t_spec(ns.t)
-        schemes = _parse_schemes(ns.schemes, ns.width_multiplier)
-        if ns.samples < 1:
-            raise ValueError(f"--samples must be >= 1, got {ns.samples}")
-        if not 0 <= ns.seed < 1 << 64:
-            raise ValueError(f"--seed must lie in [0, 2^64), got {ns.seed}")
-        if ns.sigma_alice <= 0:
-            raise ValueError(f"--sigma-alice must be positive, got {ns.sigma_alice}")
-        if ns.sigma_vacuum < 0:
-            raise ValueError(f"--sigma-vacuum must be nonnegative, got {ns.sigma_vacuum}")
+        ns.t_grid = _parse_t_spec(ns.t)
+        ns.schemes = _parse_schemes(ns.schemes, ns.width_multiplier)
+        check_grid(ns.t_grid, ns.schemes)
+        ns.base = ChannelParams(
+            transmission=0.5,  # each sweep cell replaces it with its own T
+            sigma_alice=ns.sigma_alice,
+            sigma_vacuum=ns.sigma_vacuum,
+            samples=ns.samples,
+            seed=ns.seed,
+        )
         if ns.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {ns.workers}")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an infinite --t bound
         parser.error(str(exc))  # exits 2
-
-    return RunConfig(
-        subcommand="sweep",
-        t_grid=t_grid,
-        schemes=schemes,
-        samples=ns.samples,
-        seed=ns.seed,
-        sigma_alice=ns.sigma_alice,
-        sigma_vacuum=ns.sigma_vacuum,
-        width_multiplier=ns.width_multiplier,
-        out=ns.out,
-        workers=ns.workers,
-    )
+    return ns
 
 
 def _fmt(value: float) -> str:
@@ -222,10 +162,13 @@ def emit_csv(table: SweepTable, path: str) -> None:
 
 
 def read_csv(path: str) -> list[dict]:
-    """Read a sweep CSV back into per-row dicts with numeric fields parsed.
+    """Read a sweep CSV back into per-row dicts of parsed values.
 
-    A value that does not parse, or a non-finite float, is rejected with its
-    data row (1-based) and column, so that no NaN margin is ever ranked.
+    A value that does not parse, a non-finite float, or a bit count that no
+    `SlicingScheme` has is rejected with its data row (1-based) and column,
+    so that no NaN margin or unknown scheme is ever ranked. Each row's
+    ``scheme`` is the `SlicingScheme` string of its positioning, numbering
+    and bits.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -235,24 +178,26 @@ def read_csv(path: str) -> list[dict]:
                 raise ValueError(f"missing column {col!r} in {path}")
         rows = []
         for number, raw in enumerate(reader, start=1):
-            row = dict(raw)
+            row = {}
             for col in header:
-                if col in ("positioning", "numbering"):
-                    continue
                 if col == "cmi_ab_given_e" and not raw[col]:
                     row[col] = None
                     continue
-                parse = int if col in INT_COLUMNS else float
                 try:
-                    value = parse(raw[col])
+                    value = COLUMN_TYPES.get(col, float)(raw[col])
                 except (TypeError, ValueError):  # TypeError: the row is short
                     value = math.nan
-                if not math.isfinite(value):
+                if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(
                         f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}"
                     )
                 row[col] = value
-            row["scheme"] = f"{raw['positioning']}:{raw['numbering']}:{raw['bits']}"
+            try:  # positioning and numbering parsed above, so only bits can fail
+                row["scheme"] = str(SlicingScheme(row["positioning"], row["numbering"], row["bits"]))
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad value {raw['bits']!r} in column 'bits' of row {number} in {path}: {exc}"
+                ) from None
             rows.append(row)
     if not rows:
         raise ValueError(f"no data rows in {path}")
@@ -406,42 +351,27 @@ def selftest(corrupt_labels: bool = False, stream=None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
-
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if config.subcommand == "selftest":
+        if args.subcommand == "selftest":
             return selftest()
-
-        if config.subcommand == "sweep":
-            table = sweep(
-                config.t_grid,
-                config.schemes,
-                config.channel_params(),
-                workers=config.workers,
-            )
-            emit_csv(table, config.out)
-            return 0
-
-        if config.subcommand == "best":
-            rows = read_csv(config.csv_path)
+        if args.subcommand == "sweep":
+            emit_csv(sweep(args.t_grid, args.schemes, args.base, workers=args.workers), args.out)
+        elif args.subcommand == "best":
             lines = ["transmission,scheme"]
-            lines += [f"{_fmt(t)},{s}" for t, s in best_rows(rows, config.mode)]
+            lines += [f"{_fmt(t)},{s}" for t, s in best_rows(read_csv(args.csv_path), args.mode)]
             text = "\n".join(lines) + "\n"
-            if config.out:
-                with open(config.out, "w") as fh:
+            if args.out:
+                with open(args.out, "w") as fh:
                     fh.write(text)
             else:
                 sys.stdout.write(text)
-            return 0
-
-        if config.subcommand == "plot":
-            emit_plot(config.csv_path, config.plot_mode, config.mode, config.out)
-            return 0
+        else:
+            emit_plot(args.csv_path, args.plot_mode, args.mode, args.out)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    raise AssertionError(f"unhandled subcommand {config.subcommand}")
+    return 0
 
 
 if __name__ == "__main__":

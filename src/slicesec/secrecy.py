@@ -190,29 +190,43 @@ def _sweep_cell(args: tuple) -> list[SecrecyReport]:
         raise RuntimeError(f"T={t:.9g}: {exc}") from exc
 
 
+def check_grid(t_grid, schemes) -> None:
+    """Reject an empty grid, a transmission outside [0, 1] or a repeated value.
+
+    Sweep streams are keyed by a cell's index in ``t_grid``, so a repeated
+    transmission would get a second, different realization, and a repeated
+    scheme a duplicate row.
+    """
+    if not t_grid:
+        raise ValueError("empty transmission grid")
+    if not schemes:
+        raise ValueError("empty scheme list")
+    for t in t_grid:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"transmission {t} outside [0, 1]")
+    for kind, values in (("transmission", t_grid), ("scheme", schemes)):
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise ValueError(f"{kind} {value} repeats in the grid")
+            seen.add(value)
+
+
 def sweep(
     t_grid,
     schemes,
     base: ChannelParams,
     workers: int = 1,
 ) -> SweepTable:
-    """Evaluate every scheme at every transmission of the grid.
+    """Evaluate every scheme at every transmission of the grid (see `check_grid`).
 
     Output is bit-identical for any worker count: each cell's random stream
     is keyed by the cell's index in ``t_grid``, and rows are assembled in
-    (transmission, scheme) order. Because of that keying, a repeated
-    transmission would get a second, different realization, and a repeated
-    scheme a duplicate row; both are rejected.
+    (transmission, scheme) order.
     """
     t_grid = [float(t) for t in t_grid]
     schemes = list(schemes)
-    if not t_grid or not schemes:
-        raise ValueError("t_grid and schemes must be non-empty")
-    for t in t_grid:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmission {t} outside [0, 1]")
-    if len(set(t_grid)) != len(t_grid) or len(set(schemes)) != len(schemes):
-        raise ValueError("t_grid and schemes must not repeat a value")
+    check_grid(t_grid, schemes)
 
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]
     try:

@@ -53,10 +53,19 @@ def test_gaussian_source_rejects_bad_args(n, sigma):
     dict(transmission=1.1),
     dict(transmission=0.5, sigma_alice=0.0),
     dict(transmission=0.5, samples=0),
+    dict(transmission=0.5, seed=-1),
+    dict(transmission=0.5, seed=2**64),
+    dict(transmission=0.5, sigma_alice=math.nan),
+    dict(transmission=0.5, sigma_alice=math.inf),
+    dict(transmission=0.5, sigma_vacuum=math.nan),
 ])
 def test_channel_params_validation(kwargs):
     with pytest.raises(ValueError):
         ChannelParams(**kwargs)
+
+
+def test_largest_u64_seed_is_accepted():
+    assert ChannelParams(transmission=0.5, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_transmit_is_deterministic():

@@ -1,10 +1,11 @@
+import argparse
 import io
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from slicesec import SlicingScheme
+from slicesec import ChannelParams, SlicingScheme
 from slicesec.cli import CSV_COLUMNS, main, parse_args, read_csv, selftest
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_sweep.csv"
@@ -54,11 +55,41 @@ class TestParseArgs:
         ["sweep", "--t", "0.2,0.5,0.50", "--out", "x.csv"],
         ["sweep", "--schemes", "eqprob:gray:4,eqwidth:gray:4,EQPROB:gray:4", "--out", "x.csv"],
         ["notacommand"],
+        ["sweep", "--sigma-alice", "0", "--out", "x.csv"],
+        ["sweep", "--sigma-alice", "nan", "--out", "x.csv"],
+        ["sweep", "--sigma-vacuum", "-1", "--out", "x.csv"],
+        ["sweep", "--width-multiplier", "inf", "--out", "x.csv"],
+        ["sweep", "--t", "0:1:0", "--out", "x.csv"],
+        ["sweep", "--t", ",", "--out", "x.csv"],
+        ["sweep", "--schemes", ",", "--out", "x.csv"],
+        ["sweep", "--t", "0:inf:0.1", "--out", "x.csv"],
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--t", "0.5,0.5"], "transmission 0.5 repeats"),
+        (["--schemes", "eqprob:gray:4,eqprob:gray:4"], "scheme eqprob:gray:4 repeats"),
+        (["--t", "0.5,1.5"], "transmission 1.5 outside [0, 1]"),
+        (["--seed", str(1 << 64)], "seed must lie in [0, 2^64)"),
+    ])
+    def test_usage_error_names_the_value(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["sweep", *argv, "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_sweep_namespace_carries_library_types(self):
+        config = parse_args([
+            "sweep", "--seed", "7", "--samples", "1000", "--sigma-vacuum", "0.5",
+            "--out", "x.csv",
+        ])
+        assert isinstance(config, argparse.Namespace)
+        assert config.base == ChannelParams(
+            transmission=0.5, sigma_vacuum=0.5, samples=1000, seed=7
+        )
 
     def test_largest_u64_seed_is_accepted(self):
         config = parse_args(["sweep", "--seed", str((1 << 64) - 1), "--out", "x.csv"])
@@ -154,6 +185,31 @@ def test_non_finite_value_exits_1_naming_row_and_column(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "'delta_direct'" in err and "row 3" in err
+
+
+@pytest.mark.parametrize("column,value", [
+    ("positioning", "foo"), ("numbering", "nope"), ("bits", "0"),
+])
+@pytest.mark.parametrize("command", [
+    ["best", "--mode", "direct"],
+    ["plot", "--plot-mode", "best_vs_t", "--mode", "direct"],
+])
+def test_unknown_scheme_field_exits_1_naming_row_and_column(
+    small_csv, tmp_path, capsys, column, value, command
+):
+    lines = small_csv.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[CSV_COLUMNS.index(column)] = value
+    lines[2] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+
+    argv = [command[0], str(bad), *command[1:]]
+    if command[0] == "plot":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"bad value {value!r} in column {column!r} of row 2" in err
 
 
 class TestBest:

@@ -23,6 +23,14 @@ def test_compare_numberings_prints_one_row_per_scheme():
     assert len(rows) == 6
 
 
+def test_compare_numberings_rejects_a_seed_beyond_u64():
+    # 2^64 + 42 would draw seed 42's samples and print the larger seed.
+    result = run_script("compare_numberings.py", "--samples", "5000",
+                        "--seed", str(2**64 + 42))
+    assert result.returncode == 2
+    assert "seed must lie in [0, 2^64)" in result.stderr
+
+
 def test_run_full_sweep_writes_charts_and_best_tables(tmp_path):
     result = run_script("run_full_sweep.py", str(tmp_path), "--samples", "2000",
                         "--workers", "1")

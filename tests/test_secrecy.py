@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,10 +135,13 @@ class TestEvaluateSchemes:
         assert batch == [bitmatrix_report(mixed_realization, s) for s in MIXED_SCHEMES]
 
 
-def test_deepest_scheme_runs_on_sparse_histograms():
+@pytest.mark.parametrize("text", [f"eqwidth:gray:{MAX_BITS}", f"eqprob:gray:{MAX_BITS}"])
+def test_deepest_scheme_runs_on_sparse_histograms(text):
     # At MAX_BITS each pair spans 2^32 symbol pairs and the 3-way alphabet
-    # 2^48 cells; only the occupied cells, at most N, are ever held.
-    scheme = SlicingScheme.parse(f"eqwidth:gray:{MAX_BITS}")
+    # 2^48 cells; only the occupied cells, at most N, are ever held. With
+    # 2^16 bins and N = 70000, equal-probability edges are spaced about one
+    # sample apart.
+    scheme = SlicingScheme.parse(text)
     realization = transmit(ChannelParams(transmission=0.5, samples=70_000, seed=3))
     (report,) = evaluate_schemes(realization, [scheme])
     assert all(np.isfinite([report.i_ab_sym, report.i_ae_sym, report.i_be_sym]))
@@ -182,6 +187,20 @@ class TestSweep:
             sweep([0.5, 0.5], SMALL_SCHEMES, SMALL_BASE)
         with pytest.raises(ValueError, match="repeat"):
             sweep(SMALL_T, SMALL_SCHEMES[:1] * 2, SMALL_BASE)
+
+    def test_grid_errors_name_the_value(self):
+        with pytest.raises(ValueError, match=r"transmission 0\.5 repeats"):
+            sweep([0.2, 0.5, 0.5], SMALL_SCHEMES, SMALL_BASE)
+        with pytest.raises(ValueError, match="scheme eqprob:gray:3 repeats"):
+            sweep(SMALL_T, SMALL_SCHEMES + SMALL_SCHEMES[1:2], SMALL_BASE)
+        with pytest.raises(ValueError, match=r"transmission 1\.5 outside"):
+            sweep([0.5, 1.5], SMALL_SCHEMES, SMALL_BASE)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 17])
+    def test_base_with_out_of_range_seed_cannot_be_built(self, seed):
+        # seed 2^64 + 17 would draw seed 17's samples under another name.
+        with pytest.raises(ValueError, match="seed"):
+            sweep(SMALL_T, SMALL_SCHEMES, replace(SMALL_BASE, seed=seed))
 
     def test_default_grids(self):
         assert len(default_t_grid()) == 19

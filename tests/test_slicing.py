@@ -42,6 +42,11 @@ class TestSchemeParsing:
         with pytest.raises(ValueError):
             SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 4, width_multiplier=0.0)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_width_multiplier_must_be_finite(self, k):
+        with pytest.raises(ValueError):
+            SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 4, width_multiplier=k)
+
 
 class TestComputeEdges:
     def test_single_bit_symmetric_data(self):
@@ -82,6 +87,38 @@ class TestComputeEdges:
         samples = np.array([0.0] * 30 + [1.0])
         with pytest.raises(ValueError):
             compute_edges(samples, scheme)
+
+    @pytest.mark.parametrize("positioning", list(Positioning))
+    def test_rejects_nan(self, positioning):
+        # One NaN sorts last, so equal-probability edges alone would not show it.
+        samples = np.append(np.arange(100.0), np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            compute_edges(samples, SlicingScheme(positioning, Numbering.BINARY, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 3000),
+    bits=st.integers(1, 11),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    decimals=st.sampled_from([None, 0, 1]),
+)
+def test_equal_probability_edges_equal_numpy_quantile(seed, n, bits, scale, decimals):
+    # Depths up to log2(n) include 2^b near N, where edges are a sample apart.
+    bits = min(bits, n.bit_length() - 1)
+    samples = scale * np.random.default_rng(seed).normal(size=n)
+    if decimals is not None:  # ties, and interpolation between equal values
+        samples = np.round(samples, decimals)
+    levels = np.arange(1, 1 << bits) / (1 << bits)
+    expected = np.quantile(samples, levels, method="linear")
+    scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, bits)
+    try:
+        edges = compute_edges(samples, scheme).boundaries
+    except ValueError:
+        assert samples.std() == 0.0 or not np.all(np.diff(expected) > 0)
+        return
+    assert np.array_equal(edges, expected)
 
 
 class TestAssignBins:
