@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slicing import BitMatrix
+from .slicing import BitMatrix, label_words
 
 # Largest ka x kb x kz alphabet for which conditional MI is reported. It is an
 # output rule, not a memory bound (only occupied cells are held): above it,
@@ -66,19 +66,54 @@ def plugin_bias(alphabet_a: int, alphabet_b: int, n: int, conditioning: int = 1)
     return conditioning * (alphabet_a - 1) * (alphabet_b - 1) / (2.0 * n * math.log(2.0))
 
 
-def joint_cells(*indices: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def joint_cells(
+    *indices: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Sparse joint histogram of equal-length nonnegative index vectors.
 
     Returns the coordinates of each occupied cell, one array per input in
     row-major cell order, and each cell's count. There are at most
-    min(N, product of alphabet sizes) cells.
+    min(N, product of alphabet sizes) cells. With ``weights``, the integer
+    counts of an existing histogram whose cells the indices label, each
+    input adds its weight instead of 1, so that coarsening a histogram
+    (see `coarsen_cells`) gives the same cells and counts as histogramming
+    the coarsened samples.
+
+    The alphabet sizes are max + 1 of each input. When their product is at
+    most the number of inputs, a dense `np.bincount` counts the cells;
+    otherwise the distinct cell codes are sorted. Both give the same arrays.
     """
     shape = tuple(int(v.max()) + 1 for v in indices)
     codes = np.ravel_multi_index(indices, shape)
-    if math.prod(shape) <= 1 << 31:
-        codes = codes.astype(np.int32)  # 32-bit codes sort about twice as fast
-    codes, counts = np.unique(codes, return_counts=True)
+    size = math.prod(shape)
+    if size <= len(codes):
+        dense = np.bincount(codes, weights=weights, minlength=size)
+        codes = np.flatnonzero(dense)
+        counts = dense[codes]
+    else:
+        if size <= 1 << 31:
+            codes = codes.astype(np.int32)  # 32-bit codes sort about twice as fast
+        if weights is None:
+            codes, counts = np.unique(codes, return_counts=True)
+        else:
+            codes, inverse = np.unique(codes, return_inverse=True)
+            counts = np.bincount(inverse, weights=weights)
+    if weights is not None:
+        counts = counts.astype(np.int64)  # float sums of integer counts are exact
     return np.unravel_index(codes, shape), counts
+
+
+def coarsen_cells(
+    coords: tuple[np.ndarray, ...], counts: np.ndarray, shift: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """`joint_cells` of every index shifted right by ``shift``, from the occupied cells.
+
+    Integer counts merge exactly, so this equals histogramming the shifted
+    samples again, at the cost of the occupied cells rather than of N.
+    """
+    if shift == 0:
+        return coords, counts
+    return joint_cells(*(c >> shift for c in coords), weights=counts)
 
 
 def plugin_mi(coords: tuple[np.ndarray, ...], counts: np.ndarray) -> float:
@@ -96,17 +131,45 @@ def plugin_mi(coords: tuple[np.ndarray, ...], counts: np.ndarray) -> float:
         ratio = p / (marginal(coords[0]) * marginal(coords[1]))
     else:
         x, y, z = coords
-        # Number the occupied (x, z) and (y, z) pairs densely, so that no
-        # marginal spans a product of alphabet sizes.
         kz = int(z.max()) + 1
-        xz, yz = (np.unique(v * kz + z, return_inverse=True)[1] for v in (x, y))
-        ratio = marginal(z) * p / (marginal(xz) * marginal(yz))
+        ratio = marginal(z) * p / (marginal(_pair_code(x, z, kz)) * marginal(_pair_code(y, z, kz)))
     terms = p * np.log2(ratio)
     # Summing in sorted order makes the result exactly symmetric in X and Y
     # (swapping them permutes the same term multiset).
     terms.sort()
     # The estimate is a KL divergence, nonnegative up to float rounding.
     return max(0.0, float(terms.sum()))
+
+
+def _pair_code(v: np.ndarray, z: np.ndarray, kz: int) -> np.ndarray:
+    """A code per occupied (v, z) pair whose marginal spans no product of alphabets.
+
+    v * kz + z itself when that code space is no larger than the number of
+    cells, else the pairs numbered densely. A marginal accumulates each code's
+    cells in input order either way, so both give the same floats.
+    """
+    code = v * kz + z
+    if (int(v.max()) + 1) * kz > len(code):
+        code = np.unique(code, return_inverse=True)[1]
+    return code
+
+
+def plugin_mi_2x2(tables: np.ndarray) -> np.ndarray:
+    """`plugin_mi` of each 2x2 count table of an (m, 2, 2) stack, bit for bit.
+
+    The same operations as `plugin_mi` on a table's occupied cells, for all
+    tables at once: a zero cell adds 0.0 to its marginals and contributes a
+    0.0 term, and with at most four terms per table the sorted sum adds them
+    left to right, so the zeros change no float.
+    """
+    p = tables / tables.sum(axis=(1, 2))[:, None, None]
+    px = p[:, :, 0] + p[:, :, 1]
+    py = p[:, 0, :] + p[:, 1, :]
+    ratio = np.divide(p, px[:, :, None] * py[:, None, :], out=np.ones_like(p), where=p > 0)
+    terms = (p * np.log2(ratio)).reshape(-1, 4)
+    terms.sort(axis=1)
+    total = terms.sum(axis=1)
+    return np.where(total > 0.0, total, 0.0)
 
 
 def _index_vectors(*vectors) -> list[np.ndarray]:
@@ -137,22 +200,25 @@ def mutual_information_bitwise(a: BitMatrix, b: BitMatrix) -> MIEstimate:
     """
     if a.bits.shape != b.bits.shape:
         raise ValueError(f"shape mismatch: {a.bits.shape} vs {b.bits.shape}")
-    total = _sum_over_bits(joint_cells(a.bits[:, j], b.bits[:, j]) for j in range(a.n_bits))
+    # A plain loop: from Python 3.12 on, sum() compensates float rounding.
+    total = 0.0
+    for j in range(a.n_bits):
+        total += plugin_mi(*joint_cells(a.bits[:, j], b.bits[:, j]))
     return MIEstimate(value=total, alphabet_sizes=(2, 2), n=a.n_symbols)
 
 
-def bitwise_mi_from_tables(tables: np.ndarray) -> float:
-    """Sum of the binary plug-in MI of each bit's 2x2 count table, in bit order."""
-    return _sum_over_bits((np.nonzero(t), t[np.nonzero(t)]) for t in tables)
+def bitwise_mi_from_tables(tables: np.ndarray) -> np.ndarray:
+    """Sum of the binary plug-in MI of each bit's 2x2 count table, in bit order.
 
-
-def _sum_over_bits(per_bit_cells) -> float:
-    """Sum of the plug-in MI of each bit's sparse joint histogram, in bit order."""
-    # A plain loop: from Python 3.12 on, sum() compensates float rounding.
-    total = 0.0
-    for coords, counts in per_bit_cells:
-        total += plugin_mi(coords, counts)
-    return total
+    ``tables`` is a `label_bit_tables` result, shape (b, 2, 2), or a stack of
+    them, shape (m, b, 2, 2); one `plugin_mi_2x2` call serves every table.
+    Returns one float, or m of them, equal to `mutual_information_bitwise`.
+    """
+    per_bit = plugin_mi_2x2(tables.reshape(-1, 2, 2)).reshape(tables.shape[:-2])
+    total = np.zeros(per_bit.shape[:-1])
+    for j in range(per_bit.shape[-1]):  # bit order, one rounding per bit
+        total += per_bit[..., j]
+    return total[()]
 
 
 def label_bit_tables(
@@ -164,12 +230,25 @@ def label_bit_tables(
     (see `joint_cells`); ``labels`` is the (2^b, b) label table. Entry
     [j, u, v] counts the samples whose first party's bit j is u and second's
     is v: each per-bit table is an exact marginal of the symbol joint.
+
+    Every per-bit sum is taken over a 2^b-entry histogram, so no cell's
+    label is expanded to b bits: a party's ones come from its symbol
+    marginal, and the samples where both bits are one from the histogram of
+    the two labels' bitwise AND, read as b-bit integers.
     """
-    lx, ly = labels[coords[0]], labels[coords[1]]
+    k, b = labels.shape
+    words = label_words(labels)
+    word_bits = (np.arange(k)[:, None] >> np.arange(b - 1, -1, -1)) & 1  # every b-bit word
+
+    def ones(index: np.ndarray, table: np.ndarray) -> np.ndarray:
+        # Float sums of integer counts are exact, so the cast loses nothing.
+        hist = np.bincount(index, weights=counts, minlength=k).astype(counts.dtype)
+        return np.einsum("i,ij->j", hist, table)
+
     n = counts.sum()
-    ones_x = counts @ lx
-    ones_y = counts @ ly
-    both = counts @ (lx & ly)
+    ones_x = ones(coords[0], labels)
+    ones_y = ones(coords[1], labels)
+    both = ones(words[coords[0]] & words[coords[1]], word_bits)
     return np.stack(
         [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=1
     ).reshape(-1, 2, 2)
@@ -180,15 +259,24 @@ def bit_error_rate_from_tables(tables: np.ndarray) -> float:
     return int(tables[:, 0, 1].sum() + tables[:, 1, 0].sum()) / int(tables.sum())
 
 
-def conditional_mi(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> MIEstimate:
-    """Plug-in I(A;B|Z) from the 3-way joint histogram."""
-    a, b, z = _index_vectors(a, b, z)
-    sizes = tuple(int(v.max()) + 1 for v in (a, b, z))
+def cmi_alphabet(*indices: np.ndarray) -> tuple[int, ...]:
+    """Alphabet sizes (max + 1) of the three CMI coordinates, within capacity.
+
+    Raises AlphabetCapacityError when their product exceeds CMI_CELL_CAPACITY.
+    """
+    sizes = tuple(int(v.max()) + 1 for v in indices)
     if math.prod(sizes) > CMI_CELL_CAPACITY:
         raise AlphabetCapacityError(
             f"joint alphabet of {'x'.join(map(str, sizes))} cells exceeds capacity"
             f" {CMI_CELL_CAPACITY}"
         )
+    return sizes
+
+
+def conditional_mi(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> MIEstimate:
+    """Plug-in I(A;B|Z) from the 3-way joint histogram."""
+    a, b, z = _index_vectors(a, b, z)
+    sizes = cmi_alphabet(a, b, z)
     return MIEstimate(value=plugin_mi(*joint_cells(a, b, z)), alphabet_sizes=sizes, n=len(a))
 
 

@@ -19,6 +19,8 @@ from .infotheory import (
     AlphabetCapacityError,
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
+    cmi_alphabet,
+    coarsen_cells,
     conditional_mi,
     joint_cells,
     label_bit_tables,
@@ -111,63 +113,98 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
 
     Every quantity is a function of the parties' bin indices and the label
     table. Each party is binned once per (positioning, width multiplier) at
-    the deepest bit count asked for, and shallower depths are exact right
-    shifts of those indices. Per (positioning, bits), each pair's sparse
-    joint symbol histogram is built once; it gives the symbol MI and, with
+    the deepest bit count asked for, and the three pair histograms and, if
+    some depth's CMI is reported, the (A, B, E) histogram are built once
+    from those indices. A shallower depth is an exact right shift of the
+    indices, so its histograms are the deepest ones coarsened (see
+    `coarsen_cells`). Each pair's histogram gives the symbol MI and, with
     each numbering's label table, that numbering's bitwise MI and BER, since
-    every per-bit 2x2 table is a marginal of that joint.
+    every per-bit 2x2 table is a marginal of that joint. A failure names the
+    group it happened in.
     """
     schemes = list(schemes)
-    p = realization.params
-    parties = (realization.alice, realization.bob, realization.eve)
-    label_tables: dict[tuple[Numbering, int], LabelTable] = {}
-    reports: dict[SlicingScheme, SecrecyReport] = {}
-
     groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
     for scheme in schemes:
         groups.setdefault((scheme.positioning, scheme.width_multiplier), []).append(scheme)
 
-    for group in groups.values():
-        deepest = max(group, key=lambda s: s.bits)
-        top_indices = [bin_indices(samples, deepest) for samples in parties]
-        for bits in sorted({s.bits for s in group}):
-            a, b, e = (idx >> (deepest.bits - bits) for idx in top_indices)
-            try:
-                cmi = conditional_mi(a, b, e).value
-            except AlphabetCapacityError:
-                cmi = None
-            joints = [joint_cells(x, y) for x, y in ((a, b), (a, e), (b, e))]
-            i_ab_sym, i_ae_sym, i_be_sym = (plugin_mi(*joint) for joint in joints)
-
-            for scheme in (s for s in group if s.bits == bits):
-                key = (scheme.numbering, bits)
-                if key not in label_tables:
-                    label_tables[key] = build_labels(scheme.numbering, bits)
-                table = label_tables[key]
-                bit_tables = [label_bit_tables(*joint, table.labels) for joint in joints]
-                i_ab, i_ae, i_be = (bitwise_mi_from_tables(t) for t in bit_tables)
-                ber_ab, ber_ae, ber_be = (bit_error_rate_from_tables(t) for t in bit_tables)
-                delta_direct, delta_reverse = secrecy_deltas(i_ab, i_ae, i_be)
-                reports[scheme] = SecrecyReport(
-                    transmission=p.transmission,
-                    scheme=scheme,
-                    i_ab=i_ab,
-                    i_ae=i_ae,
-                    i_be=i_be,
-                    i_ab_sym=i_ab_sym,
-                    i_ae_sym=i_ae_sym,
-                    i_be_sym=i_be_sym,
-                    ber_ab=ber_ab,
-                    ber_ae=ber_ae,
-                    ber_be=ber_be,
-                    delta_direct=delta_direct,
-                    delta_reverse=delta_reverse,
-                    cmi_ab_given_e=cmi,
-                    label_collisions=table.collisions,
-                    n=p.samples,
-                    seed=p.seed,
-                )
+    label_tables: dict[tuple[Numbering, int], LabelTable] = {}
+    reports: dict[SlicingScheme, SecrecyReport] = {}
+    for (positioning, width), group in groups.items():
+        try:
+            reports.update(_evaluate_group(realization, group, label_tables))
+        except ValueError as exc:
+            raise ValueError(f"{exc} (in {positioning.value} group, width {width:g})") from exc
     return [reports[scheme] for scheme in schemes]
+
+
+def _evaluate_group(
+    realization: ChannelRealization,
+    group: list[SlicingScheme],
+    label_tables: dict[tuple[Numbering, int], LabelTable],
+) -> dict[SlicingScheme, SecrecyReport]:
+    """Reports of one (positioning, width multiplier) group; ``label_tables`` is a cache."""
+    p = realization.params
+    reports = {}
+    deepest = max(group, key=lambda s: s.bits)
+    a, b, e = (
+        bin_indices(samples, deepest)
+        for samples in (realization.alice, realization.bob, realization.eve)
+    )
+    deep_pairs = [joint_cells(x, y) for x, y in ((a, b), (a, e), (b, e))]
+    deep_triple = None  # built at the first depth whose CMI is within capacity
+
+    for bits in sorted({s.bits for s in group}):
+        shift = deepest.bits - bits
+        pairs = [coarsen_cells(*joint, shift) for joint in deep_pairs]
+        try:
+            # The (A, B, E) alphabet, read off the A-B and A-E coordinates.
+            cmi_alphabet(*pairs[0][0], pairs[1][0][1])
+        except AlphabetCapacityError:
+            cmi = None
+        else:
+            if deep_triple is None:
+                deep_triple = joint_cells(a, b, e)
+            cmi = plugin_mi(*coarsen_cells(*deep_triple, shift))
+        i_ab_sym, i_ae_sym, i_be_sym = (plugin_mi(*joint) for joint in pairs)
+
+        at_depth = [s for s in group if s.bits == bits]
+        tables = []
+        for scheme in at_depth:
+            key = (scheme.numbering, bits)
+            if key not in label_tables:
+                label_tables[key] = build_labels(scheme.numbering, bits)
+            tables.append(label_tables[key])
+        # Per pair, every numbering's per-bit tables, shape (numberings, bits, 2, 2).
+        bit_tables = [
+            np.stack([label_bit_tables(*joint, table.labels) for table in tables])
+            for joint in pairs
+        ]
+        bitwise_mi = [bitwise_mi_from_tables(t) for t in bit_tables]
+
+        for k, (scheme, table) in enumerate(zip(at_depth, tables)):
+            i_ab, i_ae, i_be = (float(mi[k]) for mi in bitwise_mi)
+            ber_ab, ber_ae, ber_be = (bit_error_rate_from_tables(t[k]) for t in bit_tables)
+            delta_direct, delta_reverse = secrecy_deltas(i_ab, i_ae, i_be)
+            reports[scheme] = SecrecyReport(
+                transmission=p.transmission,
+                scheme=scheme,
+                i_ab=i_ab,
+                i_ae=i_ae,
+                i_be=i_be,
+                i_ab_sym=i_ab_sym,
+                i_ae_sym=i_ae_sym,
+                i_be_sym=i_be_sym,
+                ber_ab=ber_ab,
+                ber_ae=ber_ae,
+                ber_be=ber_be,
+                delta_direct=delta_direct,
+                delta_reverse=delta_reverse,
+                cmi_ab_given_e=cmi,
+                label_collisions=table.collisions,
+                n=p.samples,
+                seed=p.seed,
+            )
+    return reports
 
 
 def realization_for_cell(base: ChannelParams, t: float, t_index: int) -> ChannelRealization:
@@ -201,15 +238,24 @@ def check_grid(t_grid, schemes) -> None:
         raise ValueError("empty transmission grid")
     if not schemes:
         raise ValueError("empty scheme list")
+    check_transmissions(t_grid)
+    _check_distinct("scheme", schemes)
+
+
+def check_transmissions(t_grid) -> None:
+    """Reject a transmission outside [0, 1] or a repeated one (see `check_grid`)."""
     for t in t_grid:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"transmission {t} outside [0, 1]")
-    for kind, values in (("transmission", t_grid), ("scheme", schemes)):
-        seen = set()
-        for value in values:
-            if value in seen:
-                raise ValueError(f"{kind} {value} repeats in the grid")
-            seen.add(value)
+    _check_distinct("transmission", t_grid)
+
+
+def _check_distinct(kind: str, values) -> None:
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{kind} {value} repeats in the grid")
+        seen.add(value)
 
 
 def sweep(

@@ -129,8 +129,7 @@ class LabelTable:
     @property
     def collisions(self) -> int:
         """Number of bins sharing a label with an earlier bin."""
-        distinct = len(np.unique(self.labels, axis=0))
-        return self.labels.shape[0] - distinct
+        return self.labels.shape[0] - len(np.unique(label_words(self.labels)))
 
     def as_strings(self) -> list[str]:
         return ["".join(str(bit) for bit in row) for row in self.labels]
@@ -222,8 +221,42 @@ def bin_indices(samples: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
     levels i / 2^b differ from the deeper depth's only by a power of two,
     which floating point scales exactly, so the shallower boundaries are the
     same floats as every 2^(bits - b)-th deeper boundary.
+
+    Equal-width indices come from `_evenly_spaced_bins`, which equals
+    `assign_bins` without its binary search.
     """
-    return assign_bins(samples, compute_edges(samples, scheme)).astype(np.uint16)
+    edges = compute_edges(samples, scheme)
+    if scheme.positioning is Positioning.EQUAL_WIDTH:
+        idx = _evenly_spaced_bins(np.asarray(samples, dtype=float), edges.boundaries)
+    else:
+        idx = assign_bins(samples, edges)
+    return idx.astype(np.uint16)
+
+
+def _evenly_spaced_bins(samples: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """`assign_bins` by arithmetic, for finite samples and evenly spaced boundaries.
+
+    The guess floor((x - first) / step) + 1, clipped to the bins, is within
+    one bin of the answer: its rounding error is a few ulps of the sample
+    range, far below one step. Each sample is then compared with the two
+    boundaries of its guessed bin and moved one bin down or up, and the loop
+    repeats until no sample moves, so that every index satisfies the
+    half-open cell rule and equals ``searchsorted(side="right")`` whatever
+    the guess. (With one boundary there is no spacing; any step will do.)
+    """
+    n_bins = len(boundaries) + 1
+    first = boundaries[0]
+    step = (boundaries[-1] - first) / (n_bins - 2) if n_bins > 2 else 1.0
+    guess = np.floor((samples - first) / step) + 1
+    idx = np.clip(guess, 0, n_bins - 1).astype(np.intp)
+    cell_edges = np.concatenate(([-np.inf], boundaries, [np.inf]))
+    while True:
+        down = samples < cell_edges[idx]
+        up = samples >= cell_edges[idx + 1]
+        if not (down.any() or up.any()):
+            return idx
+        idx += up
+        idx -= down
 
 
 def build_labels(numbering: Numbering, b: int) -> LabelTable:
@@ -247,6 +280,12 @@ def build_labels(numbering: Numbering, b: int) -> LabelTable:
             fed = reg[-1] ^ reg[-2] if b >= 2 else reg[-1]
             reg = np.concatenate(([fed], reg[:-1]))
     return LabelTable(labels)
+
+
+def label_words(labels: np.ndarray) -> np.ndarray:
+    """Each row of a (2^b, b) label table as a b-bit integer, most significant bit first."""
+    b = labels.shape[1]
+    return np.einsum("ij,j->i", labels, 1 << np.arange(b - 1, -1, -1))
 
 
 def _codes_to_bits(codes: np.ndarray, b: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from slicesec import ChannelParams, SlicingScheme
 from slicesec.cli import CSV_COLUMNS, main, parse_args, read_csv, selftest
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_sweep.csv"
+GOLDEN_FINE_CSV = Path(__file__).parent / "data" / "golden_fine.csv"
 
 SMALL_ARGS = [
     "sweep", "--seed", "17", "--samples", "6000", "--t", "0.2,0.5,0.8",
@@ -63,6 +64,8 @@ class TestParseArgs:
         ["sweep", "--t", ",", "--out", "x.csv"],
         ["sweep", "--schemes", ",", "--out", "x.csv"],
         ["sweep", "--t", "0:inf:0.1", "--out", "x.csv"],
+        # 2e7 points: the range's ends are checked before any point is built.
+        ["sweep", "--t", "0:1e7:0.5", "--out", "x.csv"],
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -74,6 +77,7 @@ class TestParseArgs:
         (["--schemes", "eqprob:gray:4,eqprob:gray:4"], "scheme eqprob:gray:4 repeats"),
         (["--t", "0.5,1.5"], "transmission 1.5 outside [0, 1]"),
         (["--seed", str(1 << 64)], "seed must lie in [0, 2^64)"),
+        (["--t", "0:1e7:0.5"], "transmission 10000000.0 outside [0, 1]"),
     ])
     def test_usage_error_names_the_value(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -136,6 +140,19 @@ class TestCsv:
             "--schemes", "all", "--workers", "1", "--out", str(out),
         ]) == 0
         assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+
+    def test_matches_wide_alphabet_golden_file(self, tmp_path):
+        # Written by the engine that histogrammed every depth from the
+        # samples. It spans the CMI capacity edge: reported at b = 8, empty
+        # from b = 9 on.
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--seed", "42", "--samples", "5000", "--t", "0.25,0.75",
+            "--schemes", "eqwidth:gray:8,eqwidth:flfsr:9,eqwidth:binary:12,"
+            "eqprob:gray:8,eqprob:flfsr:9,eqprob:binary:12",
+            "--workers", "1", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == GOLDEN_FINE_CSV.read_bytes()
 
     def test_missing_column_is_reported(self, tmp_path):
         bad = tmp_path / "bad.csv"

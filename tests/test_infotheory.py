@@ -20,8 +20,11 @@ from slicesec import (
 from slicesec.infotheory import (
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
+    coarsen_cells,
     joint_cells,
     label_bit_tables,
+    plugin_mi,
+    plugin_mi_2x2,
 )
 from slicesec.slicing import BitMatrix, Numbering
 
@@ -306,3 +309,136 @@ def test_plugin_bias_oracle_scale():
     assert plugin_bias(16, 16, 1_000_000) == pytest.approx(
         225 / (2e6 * math.log(2)), abs=1e-12
     )
+
+
+def dense_cells(indices, weights=None):
+    """Independent oracle for `joint_cells`: a dense histogram read in row-major order."""
+    shape = tuple(int(v.max()) + 1 for v in indices)
+    dense = np.zeros(shape, dtype=np.int64)
+    np.add.at(dense, tuple(indices), 1 if weights is None else weights)
+    coords = np.nonzero(dense)
+    return coords, dense[coords]
+
+
+def assert_same_cells(got, expected):
+    (got_coords, got_counts), (exp_coords, exp_counts) = got, expected
+    assert len(got_coords) == len(exp_coords)
+    for g, e in zip(got_coords, exp_coords):
+        assert g.dtype == np.intp and np.array_equal(g, e)
+    assert got_counts.dtype == np.int64 and np.array_equal(got_counts, exp_counts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3),
+    n=st.integers(min_value=1, max_value=2000),
+    weighted=st.booleans(),
+)
+def test_joint_cells_counts_by_bincount_and_by_unique_alike(seed, sizes, n, weighted):
+    # Small alphabets against large n take the bincount path, the rest the
+    # sorted-codes path; both must equal the dense oracle, dtypes included.
+    rng = np.random.default_rng(seed)
+    indices = [rng.integers(0, k, size=n).astype(np.uint16) for k in sizes]
+    weights = rng.integers(1, 1000, size=n) if weighted else None
+    assert_same_cells(joint_cells(*indices, weights=weights), dense_cells(indices, weights))
+
+
+@pytest.mark.parametrize("sizes,n", [((2, 3), 6), ((2, 3), 5), ((50, 50), 10), ((4, 4, 4), 64)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_joint_cells_path_boundary(sizes, n, weighted):
+    # The alphabet product equal to n (bincount) and one above it (unique).
+    rng = np.random.default_rng(n)
+    indices = [np.arange(n) % k for k in sizes]
+    for v, k in zip(indices, sizes):
+        v[0] = k - 1
+    weights = rng.integers(1, 5, size=n) if weighted else None
+    assert_same_cells(joint_cells(*indices, weights=weights), dense_cells(indices, weights))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bits=st.integers(min_value=1, max_value=10),
+    parties=st.integers(min_value=2, max_value=3),
+    n=st.integers(min_value=1, max_value=3000),
+    data=st.data(),
+)
+def test_coarsened_cells_equal_cells_of_shifted_indices(seed, bits, parties, n, data):
+    shift = data.draw(st.integers(min_value=0, max_value=bits))
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 1 << bits, size=n)
+    indices = [x] + [
+        np.clip(x + rng.integers(-9, 10, size=n), 0, (1 << bits) - 1) for _ in range(parties - 1)
+    ]
+    indices = [v.astype(np.uint16) for v in indices]
+    assert_same_cells(
+        coarsen_cells(*joint_cells(*indices), shift), joint_cells(*(v >> shift for v in indices))
+    )
+
+
+tables_2x2 = st.lists(
+    st.lists(st.sampled_from([0, 1, 2, 3, 7, 100, 12345, 2**40 + 1]), min_size=4, max_size=4),
+    min_size=1, max_size=30,
+).filter(lambda rows: all(sum(r) > 0 for r in rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=tables_2x2)
+def test_batched_2x2_mi_equals_plugin_mi_bit_for_bit(rows):
+    tables = np.array(rows, dtype=np.int64).reshape(-1, 2, 2)
+    got = plugin_mi_2x2(tables)
+    for table, value in zip(tables, got):
+        cells = np.nonzero(table)
+        assert value == plugin_mi(cells, table[cells])
+
+
+def test_batched_2x2_mi_on_random_tables():
+    rng = np.random.default_rng(2)
+    tables = rng.integers(0, 10**6, size=(5000, 2, 2))
+    tables[::3, rng.integers(0, 2)] = 0  # empty rows
+    tables[1::3, :, rng.integers(0, 2)] = 0  # empty columns
+    tables[tables.sum(axis=(1, 2)) == 0] = 1
+    # Independent tables whose terms round to a negative sum, clamped to 0.
+    tables[:4] = [[[868, 756], [1426, 1242]], [[96, 360], [84, 315]],
+                  [[494, 1178], [247, 589]], [[1247, 203], [1548, 252]]]
+    got = plugin_mi_2x2(tables)
+    assert (got[:4] == 0.0).all()
+    for table, value in zip(tables, got):
+        cells = np.nonzero(table)
+        assert value == plugin_mi(cells, table[cells])
+
+
+def test_bitwise_mi_of_a_stack_sums_each_table_in_bit_order():
+    rng = np.random.default_rng(3)
+    stack = rng.integers(0, 50, size=(40, 12, 2, 2)) + 1
+    totals = bitwise_mi_from_tables(stack)
+    assert totals.shape == (40,)
+    for tables, total in zip(stack, totals):
+        expected = 0.0
+        for table in tables:
+            cells = np.nonzero(table)
+            expected += plugin_mi(cells, table[cells])
+        assert total == expected
+        assert bitwise_mi_from_tables(tables) == expected
+
+
+@pytest.mark.parametrize("bits", [4, 8, 12, 16])
+@pytest.mark.parametrize("numbering", list(Numbering))
+def test_label_bit_tables_equal_the_gathered_label_formula(bits, numbering):
+    # The formula the histogram form replaced: expand each cell's labels
+    # to b bits and weight them by the cell counts.
+    rng = np.random.default_rng(bits)
+    k = 1 << bits
+    x = rng.integers(0, k, size=20_000)
+    y = np.clip(x + rng.integers(-k // 16, k // 16 + 1, size=x.size), 0, k - 1)
+    coords, counts = joint_cells(x, y)
+    labels = build_labels(numbering, bits).labels
+    lx, ly = labels[coords[0]].astype(np.int64), labels[coords[1]].astype(np.int64)
+    n = counts.sum()
+    ones_x, ones_y, both = counts @ lx, counts @ ly, counts @ (lx & ly)
+    expected = np.stack(
+        [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=1
+    ).reshape(-1, 2, 2)
+    got = label_bit_tables((coords[0], coords[1]), counts, labels)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)

@@ -6,6 +6,7 @@ import pytest
 from slicesec import (
     AlphabetCapacityError,
     ChannelParams,
+    ChannelRealization,
     Numbering,
     Positioning,
     SlicingScheme,
@@ -133,6 +134,23 @@ class TestEvaluateSchemes:
     def test_matches_bitmatrix_reference_exactly(self, mixed_realization):
         batch = evaluate_schemes(mixed_realization, MIXED_SCHEMES)
         assert batch == [bitmatrix_report(mixed_realization, s) for s in MIXED_SCHEMES]
+
+
+def test_failure_names_the_scheme_group():
+    # Whole-unit values: equal-width bins still exist, but at 2^5 levels
+    # many quantiles coincide, so the equal-probability group cannot bin.
+    real = transmit(ChannelParams(transmission=0.5, samples=3000, seed=11))
+    tied = ChannelRealization(
+        alice=np.round(real.alice), bob=np.round(real.bob), eve=np.round(real.eve),
+        params=real.params,
+    )
+    schemes = [SlicingScheme.parse("eqwidth:gray:5"), SlicingScheme.parse("eqprob:gray:5")]
+    evaluate_schemes(tied, schemes[:1])
+    with pytest.raises(
+        ValueError,
+        match=r"^quantile boundaries are not strictly increasing .* \(in eqprob group, width 3\)$",
+    ):
+        evaluate_schemes(tied, schemes)
 
 
 @pytest.mark.parametrize("text", [f"eqwidth:gray:{MAX_BITS}", f"eqprob:gray:{MAX_BITS}"])

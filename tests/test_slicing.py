@@ -14,6 +14,7 @@ from slicesec import (
     compute_edges,
     slice_samples,
 )
+from slicesec.slicing import _evenly_spaced_bins
 
 
 class TestSchemeParsing:
@@ -173,6 +174,36 @@ def test_shallower_bins_are_exact_right_shifts(
         return
     assert deep.dtype == np.uint16
     assert np.array_equal(deep >> (top - bits), indices(bits))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 5, 9, 16])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    loc=st.sampled_from([0.0, 5.0, -1e4]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    width_multiplier=st.floats(0.25, 8.0),
+    decimals=st.sampled_from([None, 0, 2]),
+)
+def test_equal_width_bins_by_arithmetic_equal_searchsorted(
+    bits, seed, loc, scale, width_multiplier, decimals
+):
+    samples = loc + scale * np.random.default_rng(seed).normal(size=max(1 << bits, 500))
+    if decimals is not None:  # coarse values put many samples on boundaries
+        samples = np.round(samples, decimals)
+    scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, bits, width_multiplier)
+    try:
+        edges = compute_edges(samples, scheme).boundaries
+    except ValueError:  # zero variance, or a step below the float spacing
+        return
+    # Values on every boundary and one ulp either side, and far outside +-k sigma.
+    far = np.array([-1e300, 1e300, loc - 1e6 * scale, loc + 1e6 * scale, -0.0])
+    probes = np.concatenate([
+        samples, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), far,
+    ])
+    expected = np.searchsorted(edges, probes, side="right")
+    assert np.array_equal(_evenly_spaced_bins(probes, edges), expected)
+    assert np.array_equal(bin_indices(samples, scheme), expected[: len(samples)])
 
 
 class TestLabels:
