@@ -24,12 +24,19 @@ class InfiniteInformationError(ValueError):
     """The analytic channel has exactly zero noise variance."""
 
 
+def _check_u64(name: str, value: int) -> None:
+    """Seeds and tags enter the Philox key as u64 words; a larger value would
+    alias itself mod 2^64 while reporting itself unchanged."""
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+
+
 @dataclass(frozen=True)
 class Stream:
     """Identifier of one deterministic random sub-stream.
 
-    ``seed`` is the 64-bit master seed; ``tags`` is a tuple of small
-    integers (sweep cell index, purpose, ...) folded into the Philox key.
+    ``seed`` is the u64 master seed; ``tags`` is a tuple of u64 integers
+    (sweep cell index, purpose, ...) folded into the Philox key.
     The same Stream always yields the same draws, and distinct tag tuples
     yield statistically independent streams.
     """
@@ -37,16 +44,20 @@ class Stream:
     seed: int
     tags: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        _check_u64("seed", self.seed)
+        for tag in self.tags:
+            _check_u64("tag", tag)
+
     def generator(self) -> np.random.Generator:
         # Fold the tag tuple into the second 64-bit key word (splitmix64-style
         # mixing), keeping the master seed verbatim in the first word.
         mask = 0xFFFFFFFFFFFFFFFF
         folded = 0x9E3779B97F4A7C15
         for tag in self.tags:
-            folded = (folded ^ (tag & mask)) & mask
-            folded = (folded * 0xBF58476D1CE4E5B9) & mask
+            folded = ((folded ^ tag) * 0xBF58476D1CE4E5B9) & mask
             folded ^= folded >> 31
-        key = np.array([self.seed & mask, folded], dtype=np.uint64)
+        key = np.array([self.seed, folded], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, *tags: int) -> "Stream":
@@ -57,8 +68,7 @@ class Stream:
 class ChannelParams:
     """Physical and sampling parameters of one simulated channel.
 
-    ``seed`` is the u64 master seed; a larger value would alias seed mod
-    2^64 in the Philox key while reporting itself unchanged.
+    ``seed`` is the u64 master seed of `Stream`.
     """
 
     transmission: float
@@ -78,8 +88,7 @@ class ChannelParams:
             )
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        _check_u64("seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -177,9 +177,10 @@ def read_csv(path: str) -> list[dict]:
 
     A value that does not parse, a non-finite float, or a bit count that no
     `SlicingScheme` has is rejected with its data row (1-based) and column,
-    so that no NaN margin or unknown scheme is ever ranked. Each row's
-    ``scheme`` is the `SlicingScheme` string of its positioning, numbering
-    and bits.
+    so that no NaN margin or unknown scheme is ever ranked, and so is a
+    second row of the same (transmission, scheme) cell, naming both rows.
+    Each row's ``scheme`` is the `SlicingScheme` string of its positioning,
+    numbering and bits.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -188,6 +189,7 @@ def read_csv(path: str) -> list[dict]:
             if col not in header:
                 raise ValueError(f"missing column {col!r} in {path}")
         rows = []
+        first_row = {}  # (transmission, scheme) -> the row number that holds it
         for number, raw in enumerate(reader, start=1):
             row = {}
             for col in header:
@@ -209,6 +211,13 @@ def read_csv(path: str) -> list[dict]:
                 raise ValueError(
                     f"bad value {raw['bits']!r} in column 'bits' of row {number} in {path}: {exc}"
                 ) from None
+            cell = (row["transmission"], row["scheme"])
+            if cell in first_row:
+                raise ValueError(
+                    f"rows {first_row[cell]} and {number} in {path} both hold"
+                    f" transmission {raw['transmission']} and scheme {row['scheme']}"
+                )
+            first_row[cell] = number
             rows.append(row)
     if not rows:
         raise ValueError(f"no data rows in {path}")
@@ -330,7 +339,7 @@ def selftest(corrupt_labels: bool = False, stream=None) -> int:
     real = transmit(ChannelParams(transmission=1.0, samples=5000, seed=7))
     scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.GRAY, 4)
     alice, bob = (bin_indices(v, scheme) for v in (real.alice, real.bob))
-    gray = build_labels(Numbering.GRAY, 4).labels
+    gray = build_labels(Numbering.GRAY, 4)
     ber = infotheory.bit_error_rate_from_tables(
         infotheory.label_bit_tables(*infotheory.joint_cells(alice, bob), gray)
     )

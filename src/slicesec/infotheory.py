@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slicing import BitMatrix, label_words
+from .slicing import BitMatrix, LabelTable, Numbering, build_labels
 
 # Largest ka x kb x kz alphabet for which conditional MI is reported. It is an
 # output rule, not a memory bound (only occupied cells are held): above it,
@@ -222,33 +222,33 @@ def bitwise_mi_from_tables(tables: np.ndarray) -> np.ndarray:
 
 
 def label_bit_tables(
-    coords: tuple[np.ndarray, np.ndarray], counts: np.ndarray, labels: np.ndarray
+    coords: tuple[np.ndarray, np.ndarray], counts: np.ndarray, table: LabelTable
 ) -> np.ndarray:
     """Per-bit 2x2 count tables of a labelled symbol pair, shape (b, 2, 2).
 
     ``coords`` and ``counts`` are a sparse joint histogram of two parties
-    (see `joint_cells`); ``labels`` is the (2^b, b) label table. Entry
+    (see `joint_cells`); ``table`` is the numbering's label codebook. Entry
     [j, u, v] counts the samples whose first party's bit j is u and second's
     is v: each per-bit table is an exact marginal of the symbol joint.
 
     Every per-bit sum is taken over a 2^b-entry histogram, so no cell's
     label is expanded to b bits: a party's ones come from its symbol
     marginal, and the samples where both bits are one from the histogram of
-    the two labels' bitwise AND, read as b-bit integers.
+    the two labels' bitwise AND, whose bits are those of the binary codebook.
     """
-    k, b = labels.shape
-    words = label_words(labels)
-    word_bits = (np.arange(k)[:, None] >> np.arange(b - 1, -1, -1)) & 1  # every b-bit word
+    k, b = table.labels.shape
 
-    def ones(index: np.ndarray, table: np.ndarray) -> np.ndarray:
+    def ones(index: np.ndarray, labels: np.ndarray) -> np.ndarray:
         # Float sums of integer counts are exact, so the cast loses nothing.
         hist = np.bincount(index, weights=counts, minlength=k).astype(counts.dtype)
-        return np.einsum("i,ij->j", hist, table)
+        return np.einsum("i,ij->j", hist, labels)
 
     n = counts.sum()
-    ones_x = ones(coords[0], labels)
-    ones_y = ones(coords[1], labels)
-    both = ones(words[coords[0]] & words[coords[1]], word_bits)
+    ones_x = ones(coords[0], table.labels)
+    ones_y = ones(coords[1], table.labels)
+    both = ones(
+        table.codes[coords[0]] & table.codes[coords[1]], build_labels(Numbering.BINARY, b).labels
+    )
     return np.stack(
         [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=1
     ).reshape(-1, 2, 2)

@@ -29,7 +29,6 @@ from .infotheory import (
     plugin_mi,
 )
 from .slicing import (
-    LabelTable,
     Numbering,
     Positioning,
     SlicingScheme,
@@ -127,22 +126,19 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     for scheme in schemes:
         groups.setdefault((scheme.positioning, scheme.width_multiplier), []).append(scheme)
 
-    label_tables: dict[tuple[Numbering, int], LabelTable] = {}
     reports: dict[SlicingScheme, SecrecyReport] = {}
     for (positioning, width), group in groups.items():
         try:
-            reports.update(_evaluate_group(realization, group, label_tables))
+            reports.update(_evaluate_group(realization, group))
         except ValueError as exc:
             raise ValueError(f"{exc} (in {positioning.value} group, width {width:g})") from exc
     return [reports[scheme] for scheme in schemes]
 
 
 def _evaluate_group(
-    realization: ChannelRealization,
-    group: list[SlicingScheme],
-    label_tables: dict[tuple[Numbering, int], LabelTable],
+    realization: ChannelRealization, group: list[SlicingScheme]
 ) -> dict[SlicingScheme, SecrecyReport]:
-    """Reports of one (positioning, width multiplier) group; ``label_tables`` is a cache."""
+    """Reports of one (positioning, width multiplier) group of schemes."""
     p = realization.params
     reports = {}
     deepest = max(group, key=lambda s: s.bits)
@@ -168,15 +164,10 @@ def _evaluate_group(
         i_ab_sym, i_ae_sym, i_be_sym = (plugin_mi(*joint) for joint in pairs)
 
         at_depth = [s for s in group if s.bits == bits]
-        tables = []
-        for scheme in at_depth:
-            key = (scheme.numbering, bits)
-            if key not in label_tables:
-                label_tables[key] = build_labels(scheme.numbering, bits)
-            tables.append(label_tables[key])
+        tables = [build_labels(scheme.numbering, bits) for scheme in at_depth]
         # Per pair, every numbering's per-bit tables, shape (numberings, bits, 2, 2).
         bit_tables = [
-            np.stack([label_bit_tables(*joint, table.labels) for table in tables])
+            np.stack([label_bit_tables(*joint, table) for table in tables])
             for joint in pairs
         ]
         bitwise_mi = [bitwise_mi_from_tables(t) for t in bit_tables]

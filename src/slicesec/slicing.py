@@ -11,8 +11,9 @@ enters boundary computation.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,6 +41,8 @@ class SlicingScheme:
     width_multiplier: float = 3.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "positioning", Positioning(self.positioning))
+        object.__setattr__(self, "numbering", Numbering(self.numbering))
         if not 1 <= self.bits <= MAX_BITS:
             raise ValueError(f"bits must lie in [1, {MAX_BITS}], got {self.bits}")
         if not 0 < self.width_multiplier < math.inf:
@@ -62,20 +65,15 @@ class SlicingScheme:
             raise ValueError(
                 f"scheme string must be '<positioning>:<numbering>:<bits>', got {text!r}"
             )
-        pos_token, num_token, bits_token = parts
-        try:
-            positioning = Positioning(pos_token)
-        except ValueError:
-            raise ValueError(f"unknown positioning {pos_token!r} in {text!r}") from None
-        try:
-            numbering = Numbering(num_token)
-        except ValueError:
-            raise ValueError(f"unknown numbering {num_token!r} in {text!r}") from None
+        positioning, numbering, bits_token = parts
         try:
             bits = int(bits_token)
         except ValueError:
             raise ValueError(f"bits field {bits_token!r} in {text!r} is not an integer") from None
-        return cls(positioning, numbering, bits, width_multiplier)
+        try:
+            return cls(positioning, numbering, bits, width_multiplier)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -104,32 +102,35 @@ class BinEdges:
 
 @dataclass(frozen=True)
 class LabelTable:
-    """Bin index -> b-bit label codebook.
+    """Bin index -> b-bit label codebook, as integer codes and as bits.
 
-    ``labels`` has shape (2^b, b), one row per bin, most significant bit
-    first. Binary and Gray tables are bijections; F-LFSR tables may repeat
-    labels (the register period can fall short of 2^b and never emits the
-    all-zero word), which is tracked by ``collisions``.
+    ``codes`` holds each of the 2^b bins' label as a b-bit integer;
+    ``labels`` is the same codebook expanded to shape (2^b, b), one row per
+    bin, most significant bit first. Both are read-only. Binary and Gray
+    tables are bijections; F-LFSR tables may repeat labels (the register
+    period can fall short of 2^b and never emits the all-zero word), which
+    is tracked by ``collisions``.
     """
 
-    labels: np.ndarray
+    codes: np.ndarray
+    bits: int
+    labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.labels, dtype=np.uint8)
-        n, b = arr.shape
-        if n != 1 << b:
-            raise ValueError(f"label table must have 2^{b} rows, got {n}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "labels", arr)
-
-    @property
-    def bits(self) -> int:
-        return self.labels.shape[1]
+        codes = np.asarray(self.codes)
+        n = 1 << self.bits
+        if codes.shape != (n,) or not (0 <= codes.min() and codes.max() < n):
+            raise ValueError(f"label table must hold 2^{self.bits} codes in [0, {n})")
+        labels = _codes_to_bits(codes, self.bits)
+        for arr in (codes, labels):
+            arr.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def collisions(self) -> int:
         """Number of bins sharing a label with an earlier bin."""
-        return self.labels.shape[0] - len(np.unique(label_words(self.labels)))
+        return len(self.codes) - len(np.unique(self.codes))
 
     def as_strings(self) -> list[str]:
         return ["".join(str(bit) for bit in row) for row in self.labels]
@@ -259,37 +260,33 @@ def _evenly_spaced_bins(samples: np.ndarray, boundaries: np.ndarray) -> np.ndarr
         idx -= down
 
 
+@functools.cache
 def build_labels(numbering: Numbering, b: int) -> LabelTable:
-    """Build the 2^b-entry codebook for the given numbering method."""
+    """The 2^b-entry codebook of a numbering, built once per process and shared.
+
+    Bin i's code is i (binary), i ^ (i >> 1) (Gray), or the i-th state of a
+    b-bit Fibonacci register from 0...01 that shifts right, feeding the XOR
+    of its two lowest bits into the top bit (F-LFSR).
+    """
+    numbering = Numbering(numbering)
     if not 1 <= b <= MAX_BITS:
         raise ValueError(f"b must lie in [1, {MAX_BITS}], got {b}")
-    n = 1 << b
-
+    i = np.arange(1 << b)
     if numbering is Numbering.BINARY:
-        codes = np.arange(n, dtype=np.uint32)
-        labels = _codes_to_bits(codes, b)
+        codes = i
     elif numbering is Numbering.GRAY:
-        codes = np.arange(n, dtype=np.uint32)
-        labels = _codes_to_bits(codes ^ (codes >> 1), b)
+        codes = i ^ (i >> 1)
     else:
-        labels = np.empty((n, b), dtype=np.uint8)
-        reg = np.zeros(b, dtype=np.uint8)
-        reg[-1] = 1  # '0...01'
-        for i in range(n):
-            labels[i] = reg
-            fed = reg[-1] ^ reg[-2] if b >= 2 else reg[-1]
-            reg = np.concatenate(([fed], reg[:-1]))
-    return LabelTable(labels)
-
-
-def label_words(labels: np.ndarray) -> np.ndarray:
-    """Each row of a (2^b, b) label table as a b-bit integer, most significant bit first."""
-    b = labels.shape[1]
-    return np.einsum("ij,j->i", labels, 1 << np.arange(b - 1, -1, -1))
+        states, s = [], 1
+        for _ in range(1 << b):
+            states.append(s)
+            s = (s >> 1) | (((s ^ (s >> 1)) & 1) << (b - 1))
+        codes = np.array(states)
+    return LabelTable(codes, b)
 
 
 def _codes_to_bits(codes: np.ndarray, b: int) -> np.ndarray:
-    shifts = np.arange(b - 1, -1, -1, dtype=np.uint32)
+    shifts = np.arange(b - 1, -1, -1)
     return ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 

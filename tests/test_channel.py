@@ -152,3 +152,24 @@ def test_analytic_mi_zero_noise_signals_infinity():
     with pytest.raises(ValueError):
         analytic_gaussian_mi(ChannelParams(0.5), "mallory")
 
+
+
+@pytest.mark.parametrize("seed,tags", [
+    (-1, ()), (2**64, ()), (2**64 + 42, ()), (0, (-1,)), (0, (2**64,)), (0, (1, 2**64 + 1)),
+])
+def test_stream_rejects_values_outside_u64(seed, tags):
+    # Each would alias its value mod 2^64 in the Philox key.
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
+        Stream(seed, tags)
+
+
+def test_child_tags_are_checked():
+    with pytest.raises(ValueError, match=r"tag must lie in \[0, 2\^64\)"):
+        Stream(42).child(-1)
+
+
+def test_largest_u64_seed_and_tag_draw():
+    top = 2**64 - 1
+    a = gaussian_source(4, 1.0, Stream(top, (top,)))
+    b = gaussian_source(4, 1.0, Stream(top, (top - 1,)))
+    assert np.isfinite(a).all() and not np.array_equal(a, b)

@@ -229,6 +229,24 @@ def test_unknown_scheme_field_exits_1_naming_row_and_column(
     assert f"bad value {value!r} in column {column!r} of row 2" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["best", "--mode", "direct"],
+    ["plot", "--plot-mode", "best_vs_t", "--mode", "direct"],
+])
+def test_repeated_cell_exits_1_naming_both_rows(small_csv, tmp_path, capsys, command):
+    lines = small_csv.read_text().splitlines()
+    lines.append(lines[2])  # data row 2 again, as data row 7
+    bad = tmp_path / "dup.csv"
+    bad.write_text("\n".join(lines) + "\n")
+
+    argv = [command[0], str(bad), *command[1:]]
+    if command[0] == "plot":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "rows 2 and 7" in err and "transmission 0.2 and scheme eqwidth:flfsr:3" in err
+
+
 class TestBest:
     def test_best_outputs_one_winner_per_t(self, small_csv, tmp_path, capsys):
         assert main(["best", str(small_csv), "--mode", "reverse"]) == 0

@@ -209,8 +209,9 @@ def test_label_bit_tables_are_marginals_of_the_symbol_joint(seed, bits, numberin
     k = 1 << bits
     x = rng.integers(0, k, size=n)
     y = np.clip(x + rng.integers(-noise, noise + 1, size=n), 0, k - 1)
-    labels = build_labels(numbering, bits).labels
-    tables = label_bit_tables(*joint_cells(x, y), labels)
+    table = build_labels(numbering, bits)
+    labels = table.labels
+    tables = label_bit_tables(*joint_cells(x, y), table)
 
     bx, by = labels[x], labels[y]
     for j in range(bits):
@@ -433,12 +434,13 @@ def test_label_bit_tables_equal_the_gathered_label_formula(bits, numbering):
     x = rng.integers(0, k, size=20_000)
     y = np.clip(x + rng.integers(-k // 16, k // 16 + 1, size=x.size), 0, k - 1)
     coords, counts = joint_cells(x, y)
-    labels = build_labels(numbering, bits).labels
+    table = build_labels(numbering, bits)
+    labels = table.labels
     lx, ly = labels[coords[0]].astype(np.int64), labels[coords[1]].astype(np.int64)
     n = counts.sum()
     ones_x, ones_y, both = counts @ lx, counts @ ly, counts @ (lx & ly)
     expected = np.stack(
         [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=1
     ).reshape(-1, 2, 2)
-    got = label_bit_tables((coords[0], coords[1]), counts, labels)
+    got = label_bit_tables((coords[0], coords[1]), counts, table)
     assert got.dtype == np.int64 and np.array_equal(got, expected)

@@ -48,6 +48,32 @@ class TestSchemeParsing:
         with pytest.raises(ValueError):
             SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 4, width_multiplier=k)
 
+    def test_names_are_coerced_to_members(self):
+        s = SlicingScheme("eqwidth", "binary", 2)
+        assert s.positioning is Positioning.EQUAL_WIDTH and s.numbering is Numbering.BINARY
+        assert s == SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, 2)
+        assert str(s) == "eqwidth:binary:2"
+
+    @pytest.mark.parametrize("positioning", list(Positioning))
+    def test_string_and_member_schemes_bin_alike(self, positioning):
+        samples = np.random.default_rng(3).normal(size=1000)
+        by_name = SlicingScheme(positioning.value, "gray", 3)
+        by_member = SlicingScheme(positioning, Numbering.GRAY, 3)
+        assert np.array_equal(bin_indices(samples, by_name), bin_indices(samples, by_member))
+
+    @pytest.mark.parametrize("positioning,numbering", [
+        ("nope", "gray"), ("eqwidth", "nada"), ("nope", "nada"), ("EQWIDTH", "gray"),
+    ])
+    def test_unknown_names_raise(self, positioning, numbering):
+        with pytest.raises(ValueError):
+            SlicingScheme(positioning, numbering, 2)
+
+    def test_parse_error_names_the_text(self):
+        with pytest.raises(ValueError, match="'huh' is not a valid Numbering in 'eqprob:huh:4'"):
+            SlicingScheme.parse("eqprob:huh:4")
+        with pytest.raises(ValueError, match=r"bits must lie in \[1, 16\], got 17 in"):
+            SlicingScheme.parse("eqprob:gray:17")
+
 
 class TestComputeEdges:
     def test_single_bit_symmetric_data(self):
@@ -254,6 +280,50 @@ class TestLabels:
     def test_label_width_limits(self, b):
         with pytest.raises(ValueError):
             build_labels(Numbering.BINARY, b)
+
+    @pytest.mark.parametrize("b", range(1, 17))
+    def test_flfsr_equals_the_bit_register_loop(self, b):
+        # The register stepped as a row of bits: the recurrence stated independently.
+        labels = np.empty((1 << b, b), dtype=np.uint8)
+        reg = np.zeros(b, dtype=np.uint8)
+        reg[-1] = 1
+        for i in range(1 << b):
+            labels[i] = reg
+            fed = reg[-1] ^ reg[-2] if b >= 2 else reg[-1]
+            reg = np.concatenate(([fed], reg[:-1]))
+        assert np.array_equal(build_labels(Numbering.FLFSR, b).labels, labels)
+
+    @pytest.mark.parametrize("numbering", list(Numbering))
+    @pytest.mark.parametrize("b", range(1, 17))
+    def test_codes_are_the_labels_read_as_integers(self, numbering, b):
+        table = build_labels(numbering, b)
+        weights = 1 << np.arange(b - 1, -1, -1)
+        assert np.array_equal(table.labels @ weights, table.codes)
+        # Distinct label rows, counted as before the codes existed.
+        assert table.collisions == (1 << b) - len(np.unique(table.labels, axis=0))
+
+    def test_tables_are_built_once(self):
+        table = build_labels(Numbering.FLFSR, 12)
+        assert build_labels(Numbering.FLFSR, 12) is table
+
+    @pytest.mark.parametrize("numbering", list(Numbering))
+    def test_names_give_the_member_tables(self, numbering):
+        # Whether or not a name shares its member's cache entry, and uncached.
+        expected = build_labels(numbering, 5).codes
+        for build in (build_labels, build_labels.__wrapped__):
+            assert np.array_equal(build(numbering.value, 5).codes, expected)
+
+    def test_unknown_numbering_raises(self):
+        with pytest.raises(ValueError):
+            build_labels("nonsense", 3)
+
+    @pytest.mark.parametrize("field", ["codes", "labels"])
+    def test_tables_are_read_only(self, field):
+        table = build_labels(Numbering.GRAY, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, field)[0] = 1
+        with pytest.raises(AttributeError):
+            setattr(table, field, np.zeros(16))
 
 
 class TestSlicePipeline:
