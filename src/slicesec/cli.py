@@ -350,6 +350,13 @@ def selftest(corrupt_labels: bool = False, stream=None) -> int:
     check("equal-probability occupancy within +/-1 of N/2^b",
           bool((np.abs(occ - 5000 / 16) <= 1).all()))
 
+    # Equal-probability bins come from the ranks of the edge sort; on a draw
+    # rounded to 0.1, many samples sit on a boundary and must go to the higher bin.
+    coarse = np.round(real.bob, 1)
+    edges = slicing.compute_edges(coarse, scheme)
+    check("equal-probability bins equal a binary search over the same edges",
+          np.array_equal(bin_indices(coarse, scheme), slicing.assign_bins(coarse, edges)))
+
     # Determinism of the channel
     r2 = transmit(ChannelParams(transmission=1.0, samples=5000, seed=7))
     check("channel regeneration is bit-identical",

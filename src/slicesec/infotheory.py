@@ -79,14 +79,24 @@ def joint_cells(
     (see `coarsen_cells`) gives the same cells and counts as histogramming
     the coarsened samples.
 
-    The alphabet sizes are max + 1 of each input. When their product is at
-    most the number of inputs, a dense `np.bincount` counts the cells;
-    otherwise the distinct cell codes are sorted. Both give the same arrays.
+    The alphabet sizes are max + 1 of each input. When their product is
+    small against the number of inputs, a dense `np.bincount` counts the
+    cells; otherwise the distinct cell codes are sorted. Both give the same
+    arrays. "Small" is at most 1x the inputs, or 2x for weighted inputs,
+    whose sorted path needs `np.unique(return_inverse=True)` and a second
+    `bincount`. Median times on a 2-vCPU Xeon VM with numpy 2.4, for 26k
+    weighted cells in random order and a product of 1.25x / 2x / 4x the
+    cells: dense 0.69 / 1.30 / 1.10 ms, sorted 1.64 / 1.60 / 0.96 ms.
+    Unweighted, `np.unique(return_counts=True)` already wins at 2x: 0.36
+    against 1.91 ms at 50k inputs. The weighted rule serves `coarsen_cells`:
+    at N = 5e4, T = 0.5 and seed 42, the equal-width (A, B, E) histogram
+    coarsens from 26,842 occupied depth-6 cells into 32,768 depth-5 codes
+    in 0.23 ms dense against 0.91 ms sorted.
     """
     shape = tuple(int(v.max()) + 1 for v in indices)
     codes = np.ravel_multi_index(indices, shape)
     size = math.prod(shape)
-    if size <= len(codes):
+    if size <= (1 if weights is None else 2) * len(codes):
         dense = np.bincount(codes, weights=weights, minlength=size)
         codes = np.flatnonzero(dense)
         counts = dense[codes]

@@ -33,6 +33,15 @@ class Numbering(str, Enum):
 MAX_BITS = 16  # bin indices are stored as uint16 (see bin_indices)
 
 
+def _bit_count(value, name: str) -> int:
+    """``value`` as an int in [1, MAX_BITS]; a float or a bool is no bit count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 1 <= value <= MAX_BITS:
+        raise ValueError(f"{name} must lie in [1, {MAX_BITS}], got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SlicingScheme:
     positioning: Positioning
@@ -43,8 +52,7 @@ class SlicingScheme:
     def __post_init__(self) -> None:
         object.__setattr__(self, "positioning", Positioning(self.positioning))
         object.__setattr__(self, "numbering", Numbering(self.numbering))
-        if not 1 <= self.bits <= MAX_BITS:
-            raise ValueError(f"bits must lie in [1, {MAX_BITS}], got {self.bits}")
+        object.__setattr__(self, "bits", _bit_count(self.bits, "bits"))
         if not 0 < self.width_multiplier < math.inf:
             raise ValueError(
                 f"width_multiplier must be positive and finite, got {self.width_multiplier}"
@@ -172,7 +180,8 @@ def compute_edges(samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
         raise ValueError(
             f"need at least {n_bins} samples to place {n_bins} bins, got {len(samples)}"
         )
-    std = samples.std()
+    with np.errstate(invalid="ignore"):  # an infinite sample makes std NaN, rejected below
+        std = samples.std()
     if not np.isfinite(std):
         raise ValueError("samples must be finite")
     if std == 0.0:
@@ -223,15 +232,31 @@ def bin_indices(samples: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
     which floating point scales exactly, so the shallower boundaries are the
     same floats as every 2^(bits - b)-th deeper boundary.
 
-    Equal-width indices come from `_evenly_spaced_bins`, which equals
-    `assign_bins` without its binary search.
+    Both positionings give exactly ``assign_bins(samples, edges)``, without
+    its binary search per sample. Equal-width indices come from
+    `_evenly_spaced_bins`. Equal-probability indices come from ranks: the
+    samples are sorted once, the edges are computed from the sorted copy
+    (quantiles depend only on the sorted values, so they are the same
+    floats), and one search per boundary finds the rank at which its bin
+    starts. The first sample not below a boundary starts the higher bin, so
+    a sample equal to a boundary goes to the higher bin, as in
+    `assign_bins`. Each run of ranks between two starts is one bin, written
+    back to the samples' original positions.
     """
-    edges = compute_edges(samples, scheme)
+    samples = np.asarray(samples, dtype=float)
     if scheme.positioning is Positioning.EQUAL_WIDTH:
-        idx = _evenly_spaced_bins(np.asarray(samples, dtype=float), edges.boundaries)
-    else:
-        idx = assign_bins(samples, edges)
-    return idx.astype(np.uint16)
+        edges = compute_edges(samples, scheme)
+        return _evenly_spaced_bins(samples, edges.boundaries).astype(np.uint16)
+    order = np.argsort(samples)
+    ordered = samples[order]
+    # The std of a permutation may differ in the last bit, but this
+    # positioning reads it only to reject non-finite or constant samples.
+    edges = compute_edges(ordered, scheme)
+    starts = np.searchsorted(ordered, edges.boundaries, side="left")
+    runs = np.diff(starts, prepend=0, append=len(ordered))
+    idx = np.empty(len(ordered), dtype=np.uint16)
+    idx[order] = np.repeat(np.arange(scheme.n_bins, dtype=np.uint16), runs)
+    return idx
 
 
 def _evenly_spaced_bins(samples: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
@@ -260,7 +285,6 @@ def _evenly_spaced_bins(samples: np.ndarray, boundaries: np.ndarray) -> np.ndarr
         idx -= down
 
 
-@functools.cache
 def build_labels(numbering: Numbering, b: int) -> LabelTable:
     """The 2^b-entry codebook of a numbering, built once per process and shared.
 
@@ -268,9 +292,12 @@ def build_labels(numbering: Numbering, b: int) -> LabelTable:
     b-bit Fibonacci register from 0...01 that shifts right, feeding the XOR
     of its two lowest bits into the top bit (F-LFSR).
     """
-    numbering = Numbering(numbering)
-    if not 1 <= b <= MAX_BITS:
-        raise ValueError(f"b must lie in [1, {MAX_BITS}], got {b}")
+    # Checked before the cache, which would serve b = 4.0 from the entry of 4.
+    return _label_table(Numbering(numbering), _bit_count(b, "b"))
+
+
+@functools.cache
+def _label_table(numbering: Numbering, b: int) -> LabelTable:
     i = np.arange(1 << b)
     if numbering is Numbering.BINARY:
         codes = i

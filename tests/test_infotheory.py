@@ -345,10 +345,13 @@ def test_joint_cells_counts_by_bincount_and_by_unique_alike(seed, sizes, n, weig
     assert_same_cells(joint_cells(*indices, weights=weights), dense_cells(indices, weights))
 
 
-@pytest.mark.parametrize("sizes,n", [((2, 3), 6), ((2, 3), 5), ((50, 50), 10), ((4, 4, 4), 64)])
+@pytest.mark.parametrize("sizes,n", [
+    ((2, 3), 6), ((2, 3), 5), ((50, 50), 10), ((4, 4, 4), 64), ((2, 3), 3), ((3, 3), 4),
+])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_joint_cells_path_boundary(sizes, n, weighted):
-    # The alphabet product equal to n (bincount) and one above it (unique).
+    # The alphabet product at the bincount limit and one above it (unique):
+    # n and n + 1 for counted samples, 2n and 2n + 1 for weighted cells.
     rng = np.random.default_rng(n)
     indices = [np.arange(n) % k for k in sizes]
     for v, k in zip(indices, sizes):
@@ -376,6 +379,17 @@ def test_coarsened_cells_equal_cells_of_shifted_indices(seed, bits, parties, n, 
     assert_same_cells(
         coarsen_cells(*joint_cells(*indices), shift), joint_cells(*(v >> shift for v in indices))
     )
+
+
+def test_coarsening_between_the_unweighted_and_weighted_limits():
+    # The coarse alphabet product lies between 1x and 2x the occupied cells,
+    # so the weighted counts are dense where counted samples would be sorted.
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 16, size=2000)
+    y = np.clip(x + rng.integers(0, 3, size=2000), 0, 15)
+    coords, counts = joint_cells(x, y)
+    assert len(counts) < 8 * 8 <= 2 * len(counts)
+    assert_same_cells(coarsen_cells(coords, counts, 1), dense_cells([x >> 1, y >> 1]))
 
 
 tables_2x2 = st.lists(

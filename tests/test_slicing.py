@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from slicesec import (
     compute_edges,
     slice_samples,
 )
-from slicesec.slicing import _evenly_spaced_bins
+from slicesec.slicing import _evenly_spaced_bins, _label_table
 
 
 class TestSchemeParsing:
@@ -47,6 +49,17 @@ class TestSchemeParsing:
     def test_width_multiplier_must_be_finite(self, k):
         with pytest.raises(ValueError):
             SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 4, width_multiplier=k)
+
+    @pytest.mark.parametrize("bits", [4.0, 4.5, np.float64(4.0), True, np.bool_(True)],
+                             ids=["float", "fraction", "numpy-float", "bool", "numpy-bool"])
+    def test_bits_must_be_an_integer(self, bits):
+        # 4.0 used to build a scheme that printed as eqwidth:gray:4.0.
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, bits)
+
+    def test_numpy_integer_bits_become_an_int(self):
+        s = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, np.int64(4))
+        assert type(s.bits) is int and str(s) == "eqwidth:gray:4"
 
     def test_names_are_coerced_to_members(self):
         s = SlicingScheme("eqwidth", "binary", 2)
@@ -232,6 +245,45 @@ def test_equal_width_bins_by_arithmetic_equal_searchsorted(
     assert np.array_equal(bin_indices(samples, scheme), expected[: len(samples)])
 
 
+@pytest.mark.parametrize("bits", [1, 2, 5, 9, 16])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    loc=st.sampled_from([0.0, 5.0, -1e4]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    decimals=st.sampled_from([None, 0, 2]),
+)
+def test_equal_probability_bins_by_rank_equal_searchsorted(bits, seed, loc, scale, decimals):
+    samples = loc + scale * np.random.default_rng(seed).normal(size=max(1 << bits, 500))
+    if decimals is not None:  # coarse values put many samples on boundaries
+        samples = np.round(samples, decimals)
+    scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, bits)
+    try:
+        edges = compute_edges(samples, scheme).boundaries
+    except ValueError as exc:  # zero variance or heavy ties
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            bin_indices(samples, scheme)
+        return
+    idx = bin_indices(samples, scheme)
+    assert idx.dtype == np.uint16
+    assert np.array_equal(idx, np.searchsorted(edges, samples, side="right"))
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([0.0] * 30 + [1.0]),
+    np.full(10, 3.0),
+    np.arange(3.0),
+    np.append(np.arange(100.0), np.nan),
+    np.append(np.arange(100.0), -np.inf),
+], ids=["heavy-ties", "zero-variance", "too-few", "nan", "inf"])
+def test_equal_probability_bins_reject_what_edges_reject(samples):
+    scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, 2)
+    with pytest.raises(ValueError) as rejected:
+        compute_edges(samples, scheme)
+    with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+        bin_indices(samples, scheme)
+
+
 class TestLabels:
     def test_binary_b2(self):
         assert build_labels(Numbering.BINARY, 2).as_strings() == ["00", "01", "10", "11"]
@@ -302,16 +354,27 @@ class TestLabels:
         # Distinct label rows, counted as before the codes existed.
         assert table.collisions == (1 << b) - len(np.unique(table.labels, axis=0))
 
+    @pytest.mark.parametrize("b", [5.0, np.float64(5.0), True],
+                             ids=["float", "numpy-float", "bool"])
+    def test_bit_count_must_be_an_integer(self, b):
+        # Rejected whether or not the table of the equal int is cached: the
+        # cache would serve 5.0 from the entry of 5, which hashes alike.
+        _label_table.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="b must be an integer"):
+                build_labels(Numbering.GRAY, b)
+            build_labels(Numbering.GRAY, int(b))
+
     def test_tables_are_built_once(self):
         table = build_labels(Numbering.FLFSR, 12)
         assert build_labels(Numbering.FLFSR, 12) is table
 
     @pytest.mark.parametrize("numbering", list(Numbering))
     def test_names_give_the_member_tables(self, numbering):
-        # Whether or not a name shares its member's cache entry, and uncached.
-        expected = build_labels(numbering, 5).codes
-        for build in (build_labels, build_labels.__wrapped__):
-            assert np.array_equal(build(numbering.value, 5).codes, expected)
+        # A name is coerced before the cache lookup, so it shares its member's entry.
+        table = build_labels(numbering, 5)
+        assert build_labels(numbering.value, 5) is table
+        assert np.array_equal(_label_table.__wrapped__(numbering, 5).codes, table.codes)
 
     def test_unknown_numbering_raises(self):
         with pytest.raises(ValueError):
