@@ -177,8 +177,9 @@ def read_csv(path: str) -> list[dict]:
 
     A value that does not parse, a non-finite float, or a bit count that no
     `SlicingScheme` has is rejected with its data row (1-based) and column,
-    so that no NaN margin or unknown scheme is ever ranked, and so is a
-    second row of the same (transmission, scheme) cell, naming both rows.
+    so that no NaN margin or unknown scheme is ever ranked. So is a row with
+    more fields than the header, and a second row of the same
+    (transmission, scheme) cell, naming both rows.
     Each row's ``scheme`` is the `SlicingScheme` string of its positioning,
     numbering and bits.
     """
@@ -191,6 +192,11 @@ def read_csv(path: str) -> list[dict]:
         rows = []
         first_row = {}  # (transmission, scheme) -> the row number that holds it
         for number, raw in enumerate(reader, start=1):
+            if None in raw:  # DictReader files the fields past the header under None
+                raise ValueError(
+                    f"row {number} in {path} has {len(header) + len(raw[None])} fields,"
+                    f" more than the header's {len(header)}"
+                )
             row = {}
             for col in header:
                 if col == "cmi_ab_given_e" and not raw[col]:
@@ -350,12 +356,16 @@ def selftest(corrupt_labels: bool = False, stream=None) -> int:
     check("equal-probability occupancy within +/-1 of N/2^b",
           bool((np.abs(occ - 5000 / 16) <= 1).all()))
 
-    # Equal-probability bins come from the ranks of the edge sort; on a draw
-    # rounded to 0.1, many samples sit on a boundary and must go to the higher bin.
+    # Bins of either positioning come from the ranks of one sort; on a draw
+    # rounded to 0.1, many samples equal an equal-probability boundary and
+    # must go to the higher bin.
     coarse = np.round(real.bob, 1)
-    edges = slicing.compute_edges(coarse, scheme)
-    check("equal-probability bins equal a binary search over the same edges",
-          np.array_equal(bin_indices(coarse, scheme), slicing.assign_bins(coarse, edges)))
+    ok = True
+    for positioning in Positioning:
+        scheme = SlicingScheme(positioning, Numbering.GRAY, 4)
+        edges = slicing.compute_edges(coarse, scheme)
+        ok &= np.array_equal(bin_indices(coarse, scheme), slicing.assign_bins(coarse, edges))
+    check("bins of both positionings equal a binary search over the same edges", ok)
 
     # Determinism of the channel
     r2 = transmit(ChannelParams(transmission=1.0, samples=5000, seed=7))

@@ -32,6 +32,7 @@ from .slicing import (
     Numbering,
     Positioning,
     SlicingScheme,
+    _ranked_bins,
     bin_indices,
     build_labels,
 )
@@ -111,41 +112,44 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     only advantage is her own received data.
 
     Every quantity is a function of the parties' bin indices and the label
-    table. Each party is binned once per (positioning, width multiplier) at
-    the deepest bit count asked for, and the three pair histograms and, if
-    some depth's CMI is reported, the (A, B, E) histogram are built once
-    from those indices. A shallower depth is an exact right shift of the
-    indices, so its histograms are the deepest ones coarsened (see
-    `coarsen_cells`). Each pair's histogram gives the symbol MI and, with
-    each numbering's label table, that numbering's bitwise MI and BER, since
-    every per-bit 2x2 table is a marginal of that joint. A failure names the
-    group it happened in.
+    table. Each party is sorted once per cell, and its bins in every
+    (positioning, width multiplier) group come from the ranks of that one
+    sort (see `bin_indices`), at the group's deepest bit count. The three
+    pair histograms and, if some depth's CMI is reported, the (A, B, E)
+    histogram are built once per group from those indices. A shallower depth
+    is an exact right shift of the indices, so its histograms are the
+    deepest ones coarsened (see `coarsen_cells`). Each pair's histogram
+    gives the symbol MI and, with each numbering's label table, that
+    numbering's bitwise MI and BER, since every per-bit 2x2 table is a
+    marginal of that joint. A failure names the group it happened in.
     """
     schemes = list(schemes)
     groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
     for scheme in schemes:
         groups.setdefault((scheme.positioning, scheme.width_multiplier), []).append(scheme)
 
+    parties = (realization.alice, realization.bob, realization.eve)
+    ranked = [(samples, np.argsort(samples)) for samples in parties]
     reports: dict[SlicingScheme, SecrecyReport] = {}
     for (positioning, width), group in groups.items():
         try:
-            reports.update(_evaluate_group(realization, group))
+            reports.update(_evaluate_group(realization, ranked, group))
         except ValueError as exc:
             raise ValueError(f"{exc} (in {positioning.value} group, width {width:g})") from exc
     return [reports[scheme] for scheme in schemes]
 
 
 def _evaluate_group(
-    realization: ChannelRealization, group: list[SlicingScheme]
+    realization: ChannelRealization, ranked: list, group: list[SlicingScheme]
 ) -> dict[SlicingScheme, SecrecyReport]:
-    """Reports of one (positioning, width multiplier) group of schemes."""
+    """Reports of one (positioning, width multiplier) group of schemes.
+
+    ``ranked`` holds each party's (samples, sorting permutation).
+    """
     p = realization.params
     reports = {}
     deepest = max(group, key=lambda s: s.bits)
-    a, b, e = (
-        bin_indices(samples, deepest)
-        for samples in (realization.alice, realization.bob, realization.eve)
-    )
+    a, b, e = (_ranked_bins(samples, order, deepest) for samples, order in ranked)
     deep_pairs = [joint_cells(x, y) for x, y in ((a, b), (a, e), (b, e))]
     deep_triple = None  # built at the first depth whose CMI is within capacity
 
@@ -268,7 +272,8 @@ def sweep(
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]
     try:
         if workers > 1 and len(cells) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # Under fork the pool starts all max_workers processes at once.
+            with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
                 per_cell = list(pool.map(_sweep_cell, cells))
         else:
             per_cell = [_sweep_cell(cell) for cell in cells]

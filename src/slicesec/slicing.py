@@ -198,8 +198,9 @@ def compute_edges(samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
         # (numpy partitions around every requested order statistic, which
         # takes seconds once 2^b nears N). Its virtual index n q + (1 - q) - 1
         # is exactly (n - 1) q here because q = i / 2^b is dyadic, and q < 1
-        # keeps lower + 1 <= n - 1. The two-sided lerp is numpy's own.
-        ordered = np.sort(samples)
+        # keeps lower + 1 <= n - 1. The two-sided lerp is numpy's own. Samples
+        # that arrive sorted, as `bin_indices` passes them, are not sorted again.
+        ordered = samples if np.all(samples[1:] >= samples[:-1]) else np.sort(samples)
         h = (len(ordered) - 1) * (np.arange(1, n_bins) / n_bins)
         lower = np.floor(h)
         gamma = h - lower
@@ -233,56 +234,33 @@ def bin_indices(samples: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
     same floats as every 2^(bits - b)-th deeper boundary.
 
     Both positionings give exactly ``assign_bins(samples, edges)``, without
-    its binary search per sample. Equal-width indices come from
-    `_evenly_spaced_bins`. Equal-probability indices come from ranks: the
-    samples are sorted once, the edges are computed from the sorted copy
-    (quantiles depend only on the sorted values, so they are the same
-    floats), and one search per boundary finds the rank at which its bin
-    starts. The first sample not below a boundary starts the higher bin, so
-    a sample equal to a boundary goes to the higher bin, as in
-    `assign_bins`. Each run of ranks between two starts is one bin, written
-    back to the samples' original positions.
+    its binary search per sample: the samples are sorted once and the bins
+    read off their ranks (see `_ranked_bins`).
     """
     samples = np.asarray(samples, dtype=float)
-    if scheme.positioning is Positioning.EQUAL_WIDTH:
-        edges = compute_edges(samples, scheme)
-        return _evenly_spaced_bins(samples, edges.boundaries).astype(np.uint16)
-    order = np.argsort(samples)
+    return _ranked_bins(samples, np.argsort(samples), scheme)
+
+
+def _ranked_bins(samples: np.ndarray, order: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
+    """`bin_indices` of ``samples`` given their sorting permutation ``order``.
+
+    Equal-width edges read mean and std from the samples in their own order,
+    since a sum's last bits depend on the order of its terms; equal-probability
+    edges depend only on the sorted values, so they read the sorted copy. One
+    search per boundary then finds the rank at which its bin starts. The
+    first sample not below a boundary starts the higher bin, so a sample
+    equal to a boundary goes to the higher bin, as in `assign_bins`. Each run
+    of ranks between two starts is one bin, written back to the samples'
+    original positions.
+    """
     ordered = samples[order]
-    # The std of a permutation may differ in the last bit, but this
-    # positioning reads it only to reject non-finite or constant samples.
-    edges = compute_edges(ordered, scheme)
+    by_width = scheme.positioning is Positioning.EQUAL_WIDTH
+    edges = compute_edges(samples if by_width else ordered, scheme)
     starts = np.searchsorted(ordered, edges.boundaries, side="left")
     runs = np.diff(starts, prepend=0, append=len(ordered))
     idx = np.empty(len(ordered), dtype=np.uint16)
     idx[order] = np.repeat(np.arange(scheme.n_bins, dtype=np.uint16), runs)
     return idx
-
-
-def _evenly_spaced_bins(samples: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """`assign_bins` by arithmetic, for finite samples and evenly spaced boundaries.
-
-    The guess floor((x - first) / step) + 1, clipped to the bins, is within
-    one bin of the answer: its rounding error is a few ulps of the sample
-    range, far below one step. Each sample is then compared with the two
-    boundaries of its guessed bin and moved one bin down or up, and the loop
-    repeats until no sample moves, so that every index satisfies the
-    half-open cell rule and equals ``searchsorted(side="right")`` whatever
-    the guess. (With one boundary there is no spacing; any step will do.)
-    """
-    n_bins = len(boundaries) + 1
-    first = boundaries[0]
-    step = (boundaries[-1] - first) / (n_bins - 2) if n_bins > 2 else 1.0
-    guess = np.floor((samples - first) / step) + 1
-    idx = np.clip(guess, 0, n_bins - 1).astype(np.intp)
-    cell_edges = np.concatenate(([-np.inf], boundaries, [np.inf]))
-    while True:
-        down = samples < cell_edges[idx]
-        up = samples >= cell_edges[idx + 1]
-        if not (down.any() or up.any()):
-            return idx
-        idx += up
-        idx -= down
 
 
 def build_labels(numbering: Numbering, b: int) -> LabelTable:

@@ -247,6 +247,26 @@ def test_repeated_cell_exits_1_naming_both_rows(small_csv, tmp_path, capsys, com
     assert "rows 2 and 7" in err and "transmission 0.2 and scheme eqwidth:flfsr:3" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["best", "--mode", "direct"],
+    ["plot", "--plot-mode", "best_vs_t", "--mode", "direct"],
+])
+def test_row_longer_than_header_exits_1_naming_the_row(small_csv, tmp_path, capsys, command):
+    lines = small_csv.read_text().splitlines()
+    lines[1] += ",999,zzz"  # data row 1 gains two fields the header does not name
+    bad = tmp_path / "long.csv"
+    bad.write_text("\n".join(lines) + "\n")
+
+    argv = [command[0], str(bad), *command[1:]]
+    if command[0] == "plot":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 1
+    n = len(CSV_COLUMNS)
+    assert f"row 1 in {bad} has {n + 2} fields, more than the header's {n}" in (
+        capsys.readouterr().err
+    )
+
+
 class TestBest:
     def test_best_outputs_one_winner_per_t(self, small_csv, tmp_path, capsys):
         assert main(["best", str(small_csv), "--mode", "reverse"]) == 0

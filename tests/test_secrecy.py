@@ -24,6 +24,7 @@ from slicesec import (
     sweep,
     transmit,
 )
+from slicesec import secrecy
 from slicesec.cli import best_rows, emit_csv, read_csv
 from slicesec.secrecy import (
     SecrecyReport,
@@ -180,6 +181,28 @@ class TestSweep:
     def test_parallel_matches_serial(self, small_table):
         parallel = sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE, workers=2)
         assert parallel == small_table
+
+    def test_pool_never_outnumbers_the_cells(self, small_table, monkeypatch):
+        # Under fork the pool starts all max_workers processes at once; this
+        # stand-in records the size asked for and starts none.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(secrecy, "ProcessPoolExecutor", RecordingPool)
+        assert sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE, workers=10_000) == small_table
+        assert sizes == [len(SMALL_T)]
 
     def test_symbol_mi_ignores_numbering(self, small_table):
         # eqprob:binary:3 and eqprob:gray:3 share positioning and bit depth,

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from slicesec import (
     compute_edges,
     slice_samples,
 )
-from slicesec.slicing import _evenly_spaced_bins, _label_table
+from slicesec import slicing
+from slicesec.slicing import _label_table, _ranked_bins
 
 
 class TestSchemeParsing:
@@ -161,6 +163,36 @@ def test_equal_probability_edges_equal_numpy_quantile(seed, n, bits, scale, deci
     assert np.array_equal(edges, expected)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 3000),
+    bits=st.integers(1, 11),
+    decimals=st.sampled_from([0, 1, 2]),
+)
+def test_sorted_input_gives_the_edges_of_shuffled_input(seed, n, bits, decimals):
+    # Rounding makes ties, and -0.0 next to 0.0; the sorted copy is np.sort's own.
+    bits = min(bits, n.bit_length() - 1)
+    shuffled = np.round(np.random.default_rng(seed).normal(size=n), decimals)
+    ordered = np.sort(shuffled)
+    scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, bits)
+    try:
+        expected = compute_edges(shuffled, scheme).boundaries
+    except ValueError as exc:  # zero variance or heavy ties
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            compute_edges(ordered, scheme)
+        return
+    assert compute_edges(ordered, scheme).boundaries.tobytes() == expected.tobytes()
+
+
+def test_sorted_input_is_not_sorted_again():
+    ordered = np.sort(np.random.default_rng(5).normal(size=1000))
+    scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, 4)
+    with mock.patch.object(np, "sort", side_effect=AssertionError("sorted again")):
+        compute_edges(ordered, scheme)
+        bin_indices(ordered[::-1], scheme)
+
+
 class TestAssignBins:
     def test_hand_evaluated_assignment(self):
         edges = BinEdges(np.array([-1.5, 0.0, 1.5]))
@@ -224,7 +256,7 @@ def test_shallower_bins_are_exact_right_shifts(
     width_multiplier=st.floats(0.25, 8.0),
     decimals=st.sampled_from([None, 0, 2]),
 )
-def test_equal_width_bins_by_arithmetic_equal_searchsorted(
+def test_equal_width_bins_by_rank_equal_searchsorted(
     bits, seed, loc, scale, width_multiplier, decimals
 ):
     samples = loc + scale * np.random.default_rng(seed).normal(size=max(1 << bits, 500))
@@ -232,17 +264,34 @@ def test_equal_width_bins_by_arithmetic_equal_searchsorted(
         samples = np.round(samples, decimals)
     scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, bits, width_multiplier)
     try:
-        edges = compute_edges(samples, scheme).boundaries
+        edges = compute_edges(samples, scheme)
     except ValueError:  # zero variance, or a step below the float spacing
         return
-    # Values on every boundary and one ulp either side, and far outside +-k sigma.
+    # Values on every boundary and one ulp either side, and far outside +-k sigma,
+    # ranked against the samples' edges.
+    boundaries = edges.boundaries
     far = np.array([-1e300, 1e300, loc - 1e6 * scale, loc + 1e6 * scale, -0.0])
     probes = np.concatenate([
-        samples, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), far,
+        samples, boundaries, np.nextafter(boundaries, -np.inf),
+        np.nextafter(boundaries, np.inf), far,
     ])
-    expected = np.searchsorted(edges, probes, side="right")
-    assert np.array_equal(_evenly_spaced_bins(probes, edges), expected)
+    expected = np.searchsorted(boundaries, probes, side="right")
+    with mock.patch.object(slicing, "compute_edges", return_value=edges):
+        assert np.array_equal(_ranked_bins(probes, np.argsort(probes), scheme), expected)
     assert np.array_equal(bin_indices(samples, scheme), expected[: len(samples)])
+
+
+@pytest.mark.parametrize("positioning", list(Positioning))
+def test_rank_rule_reads_edges_in_the_order_that_fixes_them(positioning):
+    # A sum's last bits depend on the order of its terms, so equal-width edges
+    # (mean and std) read the samples as given; quantiles read the sorted copy.
+    samples = np.random.default_rng(9).normal(size=1000)
+    scheme = SlicingScheme(positioning, Numbering.BINARY, 3)
+    with mock.patch.object(slicing, "compute_edges", wraps=compute_edges) as spy:
+        bin_indices(samples, scheme)
+    (read, _), _ = spy.call_args
+    by_width = positioning is Positioning.EQUAL_WIDTH
+    assert np.array_equal(read, samples if by_width else np.sort(samples))
 
 
 @pytest.mark.parametrize("bits", [1, 2, 5, 9, 16])

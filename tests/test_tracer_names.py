@@ -31,3 +31,23 @@ def test_tracer_installs_and_restores_every_name(tmp_path):
         during = names()
     assert during != before
     assert names() == before
+
+
+def test_per_cell_layer_counts(tmp_path):
+    # The bench's per-layer metrics rest on these layer boundaries: one
+    # channel draw per cell, edges once per party per positioning, no
+    # binary-search binning, and one label-table lookup per scheme.
+    tracing = load_tracing()
+    schemes = ["eqwidth:gray:3", "eqwidth:flfsr:5", "eqprob:binary:4", "eqprob:gray:4"]
+    argv = ["sweep", "--samples", "3000", "--t", "0.3,0.6", "--workers", "1",
+            "--schemes", ",".join(schemes), "--out", str(tmp_path / "sweep.csv")]
+    with tracing.installed(tracing.Tracer(str(tmp_path))) as tracer:
+        assert cli.main(argv) == 0
+    cells = 2
+    calls = tracer.calls
+    assert calls["channel.transmit"] == cells
+    # Three parties per positioning: 6 compute_edges calls per cell.
+    assert calls["slicing.compute_edges.eqwidth"] == 3 * cells
+    assert calls["slicing.compute_edges.eqprob"] == 3 * cells
+    assert calls["slicing.assign_bins"] == 0
+    assert calls["slicing.build_labels"] == len(schemes) * cells
