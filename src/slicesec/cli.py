@@ -347,7 +347,7 @@ def selftest(corrupt_labels: bool = False, stream=None) -> int:
     alice, bob = (bin_indices(v, scheme) for v in (real.alice, real.bob))
     gray = build_labels(Numbering.GRAY, 4)
     ber = infotheory.bit_error_rate_from_tables(
-        infotheory.label_bit_tables(*infotheory.joint_cells(alice, bob), gray)
+        infotheory.label_bit_tables(infotheory.joint_cells(alice, bob), [gray])[0]
     )
     check("T=1 gives zero Alice-Bob BER", ber == 0.0)
 
@@ -366,6 +366,16 @@ def selftest(corrupt_labels: bool = False, stream=None) -> int:
         edges = slicing.compute_edges(coarse, scheme)
         ok &= np.array_equal(bin_indices(coarse, scheme), slicing.assign_bins(coarse, edges))
     check("bins of both positionings equal a binary search over the same edges", ok)
+
+    # Equal-width ties: 512 samples at -1 and at +1 and 3072 at 0 have mean 0
+    # and std 0.5 exactly, so at width 2 and b = 2 the boundaries are -0.5, 0
+    # and 0.5, and the 3072 zeros sit on a boundary, which sends them higher.
+    tied = np.random.default_rng(0).permutation(np.repeat([-1.0, 0.0, 1.0], [512, 3072, 512]))
+    scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 2, 2.0)
+    edges = slicing.compute_edges(tied, scheme)
+    check("equal-width bins of samples tied on a boundary equal a binary search",
+          np.isin(tied, edges.boundaries).sum() > 0
+          and np.array_equal(bin_indices(tied, scheme), slicing.assign_bins(tied, edges)))
 
     # Determinism of the channel
     r2 = transmit(ChannelParams(transmission=1.0, samples=5000, seed=7))

@@ -3,7 +3,11 @@
 All quantities are in bits (log base 2). Every estimator reads one sparse
 joint histogram, the occupied cells of `joint_cells`, and sums over those
 cells only, so no estimator allocates an array whose size is a product of
-alphabet sizes. No bias correction is applied; the known positive bias of
+alphabet sizes. A histogram (`JointCells`) holds one int64 code per
+occupied cell, its coordinates packed b bits each with the first highest,
+so ascending codes are row-major cell order. Coarsening (`coarsen_cells`)
+repacks each field at fewer bits, and every marginal is a shift and a mask
+of the codes. No bias correction is applied; the known positive bias of
 the plug-in MI, roughly (|A|-1)(|B|-1)/(2 N ln 2), is exposed as an oracle
 so tests and sanity checks can bound it.
 """
@@ -11,6 +15,7 @@ so tests and sanity checks can bound it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,83 +71,130 @@ def plugin_bias(alphabet_a: int, alphabet_b: int, n: int, conditioning: int = 1)
     return conditioning * (alphabet_a - 1) * (alphabet_b - 1) / (2.0 * n * math.log(2.0))
 
 
-def joint_cells(
-    *indices: np.ndarray, weights: np.ndarray | None = None
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+@dataclass(frozen=True)
+class JointCells:
+    """A sparse joint histogram: one packed code per occupied cell, and its count.
+
+    Each of the ``ndim`` coordinates takes ``bits`` bits of a cell's int64
+    code, the first coordinate highest, so ascending codes are row-major cell
+    order: (x, y) is ``x << bits | y`` and (x, y, z) is
+    ``(x << bits | y) << bits | z``. ``codes`` ascend and ``counts`` are
+    positive int64.
+    """
+
+    codes: np.ndarray
+    counts: np.ndarray
+    bits: int
+    ndim: int
+
+    def coordinate(self, i: int) -> np.ndarray:
+        """Coordinate ``i`` of every occupied cell, in cell order."""
+        return (self.codes >> ((self.ndim - 1 - i) * self.bits)) & ((1 << self.bits) - 1)
+
+
+def joint_cells(*indices: np.ndarray, weights: np.ndarray | None = None) -> JointCells:
     """Sparse joint histogram of equal-length nonnegative index vectors.
 
-    Returns the coordinates of each occupied cell, one array per input in
-    row-major cell order, and each cell's count. There are at most
-    min(N, product of alphabet sizes) cells. With ``weights``, the integer
-    counts of an existing histogram whose cells the indices label, each
-    input adds its weight instead of 1, so that coarsening a histogram
-    (see `coarsen_cells`) gives the same cells and counts as histogramming
-    the coarsened samples.
+    Each coordinate takes b bits, the bit length of the largest index; the
+    caller keeps k b within 63 for k inputs (see `_index_vectors`). There
+    are at most min(N, 2^(k b)) occupied cells. With ``weights``,
+    the integer counts of an existing histogram whose cells the indices
+    label, each input adds its weight instead of 1, so that coarsening a
+    histogram (see `coarsen_cells`) gives the same cells and counts as
+    histogramming the coarsened samples.
 
-    The alphabet sizes are max + 1 of each input. When their product is
-    small against the number of inputs, a dense `np.bincount` counts the
-    cells; otherwise the distinct cell codes are sorted. Both give the same
-    arrays. "Small" is at most 1x the inputs, or 2x for weighted inputs,
-    whose sorted path needs `np.unique(return_inverse=True)` and a second
-    `bincount`. Median times on a 2-vCPU Xeon VM with numpy 2.4, for 26k
-    weighted cells in random order and a product of 1.25x / 2x / 4x the
-    cells: dense 0.69 / 1.30 / 1.10 ms, sorted 1.64 / 1.60 / 0.96 ms.
-    Unweighted, `np.unique(return_counts=True)` already wins at 2x: 0.36
-    against 1.91 ms at 50k inputs. The weighted rule serves `coarsen_cells`:
-    at N = 5e4, T = 0.5 and seed 42, the equal-width (A, B, E) histogram
-    coarsens from 26,842 occupied depth-6 cells into 32,768 depth-5 codes
-    in 0.23 ms dense against 0.91 ms sorted.
+    When the packed code space 2^(k b) is small against the number of
+    inputs, a dense `np.bincount` counts the cells; otherwise the distinct
+    codes are sorted. Both give the same arrays. "Small" is at most 1x the
+    inputs, or 2x for weighted inputs, whose sorted path needs an argsort
+    rather than a sort. Median times (of 3 runs of 101) on a 2-vCPU Xeon VM
+    with numpy 2.4.6, for weighted cells in random order: 26,214 cells in
+    2^15 codes (1.25x), dense 0.79 against sorted 1.42 ms; 32,768 cells in
+    2^16 (2x), 0.82 against 0.99 ms; 32,768 in 2^17 (4x), 0.94 against
+    1.15 ms, within the runs' spread. Unweighted, `np.unique(return_counts=True)`
+    already wins at 2x: 0.66 against 1.21 ms for 65,536 inputs in 2^17
+    codes. The weighted rule serves `coarsen_cells`: at N = 5e4, T = 0.5
+    and seed 42, the equal-width (A, B, E) histogram coarsens from 26,632
+    occupied depth-6 cells into 2^15 depth-5 codes in 0.22 ms dense against
+    0.84 ms sorted.
     """
-    shape = tuple(int(v.max()) + 1 for v in indices)
-    codes = np.ravel_multi_index(indices, shape)
-    size = math.prod(shape)
+    bits = max(int(v.max()) for v in indices).bit_length()
+    width = len(indices) * bits
+    codes = indices[0].astype(np.int64)
+    for v in indices[1:]:
+        codes <<= bits
+        codes |= v
+    codes, counts = _count_codes(codes, width, weights)
+    return JointCells(codes, counts, bits, len(indices))
+
+
+def _count_codes(
+    codes: np.ndarray, width: int, weights: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``width``-bit codes, ascending as int64, and their counts.
+
+    See `joint_cells` for the rule that picks a dense or a sorted count.
+    """
+    size = 1 << width
     if size <= (1 if weights is None else 2) * len(codes):
         dense = np.bincount(codes, weights=weights, minlength=size)
         codes = np.flatnonzero(dense)
-        counts = dense[codes]
+        # Float sums of integer counts are exact, so the cast loses nothing.
+        counts = dense[codes].astype(np.int64, copy=False)
     else:
-        if size <= 1 << 31:
+        if width <= 31:
             codes = codes.astype(np.int32)  # 32-bit codes sort about twice as fast
         if weights is None:
             codes, counts = np.unique(codes, return_counts=True)
         else:
-            codes, inverse = np.unique(codes, return_inverse=True)
-            counts = np.bincount(inverse, weights=weights)
-    if weights is not None:
-        counts = counts.astype(np.int64)  # float sums of integer counts are exact
-    return np.unravel_index(codes, shape), counts
+            order = np.argsort(codes)
+            codes = codes[order]
+            starts = np.flatnonzero(np.diff(codes, prepend=-1))
+            codes, counts = codes[starts], np.add.reduceat(weights[order], starts)
+    return codes.astype(np.int64, copy=False), counts
 
 
-def coarsen_cells(
-    coords: tuple[np.ndarray, ...], counts: np.ndarray, shift: int
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def coarsen_cells(cells: JointCells, shift: int) -> JointCells:
     """`joint_cells` of every index shifted right by ``shift``, from the occupied cells.
 
-    Integer counts merge exactly, so this equals histogramming the shifted
-    samples again, at the cost of the occupied cells rather than of N.
+    Each ``bits``-bit field of a code is shifted and repacked at
+    ``bits - shift`` bits. Integer counts merge exactly, so this equals
+    histogramming the shifted samples again, at the cost of the occupied
+    cells rather than of N.
     """
     if shift == 0:
-        return coords, counts
-    return joint_cells(*(c >> shift for c in coords), weights=counts)
+        return cells
+    bits = max(cells.bits - shift, 0)
+    mask = (1 << bits) - 1
+    codes = cells.codes >> ((cells.ndim - 1) * cells.bits + shift)
+    for i in range(cells.ndim - 2, -1, -1):
+        codes <<= bits
+        codes |= (cells.codes >> (i * cells.bits + shift)) & mask
+    codes, counts = _count_codes(codes, cells.ndim * bits, cells.counts)
+    return JointCells(codes, counts, bits, cells.ndim)
 
 
-def plugin_mi(coords: tuple[np.ndarray, ...], counts: np.ndarray) -> float:
-    """Plug-in I(X;Y), or I(X;Y|Z) given a third coordinate, from occupied cells.
+def plugin_mi(cells: JointCells) -> float:
+    """Plug-in I(X;Y) of a pair histogram, or I(X;Y|Z) of a triple, from occupied cells.
 
-    ``coords`` and ``counts`` are a sparse joint histogram (see `joint_cells`).
-    Each marginal is accumulated over the cells in row-major order.
+    Each marginal is accumulated over the cells in ascending code order,
+    read off the codes by shift and mask.
     """
-    p = counts / counts.sum()
+    p = cells.counts / cells.counts.sum()
 
     def marginal(code: np.ndarray) -> np.ndarray:
         return np.bincount(code, weights=p)[code]
 
-    if len(coords) == 2:
-        ratio = p / (marginal(coords[0]) * marginal(coords[1]))
+    codes, b = cells.codes, cells.bits
+    low = (1 << b) - 1
+    if cells.ndim == 2:
+        x, y = _marginal_code(codes >> b, b), _marginal_code(codes & low, b)
+        ratio = p / (marginal(x) * marginal(y))
     else:
-        x, y, z = coords
-        kz = int(z.max()) + 1
-        ratio = marginal(z) * p / (marginal(_pair_code(x, z, kz)) * marginal(_pair_code(y, z, kz)))
+        z = codes & low
+        xz = _marginal_code((codes >> (2 * b) << b) | z, 2 * b)
+        yz = _marginal_code(codes & ((1 << (2 * b)) - 1), 2 * b)
+        ratio = marginal(_marginal_code(z, b)) * p / (marginal(xz) * marginal(yz))
     terms = p * np.log2(ratio)
     # Summing in sorted order makes the result exactly symmetric in X and Y
     # (swapping them permutes the same term multiset).
@@ -151,15 +203,14 @@ def plugin_mi(coords: tuple[np.ndarray, ...], counts: np.ndarray) -> float:
     return max(0.0, float(terms.sum()))
 
 
-def _pair_code(v: np.ndarray, z: np.ndarray, kz: int) -> np.ndarray:
-    """A code per occupied (v, z) pair whose marginal spans no product of alphabets.
+def _marginal_code(code: np.ndarray, width: int) -> np.ndarray:
+    """A marginal's code per occupied cell, whose histogram spans at most the cells.
 
-    v * kz + z itself when that code space is no larger than the number of
-    cells, else the pairs numbered densely. A marginal accumulates each code's
-    cells in input order either way, so both give the same floats.
+    ``code`` itself when its 2^width code space is no larger than the number
+    of cells, else its values numbered densely. A marginal accumulates each
+    code's cells in input order either way, so both give the same floats.
     """
-    code = v * kz + z
-    if (int(v.max()) + 1) * kz > len(code):
+    if 1 << width > len(code):
         code = np.unique(code, return_inverse=True)[1]
     return code
 
@@ -183,19 +234,32 @@ def plugin_mi_2x2(tables: np.ndarray) -> np.ndarray:
 
 
 def _index_vectors(*vectors) -> list[np.ndarray]:
-    vectors = [np.asarray(v, dtype=np.int64) for v in vectors]
+    """The inputs as int64 index vectors whose cells pack into one 63-bit code."""
+    vectors = [np.asarray(v) for v in vectors]
     if len({len(v) for v in vectors}) != 1:
         raise ValueError(f"length mismatch: {', '.join(str(len(v)) for v in vectors)}")
     if len(vectors[0]) == 0:
         raise ValueError("empty input")
-    return vectors
+    for v in vectors:
+        if v.dtype.kind not in "biu":
+            raise ValueError(f"index vectors must hold integers, got dtype {v.dtype}")
+    lowest = min(int(v.min()) for v in vectors)
+    if lowest < 0:
+        raise ValueError(f"index vectors must be nonnegative, got {lowest}")
+    highest = max(int(v.max()) for v in vectors)
+    if len(vectors) * highest.bit_length() > 63:
+        raise ValueError(
+            f"index {highest} needs {highest.bit_length()} bits, too wide to pack"
+            f" {len(vectors)} indices into a 63-bit cell code"
+        )
+    return [v.astype(np.int64) for v in vectors]
 
 
 def mutual_information_symbols(a: np.ndarray, b: np.ndarray) -> MIEstimate:
     """Plug-in I(A;B) over two equal-length index vectors."""
     a, b = _index_vectors(a, b)
     return MIEstimate(
-        value=plugin_mi(*joint_cells(a, b)),
+        value=plugin_mi(joint_cells(a, b)),
         alphabet_sizes=(int(a.max()) + 1, int(b.max()) + 1),
         n=len(a),
     )
@@ -213,15 +277,16 @@ def mutual_information_bitwise(a: BitMatrix, b: BitMatrix) -> MIEstimate:
     # A plain loop: from Python 3.12 on, sum() compensates float rounding.
     total = 0.0
     for j in range(a.n_bits):
-        total += plugin_mi(*joint_cells(a.bits[:, j], b.bits[:, j]))
+        total += plugin_mi(joint_cells(a.bits[:, j], b.bits[:, j]))
     return MIEstimate(value=total, alphabet_sizes=(2, 2), n=a.n_symbols)
 
 
 def bitwise_mi_from_tables(tables: np.ndarray) -> np.ndarray:
     """Sum of the binary plug-in MI of each bit's 2x2 count table, in bit order.
 
-    ``tables`` is a `label_bit_tables` result, shape (b, 2, 2), or a stack of
-    them, shape (m, b, 2, 2); one `plugin_mi_2x2` call serves every table.
+    ``tables`` holds one codebook's per-bit tables, shape (b, 2, 2), or a
+    stack of them, shape (m, b, 2, 2), as `label_bit_tables` returns; one
+    `plugin_mi_2x2` call serves every table.
     Returns one float, or m of them, equal to `mutual_information_bitwise`.
     """
     per_bit = plugin_mi_2x2(tables.reshape(-1, 2, 2)).reshape(tables.shape[:-2])
@@ -231,41 +296,43 @@ def bitwise_mi_from_tables(tables: np.ndarray) -> np.ndarray:
     return total[()]
 
 
-def label_bit_tables(
-    coords: tuple[np.ndarray, np.ndarray], counts: np.ndarray, table: LabelTable
-) -> np.ndarray:
-    """Per-bit 2x2 count tables of a labelled symbol pair, shape (b, 2, 2).
+def label_bit_tables(cells: JointCells, tables: Sequence[LabelTable]) -> np.ndarray:
+    """Per-bit 2x2 count tables of a labelled symbol pair, shape (m, b, 2, 2).
 
-    ``coords`` and ``counts`` are a sparse joint histogram of two parties
-    (see `joint_cells`); ``table`` is the numbering's label codebook. Entry
-    [j, u, v] counts the samples whose first party's bit j is u and second's
+    ``cells`` is a sparse joint histogram of two parties (see `joint_cells`)
+    and ``tables`` m label codebooks of one depth. Entry [i, j, u, v] counts
+    the samples whose first party's bit j under codebook i is u and second's
     is v: each per-bit table is an exact marginal of the symbol joint.
 
     Every per-bit sum is taken over a 2^b-entry histogram, so no cell's
     label is expanded to b bits: a party's ones come from its symbol
-    marginal, and the samples where both bits are one from the histogram of
-    the two labels' bitwise AND, whose bits are those of the binary codebook.
+    marginal, counted once for every codebook, and the samples where both
+    bits are one from the histogram of the two labels' bitwise AND, whose
+    bits are those of the binary codebook.
     """
-    k, b = table.labels.shape
+    k, b = tables[0].labels.shape
+    x, y, counts = cells.coordinate(0), cells.coordinate(1), cells.counts
 
-    def ones(index: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    def hist(index: np.ndarray) -> np.ndarray:
         # Float sums of integer counts are exact, so the cast loses nothing.
-        hist = np.bincount(index, weights=counts, minlength=k).astype(counts.dtype)
-        return np.einsum("i,ij->j", hist, labels)
+        return np.bincount(index, weights=counts, minlength=k).astype(counts.dtype)
 
+    labels = np.stack([table.labels for table in tables])
+    binary = build_labels(Numbering.BINARY, b).labels
+    ones_x = hist(x) @ labels
+    ones_y = hist(y) @ labels
+    both = np.stack([hist(t.codes[x] & t.codes[y]) for t in tables]) @ binary
     n = counts.sum()
-    ones_x = ones(coords[0], table.labels)
-    ones_y = ones(coords[1], table.labels)
-    both = ones(
-        table.codes[coords[0]] & table.codes[coords[1]], build_labels(Numbering.BINARY, b).labels
-    )
     return np.stack(
-        [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=1
-    ).reshape(-1, 2, 2)
+        [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=-1
+    ).reshape(len(tables), b, 2, 2)
 
 
 def bit_error_rate_from_tables(tables: np.ndarray) -> float:
-    """Fraction of differing bits over all N*b positions, from `label_bit_tables`."""
+    """Fraction of differing bits over all N*b positions, from per-bit tables.
+
+    ``tables`` are one codebook's, shape (b, 2, 2), as in a `label_bit_tables` stack.
+    """
     return int(tables[:, 0, 1].sum() + tables[:, 1, 0].sum()) / int(tables.sum())
 
 
@@ -287,7 +354,7 @@ def conditional_mi(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> MIEstimate:
     """Plug-in I(A;B|Z) from the 3-way joint histogram."""
     a, b, z = _index_vectors(a, b, z)
     sizes = cmi_alphabet(a, b, z)
-    return MIEstimate(value=plugin_mi(*joint_cells(a, b, z)), alphabet_sizes=sizes, n=len(a))
+    return MIEstimate(value=plugin_mi(joint_cells(a, b, z)), alphabet_sizes=sizes, n=len(a))
 
 
 def bit_error_rate(a: BitMatrix, b: BitMatrix) -> float:

@@ -115,13 +115,14 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     table. Each party is sorted once per cell, and its bins in every
     (positioning, width multiplier) group come from the ranks of that one
     sort (see `bin_indices`), at the group's deepest bit count. The three
-    pair histograms and, if some depth's CMI is reported, the (A, B, E)
-    histogram are built once per group from those indices. A shallower depth
-    is an exact right shift of the indices, so its histograms are the
-    deepest ones coarsened (see `coarsen_cells`). Each pair's histogram
-    gives the symbol MI and, with each numbering's label table, that
-    numbering's bitwise MI and BER, since every per-bit 2x2 table is a
-    marginal of that joint. A failure names the group it happened in.
+    pair histograms are built once per group from those indices, and the
+    (A, B, E) histogram once, at the deepest depth whose CMI is reported.
+    A shallower depth is an exact right shift of the indices, so its
+    histograms are those coarsened (see `coarsen_cells`). Each pair's
+    histogram gives the symbol MI and, with each numbering's label table,
+    that numbering's bitwise MI and BER, since every per-bit 2x2 table is a
+    marginal of that joint. A binning failure names the party, its depth
+    and the group.
     """
     schemes = list(schemes)
     groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
@@ -131,11 +132,8 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     parties = (realization.alice, realization.bob, realization.eve)
     ranked = [(samples, np.argsort(samples)) for samples in parties]
     reports: dict[SlicingScheme, SecrecyReport] = {}
-    for (positioning, width), group in groups.items():
-        try:
-            reports.update(_evaluate_group(realization, ranked, group))
-        except ValueError as exc:
-            raise ValueError(f"{exc} (in {positioning.value} group, width {width:g})") from exc
+    for group in groups.values():
+        reports.update(_evaluate_group(realization, ranked, group))
     return [reports[scheme] for scheme in schemes]
 
 
@@ -149,31 +147,30 @@ def _evaluate_group(
     p = realization.params
     reports = {}
     deepest = max(group, key=lambda s: s.bits)
-    a, b, e = (_ranked_bins(samples, order, deepest) for samples, order in ranked)
+    deep = deepest.bits
+    parties = zip(("alice", "bob", "eve"), ranked)
+    a, b, e = (_party_bins(party, samples_order, deepest) for party, samples_order in parties)
     deep_pairs = [joint_cells(x, y) for x, y in ((a, b), (a, e), (b, e))]
-    deep_triple = None  # built at the first depth whose CMI is within capacity
 
-    for bits in sorted({s.bits for s in group}):
-        shift = deepest.bits - bits
-        pairs = [coarsen_cells(*joint, shift) for joint in deep_pairs]
-        try:
-            # The (A, B, E) alphabet, read off the A-B and A-E coordinates.
-            cmi_alphabet(*pairs[0][0], pairs[1][0][1])
-        except AlphabetCapacityError:
-            cmi = None
-        else:
-            if deep_triple is None:
-                deep_triple = joint_cells(a, b, e)
-            cmi = plugin_mi(*coarsen_cells(*deep_triple, shift))
-        i_ab_sym, i_ae_sym, i_be_sym = (plugin_mi(*joint) for joint in pairs)
+    depths = sorted({s.bits for s in group})
+    # A depth's (A, B, E) alphabet grows with the depth, so the depths whose
+    # CMI is within capacity are the shallowest ones; each party's largest
+    # bin there is its deepest one shifted.
+    largest = [np.array([v.max()]) for v in (a, b, e)]
+    reported = [d for d in depths if _within_capacity(*(v >> (deep - d) for v in largest))]
+    if reported:
+        shift = deep - reported[-1]
+        triple = joint_cells(a >> shift, b >> shift, e >> shift)
+
+    for bits in depths:
+        pairs = [coarsen_cells(cells, deep - bits) for cells in deep_pairs]
+        cmi = plugin_mi(coarsen_cells(triple, reported[-1] - bits)) if bits in reported else None
+        i_ab_sym, i_ae_sym, i_be_sym = (plugin_mi(cells) for cells in pairs)
 
         at_depth = [s for s in group if s.bits == bits]
         tables = [build_labels(scheme.numbering, bits) for scheme in at_depth]
         # Per pair, every numbering's per-bit tables, shape (numberings, bits, 2, 2).
-        bit_tables = [
-            np.stack([label_bit_tables(*joint, table) for table in tables])
-            for joint in pairs
-        ]
+        bit_tables = [label_bit_tables(cells, tables) for cells in pairs]
         bitwise_mi = [bitwise_mi_from_tables(t) for t in bit_tables]
 
         for k, (scheme, table) in enumerate(zip(at_depth, tables)):
@@ -200,6 +197,29 @@ def _evaluate_group(
                 seed=p.seed,
             )
     return reports
+
+
+def _party_bins(party: str, ranked: tuple, scheme: SlicingScheme) -> np.ndarray:
+    """One party's bins under ``scheme`` from its (samples, sorting permutation).
+
+    A failure names the party, the depth and the scheme's group.
+    """
+    try:
+        return _ranked_bins(*ranked, scheme)
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc} ({party} at {scheme.bits} bits, in {scheme.positioning.value} group,"
+            f" width {scheme.width_multiplier:g})"
+        ) from exc
+
+
+def _within_capacity(*indices: np.ndarray) -> bool:
+    """Whether the (A, B, E) alphabet of these indices is within CMI capacity."""
+    try:
+        cmi_alphabet(*indices)
+    except AlphabetCapacityError:
+        return False
+    return True
 
 
 def realization_for_cell(base: ChannelParams, t: float, t_index: int) -> ChannelRealization:

@@ -3,9 +3,10 @@ import io
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from slicesec import ChannelParams, SlicingScheme
+from slicesec import ChannelParams, SlicingScheme, slicing
 from slicesec.cli import CSV_COLUMNS, main, parse_args, read_csv, selftest
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_sweep.csv"
@@ -178,7 +179,10 @@ def test_sweep_error_names_the_failing_transmission(tmp_path, capsys, workers):
         "--schemes", "eqprob:gray:4", "--workers", workers,
         "--out", str(tmp_path / "x.csv"),
     ]) == 1
-    assert "T=0: degenerate samples" in capsys.readouterr().err
+    assert (
+        "T=0: degenerate samples: zero variance (bob at 4 bits, in eqprob group, width 3)"
+        in capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
@@ -325,3 +329,23 @@ class TestSelftest:
 
     def test_cli_entry(self):
         assert main(["selftest"]) == 0
+
+    def test_tie_probe_fails_when_rank_bins_send_ties_lower(self, monkeypatch):
+        # The rank rule's boundary search with side="right" puts a sample that
+        # equals a boundary in the lower bin; `assign_bins` searches with
+        # side="right" already, so forcing it everywhere changes only the rank rule.
+        class RightSided:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def searchsorted(a, v, side="left", sorter=None):
+                return np.searchsorted(a, v, side="right", sorter=sorter)
+
+        monkeypatch.setattr(slicing, "np", RightSided())
+        buf = io.StringIO()
+        assert selftest(stream=buf) == 1
+        assert (
+            "FAIL  equal-width bins of samples tied on a boundary equal a binary search"
+            in buf.getvalue()
+        )

@@ -130,6 +130,24 @@ class TestSymbolMI:
         with pytest.raises(ValueError):
             mutual_information_symbols(np.array([]), np.array([]))
 
+    def test_rejects_non_integer_indices(self):
+        # Casting would truncate 0.5 and 1.7 to 0 and 1: a silent 1.0 bit.
+        with pytest.raises(ValueError, match="must hold integers, got dtype float64"):
+            mutual_information_symbols([0.5, 1.7], [0, 1])
+
+    def test_rejects_negative_indices(self):
+        # A packed cell code would alias -1 with another cell.
+        with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+            mutual_information_symbols([0, -1], [0, 1])
+
+    @pytest.mark.parametrize("estimator,top", [
+        (mutual_information_symbols, 2**40), (conditional_mi, 2**21),
+    ])
+    def test_rejects_indices_too_wide_to_pack(self, estimator, top):
+        vectors = [[0, top]] + [[0, 1]] * (2 if estimator is conditional_mi else 1)
+        with pytest.raises(ValueError, match=f"index {top} needs .* too wide to pack"):
+            estimator(*vectors)
+
     def test_bounded_by_entropy(self):
         rng = np.random.default_rng(5)
         a = rng.integers(0, 4, size=2000)
@@ -211,7 +229,7 @@ def test_label_bit_tables_are_marginals_of_the_symbol_joint(seed, bits, numberin
     y = np.clip(x + rng.integers(-noise, noise + 1, size=n), 0, k - 1)
     table = build_labels(numbering, bits)
     labels = table.labels
-    tables = label_bit_tables(*joint_cells(x, y), table)
+    tables = label_bit_tables(joint_cells(x, y), [table])[0]
 
     bx, by = labels[x], labels[y]
     for j in range(bits):
@@ -322,11 +340,18 @@ def dense_cells(indices, weights=None):
 
 
 def assert_same_cells(got, expected):
-    (got_coords, got_counts), (exp_coords, exp_counts) = got, expected
-    assert len(got_coords) == len(exp_coords)
-    for g, e in zip(got_coords, exp_coords):
-        assert g.dtype == np.intp and np.array_equal(g, e)
-    assert got_counts.dtype == np.int64 and np.array_equal(got_counts, exp_counts)
+    exp_coords, exp_counts = expected
+    assert got.ndim == len(exp_coords)
+    assert got.codes.dtype == np.int64 and (np.diff(got.codes) > 0).all()
+    for i, e in enumerate(exp_coords):
+        assert np.array_equal(got.coordinate(i), e)
+    assert got.counts.dtype == np.int64 and np.array_equal(got.counts, exp_counts)
+
+
+def table_cells(table):
+    """The occupied cells of a dense count table, as a sparse joint histogram."""
+    coords = np.nonzero(table)
+    return joint_cells(*coords, weights=table[coords])
 
 
 @settings(max_examples=80, deadline=None)
@@ -376,9 +401,11 @@ def test_coarsened_cells_equal_cells_of_shifted_indices(seed, bits, parties, n, 
         np.clip(x + rng.integers(-9, 10, size=n), 0, (1 << bits) - 1) for _ in range(parties - 1)
     ]
     indices = [v.astype(np.uint16) for v in indices]
-    assert_same_cells(
-        coarsen_cells(*joint_cells(*indices), shift), joint_cells(*(v >> shift for v in indices))
-    )
+    got = coarsen_cells(joint_cells(*indices), shift)
+    expected = joint_cells(*(v >> shift for v in indices))
+    assert (got.bits, got.ndim) == (expected.bits, expected.ndim)
+    assert np.array_equal(got.codes, expected.codes)
+    assert np.array_equal(got.counts, expected.counts)
 
 
 def test_coarsening_between_the_unweighted_and_weighted_limits():
@@ -387,9 +414,9 @@ def test_coarsening_between_the_unweighted_and_weighted_limits():
     rng = np.random.default_rng(5)
     x = rng.integers(0, 16, size=2000)
     y = np.clip(x + rng.integers(0, 3, size=2000), 0, 15)
-    coords, counts = joint_cells(x, y)
-    assert len(counts) < 8 * 8 <= 2 * len(counts)
-    assert_same_cells(coarsen_cells(coords, counts, 1), dense_cells([x >> 1, y >> 1]))
+    cells = joint_cells(x, y)
+    assert len(cells.counts) < 8 * 8 <= 2 * len(cells.counts)
+    assert_same_cells(coarsen_cells(cells, 1), dense_cells([x >> 1, y >> 1]))
 
 
 tables_2x2 = st.lists(
@@ -404,8 +431,7 @@ def test_batched_2x2_mi_equals_plugin_mi_bit_for_bit(rows):
     tables = np.array(rows, dtype=np.int64).reshape(-1, 2, 2)
     got = plugin_mi_2x2(tables)
     for table, value in zip(tables, got):
-        cells = np.nonzero(table)
-        assert value == plugin_mi(cells, table[cells])
+        assert value == plugin_mi(table_cells(table))
 
 
 def test_batched_2x2_mi_on_random_tables():
@@ -420,8 +446,7 @@ def test_batched_2x2_mi_on_random_tables():
     got = plugin_mi_2x2(tables)
     assert (got[:4] == 0.0).all()
     for table, value in zip(tables, got):
-        cells = np.nonzero(table)
-        assert value == plugin_mi(cells, table[cells])
+        assert value == plugin_mi(table_cells(table))
 
 
 def test_bitwise_mi_of_a_stack_sums_each_table_in_bit_order():
@@ -432,8 +457,7 @@ def test_bitwise_mi_of_a_stack_sums_each_table_in_bit_order():
     for tables, total in zip(stack, totals):
         expected = 0.0
         for table in tables:
-            cells = np.nonzero(table)
-            expected += plugin_mi(cells, table[cells])
+            expected += plugin_mi(table_cells(table))
         assert total == expected
         assert bitwise_mi_from_tables(tables) == expected
 
@@ -447,14 +471,28 @@ def test_label_bit_tables_equal_the_gathered_label_formula(bits, numbering):
     k = 1 << bits
     x = rng.integers(0, k, size=20_000)
     y = np.clip(x + rng.integers(-k // 16, k // 16 + 1, size=x.size), 0, k - 1)
-    coords, counts = joint_cells(x, y)
+    cells = joint_cells(x, y)
+    counts = cells.counts
     table = build_labels(numbering, bits)
     labels = table.labels
-    lx, ly = labels[coords[0]].astype(np.int64), labels[coords[1]].astype(np.int64)
+    lx, ly = (labels[cells.coordinate(i)].astype(np.int64) for i in (0, 1))
     n = counts.sum()
     ones_x, ones_y, both = counts @ lx, counts @ ly, counts @ (lx & ly)
     expected = np.stack(
         [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=1
     ).reshape(-1, 2, 2)
-    got = label_bit_tables((coords[0], coords[1]), counts, table)
+    got = label_bit_tables(cells, [table])[0]
     assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("bits", [1, 5, 12])
+def test_label_bit_tables_of_several_codebooks_stack_each_codebooks_tables(bits):
+    rng = np.random.default_rng(bits)
+    x = rng.integers(0, 1 << bits, size=5000)
+    y = (x + rng.integers(0, 3, size=x.size)) % (1 << bits)
+    cells = joint_cells(x, y)
+    tables = [build_labels(numbering, bits) for numbering in Numbering]
+    got = label_bit_tables(cells, tables)
+    assert got.shape == (len(tables), bits, 2, 2)
+    for stacked, table in zip(got, tables):
+        assert np.array_equal(stacked, label_bit_tables(cells, [table])[0])

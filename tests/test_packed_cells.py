@@ -1,0 +1,148 @@
+"""The packed-code histogram kernels against the coordinate-tuple kernels they replaced.
+
+`oracle_joint_cells`, `oracle_coarsen_cells` and `oracle_plugin_mi` are the
+earlier implementations, which numbered each cell with `np.ravel_multi_index`
+over the alphabet sizes (max + 1 per coordinate) and returned one coordinate
+array per input. The packed kernels must give the same cells, the same
+counts and the same floats, bit for bit.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slicesec.infotheory import coarsen_cells, joint_cells, plugin_mi
+
+
+def oracle_joint_cells(*indices, weights=None):
+    shape = tuple(int(v.max()) + 1 for v in indices)
+    codes = np.ravel_multi_index(indices, shape)
+    size = math.prod(shape)
+    if size <= (1 if weights is None else 2) * len(codes):
+        dense = np.bincount(codes, weights=weights, minlength=size)
+        codes = np.flatnonzero(dense)
+        counts = dense[codes]
+    else:
+        if size <= 1 << 31:
+            codes = codes.astype(np.int32)
+        if weights is None:
+            codes, counts = np.unique(codes, return_counts=True)
+        else:
+            codes, inverse = np.unique(codes, return_inverse=True)
+            counts = np.bincount(inverse, weights=weights)
+    if weights is not None:
+        counts = counts.astype(np.int64)
+    return np.unravel_index(codes, shape), counts
+
+
+def oracle_coarsen_cells(coords, counts, shift):
+    if shift == 0:
+        return coords, counts
+    return oracle_joint_cells(*(c >> shift for c in coords), weights=counts)
+
+
+def oracle_plugin_mi(coords, counts):
+    p = counts / counts.sum()
+
+    def marginal(code):
+        return np.bincount(code, weights=p)[code]
+
+    if len(coords) == 2:
+        ratio = p / (marginal(coords[0]) * marginal(coords[1]))
+    else:
+        x, y, z = coords
+        kz = int(z.max()) + 1
+        ratio = marginal(z) * p / (
+            marginal(oracle_pair_code(x, z, kz)) * marginal(oracle_pair_code(y, z, kz))
+        )
+    terms = p * np.log2(ratio)
+    terms.sort()
+    return max(0.0, float(terms.sum()))
+
+
+def oracle_pair_code(v, z, kz):
+    code = v * kz + z
+    if (int(v.max()) + 1) * kz > len(code):
+        code = np.unique(code, return_inverse=True)[1]
+    return code
+
+
+def assert_cells_equal_oracle(cells, oracle):
+    coords, counts = oracle
+    assert cells.ndim == len(coords)
+    assert cells.codes.dtype == np.int64 and (np.diff(cells.codes) > 0).all()
+    for i, expected in enumerate(coords):
+        assert np.array_equal(cells.coordinate(i), expected)
+    assert cells.counts.dtype == np.int64 and np.array_equal(cells.counts, counts)
+
+
+@st.composite
+def histograms(draw):
+    """Index vectors of k parties at b bits, n of them, and maybe integer weights.
+
+    Where the packed code space 2^(k b) is small enough, n is drawn on
+    either side of the dense/sorted limit of `joint_cells`: the code space
+    against n for counted samples, against 2n for weighted cells.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    bits = draw(st.integers(min_value=1, max_value=16))
+    weighted = draw(st.booleans())
+    size = 1 << (k * bits)
+    limit = -(-size // 2) if weighted else size
+    if limit <= 3000 and draw(st.booleans()):
+        n = draw(st.sampled_from([max(limit - 1, 1), limit]))
+    else:
+        n = draw(st.integers(min_value=1, max_value=3000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    top = (1 << bits) - 1
+    spread = draw(st.sampled_from([1, 3, top + 1]))
+    x = rng.integers(0, top + 1, size=n)
+    x[0] = top  # packed at b bits; the oracle's other alphabets may be smaller
+    indices = [x] + [(x + rng.integers(0, spread, size=n)) & top for _ in range(k - 1)]
+    indices = [v.astype(np.uint16) for v in indices]
+    weights = rng.integers(1, 1000, size=n) if weighted else None
+    return indices, bits, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(histograms())
+def test_packed_cells_count_as_the_coordinate_tuple_cells(case):
+    indices, bits, weights = case
+    cells = joint_cells(*indices, weights=weights)
+    assert (cells.bits, cells.ndim) == (bits, len(indices))
+    assert_cells_equal_oracle(cells, oracle_joint_cells(*indices, weights=weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(histograms())
+def test_packed_plugin_mi_equals_the_coordinate_tuple_plugin_mi_bit_for_bit(case):
+    indices, bits, weights = case
+    cells = joint_cells(*indices, weights=weights)
+    assert plugin_mi(cells) == oracle_plugin_mi(*oracle_joint_cells(*indices, weights=weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(histograms(), st.data())
+def test_packed_coarsening_equals_the_coordinate_tuple_coarsening(case, data):
+    indices, bits, weights = case
+    shift = data.draw(st.integers(min_value=0, max_value=bits))
+    coarse = coarsen_cells(joint_cells(*indices, weights=weights), shift)
+    oracle = oracle_coarsen_cells(*oracle_joint_cells(*indices, weights=weights), shift)
+    assert_cells_equal_oracle(coarse, oracle)
+    assert plugin_mi(coarse) == oracle_plugin_mi(*oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(histograms(), st.data())
+def test_cells_built_at_a_shallower_depth_equal_the_deepest_cells_coarsened(case, data):
+    # The engine builds the (A, B, E) histogram at the deepest depth whose
+    # CMI is reported, not at the group's deepest.
+    indices, bits, weights = case
+    shift = data.draw(st.integers(min_value=0, max_value=bits))
+    built = joint_cells(*(v >> shift for v in indices), weights=weights)
+    coarse = coarsen_cells(joint_cells(*indices, weights=weights), shift)
+    assert (built.bits, built.ndim) == (coarse.bits, coarse.ndim)
+    assert np.array_equal(built.codes, coarse.codes)
+    assert np.array_equal(built.counts, coarse.counts)

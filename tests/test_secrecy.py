@@ -149,7 +149,8 @@ def test_failure_names_the_scheme_group():
     evaluate_schemes(tied, schemes[:1])
     with pytest.raises(
         ValueError,
-        match=r"^quantile boundaries are not strictly increasing .* \(in eqprob group, width 3\)$",
+        match=r"^quantile boundaries are not strictly increasing .*"
+        r" \(alice at 5 bits, in eqprob group, width 3\)$",
     ):
         evaluate_schemes(tied, schemes)
 

@@ -5,6 +5,7 @@ if any name it wraps were deleted or renamed, installing it would raise.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from slicesec import cli, infotheory, secrecy, slicing, svgplot
@@ -51,3 +52,42 @@ def test_per_cell_layer_counts(tmp_path):
     assert calls["slicing.compute_edges.eqprob"] == 3 * cells
     assert calls["slicing.assign_bins"] == 0
     assert calls["slicing.build_labels"] == len(schemes) * cells
+
+
+def test_histograms_read_the_samples_once_per_cell_and_positioning(tmp_path, monkeypatch):
+    # Each (positioning, width multiplier) group builds its three pair
+    # histograms from the N bin indices, and its (A, B, E) histogram only
+    # when some depth's CMI is within capacity, at the deepest such depth.
+    # Every other histogram is coarsened from those, and no estimator reads
+    # the samples.
+    builds = []
+
+    def recording_joint_cells(*indices, **kwargs):
+        cells = infotheory.joint_cells(*indices, **kwargs)
+        builds.append((cells.ndim, len(indices[0]), cells.bits))
+        return cells
+
+    monkeypatch.setattr(secrecy, "joint_cells", recording_joint_cells)
+    schemes = [
+        slicing.SlicingScheme("eqwidth", "gray", 3),
+        slicing.SlicingScheme("eqwidth", "flfsr", 5),
+        slicing.SlicingScheme("eqwidth", "binary", 10, 2.0),  # 2^30 CMI cells: no triple
+        slicing.SlicingScheme("eqprob", "binary", 4),
+        slicing.SlicingScheme("eqprob", "gray", 9),  # 2^27 CMI cells, reported at 4 bits only
+    ]
+    n = 3000
+    tracing = load_tracing()
+    with tracing.installed(tracing.Tracer(str(tmp_path))) as tracer:
+        table = secrecy.sweep([0.3, 0.6], schemes, secrecy.ChannelParams(0.5, samples=n, seed=1))
+    cells = 2
+    # (parties, samples read, bits per coordinate) of every build, per cell.
+    per_cell = [(2, n, 5)] * 3 + [(2, n, 10)] * 3 + [(2, n, 9)] * 3 + [(3, n, 5), (3, n, 4)]
+    assert Counter(builds) == Counter(per_cell * cells)
+    for name in ("mutual_information_symbols", "conditional_mi", "mutual_information_bitwise",
+                 "bit_error_rate"):
+        assert tracer.calls[f"infotheory.{name}"] == 0
+    assert tracer.calls["slicing.assign_bins"] == 0
+    reported = {str(r.scheme): r.cmi_ab_given_e is not None for r in table.rows}
+    assert reported == {"eqwidth:gray:3": True, "eqwidth:flfsr:5": True,
+                        "eqwidth:binary:10": False, "eqprob:binary:4": True,
+                        "eqprob:gray:9": False}
