@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Write the byte-identity gate's outputs and their SHA256SUMS into OUTDIR.
+
+The gate is the set of outputs an engine change must leave byte-identical:
+the paper grid (18 schemes x 19 transmissions) and the fine-slice grid
+(b = 8, 10, 12 at T = 0.25, 0.5, 0.75) at N = 5e4 for seeds 1, 42 and
+123456, the default N = 2e5 seed-42 sweep with one and with two workers,
+and both `best` tables of every sweep. The two grids are the benchmark's
+`paper_grid` and `fine_slices` workloads (`bench/workloads.py`). The sweeps
+run the `slicesec` in this checkout's `src/`, so running the script from
+two checkouts and diffing their SHA256SUMS compares the two programs:
+
+    python scripts/byte_gate.py OUTDIR
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import BEST_MODES, CSV_NAME, WORKLOADS  # noqa: E402
+
+DEFAULT_SWEEP = ["--t", "0.05:0.95:0.05", "--schemes", "all", "--samples", "200000",
+                 "--seed", "42"]
+
+
+def sweeps(out: Path):
+    """(directory, `slicesec sweep` argv) of every gated sweep."""
+    for seed in (1, 42, 123456):
+        for name in ("paper_grid", "fine_slices"):  # both --workers 1
+            outdir = out / f"{name}-{seed}"
+            yield outdir, WORKLOADS[name].sweep_argv(seed, str(outdir))
+    for workers in (1, 2):
+        outdir = out / f"default-workers{workers}"
+        yield outdir, ["sweep", *DEFAULT_SWEEP, "--workers", str(workers),
+                       "--out", str(outdir / CSV_NAME)]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("outdir")
+    out = Path(ap.parse_args().outdir)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def slicesec(*argv):
+        subprocess.run([sys.executable, "-m", "slicesec", *argv], env=env, check=True)
+
+    written = []
+    for outdir, argv in sweeps(out):
+        outdir.mkdir(parents=True, exist_ok=True)
+        slicesec(*argv)
+        csv = outdir / CSV_NAME
+        written.append(csv)
+        for mode in BEST_MODES:
+            best = outdir / f"best_{mode}.csv"
+            slicesec("best", str(csv), "--mode", mode, "--out", str(best))
+            written.append(best)
+
+    sums = "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}\n"
+        for path in written
+    )
+    (out / "SHA256SUMS").write_text(sums)
+    sys.stdout.write(sums)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,6 @@ from .infotheory import (
     binary_entropy,
     bit_error_rate,
     conditional_mi,
-    entropy,
     mutual_information_bitwise,
     mutual_information_symbols,
     plugin_bias,

@@ -2,14 +2,16 @@
 
 All quantities are in bits (log base 2). Every estimator reads one sparse
 joint histogram, the occupied cells of `joint_cells`, and sums over those
-cells only, so no estimator allocates an array whose size is a product of
-alphabet sizes. A histogram (`JointCells`) holds one int64 code per
-occupied cell, its coordinates packed b bits each with the first highest,
-so ascending codes are row-major cell order. Coarsening (`coarsen_cells`)
+cells only. A histogram (`JointCells`) holds one int64 code per occupied
+cell, its coordinates packed b bits each with the first highest, so
+ascending codes are row-major cell order. Coarsening (`coarsen_cells`)
 repacks each field at fewer bits, and every marginal is a shift and a mask
-of the codes. No bias correction is applied; the known positive bias of
-the plug-in MI, roughly (|A|-1)(|B|-1)/(2 N ln 2), is exposed as an oracle
-so tests and sanity checks can bound it.
+of the codes. One rule sizes every array indexed by code (`_dense`): an
+array over 2^w codes of n inputs is allocated when 2^w <= max(n, 2^16),
+2^16 being the largest bin alphabet; a wider code space is sorted or
+renumbered instead. No bias correction is applied; the known positive
+bias of the plug-in MI, roughly (|A|-1)(|B|-1)/(2 N ln 2), is exposed as
+an oracle so tests and sanity checks can bound it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slicing import BitMatrix, LabelTable, Numbering, build_labels
+from .slicing import MAX_BITS, BitMatrix, LabelTable, Numbering, build_labels
 
 # Largest ka x kb x kz alphabet for which conditional MI is reported. It is an
 # output rule, not a memory bound (only occupied cells are held): above it,
@@ -52,18 +54,6 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def entropy(pmf: np.ndarray) -> float:
-    """Shannon entropy of a probability vector, in bits."""
-    p = np.asarray(pmf, dtype=float)
-    if (p < 0).any():
-        raise ValueError("probabilities must be nonnegative")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"probabilities must sum to 1, got {total}")
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
 
 
 def plugin_bias(alphabet_a: int, alphabet_b: int, n: int, conditioning: int = 1) -> float:
@@ -103,20 +93,9 @@ def joint_cells(*indices: np.ndarray, weights: np.ndarray | None = None) -> Join
     histogram (see `coarsen_cells`) gives the same cells and counts as
     histogramming the coarsened samples.
 
-    When the packed code space 2^(k b) is small against the number of
-    inputs, a dense `np.bincount` counts the cells; otherwise the distinct
-    codes are sorted. Both give the same arrays. "Small" is at most 1x the
-    inputs, or 2x for weighted inputs, whose sorted path needs an argsort
-    rather than a sort. Median times (of 3 runs of 101) on a 2-vCPU Xeon VM
-    with numpy 2.4.6, for weighted cells in random order: 26,214 cells in
-    2^15 codes (1.25x), dense 0.79 against sorted 1.42 ms; 32,768 cells in
-    2^16 (2x), 0.82 against 0.99 ms; 32,768 in 2^17 (4x), 0.94 against
-    1.15 ms, within the runs' spread. Unweighted, `np.unique(return_counts=True)`
-    already wins at 2x: 0.66 against 1.21 ms for 65,536 inputs in 2^17
-    codes. The weighted rule serves `coarsen_cells`: at N = 5e4, T = 0.5
-    and seed 42, the equal-width (A, B, E) histogram coarsens from 26,632
-    occupied depth-6 cells into 2^15 depth-5 codes in 0.22 ms dense against
-    0.84 ms sorted.
+    A code space that `_dense` allows for the inputs is counted by a dense
+    `np.bincount`; otherwise the distinct codes are sorted. Both give the
+    same arrays.
     """
     bits = max(int(v.max()) for v in indices).bit_length()
     width = len(indices) * bits
@@ -133,11 +112,10 @@ def _count_codes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``width``-bit codes, ascending as int64, and their counts.
 
-    See `joint_cells` for the rule that picks a dense or a sorted count.
+    Counted densely when `_dense` allows, else by sorting the codes.
     """
-    size = 1 << width
-    if size <= (1 if weights is None else 2) * len(codes):
-        dense = np.bincount(codes, weights=weights, minlength=size)
+    if _dense(width, len(codes)):
+        dense = np.bincount(codes, weights=weights, minlength=1 << width)
         codes = np.flatnonzero(dense)
         # Float sums of integer counts are exact, so the cast loses nothing.
         counts = dense[codes].astype(np.int64, copy=False)
@@ -152,6 +130,15 @@ def _count_codes(
             starts = np.flatnonzero(np.diff(codes, prepend=-1))
             codes, counts = codes[starts], np.add.reduceat(weights[order], starts)
     return codes.astype(np.int64, copy=False), counts
+
+
+def _dense(width: int, n: int) -> bool:
+    """Whether an array over the 2^width codes of n inputs is small enough to allocate.
+
+    It is when it holds no more entries than the inputs, or than the largest
+    bin alphabet, 2^MAX_BITS, which `label_bit_tables` allocates anyway.
+    """
+    return 1 << width <= max(n, 1 << MAX_BITS)
 
 
 def coarsen_cells(cells: JointCells, shift: int) -> JointCells:
@@ -204,13 +191,13 @@ def plugin_mi(cells: JointCells) -> float:
 
 
 def _marginal_code(code: np.ndarray, width: int) -> np.ndarray:
-    """A marginal's code per occupied cell, whose histogram spans at most the cells.
+    """A marginal's code per occupied cell, within the size `_dense` allows.
 
-    ``code`` itself when its 2^width code space is no larger than the number
-    of cells, else its values numbered densely. A marginal accumulates each
+    ``code`` itself when `_dense` allows its 2^width code space for the
+    cells, else its values numbered densely. A marginal accumulates each
     code's cells in input order either way, so both give the same floats.
     """
-    if 1 << width > len(code):
+    if not _dense(width, len(code)):
         code = np.unique(code, return_inverse=True)[1]
     return code
 
@@ -336,24 +323,24 @@ def bit_error_rate_from_tables(tables: np.ndarray) -> float:
     return int(tables[:, 0, 1].sum() + tables[:, 1, 0].sum()) / int(tables.sum())
 
 
-def cmi_alphabet(*indices: np.ndarray) -> tuple[int, ...]:
-    """Alphabet sizes (max + 1) of the three CMI coordinates, within capacity.
+def within_cmi_capacity(sizes: Sequence[int]) -> bool:
+    """Whether conditional MI is reported over (A, B, Z) alphabets of these sizes."""
+    return math.prod(sizes) <= CMI_CELL_CAPACITY
 
-    Raises AlphabetCapacityError when their product exceeds CMI_CELL_CAPACITY.
+
+def conditional_mi(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> MIEstimate:
+    """Plug-in I(A;B|Z) from the 3-way joint histogram.
+
+    Raises AlphabetCapacityError when the alphabets (max + 1 each) are not
+    `within_cmi_capacity`.
     """
-    sizes = tuple(int(v.max()) + 1 for v in indices)
-    if math.prod(sizes) > CMI_CELL_CAPACITY:
+    a, b, z = _index_vectors(a, b, z)
+    sizes = tuple(int(v.max()) + 1 for v in (a, b, z))
+    if not within_cmi_capacity(sizes):
         raise AlphabetCapacityError(
             f"joint alphabet of {'x'.join(map(str, sizes))} cells exceeds capacity"
             f" {CMI_CELL_CAPACITY}"
         )
-    return sizes
-
-
-def conditional_mi(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> MIEstimate:
-    """Plug-in I(A;B|Z) from the 3-way joint histogram."""
-    a, b, z = _index_vectors(a, b, z)
-    sizes = cmi_alphabet(a, b, z)
     return MIEstimate(value=plugin_mi(joint_cells(a, b, z)), alphabet_sizes=sizes, n=len(a))
 
 

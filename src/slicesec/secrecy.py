@@ -16,10 +16,8 @@ import numpy as np
 
 from .channel import ChannelParams, ChannelRealization, Stream, transmit
 from .infotheory import (
-    AlphabetCapacityError,
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
-    cmi_alphabet,
     coarsen_cells,
     conditional_mi,
     joint_cells,
@@ -27,6 +25,7 @@ from .infotheory import (
     mutual_information_symbols,
     plugin_bias,
     plugin_mi,
+    within_cmi_capacity,
 )
 from .slicing import (
     Numbering,
@@ -114,7 +113,9 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     Every quantity is a function of the parties' bin indices and the label
     table. Each party is sorted once per cell, and its bins in every
     (positioning, width multiplier) group come from the ranks of that one
-    sort (see `bin_indices`), at the group's deepest bit count. The three
+    sort (see `bin_indices`), at the group's deepest bit count. Equal-width
+    bins need no sort, but one bin rule for both positionings sorts every
+    party even when every scheme is equal-width. The three
     pair histograms are built once per group from those indices, and the
     (A, B, E) histogram once, at the deepest depth whose CMI is reported.
     A shallower depth is an exact right shift of the indices, so its
@@ -154,10 +155,12 @@ def _evaluate_group(
 
     depths = sorted({s.bits for s in group})
     # A depth's (A, B, E) alphabet grows with the depth, so the depths whose
-    # CMI is within capacity are the shallowest ones; each party's largest
-    # bin there is its deepest one shifted.
-    largest = [np.array([v.max()]) for v in (a, b, e)]
-    reported = [d for d in depths if _within_capacity(*(v >> (deep - d) for v in largest))]
+    # CMI is within capacity are the shallowest ones; each party's alphabet
+    # there is one more than its deepest largest bin, shifted.
+    largest = [int(v.max()) for v in (a, b, e)]
+    reported = [
+        d for d in depths if within_cmi_capacity([(m >> (deep - d)) + 1 for m in largest])
+    ]
     if reported:
         shift = deep - reported[-1]
         triple = joint_cells(a >> shift, b >> shift, e >> shift)
@@ -211,15 +214,6 @@ def _party_bins(party: str, ranked: tuple, scheme: SlicingScheme) -> np.ndarray:
             f"{exc} ({party} at {scheme.bits} bits, in {scheme.positioning.value} group,"
             f" width {scheme.width_multiplier:g})"
         ) from exc
-
-
-def _within_capacity(*indices: np.ndarray) -> bool:
-    """Whether the (A, B, E) alphabet of these indices is within CMI capacity."""
-    try:
-        cmi_alphabet(*indices)
-    except AlphabetCapacityError:
-        return False
-    return True
 
 
 def realization_for_cell(base: ChannelParams, t: float, t_index: int) -> ChannelRealization:

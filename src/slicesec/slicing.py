@@ -123,6 +123,7 @@ class LabelTable:
     codes: np.ndarray
     bits: int
     labels: np.ndarray = field(init=False, repr=False)
+    collisions: int = field(init=False)  # bins sharing a label with an earlier bin
 
     def __post_init__(self) -> None:
         codes = np.asarray(self.codes)
@@ -134,11 +135,7 @@ class LabelTable:
             arr.setflags(write=False)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def collisions(self) -> int:
-        """Number of bins sharing a label with an earlier bin."""
-        return len(self.codes) - len(np.unique(self.codes))
+        object.__setattr__(self, "collisions", n - len(np.unique(codes)))
 
     def as_strings(self) -> list[str]:
         return ["".join(str(bit) for bit in row) for row in self.labels]

@@ -12,7 +12,6 @@ from slicesec import (
     bit_error_rate,
     build_labels,
     conditional_mi,
-    entropy,
     mutual_information_bitwise,
     mutual_information_symbols,
     plugin_bias,
@@ -27,6 +26,18 @@ from slicesec.infotheory import (
     plugin_mi_2x2,
 )
 from slicesec.slicing import BitMatrix, Numbering
+
+
+def entropy(pmf):
+    """Shannon entropy of a probability vector, in bits."""
+    p = np.asarray(pmf, dtype=float)
+    if (p < 0).any():
+        raise ValueError("probabilities must be nonnegative")
+    total = p.sum()
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"probabilities must sum to 1, got {total}")
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
 
 
 def brute_force_mi(joint):
@@ -370,19 +381,38 @@ def test_joint_cells_counts_by_bincount_and_by_unique_alike(seed, sizes, n, weig
     assert_same_cells(joint_cells(*indices, weights=weights), dense_cells(indices, weights))
 
 
+def record(monkeypatch, name):
+    """The results of numpy's ``name`` from every call until the patch is undone."""
+    results, fn = [], getattr(np, name)
+
+    def recording(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(np, name, recording)
+    return results
+
+
 @pytest.mark.parametrize("sizes,n", [
     ((2, 3), 6), ((2, 3), 5), ((50, 50), 10), ((4, 4, 4), 64), ((2, 3), 3), ((3, 3), 4),
+    ((256, 256), 10), ((1 << 17,), 10), ((1 << 17,), 1 << 17), ((1 << 17,), (1 << 17) - 1),
 ])
 @pytest.mark.parametrize("weighted", [False, True])
-def test_joint_cells_path_boundary(sizes, n, weighted):
-    # The alphabet product at the bincount limit and one above it (unique):
-    # n and n + 1 for counted samples, 2n and 2n + 1 for weighted cells.
+def test_joint_cells_path_boundary(sizes, n, weighted, monkeypatch):
+    # Up to 2^16 codes are counted densely at any n, a wider code space
+    # from n = 2^width on: 2^16 and 2^17 codes at small n, and 2^17 codes
+    # at n = 2^17 and at one input fewer (sorted), counted or weighted.
     rng = np.random.default_rng(n)
     indices = [np.arange(n) % k for k in sizes]
     for v, k in zip(indices, sizes):
         v[0] = k - 1
     weights = rng.integers(1, 5, size=n) if weighted else None
-    assert_same_cells(joint_cells(*indices, weights=weights), dense_cells(indices, weights))
+    width = len(sizes) * (max(sizes) - 1).bit_length()
+    bincounts = record(monkeypatch, "bincount")
+    cells = joint_cells(*indices, weights=weights)
+    monkeypatch.undo()
+    assert bool(bincounts) == (1 << width <= max(n, 1 << 16))
+    assert_same_cells(cells, dense_cells(indices, weights))
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,15 +438,53 @@ def test_coarsened_cells_equal_cells_of_shifted_indices(seed, bits, parties, n, 
     assert np.array_equal(got.counts, expected.counts)
 
 
-def test_coarsening_between_the_unweighted_and_weighted_limits():
-    # The coarse alphabet product lies between 1x and 2x the occupied cells,
-    # so the weighted counts are dense where counted samples would be sorted.
+def test_coarsening_to_more_codes_than_cells_counts_densely(monkeypatch):
+    # The coarse code space exceeds the occupied cells but not 2^16, so the
+    # weighted cells are counted densely, with no sort.
     rng = np.random.default_rng(5)
     x = rng.integers(0, 16, size=2000)
     y = np.clip(x + rng.integers(0, 3, size=2000), 0, 15)
     cells = joint_cells(x, y)
-    assert len(cells.counts) < 8 * 8 <= 2 * len(cells.counts)
-    assert_same_cells(coarsen_cells(cells, 1), dense_cells([x >> 1, y >> 1]))
+    assert len(cells.counts) < 8 * 8
+    argsorts = record(monkeypatch, "argsort")
+    coarse = coarsen_cells(cells, 1)
+    monkeypatch.undo()
+    assert argsorts == []
+    assert_same_cells(coarse, dense_cells([x >> 1, y >> 1]))
+
+
+def test_triple_marginals_within_two_to_the_16_codes_are_not_renumbered(monkeypatch):
+    # At b = 8 the (x, z) and (y, z) marginals span 2^16 codes, more than
+    # their occupied cells but no more than the largest bin alphabet, so
+    # `plugin_mi` bins them by code, without a sort.
+    rng = np.random.default_rng(8)
+    x = rng.integers(0, 256, size=5000)
+    x[0] = 255
+    y, z = ((x + rng.integers(0, 4, size=5000)) & 255 for _ in range(2))
+    cells = joint_cells(x, y, z)
+    assert cells.bits == 8 and len(cells.codes) < 1 << 16  # so fewer marginal cells too
+    uniques = record(monkeypatch, "unique")
+    plugin_mi(cells)
+    monkeypatch.undo()
+    assert uniques == []
+
+
+def test_symbol_mi_of_a_wide_index_allocates_within_the_rule(monkeypatch):
+    # An index of 2^20 packs every coordinate at 21 bits, a code space wider
+    # than max(N, 2^16), so its marginals are renumbered, not allocated; the
+    # value is that of the same data relabelled to small indices.
+    rng = np.random.default_rng(20)
+    n = 100
+    a = rng.integers(0, 10, size=n)
+    a[0] = 1 << 20
+    b = np.minimum(a, 11) + rng.integers(0, 2, size=n)
+    small = np.unique(a, return_inverse=True)[1]
+    expected = mutual_information_symbols(small, b).value
+    bincounts = record(monkeypatch, "bincount")
+    value = mutual_information_symbols(a, b).value
+    monkeypatch.undo()
+    assert bincounts and max(len(r) for r in bincounts) <= max(n, 1 << 16)
+    assert value == expected > 0
 
 
 tables_2x2 = st.lists(

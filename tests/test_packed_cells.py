@@ -82,17 +82,17 @@ def assert_cells_equal_oracle(cells, oracle):
 def histograms(draw):
     """Index vectors of k parties at b bits, n of them, and maybe integer weights.
 
-    Where the packed code space 2^(k b) is small enough, n is drawn on
-    either side of the dense/sorted limit of `joint_cells`: the code space
-    against n for counted samples, against 2n for weighted cells.
+    Up to 2^16 codes `joint_cells` counts densely at any n. Where the
+    packed code space 2^(k b) is the next one above, 2^18, n is drawn on
+    either side of its dense/sorted limit, n = 2^(k b), for counted
+    samples and weighted cells alike.
     """
     k = draw(st.sampled_from([2, 3]))
     bits = draw(st.integers(min_value=1, max_value=16))
     weighted = draw(st.booleans())
     size = 1 << (k * bits)
-    limit = -(-size // 2) if weighted else size
-    if limit <= 3000 and draw(st.booleans()):
-        n = draw(st.sampled_from([max(limit - 1, 1), limit]))
+    if size == 1 << 18 and draw(st.booleans()):
+        n = draw(st.sampled_from([size - 1, size]))
     else:
         n = draw(st.integers(min_value=1, max_value=3000))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
