@@ -11,13 +11,20 @@ run the `slicesec` in this checkout's `src/`, so running the script from
 two checkouts and diffing their SHA256SUMS compares the two programs:
 
     python scripts/byte_gate.py OUTDIR
+
+OUTDIR/runs.tsv, which SHA256SUMS does not cover, gives one line per
+command: its argv, its wall seconds and its minor page faults (those of the
+command and of the workers it waited for).
 """
 
 import argparse
 import hashlib
 import os
+import resource
+import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,8 +53,15 @@ def main() -> int:
     out = Path(ap.parse_args().outdir)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
+    runs = ["argv\twall_s\tminor_faults\n"]
+
     def slicesec(*argv):
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        start = time.perf_counter()
         subprocess.run([sys.executable, "-m", "slicesec", *argv], env=env, check=True)
+        wall = time.perf_counter() - start
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
+        runs.append(f"{shlex.join(argv)}\t{wall:.3f}\t{faults}\n")
 
     written = []
     for outdir, argv in sweeps(out):
@@ -65,6 +79,7 @@ def main() -> int:
         for path in written
     )
     (out / "SHA256SUMS").write_text(sums)
+    (out / "runs.tsv").write_text("".join(runs))
     sys.stdout.write(sums)
     return 0
 

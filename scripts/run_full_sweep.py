@@ -2,6 +2,8 @@
 """Run the full default sweep and render every chart into an output directory.
 
 Usage: python scripts/run_full_sweep.py [outdir] [--samples N] [--seed S] [--workers W]
+
+Without --workers the sweep takes `slicesec sweep`'s own default.
 """
 
 import argparse
@@ -23,17 +25,17 @@ def main() -> int:
     ap.add_argument("outdir", nargs="?", default="sweep_out")
     ap.add_argument("--samples", type=int, default=200_000)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    ap.add_argument("--workers", type=int)
     args = ap.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, "sweep.csv")
 
     run = [sys.executable, "-m", "slicesec"]
+    workers = [] if args.workers is None else ["--workers", str(args.workers)]
     subprocess.run(run + [
         "sweep", "--seed", str(args.seed), "--samples", str(args.samples),
-        "--t", "0.05:0.95:0.05", "--schemes", "all",
-        "--workers", str(args.workers), "--out", csv_path,
+        "--t", "0.05:0.95:0.05", "--schemes", "all", *workers, "--out", csv_path,
     ], check=True)
 
     for plot_mode, mode, name in CHARTS:

@@ -76,6 +76,44 @@ def _parse_schemes(spec: str, width_multiplier: float) -> tuple[SlicingScheme, .
     )
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one.
+
+    ``os.cpu_count()`` counts the machine's CPUs, which oversubscribes a
+    process pinned to fewer (``taskset``, a container's cpuset).
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def keep_freed_memory() -> None:
+    """Make the C allocator keep the memory this process frees, for reuse.
+
+    Each sweep cell allocates and frees about 40 temporary arrays of N
+    elements. By default glibc hands freed memory back to the kernel, by
+    trimming the heap or by unmapping each block above its mmap threshold,
+    and the next cell faults the same pages in again, zero-filled. With the
+    heap never trimmed and blocks up to 32 MiB served from it, every cell
+    after the first reuses pages the process has already touched. Pool
+    workers forked from this process inherit the setting; workers started
+    by ``spawn`` or ``forkserver`` do not. Where the C library has no
+    ``mallopt`` (macOS, Windows) this does nothing; musl's is a stub.
+    """
+    import ctypes  # on use: only `sweep` needs it
+
+    try:
+        # The running process's own symbols; ctypes.util.find_library would
+        # start ldconfig in a child process.
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: Windows has no CDLL(None)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim the heap
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's 64-bit ceiling for its dynamic one
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicesec",
@@ -97,8 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="transmission grid: min:max:step or comma list")
     p_sweep.add_argument("--schemes", default="all",
                          help="'all' (18-scheme grid) or comma list like eqprob:gray:4")
-    p_sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                         help="parallel sweep workers (output is worker-count invariant)")
+    p_sweep.add_argument("--workers", type=int, default=available_cpus(),
+                         help="parallel sweep workers (output is worker-count invariant;"
+                              " default: the CPUs this process may run on)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
     p_best = sub.add_parser("best", help="winning scheme per transmission from a sweep CSV")
@@ -398,6 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "selftest":
             return selftest()
         if args.subcommand == "sweep":
+            keep_freed_memory()
             emit_csv(sweep(args.t_grid, args.schemes, args.base, workers=args.workers), args.out)
         elif args.subcommand == "best":
             lines = ["transmission,scheme"]

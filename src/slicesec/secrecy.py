@@ -113,13 +113,14 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     Every quantity is a function of the parties' bin indices and the label
     table. Each party is sorted once per cell, and its bins in every
     (positioning, width multiplier) group come from the ranks of that one
-    sort (see `bin_indices`), at the group's deepest bit count. Equal-width
-    bins need no sort, but one bin rule for both positionings sorts every
-    party even when every scheme is equal-width. The three
-    pair histograms are built once per group from those indices, and the
-    (A, B, E) histogram once, at the deepest depth whose CMI is reported.
-    A shallower depth is an exact right shift of the indices, so its
-    histograms are those coarsened (see `coarsen_cells`). Each pair's
+    sort and its one sorted copy (see `bin_indices`), at the group's deepest
+    bit count; the sort and the copy are dropped before the next party's
+    are made. Equal-width bins need no sort, but one bin rule for both
+    positionings sorts every party even when every scheme is equal-width.
+    The three pair histograms are built once per group from those indices,
+    and the (A, B, E) histogram once, at the deepest depth whose CMI is
+    reported. A shallower depth is an exact right shift of the indices, so
+    its histograms are those coarsened (see `coarsen_cells`). Each pair's
     histogram gives the symbol MI and, with each numbering's label table,
     that numbering's bitwise MI and BER, since every per-bit 2x2 table is a
     marginal of that joint. A binning failure names the party, its depth
@@ -129,28 +130,31 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
     for scheme in schemes:
         groups.setdefault((scheme.positioning, scheme.width_multiplier), []).append(scheme)
+    deepest = [max(group, key=lambda s: s.bits) for group in groups.values()]
 
+    bins = [[] for _ in deepest]  # per group, the (A, B, E) bins at its deepest depth
     parties = (realization.alice, realization.bob, realization.eve)
-    ranked = [(samples, np.argsort(samples)) for samples in parties]
+    for party, samples in zip(("alice", "bob", "eve"), parties):
+        order = np.argsort(samples)
+        ranked = (samples, order, samples[order])
+        for group_bins, scheme in zip(bins, deepest):
+            group_bins.append(_party_bins(party, ranked, scheme))
+        del order, ranked
     reports: dict[SlicingScheme, SecrecyReport] = {}
-    for group in groups.values():
-        reports.update(_evaluate_group(realization, ranked, group))
+    for group, (a, b, e) in zip(groups.values(), bins):
+        reports.update(_evaluate_group(realization.params, a, b, e, group))
     return [reports[scheme] for scheme in schemes]
 
 
 def _evaluate_group(
-    realization: ChannelRealization, ranked: list, group: list[SlicingScheme]
+    p: ChannelParams, a: np.ndarray, b: np.ndarray, e: np.ndarray, group: list[SlicingScheme]
 ) -> dict[SlicingScheme, SecrecyReport]:
     """Reports of one (positioning, width multiplier) group of schemes.
 
-    ``ranked`` holds each party's (samples, sorting permutation).
+    ``a``, ``b`` and ``e`` are the parties' bins at the group's deepest depth.
     """
-    p = realization.params
     reports = {}
-    deepest = max(group, key=lambda s: s.bits)
-    deep = deepest.bits
-    parties = zip(("alice", "bob", "eve"), ranked)
-    a, b, e = (_party_bins(party, samples_order, deepest) for party, samples_order in parties)
+    deep = max(s.bits for s in group)
     deep_pairs = [joint_cells(x, y) for x, y in ((a, b), (a, e), (b, e))]
 
     depths = sorted({s.bits for s in group})
@@ -203,7 +207,7 @@ def _evaluate_group(
 
 
 def _party_bins(party: str, ranked: tuple, scheme: SlicingScheme) -> np.ndarray:
-    """One party's bins under ``scheme`` from its (samples, sorting permutation).
+    """One party's bins under ``scheme`` from its (samples, sorting permutation, sorted copy).
 
     A failure names the party, the depth and the scheme's group.
     """

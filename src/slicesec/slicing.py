@@ -177,14 +177,22 @@ def compute_edges(samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
         raise ValueError(
             f"need at least {n_bins} samples to place {n_bins} bins, got {len(samples)}"
         )
-    with np.errstate(invalid="ignore"):  # an infinite sample makes std NaN, rejected below
-        std = samples.std()
-    if not np.isfinite(std):
+    # The spread rejects non-finite and constant samples. Equal-width edges
+    # need the std anyway. Equal-probability edges read the two ends of the
+    # sorted copy, where a NaN sorts last. Samples that arrive sorted, as
+    # `bin_indices` passes them, are not sorted again.
+    by_width = scheme.positioning is Positioning.EQUAL_WIDTH
+    if not by_width:
+        ordered = samples if np.all(samples[1:] >= samples[:-1]) else np.sort(samples)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf, rejected below
+        spread = samples.std() if by_width else ordered[-1] - ordered[0]
+    if not np.isfinite(spread):
         raise ValueError("samples must be finite")
-    if std == 0.0:
+    if spread == 0.0:
         raise ValueError("degenerate samples: zero variance")
 
-    if scheme.positioning is Positioning.EQUAL_WIDTH:
+    if by_width:
+        std = spread
         mean = samples.mean()
         k = scheme.width_multiplier
         lo = mean - k * std
@@ -195,9 +203,7 @@ def compute_edges(samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
         # (numpy partitions around every requested order statistic, which
         # takes seconds once 2^b nears N). Its virtual index n q + (1 - q) - 1
         # is exactly (n - 1) q here because q = i / 2^b is dyadic, and q < 1
-        # keeps lower + 1 <= n - 1. The two-sided lerp is numpy's own. Samples
-        # that arrive sorted, as `bin_indices` passes them, are not sorted again.
-        ordered = samples if np.all(samples[1:] >= samples[:-1]) else np.sort(samples)
+        # keeps lower + 1 <= n - 1. The two-sided lerp is numpy's own.
         h = (len(ordered) - 1) * (np.arange(1, n_bins) / n_bins)
         lower = np.floor(h)
         gamma = h - lower
@@ -235,22 +241,26 @@ def bin_indices(samples: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
     read off their ranks (see `_ranked_bins`).
     """
     samples = np.asarray(samples, dtype=float)
-    return _ranked_bins(samples, np.argsort(samples), scheme)
+    order = np.argsort(samples)
+    return _ranked_bins(samples, order, samples[order], scheme)
 
 
-def _ranked_bins(samples: np.ndarray, order: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
-    """`bin_indices` of ``samples`` given their sorting permutation ``order``.
+def _ranked_bins(
+    samples: np.ndarray, order: np.ndarray, ordered: np.ndarray, scheme: SlicingScheme
+) -> np.ndarray:
+    """`bin_indices` of ``samples`` from their sorting permutation ``order``.
 
-    Equal-width edges read mean and std from the samples in their own order,
-    since a sum's last bits depend on the order of its terms; equal-probability
-    edges depend only on the sorted values, so they read the sorted copy. One
-    search per boundary then finds the rank at which its bin starts. The
-    first sample not below a boundary starts the higher bin, so a sample
-    equal to a boundary goes to the higher bin, as in `assign_bins`. Each run
-    of ranks between two starts is one bin, written back to the samples'
-    original positions.
+    ``ordered`` is the sorted copy ``samples[order]``, which a caller binning
+    one party under several schemes gathers once. Equal-width edges read
+    mean and std from the samples in their own order, since a sum's last
+    bits depend on the order of its terms; equal-probability edges depend
+    only on the sorted values, so they read the sorted copy. One search per
+    boundary then finds the rank at which its bin starts. The first sample
+    not below a boundary starts the higher bin, so a sample equal to a
+    boundary goes to the higher bin, as in `assign_bins`. Each run of ranks
+    between two starts is one bin, written back to the samples' original
+    positions.
     """
-    ordered = samples[order]
     by_width = scheme.positioning is Positioning.EQUAL_WIDTH
     edges = compute_edges(samples if by_width else ordered, scheme)
     starts = np.searchsorted(ordered, edges.boundaries, side="left")

@@ -1,5 +1,12 @@
 import argparse
+import ctypes
 import io
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -7,7 +14,7 @@ import numpy as np
 import pytest
 
 from slicesec import ChannelParams, SlicingScheme, slicing
-from slicesec.cli import CSV_COLUMNS, main, parse_args, read_csv, selftest
+from slicesec.cli import CSV_COLUMNS, keep_freed_memory, main, parse_args, read_csv, selftest
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_sweep.csv"
 GOLDEN_FINE_CSV = Path(__file__).parent / "data" / "golden_fine.csv"
@@ -38,6 +45,18 @@ class TestParseArgs:
         assert config.t_grid[-1] == pytest.approx(0.95)
         assert config.seed == 42
         assert config.out == "sweep.csv"
+
+    def test_default_workers_count_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # Pinned to one CPU of eight, as under `taskset -c 0`.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert parse_args(["sweep", "--out", "x.csv"]).workers == 1
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_default_workers_without_an_affinity_mask(self, monkeypatch, cpus, workers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert parse_args(["sweep", "--out", "x.csv"]).workers == workers
 
     def test_single_scheme(self):
         config = parse_args(["sweep", "--schemes", "eqprob:gray:4", "--out", "x.csv"])
@@ -349,3 +368,30 @@ class TestSelftest:
             "FAIL  equal-width bins of samples tied on a boundary equal a binary search"
             in buf.getvalue()
         )
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt's parameters are glibc's")
+def test_second_sweep_reuses_the_memory_the_first_freed(tmp_path):
+    # Each cell allocates and frees about 40 arrays of N elements. Unless the
+    # sweep keeps freed memory, every cell faults those pages in again.
+    script = textwrap.dedent("""
+        import resource, sys
+        from slicesec import cli
+        argv = ["sweep", "--samples", "200000", "--t", "0.3,0.6", "--workers", "1",
+                "--schemes", "eqprob:gray:6,eqwidth:binary:4", "--out", sys.argv[1]]
+        assert cli.main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(argv) == 0
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "x.csv")],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 200
+
+
+def test_keep_freed_memory_does_nothing_without_mallopt(monkeypatch):
+    # The C libraries of macOS and Windows have no mallopt.
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert keep_freed_memory() is None

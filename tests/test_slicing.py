@@ -137,6 +137,26 @@ class TestComputeEdges:
         with pytest.raises(ValueError, match="finite"):
             compute_edges(samples, SlicingScheme(positioning, Numbering.BINARY, 1))
 
+    @pytest.mark.parametrize("samples, message", [
+        (np.insert(np.arange(100.0), 50, np.nan), "samples must be finite"),
+        (np.append(np.arange(100.0), np.inf), "samples must be finite"),
+        (np.insert(np.arange(100.0), 0, -np.inf), "samples must be finite"),
+        (np.full(8, np.inf), "samples must be finite"),
+        (np.full(8, -np.inf), "samples must be finite"),
+        (np.full(8, 3.0), "zero variance"),
+        (np.array([0.0, -0.0] * 4), "zero variance"),
+        # Constant, but a std over them reads 1.4e-17: their float mean is not 0.1.
+        (np.full(3, 0.1), "zero variance"),
+        (np.full(6, 0.1), "zero variance"),
+    ], ids=["nan", "inf", "-inf", "all-inf", "all--inf", "constant", "signed-zeros",
+            "constant-inexact-mean", "constant-inexact-mean-6"])
+    def test_equal_probability_rejects_from_the_ends_of_the_sorted_copy(self, samples, message):
+        for bits in range(1, len(samples).bit_length()):  # every depth with enough samples
+            scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, bits)
+            for given in (samples, np.sort(samples)):  # sorted input is not sorted again
+                with pytest.raises(ValueError, match=message):
+                    compute_edges(given, scheme)
+
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -158,7 +178,7 @@ def test_equal_probability_edges_equal_numpy_quantile(seed, n, bits, scale, deci
     try:
         edges = compute_edges(samples, scheme).boundaries
     except ValueError:
-        assert samples.std() == 0.0 or not np.all(np.diff(expected) > 0)
+        assert np.ptp(samples) == 0.0 or not np.all(np.diff(expected) > 0)
         return
     assert np.array_equal(edges, expected)
 
@@ -276,8 +296,9 @@ def test_equal_width_bins_by_rank_equal_searchsorted(
         np.nextafter(boundaries, np.inf), far,
     ])
     expected = np.searchsorted(boundaries, probes, side="right")
+    order = np.argsort(probes)
     with mock.patch.object(slicing, "compute_edges", return_value=edges):
-        assert np.array_equal(_ranked_bins(probes, np.argsort(probes), scheme), expected)
+        assert np.array_equal(_ranked_bins(probes, order, probes[order], scheme), expected)
     assert np.array_equal(bin_indices(samples, scheme), expected[: len(samples)])
 
 
