@@ -5,10 +5,12 @@ The gate is the set of outputs an engine change must leave byte-identical:
 the paper grid (18 schemes x 19 transmissions) and the fine-slice grid
 (b = 8, 10, 12 at T = 0.25, 0.5, 0.75) at N = 5e4 for seeds 1, 42 and
 123456, the default N = 2e5 seed-42 sweep with one and with two workers,
-and both `best` tables of every sweep. The two grids are the benchmark's
-`paper_grid` and `fine_slices` workloads (`bench/workloads.py`). The sweeps
-run the `slicesec` in this checkout's `src/`, so running the script from
-two checkouts and diffing their SHA256SUMS compares the two programs:
+and the report phase of every sweep: its five `plot` charts and both
+`best` tables. The grids and the report commands are the benchmark's
+(`paper_grid`, `fine_slices`, `CHARTS` and `BEST_MODES` in
+`bench/workloads.py`). The sweeps run the `slicesec` in this checkout's
+`src/`, so running the script from two checkouts and diffing their
+SHA256SUMS compares the two programs:
 
     python scripts/byte_gate.py OUTDIR
 
@@ -29,7 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
-from workloads import BEST_MODES, CSV_NAME, WORKLOADS  # noqa: E402
+from workloads import BEST_MODES, CHARTS, CSV_NAME, WORKLOADS  # noqa: E402
 
 DEFAULT_SWEEP = ["--t", "0.05:0.95:0.05", "--schemes", "all", "--samples", "200000",
                  "--seed", "42"]
@@ -69,6 +71,11 @@ def main() -> int:
         slicesec(*argv)
         csv = outdir / CSV_NAME
         written.append(csv)
+        for plot_mode, mode, name in CHARTS:
+            chart = outdir / name
+            slicesec("plot", str(csv), "--plot-mode", plot_mode, "--mode", mode,
+                     "--out", str(chart))
+            written.append(chart)
         for mode in BEST_MODES:
             best = outdir / f"best_{mode}.csv"
             slicesec("best", str(csv), "--mode", mode, "--out", str(best))

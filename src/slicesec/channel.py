@@ -24,9 +24,16 @@ class InfiniteInformationError(ValueError):
     """The analytic channel has exactly zero noise variance."""
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a ``value`` that is not an int or a numpy integer; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_u64(name: str, value: int) -> None:
     """Seeds and tags enter the Philox key as u64 words; a larger value would
     alias itself mod 2^64 while reporting itself unchanged."""
+    check_integer(name, value)
     if not 0 <= value < 1 << 64:
         raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
 
@@ -86,6 +93,7 @@ class ChannelParams:
             raise ValueError(
                 f"sigma_vacuum must be nonnegative and finite, got {self.sigma_vacuum}"
             )
+        check_integer("samples", self.samples)
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         _check_u64("seed", self.seed)
@@ -110,6 +118,7 @@ class ChannelRealization:
 
 def gaussian_source(n: int, sigma: float, stream: Stream) -> np.ndarray:
     """Draw n i.i.d. samples from N(0, sigma^2), fully determined by stream."""
+    check_integer("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if sigma <= 0:
@@ -117,20 +126,14 @@ def gaussian_source(n: int, sigma: float, stream: Stream) -> np.ndarray:
     return stream.generator().normal(0.0, sigma, size=n)
 
 
-def transmit(
-    params: ChannelParams,
-    base_stream: Stream | None = None,
-    bob_noise_tag: int = BOB_NOISE_STREAM,
-    eve_noise_tag: int = EVE_NOISE_STREAM,
-) -> ChannelRealization:
+def transmit(params: ChannelParams, base_stream: Stream | None = None) -> ChannelRealization:
     """Generate one channel realization.
 
     bob = sqrt(T) * alice + sqrt(1-T) * v,  eve = sqrt(1-T) * alice + sqrt(T) * w,
     with v, w independent N(0, sigma_vacuum^2) noise from disjoint sub-streams.
 
     ``base_stream`` defaults to Stream(params.seed); sweeps pass a child
-    stream per transmission cell. The noise tags exist so the exact Bob/Eve
-    exchange symmetry (swap noise streams, T -> 1-T) is testable bit-for-bit.
+    stream per transmission cell.
     """
     if base_stream is None:
         base_stream = Stream(params.seed)
@@ -141,8 +144,8 @@ def transmit(
     ct, cr = math.sqrt(t), math.sqrt(1.0 - t)
 
     if params.sigma_vacuum > 0:
-        v = gaussian_source(n, params.sigma_vacuum, base_stream.child(bob_noise_tag))
-        w = gaussian_source(n, params.sigma_vacuum, base_stream.child(eve_noise_tag))
+        v = gaussian_source(n, params.sigma_vacuum, base_stream.child(BOB_NOISE_STREAM))
+        w = gaussian_source(n, params.sigma_vacuum, base_stream.child(EVE_NOISE_STREAM))
     else:
         v = np.zeros(n)
         w = np.zeros(n)

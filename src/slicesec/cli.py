@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import operator
 import os
 import sys
 
@@ -21,6 +22,7 @@ from .secrecy import (
     SweepTable,
     check_grid,
     check_transmissions,
+    check_workers,
     default_schemes,
     evaluate_schemes,
     sweep,
@@ -28,18 +30,32 @@ from .secrecy import (
 from .slicing import Numbering, Positioning, SlicingScheme, bin_indices, build_labels
 from .svgplot import Chart, Series
 
-CSV_COLUMNS = [
-    "transmission", "positioning", "numbering", "bits", "samples", "seed",
-    "i_ab", "i_ae", "i_be", "i_ab_sym", "i_ae_sym", "i_be_sym",
-    "ber_ab", "ber_ae", "ber_be", "delta_direct", "delta_reverse",
-    "cmi_ab_given_e", "label_collisions",
-]
+# Each CSV column in order, and the `SecrecyReport` attribute it prints.
+CSV_FIELDS = {
+    "transmission": "transmission", "positioning": "scheme.positioning.value",
+    "numbering": "scheme.numbering.value", "bits": "scheme.bits", "samples": "n", "seed": "seed",
+    **{col: col for col in (
+        "i_ab", "i_ae", "i_be", "i_ab_sym", "i_ae_sym", "i_be_sym", "ber_ab", "ber_ae",
+        "ber_be", "delta_direct", "delta_reverse", "cmi_ab_given_e", "label_collisions",
+    )},
+}
+CSV_COLUMNS = list(CSV_FIELDS)
 
 # How each column parses; every other column is a float.
 COLUMN_TYPES = {
     "positioning": Positioning, "numbering": Numbering,
     "bits": int, "samples": int, "seed": int, "label_collisions": int,
 }
+
+_FLOAT = "%.9g"  # every float the CLI writes: 9 significant digits
+_report_values = operator.attrgetter(*CSV_FIELDS.values())
+# One row's %-format, str() for a column that is no float. A depth whose CMI
+# is over capacity leaves the cell empty: "%.0s" prints none of its None.
+_CSV_ROW, _CSV_ROW_WITHOUT_CMI = (
+    ",".join(cmi if col == "cmi_ab_given_e" else "%s" if col in COLUMN_TYPES else _FLOAT
+             for col in CSV_COLUMNS)
+    for cmi in (_FLOAT, "%.0s")
+)
 
 PLOT_MODES = ("mi_vs_t", "delta_vs_t", "best_vs_t")
 
@@ -161,7 +177,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     For ``sweep`` the namespace also carries the parsed ``t_grid`` and
     ``schemes`` and the channel parameters as ``base``; every rule on them is
-    stated once, by `check_grid`, `SlicingScheme` and `ChannelParams`.
+    stated once, by `check_grid`, `check_workers`, `SlicingScheme` and
+    `ChannelParams`.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -178,35 +195,18 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             samples=ns.samples,
             seed=ns.seed,
         )
-        if ns.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {ns.workers}")
+        check_workers(ns.workers)
     except (ValueError, OverflowError) as exc:  # OverflowError: an infinite --t bound
         parser.error(str(exc))  # exits 2
     return ns
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def emit_csv(table: SweepTable, path: str) -> None:
-    """Write the sweep table with the fixed column schema, 9 significant digits."""
+    """Write the sweep table, one row per report with the columns of `CSV_FIELDS`."""
     lines = [",".join(CSV_COLUMNS)]
     for r in table.rows:
-        lines.append(",".join([
-            _fmt(r.transmission),
-            r.scheme.positioning.value,
-            r.scheme.numbering.value,
-            str(r.scheme.bits),
-            str(r.n),
-            str(r.seed),
-            _fmt(r.i_ab), _fmt(r.i_ae), _fmt(r.i_be),
-            _fmt(r.i_ab_sym), _fmt(r.i_ae_sym), _fmt(r.i_be_sym),
-            _fmt(r.ber_ab), _fmt(r.ber_ae), _fmt(r.ber_be),
-            _fmt(r.delta_direct), _fmt(r.delta_reverse),
-            "" if r.cmi_ab_given_e is None else _fmt(r.cmi_ab_given_e),
-            str(r.label_collisions),
-        ]))
+        row = _CSV_ROW if r.cmi_ab_given_e is not None else _CSV_ROW_WITHOUT_CMI
+        lines.append(row % _report_values(r))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -340,14 +340,8 @@ def emit_plot(csv_path: str, plot_mode: str, mode: str, out: str) -> None:
         fh.write(chart.render())
 
 
-def selftest(corrupt_labels: bool = False, stream=None) -> int:
-    """Run the exact-invariant checks; returns 0 iff every check passes.
-
-    ``corrupt_labels`` is a test hook that deliberately breaks the Gray
-    table to prove the harness can fail.
-    """
-    if stream is None:
-        stream = sys.stdout
+def selftest() -> int:
+    """Run the exact-invariant checks and print each; returns 0 iff every check passes."""
     checks: list[tuple[str, bool]] = []
 
     def check(name: str, ok: bool) -> None:
@@ -357,11 +351,6 @@ def selftest(corrupt_labels: bool = False, stream=None) -> int:
     ok = True
     for b in range(1, slicing.MAX_BITS + 1):
         labels = build_labels(Numbering.GRAY, b).labels
-        if corrupt_labels:
-            labels = labels.copy()
-            labels[0] ^= 1
-            labels[1] ^= 1  # adjacent pair now differs in 2 bits somewhere
-            labels[1][-1] ^= 1
         diffs = (labels[1:] != labels[:-1]).sum(axis=1)
         ok &= bool((diffs == 1).all())
     check("gray adjacency (b=1..16)", ok)
@@ -425,9 +414,9 @@ def selftest(corrupt_labels: bool = False, stream=None) -> int:
 
     failed = 0
     for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}", file=stream)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
         failed += not ok
-    print(f"{len(checks) - failed}/{len(checks)} checks passed", file=stream)
+    print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
 
 
@@ -441,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
             emit_csv(sweep(args.t_grid, args.schemes, args.base, workers=args.workers), args.out)
         elif args.subcommand == "best":
             lines = ["transmission,scheme"]
-            lines += [f"{_fmt(t)},{s}" for t, s in best_rows(read_csv(args.csv_path), args.mode)]
+            lines += [f"{_FLOAT % t},{s}" for t, s in best_rows(read_csv(args.csv_path), args.mode)]
             text = "\n".join(lines) + "\n"
             if args.out:
                 with open(args.out, "w") as fh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, ChannelRealization, Stream, transmit
+from .channel import ChannelParams, ChannelRealization, Stream, check_integer, transmit
 from .infotheory import (
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
@@ -90,8 +90,6 @@ class SweepTable:
 
     rows: tuple[SecrecyReport, ...]
     t_grid: tuple[float, ...]
-    schemes: tuple[SlicingScheme, ...]
-    base: ChannelParams
 
 
 def secrecy_deltas(i_ab: float, i_ae: float, i_be: float) -> tuple[float, float]:
@@ -263,6 +261,13 @@ def check_transmissions(t_grid) -> None:
     _check_distinct("transmission", t_grid)
 
 
+def check_workers(workers) -> None:
+    """Reject a worker count that is not an integer >= 1."""
+    check_integer("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def _check_distinct(kind: str, values) -> None:
     seen = set()
     for value in values:
@@ -279,6 +284,8 @@ def sweep(
 ) -> SweepTable:
     """Evaluate every scheme at every transmission of the grid (see `check_grid`).
 
+    Cells run on up to ``workers`` processes (see `check_workers`).
+
     Output is bit-identical for any worker count: each cell's random stream
     is keyed by the cell's index in ``t_grid``, and rows are assembled in
     (transmission, scheme) order.
@@ -286,6 +293,7 @@ def sweep(
     t_grid = [float(t) for t in t_grid]
     schemes = list(schemes)
     check_grid(t_grid, schemes)
+    check_workers(workers)
 
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]
     try:
@@ -299,12 +307,7 @@ def sweep(
         raise RuntimeError(f"sweep failed: {exc}") from exc
 
     rows = tuple(report for cell_rows in per_cell for report in cell_rows)
-    return SweepTable(
-        rows=rows,
-        t_grid=tuple(t_grid),
-        schemes=tuple(schemes),
-        base=base,
-    )
+    return SweepTable(rows=rows, t_grid=tuple(t_grid))
 
 
 def post_exchange_conditions(

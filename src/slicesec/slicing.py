@@ -18,6 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+from .channel import check_integer
+
 
 class Positioning(str, Enum):
     EQUAL_WIDTH = "eqwidth"
@@ -35,8 +37,7 @@ MAX_BITS = 16  # bin indices are stored as uint16 (see bin_indices)
 
 def _bit_count(value, name: str) -> int:
     """``value`` as an int in [1, MAX_BITS]; a float or a bool is no bit count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_integer(name, value)
     if not 1 <= value <= MAX_BITS:
         raise ValueError(f"{name} must lie in [1, {MAX_BITS}], got {value}")
     return int(value)
@@ -102,10 +103,6 @@ class BinEdges:
             raise ValueError("boundaries must be strictly increasing")
         b.setflags(write=False)
         object.__setattr__(self, "boundaries", b)
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.boundaries) + 1
 
 
 @dataclass(frozen=True)
@@ -177,27 +174,30 @@ def compute_edges(samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
         raise ValueError(
             f"need at least {n_bins} samples to place {n_bins} bins, got {len(samples)}"
         )
-    # The spread rejects non-finite and constant samples. Equal-width edges
-    # need the std anyway. Equal-probability edges read the two ends of the
-    # sorted copy, where a NaN sorts last. Samples that arrive sorted, as
-    # `bin_indices` passes them, are not sorted again.
+    # Non-finite and constant samples show at the samples' ends (a float std
+    # of constant samples need not be 0): np.min and np.max propagate a NaN,
+    # and a NaN sorts last. Samples that arrive sorted, as `bin_indices`
+    # passes them, are not sorted again.
     by_width = scheme.positioning is Positioning.EQUAL_WIDTH
-    if not by_width:
+    if by_width:
+        smallest, largest = samples.min(), samples.max()
+    else:
         ordered = samples if np.all(samples[1:] >= samples[:-1]) else np.sort(samples)
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf, rejected below
-        spread = samples.std() if by_width else ordered[-1] - ordered[0]
-    if not np.isfinite(spread):
+        smallest, largest = ordered[0], ordered[-1]
+    if not (np.isfinite(smallest) and np.isfinite(largest)):
         raise ValueError("samples must be finite")
-    if spread == 0.0:
+    if smallest == largest:
         raise ValueError("degenerate samples: zero variance")
 
     if by_width:
-        std = spread
-        mean = samples.mean()
         k = scheme.width_multiplier
-        lo = mean - k * std
-        step = 2.0 * k * std / n_bins
-        boundaries = lo + step * np.arange(1, n_bins)
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            std = samples.std()
+            lo = samples.mean() - k * std
+            step = 2.0 * k * std / n_bins
+            boundaries = lo + step * np.arange(1, n_bins)
+        if not np.all(np.isfinite(boundaries)):
+            raise ValueError(f"equal-width boundaries overflow a float (std {std:.3g})")
     else:
         # np.quantile(samples, q, method="linear") bit for bit, from one sort
         # (numpy partitions around every requested order statistic, which

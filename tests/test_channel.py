@@ -10,6 +10,7 @@ from slicesec import (
     InfiniteInformationError,
     Stream,
     analytic_gaussian_mi,
+    channel,
     gaussian_source,
     transmit,
 )
@@ -42,7 +43,7 @@ def test_distinct_streams_are_uncorrelated():
     assert abs(np.corrcoef(x, y)[0, 1]) < CORR_TOL
 
 
-@pytest.mark.parametrize("n,sigma", [(0, 1.0), (10, 0.0), (10, -1.0)])
+@pytest.mark.parametrize("n,sigma", [(0, 1.0), (10, 0.0), (10, -1.0), (10.0, 1.0), (True, 1.0)])
 def test_gaussian_source_rejects_bad_args(n, sigma):
     with pytest.raises(ValueError):
         gaussian_source(n, sigma, Stream(0))
@@ -106,15 +107,17 @@ def test_variance_law_with_asymmetric_sigmas():
     assert abs(r.bob.var() - expected) < band
 
 
-def test_bob_eve_exchange_symmetry_is_exact():
+def test_bob_eve_exchange_symmetry_is_exact(monkeypatch):
     # Swapping the noise streams and sending T -> 1-T exchanges Bob's and
     # Eve's roles bit-for-bit, not just statistically. T is chosen so that
     # both T and 1-T are exactly representable doubles.
     t = 0.25
     pt = ChannelParams(transmission=t, samples=2000, seed=11)
     pc = ChannelParams(transmission=1.0 - t, samples=2000, seed=11)
-    swapped = transmit(pt, bob_noise_tag=EVE_NOISE_STREAM, eve_noise_tag=BOB_NOISE_STREAM)
     mirrored = transmit(pc)
+    monkeypatch.setattr(channel, "BOB_NOISE_STREAM", EVE_NOISE_STREAM)
+    monkeypatch.setattr(channel, "EVE_NOISE_STREAM", BOB_NOISE_STREAM)
+    swapped = transmit(pt)
     assert np.array_equal(swapped.alice, mirrored.alice)
     assert np.array_equal(swapped.bob, mirrored.eve)
     assert np.array_equal(swapped.eve, mirrored.bob)
@@ -161,6 +164,32 @@ def test_stream_rejects_values_outside_u64(seed, tags):
     # Each would alias its value mod 2^64 in the Philox key.
     with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
         Stream(seed, tags)
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("seed", dict(seed=1.5)),
+    ("seed", dict(seed=True)),
+    ("seed", dict(seed=42.0)),
+    ("samples", dict(samples=2000.0)),
+    ("samples", dict(samples=True)),
+], ids=["float-seed", "bool-seed", "integral-float-seed", "float-samples", "bool-samples"])
+def test_channel_params_reject_a_float_or_bool_count(field, kwargs):
+    # A seed of 1.5 would draw seed 1's samples and print 1.5 in the CSV's seed column.
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+        ChannelParams(transmission=0.5, **kwargs)
+
+
+@pytest.mark.parametrize("seed, tags, field", [
+    (1.5, (), "seed"), (False, (), "seed"), (0, (2.0,), "tag"), (0, (True,), "tag"),
+])
+def test_stream_rejects_a_float_or_bool_seed_or_tag(seed, tags, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+        Stream(seed, tags)
+
+
+def test_numpy_integers_are_integers():
+    given = transmit(ChannelParams(transmission=0.5, samples=np.int64(8), seed=np.uint64(3)))
+    assert np.array_equal(given.bob, transmit(ChannelParams(0.5, samples=8, seed=3)).bob)
 
 
 def test_child_tags_are_checked():

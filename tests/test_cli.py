@@ -1,6 +1,5 @@
 import argparse
 import ctypes
-import io
 import os
 import platform
 import subprocess
@@ -13,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slicesec import ChannelParams, SlicingScheme, slicing
+from slicesec import (
+    ChannelParams, LabelTable, Numbering, SlicingScheme, cli, default_t_grid, slicing,
+)
 from slicesec.cli import CSV_COLUMNS, keep_freed_memory, main, parse_args, read_csv, selftest
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_sweep.csv"
@@ -45,6 +46,11 @@ class TestParseArgs:
         assert config.t_grid[-1] == pytest.approx(0.95)
         assert config.seed == 42
         assert config.out == "sweep.csv"
+
+    def test_default_t_is_the_library_grid(self):
+        # The acceptance criteria sweep `default_t_grid()`; users run the CLI's default.
+        config = parse_args(["sweep", "--out", "x.csv"])
+        assert config.t_grid == tuple(float(t) for t in default_t_grid())
 
     def test_default_workers_count_the_cpus_this_process_may_run_on(self, monkeypatch):
         # Pinned to one CPU of eight, as under `taskset -c 0`.
@@ -98,6 +104,7 @@ class TestParseArgs:
         (["--t", "0.5,1.5"], "transmission 1.5 outside [0, 1]"),
         (["--seed", str(1 << 64)], "seed must lie in [0, 2^64)"),
         (["--t", "0:1e7:0.5"], "transmission 10000000.0 outside [0, 1]"),
+        (["--workers", "0"], "workers must be >= 1, got 0"),
     ])
     def test_usage_error_names_the_value(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -202,6 +209,15 @@ def test_sweep_error_names_the_failing_transmission(tmp_path, capsys, workers):
         "T=0: degenerate samples: zero variance (bob at 4 bits, in eqprob group, width 3)"
         in capsys.readouterr().err
     )
+
+
+def test_sweep_names_an_equal_width_overflow(tmp_path, capsys):
+    # Alice's samples are finite, but their squares, and so their std, are not.
+    assert main([
+        "sweep", "--t", "0.5", "--sigma-alice", "1e200", "--samples", "1000",
+        "--schemes", "eqwidth:gray:4", "--workers", "1", "--out", str(tmp_path / "x.csv"),
+    ]) == 1
+    assert "equal-width boundaries overflow a float" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
@@ -335,21 +351,28 @@ class TestPlot:
 
 
 class TestSelftest:
-    def test_passes_on_healthy_build(self):
-        buf = io.StringIO()
-        assert selftest(stream=buf) == 0
-        lines = [l for l in buf.getvalue().splitlines() if l.startswith("PASS")]
+    def test_passes_on_healthy_build(self, capsys):
+        assert selftest() == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("PASS")]
         assert len(lines) >= 5
 
-    def test_fails_when_labels_corrupted(self):
-        buf = io.StringIO()
-        assert selftest(corrupt_labels=True, stream=buf) == 1
-        assert "FAIL" in buf.getvalue()
+    def test_fails_when_labels_corrupted(self, capsys, monkeypatch):
+        def corrupted(numbering, b):
+            table = slicing.build_labels(numbering, b)
+            if numbering is not Numbering.GRAY or b < 2:
+                return table
+            codes = table.codes.copy()
+            codes[1] ^= 1 << (b - 1)  # codes 0 and 1 now differ in two bits
+            return LabelTable(codes, b)
+
+        monkeypatch.setattr(cli, "build_labels", corrupted)
+        assert selftest() == 1
+        assert "FAIL  gray adjacency (b=1..16)" in capsys.readouterr().out
 
     def test_cli_entry(self):
         assert main(["selftest"]) == 0
 
-    def test_tie_probe_fails_when_rank_bins_send_ties_lower(self, monkeypatch):
+    def test_tie_probe_fails_when_rank_bins_send_ties_lower(self, capsys, monkeypatch):
         # The rank rule's boundary search with side="right" puts a sample that
         # equals a boundary in the lower bin; `assign_bins` searches with
         # side="right" already, so forcing it everywhere changes only the rank rule.
@@ -362,11 +385,10 @@ class TestSelftest:
                 return np.searchsorted(a, v, side="right", sorter=sorter)
 
         monkeypatch.setattr(slicing, "np", RightSided())
-        buf = io.StringIO()
-        assert selftest(stream=buf) == 1
+        assert selftest() == 1
         assert (
             "FAIL  equal-width bins of samples tied on a boundary equal a binary search"
-            in buf.getvalue()
+            in capsys.readouterr().out
         )
 
 

@@ -205,6 +205,12 @@ class TestSweep:
         assert sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE, workers=10_000) == small_table
         assert sizes == [len(SMALL_T)]
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, 2.0])
+    def test_rejects_a_worker_count_that_is_not_an_integer_of_at_least_one(self, workers):
+        # Unchecked, 0, -3 and True would run serially and 2.5 start a two-process pool.
+        with pytest.raises(ValueError, match="workers must be"):
+            sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE, workers=workers)
+
     def test_symbol_mi_ignores_numbering(self, small_table):
         # eqprob:binary:3 and eqprob:gray:3 share positioning and bit depth,
         # hence identical bins and identical symbol-level MI on shared data

@@ -90,6 +90,22 @@ class TestSchemeParsing:
             SlicingScheme.parse("eqprob:gray:17")
 
 
+# Samples that both positionings reject, and the message they give.
+DEGENERATE_SAMPLES = pytest.mark.parametrize("samples, message", [
+    (np.insert(np.arange(100.0), 50, np.nan), "samples must be finite"),
+    (np.append(np.arange(100.0), np.inf), "samples must be finite"),
+    (np.insert(np.arange(100.0), 0, -np.inf), "samples must be finite"),
+    (np.full(8, np.inf), "samples must be finite"),
+    (np.full(8, -np.inf), "samples must be finite"),
+    (np.full(8, 3.0), "zero variance"),
+    (np.array([0.0, -0.0] * 4), "zero variance"),
+    # Constant, but a std over them reads 1.4e-17: their float mean is not 0.1.
+    (np.full(3, 0.1), "zero variance"),
+    (np.full(6, 0.1), "zero variance"),
+], ids=["nan", "inf", "-inf", "all-inf", "all--inf", "constant", "signed-zeros",
+        "constant-inexact-mean", "constant-inexact-mean-6"])
+
+
 class TestComputeEdges:
     def test_single_bit_symmetric_data(self):
         samples = np.array([-1.0, 1.0])
@@ -137,25 +153,32 @@ class TestComputeEdges:
         with pytest.raises(ValueError, match="finite"):
             compute_edges(samples, SlicingScheme(positioning, Numbering.BINARY, 1))
 
-    @pytest.mark.parametrize("samples, message", [
-        (np.insert(np.arange(100.0), 50, np.nan), "samples must be finite"),
-        (np.append(np.arange(100.0), np.inf), "samples must be finite"),
-        (np.insert(np.arange(100.0), 0, -np.inf), "samples must be finite"),
-        (np.full(8, np.inf), "samples must be finite"),
-        (np.full(8, -np.inf), "samples must be finite"),
-        (np.full(8, 3.0), "zero variance"),
-        (np.array([0.0, -0.0] * 4), "zero variance"),
-        # Constant, but a std over them reads 1.4e-17: their float mean is not 0.1.
-        (np.full(3, 0.1), "zero variance"),
-        (np.full(6, 0.1), "zero variance"),
-    ], ids=["nan", "inf", "-inf", "all-inf", "all--inf", "constant", "signed-zeros",
-            "constant-inexact-mean", "constant-inexact-mean-6"])
+    @DEGENERATE_SAMPLES
     def test_equal_probability_rejects_from_the_ends_of_the_sorted_copy(self, samples, message):
         for bits in range(1, len(samples).bit_length()):  # every depth with enough samples
             scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, bits)
             for given in (samples, np.sort(samples)):  # sorted input is not sorted again
                 with pytest.raises(ValueError, match=message):
                     compute_edges(given, scheme)
+
+    @DEGENERATE_SAMPLES
+    def test_equal_width_rejects_from_the_ends_of_the_samples(self, samples, message):
+        # The std of [0.1] * 6 is 1.4e-17, not 0: at 2 bits its boundaries
+        # would be 0.09999999999999998, 0.09999999999999999 and 0.1, with
+        # every sample in the top bin.
+        for bits in range(1, len(samples).bit_length()):
+            scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, bits)
+            with pytest.raises(ValueError, match=message):
+                compute_edges(samples, scheme)
+
+    @pytest.mark.parametrize("samples, k", [
+        (np.array([-1e200, 1e200] * 4), 3.0),  # finite samples whose squares are not
+        (np.array([-1e300, 1e300] * 4), 1e9),  # a finite std, but not k times it
+    ], ids=["std", "k-std"])
+    def test_equal_width_names_an_overflow(self, samples, k):
+        scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, 2, k)
+        with pytest.raises(ValueError, match="equal-width boundaries overflow a float"):
+            compute_edges(samples, scheme)
 
 
 @settings(max_examples=200, deadline=None)
