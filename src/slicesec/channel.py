@@ -30,6 +30,12 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_positive_finite(name: str, value) -> None:
+    """Reject a ``value`` that is not positive and finite; NaN is neither."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_u64(name: str, value: int) -> None:
     """Seeds and tags enter the Philox key as u64 words; a larger value would
     alias itself mod 2^64 while reporting itself unchanged."""
@@ -87,8 +93,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.transmission <= 1.0:
             raise ValueError(f"transmission must lie in [0, 1], got {self.transmission}")
-        if not 0 < self.sigma_alice < math.inf:
-            raise ValueError(f"sigma_alice must be positive and finite, got {self.sigma_alice}")
+        check_positive_finite("sigma_alice", self.sigma_alice)
         if not 0 <= self.sigma_vacuum < math.inf:
             raise ValueError(
                 f"sigma_vacuum must be nonnegative and finite, got {self.sigma_vacuum}"
@@ -121,8 +126,7 @@ def gaussian_source(n: int, sigma: float, stream: Stream) -> np.ndarray:
     check_integer("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_positive_finite("sigma", sigma)
     return stream.generator().normal(0.0, sigma, size=n)
 
 

@@ -68,8 +68,9 @@ def _parse_t_spec(spec: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"t range must be min:max:step, got {spec!r}")
     lo, hi, step = (float(p) for p in parts)
-    if not step > 0:
-        raise ValueError(f"t range {spec!r} needs a step > 0")
+    # Points are rounded to 12 decimals below, so a finer step only repeats them.
+    if not step >= 1e-12:
+        raise ValueError(f"t range {spec!r} needs a step of at least 1e-12")
     count = int(round((hi - lo) / step)) + 1
     while count > 0 and lo + (count - 1) * step > hi + 1e-9:
         count -= 1  # the rounded count overshoots hi

@@ -9,13 +9,22 @@ repacks each field at fewer bits, and every marginal is a shift and a mask
 of the codes. One rule sizes every array indexed by code (`_dense`): an
 array over 2^w codes of n inputs is allocated when 2^w <= max(n, 2^16),
 2^16 being the largest bin alphabet; a wider code space is sorted or
-renumbered instead. No bias correction is applied; the known positive
-bias of the plug-in MI, roughly (|A|-1)(|B|-1)/(2 N ln 2), is exposed as
-an oracle so tests and sanity checks can bound it.
+renumbered instead. One rule sorts (`_sort_codes`): `np.sort` of the
+codes, or of int64 keys ``code << p | position`` when the input order is
+needed, with `np.argsort` only where a key would not fit in 63 bits; runs
+of equal codes start where a sorted code differs from the one before it.
+`np.unique` is not used: it sorts the same way with more passes, and it
+imports `numpy.ma`, about 13 ms in every fresh process. Count products
+with 0/1 bit matrices are float64 BLAS products: every partial sum is an
+integer of at most N < 2^53, which a float64 holds exactly, while numpy's
+int64 products have no BLAS. No bias correction is applied; the known
+positive bias of the plug-in MI, roughly (|A|-1)(|B|-1)/(2 N ln 2), is
+exposed as an oracle so tests and sanity checks can bound it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -119,17 +128,43 @@ def _count_codes(
         codes = np.flatnonzero(dense)
         # Float sums of integer counts are exact, so the cast loses nothing.
         counts = dense[codes].astype(np.int64, copy=False)
-    else:
+    elif weights is None:
         if width <= 31:
             codes = codes.astype(np.int32)  # 32-bit codes sort about twice as fast
-        if weights is None:
-            codes, counts = np.unique(codes, return_counts=True)
-        else:
-            order = np.argsort(codes)
-            codes = codes[order]
-            starts = np.flatnonzero(np.diff(codes, prepend=-1))
-            codes, counts = codes[starts], np.add.reduceat(weights[order], starts)
+        codes = np.sort(codes)
+        starts = np.flatnonzero(_run_starts(codes))
+        codes, counts = codes[starts], np.diff(starts, append=len(codes))
+    else:
+        codes, order = _sort_codes(codes, width)
+        starts = np.flatnonzero(_run_starts(codes))
+        codes, counts = codes[starts], np.add.reduceat(weights[order], starts)
     return codes.astype(np.int64, copy=False), counts
+
+
+def _sort_codes(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative ``width``-bit ``codes`` ascending, and the stable sorting permutation.
+
+    Each code is packed with its position p bits wide, p the bit length of
+    n - 1, into one int64 key, so one `np.sort` orders the codes and keeps
+    equal ones in input order. When width + p exceeds 63 the keys would not
+    fit, and a stable `np.argsort` gives the same permutation.
+    """
+    p = (len(codes) - 1).bit_length()
+    if width + p > 63:
+        order = np.argsort(codes, kind="stable")
+        return codes[order], order
+    keys = codes.astype(np.int64) << p
+    keys |= np.arange(len(codes))
+    keys.sort()
+    return keys >> p, keys & ((1 << p) - 1)
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Whether each entry of nonempty ascending ``ordered`` starts a run of equal values."""
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
 
 
 def _dense(width: int, n: int) -> bool:
@@ -194,11 +229,14 @@ def _marginal_code(code: np.ndarray, width: int) -> np.ndarray:
     """A marginal's code per occupied cell, within the size `_dense` allows.
 
     ``code`` itself when `_dense` allows its 2^width code space for the
-    cells, else its values numbered densely. A marginal accumulates each
-    code's cells in input order either way, so both give the same floats.
+    cells, else its values numbered densely in ascending order. A marginal
+    accumulates each code's cells in input order either way, so both give
+    the same floats.
     """
     if not _dense(width, len(code)):
-        code = np.unique(code, return_inverse=True)[1]
+        ordered, order = _sort_codes(code, width)
+        code = np.empty(len(code), dtype=np.int64)
+        code[order] = np.cumsum(_run_starts(ordered)) - 1
     return code
 
 
@@ -292,27 +330,39 @@ def label_bit_tables(cells: JointCells, tables: Sequence[LabelTable]) -> np.ndar
     is v: each per-bit table is an exact marginal of the symbol joint.
 
     Every per-bit sum is taken over a 2^b-entry histogram, so no cell's
-    label is expanded to b bits: a party's ones come from its symbol
-    marginal, counted once for every codebook, and the samples where both
-    bits are one from the histogram of the two labels' bitwise AND, whose
-    bits are those of the binary codebook.
+    label is expanded to b bits. Each histogram is first carried from bins
+    to labels: a party's symbol marginal, counted once for every codebook,
+    is summed over the bins of each label, and the samples' pairs of labels
+    are histogrammed by their bitwise AND, which is one where both bits
+    are. One float64 product with the binary codebook's bits then gives a
+    party's ones and the samples where both bits are one, for every
+    codebook and bit. It is exact: each count and partial sum is an integer
+    of at most the total count, which stays below 2^53.
     """
     k, b = tables[0].labels.shape
     x, y, counts = cells.coordinate(0), cells.coordinate(1), cells.counts
 
-    def hist(index: np.ndarray) -> np.ndarray:
-        # Float sums of integer counts are exact, so the cast loses nothing.
-        return np.bincount(index, weights=counts, minlength=k).astype(counts.dtype)
+    def hist(index: np.ndarray, weights: np.ndarray = counts) -> np.ndarray:
+        return np.bincount(index, weights=weights, minlength=k)
 
-    labels = np.stack([table.labels for table in tables])
-    binary = build_labels(Numbering.BINARY, b).labels
-    ones_x = hist(x) @ labels
-    ones_y = hist(y) @ labels
-    both = np.stack([hist(t.codes[x] & t.codes[y]) for t in tables]) @ binary
+    marginals = hist(x), hist(y)
+    by_label = [hist(t.codes, weights=marginal) for marginal in marginals for t in tables]
+    by_label += [hist(t.codes[x] & t.codes[y]) for t in tables]
+    ones_x, ones_y, both = (
+        (np.stack(by_label) @ _bit_matrix(b)).astype(np.int64).reshape(3, len(tables), b)
+    )
     n = counts.sum()
     return np.stack(
         [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=-1
     ).reshape(len(tables), b, 2, 2)
+
+
+@functools.cache
+def _bit_matrix(b: int) -> np.ndarray:
+    """The bits of every b-bit label, as the float64 (2^b, b) binary codebook."""
+    bits = build_labels(Numbering.BINARY, b).labels.astype(np.float64)
+    bits.setflags(write=False)
+    return bits
 
 
 def bit_error_rate_from_tables(tables: np.ndarray) -> float:

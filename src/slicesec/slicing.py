@@ -12,13 +12,12 @@ enters boundary computation.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .channel import check_integer
+from .channel import check_integer, check_positive_finite
 
 
 class Positioning(str, Enum):
@@ -54,10 +53,7 @@ class SlicingScheme:
         object.__setattr__(self, "positioning", Positioning(self.positioning))
         object.__setattr__(self, "numbering", Numbering(self.numbering))
         object.__setattr__(self, "bits", _bit_count(self.bits, "bits"))
-        if not 0 < self.width_multiplier < math.inf:
-            raise ValueError(
-                f"width_multiplier must be positive and finite, got {self.width_multiplier}"
-            )
+        check_positive_finite("width_multiplier", self.width_multiplier)
 
     @property
     def n_bins(self) -> int:
@@ -132,7 +128,7 @@ class LabelTable:
             arr.setflags(write=False)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "collisions", n - len(np.unique(codes)))
+        object.__setattr__(self, "collisions", n - np.count_nonzero(np.bincount(codes)))
 
     def as_strings(self) -> list[str]:
         return ["".join(str(bit) for bit in row) for row in self.labels]

@@ -43,7 +43,10 @@ def test_distinct_streams_are_uncorrelated():
     assert abs(np.corrcoef(x, y)[0, 1]) < CORR_TOL
 
 
-@pytest.mark.parametrize("n,sigma", [(0, 1.0), (10, 0.0), (10, -1.0), (10.0, 1.0), (True, 1.0)])
+@pytest.mark.parametrize("n,sigma", [
+    (0, 1.0), (10, 0.0), (10, -1.0), (10.0, 1.0), (True, 1.0),
+    (10, math.nan), (10, math.inf), (10, -math.inf),
+])
 def test_gaussian_source_rejects_bad_args(n, sigma):
     with pytest.raises(ValueError):
         gaussian_source(n, sigma, Stream(0))

@@ -92,6 +92,9 @@ class TestParseArgs:
         ["sweep", "--t", "0:inf:0.1", "--out", "x.csv"],
         # 2e7 points: the range's ends are checked before any point is built.
         ["sweep", "--t", "0:1e7:0.5", "--out", "x.csv"],
+        # 1e13 points, all repeats once rounded to 12 decimals: the step is
+        # checked before any point is built.
+        ["sweep", "--t", "0:1:1e-13", "--out", "x.csv"],
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -125,6 +128,16 @@ class TestParseArgs:
     def test_largest_u64_seed_is_accepted(self):
         config = parse_args(["sweep", "--seed", str((1 << 64) - 1), "--out", "x.csv"])
         assert config.seed == (1 << 64) - 1
+
+    @pytest.mark.parametrize("spec", ["0:1:1e-13", "0:1:9.99e-13", "0:1:-1e-12", "0:1:nan"])
+    def test_t_range_step_below_the_rounding_is_rejected(self, spec):
+        with pytest.raises(ValueError, match="needs a step of at least 1e-12"):
+            cli._parse_t_spec(spec)
+
+    def test_t_range_step_at_the_rounding_gives_distinct_points(self):
+        assert cli._parse_t_spec("0.5:0.500000000003:1e-12") == (
+            0.5, 0.500000000001, 0.500000000002, 0.500000000003
+        )
 
     def test_explicit_t_list(self):
         config = parse_args(["sweep", "--t", "0.1,0.5,0.9", "--out", "x.csv"])
@@ -411,6 +424,27 @@ def test_second_sweep_reuses_the_memory_the_first_freed(tmp_path):
                             env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) < 200
+
+
+def test_sweep_leaves_numpy_ma_unimported():
+    # numpy.ma, which np.unique imports on first use, costs about 13 ms in
+    # every fresh process. This sweep counts sorted pair codes (b = 9, 10),
+    # merges sorted weighted cells (10 -> 9 bits) and counts F-LFSR label
+    # collisions.
+    script = textwrap.dedent("""
+        import sys, tempfile
+        from slicesec import cli
+        with tempfile.TemporaryDirectory() as tmp:
+            assert cli.main(["sweep", "--samples", "4000", "--t", "0.5", "--workers", "1",
+                             "--schemes", "eqprob:flfsr:10,eqprob:gray:9,eqwidth:binary:4",
+                             "--out", tmp + "/x.csv"]) == 0
+        print("numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
 
 
 def test_keep_freed_memory_does_nothing_without_mallopt(monkeypatch):

@@ -16,6 +16,7 @@ from slicesec import (
     mutual_information_symbols,
     plugin_bias,
 )
+from slicesec import infotheory
 from slicesec.infotheory import (
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
@@ -381,15 +382,15 @@ def test_joint_cells_counts_by_bincount_and_by_unique_alike(seed, sizes, n, weig
     assert_same_cells(joint_cells(*indices, weights=weights), dense_cells(indices, weights))
 
 
-def record(monkeypatch, name):
-    """The results of numpy's ``name`` from every call until the patch is undone."""
-    results, fn = [], getattr(np, name)
+def record(monkeypatch, name, module=np):
+    """The results of every call of ``module.name`` until the patch is undone."""
+    results, fn = [], getattr(module, name)
 
     def recording(*args, **kwargs):
         results.append(fn(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(np, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return results
 
 
@@ -446,10 +447,10 @@ def test_coarsening_to_more_codes_than_cells_counts_densely(monkeypatch):
     y = np.clip(x + rng.integers(0, 3, size=2000), 0, 15)
     cells = joint_cells(x, y)
     assert len(cells.counts) < 8 * 8
-    argsorts = record(monkeypatch, "argsort")
+    sorts = record(monkeypatch, "_sort_codes", infotheory)
     coarse = coarsen_cells(cells, 1)
     monkeypatch.undo()
-    assert argsorts == []
+    assert sorts == []
     assert_same_cells(coarse, dense_cells([x >> 1, y >> 1]))
 
 
@@ -463,11 +464,53 @@ def test_triple_marginals_within_two_to_the_16_codes_are_not_renumbered(monkeypa
     y, z = ((x + rng.integers(0, 4, size=5000)) & 255 for _ in range(2))
     cells = joint_cells(x, y, z)
     assert cells.bits == 8 and len(cells.codes) < 1 << 16  # so fewer marginal cells too
-    uniques = record(monkeypatch, "unique")
+    sorts = record(monkeypatch, "_sort_codes", infotheory)
     plugin_mi(cells)
     monkeypatch.undo()
-    assert uniques == []
+    assert sorts == []
 
+
+def test_triple_marginals_beyond_two_to_the_16_codes_are_renumbered(monkeypatch):
+    # At b = 9 the (x, z) and (y, z) marginals span 2^18 codes, more than
+    # max(cells, 2^16), so each is sorted and numbered densely; the value is
+    # that of the same data relabelled to the occupied values.
+    rng = np.random.default_rng(9)
+    x = rng.integers(0, 512, size=5000)
+    x[0] = 511
+    y, z = ((x + rng.integers(0, 4, size=5000)) & 511 for _ in range(2))
+    cells = joint_cells(x, y, z)
+    assert cells.bits == 9
+    expected = plugin_mi(joint_cells(*(np.unique(v, return_inverse=True)[1] for v in (x, y, z))))
+    sorts = record(monkeypatch, "_sort_codes", infotheory)
+    value = plugin_mi(cells)
+    monkeypatch.undo()
+    assert len(sorts) == 2
+    assert value == expected > 0
+
+
+@pytest.mark.parametrize("n,packed", [(8, True), (9, False)])
+def test_weighted_counting_is_exact_at_the_packed_key_guard(n, packed, monkeypatch):
+    # Three 20-bit indices pack into 60-bit codes. A code and its position
+    # need 60 + 3 = 63 bits for 8 inputs, one int64 key, and 60 + 4 = 64 for
+    # 9, where the stable argsort takes over. Codes near 2^60 and repeated
+    # cells put the keys' top bits and the runs to the test.
+    top = (1 << 20) - 1
+    rng = np.random.default_rng(n)
+    indices = [rng.integers(top - 2, top + 1, size=n) for _ in range(3)]
+    indices[0][: n // 2] = top
+    weights = rng.integers(1, 1 << 40, size=n)
+    argsorts = record(monkeypatch, "argsort")
+    cells = joint_cells(*indices, weights=weights)
+    monkeypatch.undo()
+    assert bool(argsorts) is not packed
+    expected = {}
+    for cell, weight in zip(zip(*(v.tolist() for v in indices)), weights.tolist()):
+        expected[cell] = expected.get(cell, 0) + weight
+    cell_keys = sorted(expected)
+    assert len(cell_keys) < n  # some cells repeat
+    assert cells.codes.dtype == np.int64 and (np.diff(cells.codes) > 0).all()
+    assert list(zip(*(cells.coordinate(i).tolist() for i in range(3)))) == cell_keys
+    assert cells.counts.tolist() == [expected[c] for c in cell_keys]
 
 def test_symbol_mi_of_a_wide_index_allocates_within_the_rule(monkeypatch):
     # An index of 2^20 packs every coordinate at 21 bits, a code space wider
@@ -540,17 +583,37 @@ def test_label_bit_tables_equal_the_gathered_label_formula(bits, numbering):
     x = rng.integers(0, k, size=20_000)
     y = np.clip(x + rng.integers(-k // 16, k // 16 + 1, size=x.size), 0, k - 1)
     cells = joint_cells(x, y)
-    counts = cells.counts
     table = build_labels(numbering, bits)
-    labels = table.labels
-    lx, ly = (labels[cells.coordinate(i)].astype(np.int64) for i in (0, 1))
+    got = label_bit_tables(cells, [table])[0]
+    assert got.dtype == np.int64 and np.array_equal(got, gathered_label_tables(cells, table))
+
+
+def gathered_label_tables(cells, table):
+    """Per-bit tables by the formula the histogram form replaced, in int64: each
+    cell's labels expanded to b bits and weighted by the cell counts."""
+    counts = cells.counts
+    lx, ly = (table.labels[cells.coordinate(i)].astype(np.int64) for i in (0, 1))
     n = counts.sum()
     ones_x, ones_y, both = counts @ lx, counts @ ly, counts @ (lx & ly)
-    expected = np.stack(
+    return np.stack(
         [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=1
     ).reshape(-1, 2, 2)
-    got = label_bit_tables(cells, [table])[0]
-    assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("bits", [3, 12])
+def test_label_bit_tables_are_exact_above_two_to_the_32_samples(bits):
+    # Cell counts near 2^40 make a total near 2^44, past any 32-bit sum and
+    # within the 2^53 up to which the float64 products are exact.
+    rng = np.random.default_rng(bits)
+    k = 1 << bits
+    x = rng.integers(0, k, size=4000)
+    y = np.clip(x + rng.integers(-2, 3, size=x.size), 0, k - 1)
+    cells = joint_cells(x, y, weights=rng.integers(1 << 39, 1 << 40, size=x.size))
+    assert cells.counts.sum() > 1 << 32
+    tables = [build_labels(numbering, bits) for numbering in Numbering]
+    got = label_bit_tables(cells, tables)
+    for stacked, table in zip(got, tables):
+        assert np.array_equal(stacked, gathered_label_tables(cells, table))
 
 
 @pytest.mark.parametrize("bits", [1, 5, 12])

@@ -39,3 +39,17 @@ def test_run_full_sweep_writes_charts_and_best_tables(tmp_path):
     assert written == {"sweep.csv", "mi_vs_t.svg", "delta_direct.svg", "delta_reverse.svg",
                        "best_direct.svg", "best_reverse.svg", "best_direct.csv",
                        "best_reverse.csv"}
+
+
+def test_ab_pairs_times_each_side_once_per_pair():
+    # This checkout against itself: the CSVs agree, and the sides alternate.
+    result = run_script("ab_pairs.py", str(ROOT), "--workload", "paper_grid",
+                        "--pairs", "2", "--seed", "3")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].split("\t") == ["pair", "seed", "first", "parent_s", "change_s", "same_csv"]
+    pairs = [line.split("\t") for line in lines[1:3]]
+    assert [(p[0], p[1], p[2], p[5]) for p in pairs] == [
+        ("0", "3", "parent", "yes"), ("1", "4", "change", "yes"),
+    ]
+    assert lines[3].startswith("change won ") and " of 2 pairs; median parent " in lines[3]

@@ -446,6 +446,7 @@ class TestLabels:
         assert np.array_equal(table.labels @ weights, table.codes)
         # Distinct label rows, counted as before the codes existed.
         assert table.collisions == (1 << b) - len(np.unique(table.labels, axis=0))
+        assert table.collisions == (1 << b) - len(set(table.codes.tolist()))
 
     @pytest.mark.parametrize("b", [5.0, np.float64(5.0), True],
                              ids=["float", "numpy-float", "bool"])
