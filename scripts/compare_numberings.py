@@ -17,8 +17,8 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--t", type=float, default=0.95)
     ap.add_argument("--bits", type=int, default=4)
-    ap.add_argument("--samples", type=int, default=200_000)
-    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--samples", type=int, default=ChannelParams.samples)
+    ap.add_argument("--seed", type=int, default=ChannelParams.seed)
     args = ap.parse_args()
     try:
         params = ChannelParams(transmission=args.t, samples=args.samples, seed=args.seed)

@@ -3,7 +3,7 @@
 
 Usage: python scripts/run_full_sweep.py [outdir] [--samples N] [--seed S] [--workers W]
 
-Without --workers the sweep takes `slicesec sweep`'s own default.
+A flag left out takes `slicesec sweep`'s own default.
 """
 
 import argparse
@@ -23,8 +23,8 @@ CHARTS = [
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", nargs="?", default="sweep_out")
-    ap.add_argument("--samples", type=int, default=200_000)
-    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--samples", type=int)
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--workers", type=int)
     args = ap.parse_args()
 
@@ -32,11 +32,11 @@ def main() -> int:
     csv_path = os.path.join(args.outdir, "sweep.csv")
 
     run = [sys.executable, "-m", "slicesec"]
-    workers = [] if args.workers is None else ["--workers", str(args.workers)]
-    subprocess.run(run + [
-        "sweep", "--seed", str(args.seed), "--samples", str(args.samples),
-        "--t", "0.05:0.95:0.05", "--schemes", "all", *workers, "--out", csv_path,
-    ], check=True)
+    given = []
+    for flag in ("samples", "seed", "workers"):
+        if getattr(args, flag) is not None:
+            given += [f"--{flag}", str(getattr(args, flag))]
+    subprocess.run(run + ["sweep", *given, "--out", csv_path], check=True)
 
     for plot_mode, mode, name in CHARTS:
         subprocess.run(run + [

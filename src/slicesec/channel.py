@@ -30,6 +30,19 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_count(name: str, value) -> None:
+    """Reject a ``value`` that is not an integer >= 1 (see `check_integer`)."""
+    check_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def check_transmission(t) -> None:
+    """Reject a transmission outside [0, 1]; NaN is outside."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"transmission {t} outside [0, 1]")
+
+
 def check_positive_finite(name: str, value) -> None:
     """Reject a ``value`` that is not positive and finite; NaN is neither."""
     if not 0 < value < math.inf:
@@ -91,16 +104,13 @@ class ChannelParams:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError(f"transmission must lie in [0, 1], got {self.transmission}")
+        check_transmission(self.transmission)
         check_positive_finite("sigma_alice", self.sigma_alice)
         if not 0 <= self.sigma_vacuum < math.inf:
             raise ValueError(
                 f"sigma_vacuum must be nonnegative and finite, got {self.sigma_vacuum}"
             )
-        check_integer("samples", self.samples)
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        check_count("samples", self.samples)
         _check_u64("seed", self.seed)
 
 
@@ -123,9 +133,7 @@ class ChannelRealization:
 
 def gaussian_source(n: int, sigma: float, stream: Stream) -> np.ndarray:
     """Draw n i.i.d. samples from N(0, sigma^2), fully determined by stream."""
-    check_integer("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_count("n", n)
     check_positive_finite("sigma", sigma)
     return stream.generator().normal(0.0, sigma, size=n)
 

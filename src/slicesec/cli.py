@@ -13,19 +13,21 @@ import math
 import operator
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import infotheory, slicing
-from .channel import ChannelParams, transmit
+from .channel import ChannelParams, check_count, transmit
 from .secrecy import (
+    FLOAT_FORMAT,
     SweepTable,
     check_grid,
-    check_transmissions,
-    check_workers,
     default_schemes,
+    default_t_grid,
     evaluate_schemes,
     sweep,
+    t_range,
 )
 from .slicing import Numbering, Positioning, SlicingScheme, bin_indices, build_labels
 from .svgplot import Chart, Series
@@ -47,14 +49,13 @@ COLUMN_TYPES = {
     "bits": int, "samples": int, "seed": int, "label_collisions": int,
 }
 
-_FLOAT = "%.9g"  # every float the CLI writes: 9 significant digits
 _report_values = operator.attrgetter(*CSV_FIELDS.values())
 # One row's %-format, str() for a column that is no float. A depth whose CMI
 # is over capacity leaves the cell empty: "%.0s" prints none of its None.
 _CSV_ROW, _CSV_ROW_WITHOUT_CMI = (
-    ",".join(cmi if col == "cmi_ab_given_e" else "%s" if col in COLUMN_TYPES else _FLOAT
+    ",".join(cmi if col == "cmi_ab_given_e" else "%s" if col in COLUMN_TYPES else FLOAT_FORMAT
              for col in CSV_COLUMNS)
-    for cmi in (_FLOAT, "%.0s")
+    for cmi in (FLOAT_FORMAT, "%.0s")
 )
 
 PLOT_MODES = ("mi_vs_t", "delta_vs_t", "best_vs_t")
@@ -67,30 +68,15 @@ def _parse_t_spec(spec: str) -> tuple[float, ...]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"t range must be min:max:step, got {spec!r}")
-    lo, hi, step = (float(p) for p in parts)
-    # Points are rounded to 12 decimals below, so a finer step only repeats them.
-    if not step >= 1e-12:
-        raise ValueError(f"t range {spec!r} needs a step of at least 1e-12")
-    count = int(round((hi - lo) / step)) + 1
-    while count > 0 and lo + (count - 1) * step > hi + 1e-9:
-        count -= 1  # the rounded count overshoots hi
-
-    def point(i: int) -> float:
-        return round(lo + i * step, 12)
-
-    if count > 0:
-        # Points rise with i, so the ends decide the range rule before the
-        # points are built.
-        check_transmissions({point(0), point(count - 1)})
-    return tuple(point(i) for i in range(count))
+    return t_range(*(float(p) for p in parts))
 
 
 def _parse_schemes(spec: str, width_multiplier: float) -> tuple[SlicingScheme, ...]:
     if spec.strip().lower() == "all":
-        return tuple(default_schemes(width_multiplier))
-    return tuple(
-        SlicingScheme.parse(tok, width_multiplier) for tok in spec.split(",") if tok.strip()
-    )
+        schemes = default_schemes()
+    else:
+        schemes = [SlicingScheme.parse(tok) for tok in spec.split(",") if tok.strip()]
+    return tuple(replace(s, width_multiplier=width_multiplier) for s in schemes)
 
 
 def available_cpus() -> int:
@@ -139,17 +125,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run the (T, scheme) grid and write CSV")
-    p_sweep.add_argument("--seed", type=int, default=42, help="master RNG seed (u64)")
-    p_sweep.add_argument("--samples", type=int, default=200_000,
+    # Every default but the worker count is the library's (`--t`: `default_t_grid`).
+    p_sweep.add_argument("--seed", type=int, default=ChannelParams.seed,
+                         help="master RNG seed (u64)")
+    p_sweep.add_argument("--samples", type=int, default=ChannelParams.samples,
                          help="transmitted points per channel realization")
-    p_sweep.add_argument("--sigma-alice", type=float, default=1.0,
+    p_sweep.add_argument("--sigma-alice", type=float, default=ChannelParams.sigma_alice,
                          help="std dev of Alice's Gaussian modulation")
-    p_sweep.add_argument("--sigma-vacuum", type=float, default=1.0,
+    p_sweep.add_argument("--sigma-vacuum", type=float, default=ChannelParams.sigma_vacuum,
                          help="std dev of the added channel noise")
-    p_sweep.add_argument("--width-multiplier", type=float, default=3.0,
+    p_sweep.add_argument("--width-multiplier", type=float, default=SlicingScheme.width_multiplier,
                          help="equal-width bins span mean +/- k*std; this is k")
-    p_sweep.add_argument("--t", default="0.05:0.95:0.05",
-                         help="transmission grid: min:max:step or comma list")
+    p_sweep.add_argument("--t", help="transmission grid: min:max:step or comma list")
     p_sweep.add_argument("--schemes", default="all",
                          help="'all' (18-scheme grid) or comma list like eqprob:gray:4")
     p_sweep.add_argument("--workers", type=int, default=available_cpus(),
@@ -178,15 +165,15 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     For ``sweep`` the namespace also carries the parsed ``t_grid`` and
     ``schemes`` and the channel parameters as ``base``; every rule on them is
-    stated once, by `check_grid`, `check_workers`, `SlicingScheme` and
-    `ChannelParams`.
+    stated once, by `t_range`, `check_grid`, `check_count`, `SlicingScheme`
+    and `ChannelParams`.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
     if ns.subcommand != "sweep":
         return ns
     try:
-        ns.t_grid = _parse_t_spec(ns.t)
+        ns.t_grid = default_t_grid() if ns.t is None else _parse_t_spec(ns.t)
         ns.schemes = _parse_schemes(ns.schemes, ns.width_multiplier)
         check_grid(ns.t_grid, ns.schemes)
         ns.base = ChannelParams(
@@ -196,7 +183,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             samples=ns.samples,
             seed=ns.seed,
         )
-        check_workers(ns.workers)
+        check_count("workers", ns.workers)
     except (ValueError, OverflowError) as exc:  # OverflowError: an infinite --t bound
         parser.error(str(exc))  # exits 2
     return ns
@@ -431,7 +418,8 @@ def main(argv: list[str] | None = None) -> int:
             emit_csv(sweep(args.t_grid, args.schemes, args.base, workers=args.workers), args.out)
         elif args.subcommand == "best":
             lines = ["transmission,scheme"]
-            lines += [f"{_FLOAT % t},{s}" for t, s in best_rows(read_csv(args.csv_path), args.mode)]
+            winners = best_rows(read_csv(args.csv_path), args.mode)
+            lines += [f"{FLOAT_FORMAT % t},{s}" for t, s in winners]
             text = "\n".join(lines) + "\n"
             if args.out:
                 with open(args.out, "w") as fh:

@@ -14,51 +14,74 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, ChannelRealization, Stream, check_integer, transmit
+from .channel import (
+    ChannelParams, ChannelRealization, Stream, check_count, check_transmission, transmit,
+)
 from .infotheory import (
+    AlphabetCapacityError,
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
     coarsen_cells,
-    conditional_mi,
     joint_cells,
     label_bit_tables,
-    mutual_information_symbols,
     plugin_bias,
     plugin_mi,
     within_cmi_capacity,
 )
-from .slicing import (
-    Numbering,
-    Positioning,
-    SlicingScheme,
-    _ranked_bins,
-    bin_indices,
-    build_labels,
-)
+from .slicing import Numbering, Positioning, SlicingScheme, _ranked_bins, build_labels
 
 # bench/tracing.py wraps these names in this module's namespace (and raises
 # KeyError if one is missing), so they stay importable from here although
-# the engine bins once and derives bitwise MI and BER from joint tables.
+# the engine bins once and derives every estimate from joint tables.
 from .infotheory import bit_error_rate, mutual_information_bitwise  # noqa: F401
+from .infotheory import conditional_mi, mutual_information_symbols  # noqa: F401
 from .slicing import slice_samples  # noqa: F401
 
 # The six-method grid studied at 2^4, 2^5 and 2^6 bins.
 DEFAULT_BITS = (4, 5, 6)
 
+MAX_T_POINTS = 100_000  # the most points a transmission range may have (see `t_range`)
 
-def default_schemes(width_multiplier: float = 3.0) -> list[SlicingScheme]:
+# Every float a sweep reports is printed, and so read back, at 9 significant digits.
+FLOAT_FORMAT = "%.9g"
+
+
+def default_schemes() -> list[SlicingScheme]:
     """The full 18-scheme grid: positionings x numberings x bit depths."""
     return [
-        SlicingScheme(pos, num, bits, width_multiplier)
+        SlicingScheme(pos, num, bits)
         for pos in Positioning
         for num in Numbering
         for bits in DEFAULT_BITS
     ]
 
 
-def default_t_grid() -> np.ndarray:
+def default_t_grid() -> tuple[float, ...]:
     """Transmission grid 0.05 to 0.95 in steps of 0.05."""
-    return np.round(np.arange(1, 20) * 0.05, 10)
+    return t_range(0.05, 0.95, 0.05)
+
+
+def t_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """The transmissions lo, lo + step, ... up to hi, each rounded to 12 decimals.
+
+    A step below 1e-12, an end outside [0, 1] (see `check_transmission`) and
+    more than MAX_T_POINTS points are each rejected before any point is built.
+    """
+    if not step >= 1e-12:
+        raise ValueError(f"t range {lo}:{hi}:{step} needs a step of at least 1e-12")
+    count = int(round((hi - lo) / step)) + 1
+    while count > 0 and lo + (count - 1) * step > hi + 1e-9:
+        count -= 1  # the rounded count overshoots hi
+
+    def point(i: int) -> float:
+        return round(lo + i * step, 12)
+
+    if count > 0:  # points rise with i, so the ends decide the range rule
+        check_transmission(point(0))
+        check_transmission(point(count - 1))
+    if count > MAX_T_POINTS:
+        raise ValueError(f"t range {lo}:{hi}:{step} has {count} points, more than {MAX_T_POINTS}")
+    return tuple(point(i) for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -235,37 +258,25 @@ def _sweep_cell(args: tuple) -> list[SecrecyReport]:
         return evaluate_schemes(realization_for_cell(base, t, t_index), schemes)
     except Exception as exc:
         # Name the failing cell as the CSV prints it; sweep() reports the error.
-        raise RuntimeError(f"T={t:.9g}: {exc}") from exc
+        raise RuntimeError(f"T={FLOAT_FORMAT % t}: {exc}") from exc
 
 
 def check_grid(t_grid, schemes) -> None:
-    """Reject an empty grid, a transmission outside [0, 1] or a repeated value.
+    """Reject an empty grid, a transmission outside [0, 1] or a repeated row.
 
-    Sweep streams are keyed by a cell's index in ``t_grid``, so a repeated
-    transmission would get a second, different realization, and a repeated
-    scheme a duplicate row.
+    Rows are keyed as the CSV prints them: by the transmission at
+    FLOAT_FORMAT and the scheme's name, which leaves out the width
+    multiplier. Sweep streams are keyed by a cell's index in ``t_grid``, so
+    a repeated transmission would also get a second realization.
     """
     if not t_grid:
         raise ValueError("empty transmission grid")
     if not schemes:
         raise ValueError("empty scheme list")
-    check_transmissions(t_grid)
-    _check_distinct("scheme", schemes)
-
-
-def check_transmissions(t_grid) -> None:
-    """Reject a transmission outside [0, 1] or a repeated one (see `check_grid`)."""
     for t in t_grid:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmission {t} outside [0, 1]")
-    _check_distinct("transmission", t_grid)
-
-
-def check_workers(workers) -> None:
-    """Reject a worker count that is not an integer >= 1."""
-    check_integer("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        check_transmission(t)
+    _check_distinct("transmission", [float(FLOAT_FORMAT % t) for t in t_grid])
+    _check_distinct("scheme", [str(scheme) for scheme in schemes])
 
 
 def _check_distinct(kind: str, values) -> None:
@@ -284,7 +295,7 @@ def sweep(
 ) -> SweepTable:
     """Evaluate every scheme at every transmission of the grid (see `check_grid`).
 
-    Cells run on up to ``workers`` processes (see `check_workers`).
+    Cells run on up to ``workers`` processes, an integer >= 1 (see `check_count`).
 
     Output is bit-identical for any worker count: each cell's random stream
     is keyed by the cell's index in ``t_grid``, and rows are assembled in
@@ -293,7 +304,7 @@ def sweep(
     t_grid = [float(t) for t in t_grid]
     schemes = list(schemes)
     check_grid(t_grid, schemes)
-    check_workers(workers)
+    check_count("workers", workers)
 
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]
     try:
@@ -316,22 +327,23 @@ def post_exchange_conditions(
     """Sanity check that the channel leaves everyone with usable information.
 
     Returns {name: (estimate, threshold)} for I(X;Y), I(X;Z) and I(X;Y|Z)
-    on equal-probability symbol indices; the threshold is three times the
+    on equal-probability symbol indices, the symbol MI and CMI of the
+    ``eqprob:binary:<bits>`` report; the threshold is three times the
     plug-in bias oracle, so an estimate above it is genuinely positive
-    rather than estimator bias.
+    rather than estimator bias. Raises AlphabetCapacityError where that
+    report leaves I(X;Y|Z) out, from 9 bits on.
     """
     scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, bits)
-    x, y, z = (
-        bin_indices(samples, scheme)
-        for samples in (realization.alice, realization.bob, realization.eve)
-    )
-    n = len(x)
+    report = evaluate_scheme(realization, scheme)
+    if report.cmi_ab_given_e is None:
+        raise AlphabetCapacityError(f"I(X;Y|Z) of {scheme} exceeds the CMI capacity")
+    n = len(realization.alice)
     k = 1 << bits
 
     pair_bias = plugin_bias(k, k, n)
     cond_bias = plugin_bias(k, k, n, conditioning=k)
     return {
-        "I(X;Y)": (mutual_information_symbols(x, y).value, 3 * pair_bias),
-        "I(X;Z)": (mutual_information_symbols(x, z).value, 3 * pair_bias),
-        "I(X;Y|Z)": (conditional_mi(x, y, z).value, 3 * cond_bias),
+        "I(X;Y)": (report.i_ab_sym, 3 * pair_bias),
+        "I(X;Z)": (report.i_ae_sym, 3 * pair_bias),
+        "I(X;Y|Z)": (report.cmi_ab_given_e, 3 * cond_bias),
     }

@@ -63,7 +63,7 @@ class SlicingScheme:
         return f"{self.positioning.value}:{self.numbering.value}:{self.bits}"
 
     @classmethod
-    def parse(cls, text: str, width_multiplier: float = 3.0) -> "SlicingScheme":
+    def parse(cls, text: str) -> "SlicingScheme":
         """Parse the "<positioning>:<numbering>:<bits>" scheme string."""
         parts = text.strip().lower().split(":")
         if len(parts) != 3:
@@ -76,7 +76,7 @@ class SlicingScheme:
         except ValueError:
             raise ValueError(f"bits field {bits_token!r} in {text!r} is not an integer") from None
         try:
-            return cls(positioning, numbering, bits, width_multiplier)
+            return cls(positioning, numbering, bits)
         except ValueError as exc:
             raise ValueError(f"{exc} in {text!r}") from None
 

@@ -1,5 +1,6 @@
 import argparse
 import ctypes
+import math
 import os
 import platform
 import subprocess
@@ -13,9 +14,12 @@ import numpy as np
 import pytest
 
 from slicesec import (
-    ChannelParams, LabelTable, Numbering, SlicingScheme, cli, default_t_grid, slicing,
+    ChannelParams, LabelTable, Numbering, SlicingScheme, Stream, cli, default_schemes,
+    default_t_grid, gaussian_source, slicing, sweep,
 )
+from slicesec.channel import check_count, check_transmission
 from slicesec.cli import CSV_COLUMNS, keep_freed_memory, main, parse_args, read_csv, selftest
+from slicesec.secrecy import MAX_T_POINTS
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_sweep.csv"
 GOLDEN_FINE_CSV = Path(__file__).parent / "data" / "golden_fine.csv"
@@ -50,7 +54,12 @@ class TestParseArgs:
     def test_default_t_is_the_library_grid(self):
         # The acceptance criteria sweep `default_t_grid()`; users run the CLI's default.
         config = parse_args(["sweep", "--out", "x.csv"])
-        assert config.t_grid == tuple(float(t) for t in default_t_grid())
+        assert config.t_grid == default_t_grid()
+
+    def test_default_channel_and_schemes_are_the_library_defaults(self):
+        config = parse_args(["sweep", "--out", "x.csv"])
+        assert config.base == ChannelParams(transmission=0.5)
+        assert config.schemes == tuple(default_schemes())
 
     def test_default_workers_count_the_cpus_this_process_may_run_on(self, monkeypatch):
         # Pinned to one CPU of eight, as under `taskset -c 0`.
@@ -134,6 +143,22 @@ class TestParseArgs:
         with pytest.raises(ValueError, match="needs a step of at least 1e-12"):
             cli._parse_t_spec(spec)
 
+    def test_t_range_of_too_many_points_is_rejected_before_any_is_built(self, capsys):
+        # 10^12 + 1 points pass the step rule; building them ran out of memory.
+        too_many = f"has 1000000000001 points, more than {MAX_T_POINTS}"
+        with pytest.raises(ValueError, match=too_many):
+            cli._parse_t_spec("0:1:1e-12")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--t", "0:1:1e-12", "--samples", "1000", "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert too_many in capsys.readouterr().err
+
+    def test_t_range_of_the_most_points_is_built(self):
+        step = 1e-6
+        assert len(cli._parse_t_spec(f"0:{(MAX_T_POINTS - 1) * step}:{step}")) == MAX_T_POINTS
+        with pytest.raises(ValueError, match=f"has {MAX_T_POINTS + 1} points"):
+            cli._parse_t_spec(f"0:{MAX_T_POINTS * step}:{step}")
+
     def test_t_range_step_at_the_rounding_gives_distinct_points(self):
         assert cli._parse_t_spec("0.5:0.500000000003:1e-12") == (
             0.5, 0.500000000001, 0.500000000002, 0.500000000003
@@ -144,11 +169,52 @@ class TestParseArgs:
         assert config.t_grid == (0.1, 0.5, 0.9)
 
     def test_width_multiplier_reaches_schemes(self):
-        config = parse_args([
-            "sweep", "--width-multiplier", "2.5", "--schemes", "eqwidth:gray:4",
-            "--out", "x.csv",
-        ])
-        assert config.schemes[0].width_multiplier == 2.5
+        for schemes in ("eqwidth:gray:4", "all"):
+            config = parse_args([
+                "sweep", "--width-multiplier", "2.5", "--schemes", schemes, "--out", "x.csv",
+            ])
+            assert {s.width_multiplier for s in config.schemes} == {2.5}
+
+
+def _message(call) -> str:
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+class TestSharedRules:
+    """Each input rule is one library predicate, so every way in words it alike."""
+
+    SCHEMES = [SlicingScheme("eqprob", "gray", 3)]
+    BASE = ChannelParams(transmission=0.5, samples=1000)
+
+    @pytest.mark.parametrize("value", [0, True, 2.5, math.nan])
+    def test_an_integer_of_at_least_one(self, value):
+        def rule(name):
+            return _message(lambda: check_count(name, value))
+
+        assert _message(lambda: ChannelParams(0.5, samples=value)) == rule("samples")
+        assert _message(lambda: gaussian_source(value, 1.0, Stream(0))) == rule("n")
+        assert _message(
+            lambda: sweep([0.5], self.SCHEMES, self.BASE, workers=value)
+        ) == rule("workers")
+
+    @pytest.mark.parametrize("flag", ["samples", "workers"])
+    def test_an_integer_of_at_least_one_on_the_command_line(self, capsys, flag):
+        # argparse's `type=int` turns away True, 2.5 and nan before the library.
+        with pytest.raises(SystemExit):
+            parse_args(["sweep", f"--{flag}", "0", "--out", "x.csv"])
+        assert _message(lambda: check_count(flag, 0)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", [-0.5, 2.5, math.nan])
+    def test_a_transmission_in_the_unit_interval(self, capsys, t):
+        rule = _message(lambda: check_transmission(t))
+        assert rule == f"transmission {t} outside [0, 1]"
+        assert _message(lambda: ChannelParams(t)) == rule
+        assert _message(lambda: sweep([t], self.SCHEMES, self.BASE)) == rule
+        with pytest.raises(SystemExit):
+            parse_args(["sweep", "--t", str(t), "--out", "x.csv"])
+        assert rule in capsys.readouterr().err
 
 
 class TestCsv:

@@ -1,7 +1,11 @@
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slicesec import (
     AlphabetCapacityError,
@@ -10,6 +14,7 @@ from slicesec import (
     Numbering,
     Positioning,
     SlicingScheme,
+    bin_indices,
     bit_error_rate,
     build_labels,
     conditional_mi,
@@ -27,7 +32,10 @@ from slicesec import (
 from slicesec import secrecy
 from slicesec.cli import best_rows, emit_csv, read_csv
 from slicesec.secrecy import (
+    FLOAT_FORMAT,
     SecrecyReport,
+    SweepTable,
+    check_grid,
     post_exchange_conditions,
     realization_for_cell,
 )
@@ -314,6 +322,68 @@ class TestBestMethod:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             best_rows([_row(0.5, "eqprob:gray:4", 0.4, 0.4)], "sideways")
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_post_exchange_conditions_are_the_engines_symbol_estimates(t):
+    r = transmit(ChannelParams(transmission=t, samples=20_000, seed=3))
+    for bits in (2, 4, 6, 8):
+        scheme = SlicingScheme("eqprob", "binary", bits)
+        report = evaluate_scheme(r, scheme)
+        x, y, z = (bin_indices(v, scheme) for v in (r.alice, r.bob, r.eve))
+        estimates = {name: value for name, (value, _) in post_exchange_conditions(r, bits).items()}
+        assert estimates == {
+            "I(X;Y)": report.i_ab_sym, "I(X;Z)": report.i_ae_sym,
+            "I(X;Y|Z)": report.cmi_ab_given_e,
+        }
+        assert estimates == {
+            "I(X;Y)": mutual_information_symbols(x, y).value,
+            "I(X;Z)": mutual_information_symbols(x, z).value,
+            "I(X;Y|Z)": conditional_mi(x, y, z).value,
+        }
+    with pytest.raises(AlphabetCapacityError):  # 2^27 (X, Y, Z) cells
+        post_exchange_conditions(r, bits=9)
+
+
+def _report(t, scheme):
+    """A report of the (t, scheme) cell whose every estimate is t."""
+    values = dict.fromkeys(
+        ("i_ab", "i_ae", "i_be", "i_ab_sym", "i_ae_sym", "i_be_sym", "ber_ab", "ber_ae",
+         "ber_be", "delta_direct", "delta_reverse", "cmi_ab_given_e"), t,
+    )
+    return SecrecyReport(transmission=t, scheme=scheme, label_collisions=0, n=100, seed=1,
+                         **values)
+
+
+_SCHEMES = st.builds(
+    SlicingScheme, st.sampled_from(list(Positioning)), st.sampled_from(list(Numbering)),
+    st.integers(1, MAX_BITS), st.sampled_from([2.0, 3.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t_grid=st.lists(st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.5, 0.5 + 1e-12]),
+                    min_size=1, max_size=4),
+    schemes=st.lists(_SCHEMES, min_size=1, max_size=4),
+)
+# Width-only twins, and transmissions that print alike at 9 digits.
+@example([0.5], [SlicingScheme("eqwidth", "gray", 4, 2.0), SlicingScheme("eqwidth", "gray", 4)])
+@example([0.5, 0.500000000001], [SlicingScheme("eqwidth", "gray", 4)])
+@example([0.0, -0.0], [SlicingScheme("eqwidth", "gray", 4)])
+def test_every_grid_check_grid_accepts_reads_back(t_grid, schemes):
+    try:
+        check_grid(t_grid, schemes)
+    except ValueError:
+        return
+    rows = tuple(_report(t, s) for t in t_grid for s in schemes)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "sweep.csv")
+        emit_csv(SweepTable(rows=rows, t_grid=tuple(t_grid)), path)
+        back = read_csv(path)
+    assert [(r["transmission"], r["scheme"]) for r in back] == [
+        (float(FLOAT_FORMAT % t), str(s)) for t in t_grid for s in schemes
+    ]
 
 
 def test_post_exchange_conditions_hold_mid_transmission():
