@@ -37,14 +37,22 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _check_number(name: str, value) -> None:
+    """Reject a bool or a numpy bool, which compare as the numbers 0 and 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def check_transmission(t) -> None:
-    """Reject a transmission outside [0, 1]; NaN is outside."""
+    """Reject a transmission outside [0, 1]; NaN is outside, a bool is no number."""
+    _check_number("transmission", t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmission {t} outside [0, 1]")
 
 
 def check_positive_finite(name: str, value) -> None:
-    """Reject a ``value`` that is not positive and finite; NaN is neither."""
+    """Reject a ``value`` that is not positive and finite; NaN is neither, a bool no number."""
+    _check_number(name, value)
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
@@ -106,6 +114,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         check_transmission(self.transmission)
         check_positive_finite("sigma_alice", self.sigma_alice)
+        _check_number("sigma_vacuum", self.sigma_vacuum)
         if not 0 <= self.sigma_vacuum < math.inf:
             raise ValueError(
                 f"sigma_vacuum must be nonnegative and finite, got {self.sigma_vacuum}"

@@ -50,8 +50,8 @@ COLUMN_TYPES = {
 }
 
 _report_values = operator.attrgetter(*CSV_FIELDS.values())
-# One row's %-format, str() for a column that is no float. A depth whose CMI
-# is over capacity leaves the cell empty: "%.0s" prints none of its None.
+# One row's %-format, str() for a column that is no float. A depth without
+# CMI (see `CMI_MAX_BITS`) leaves the cell empty: "%.0s" prints none of its None.
 _CSV_ROW, _CSV_ROW_WITHOUT_CMI = (
     ",".join(cmi if col == "cmi_ab_given_e" else "%s" if col in COLUMN_TYPES else FLOAT_FORMAT
              for col in CSV_COLUMNS)
@@ -184,7 +184,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             seed=ns.seed,
         )
         check_count("workers", ns.workers)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an infinite --t bound
+    except ValueError as exc:
         parser.error(str(exc))  # exits 2
     return ns
 

@@ -8,18 +8,20 @@ ascending codes are row-major cell order. Coarsening (`coarsen_cells`)
 repacks each field at fewer bits, and every marginal is a shift and a mask
 of the codes. One rule sizes every array indexed by code (`_dense`): an
 array over 2^w codes of n inputs is allocated when 2^w <= max(n, 2^16),
-2^16 being the largest bin alphabet; a wider code space is sorted or
-renumbered instead. One rule sorts (`_sort_codes`): `np.sort` of the
-codes, or of int64 keys ``code << p | position`` when the input order is
-needed, with `np.argsort` only where a key would not fit in 63 bits; runs
-of equal codes start where a sorted code differs from the one before it.
-`np.unique` is not used: it sorts the same way with more passes, and it
-imports `numpy.ma`, about 13 ms in every fresh process. Count products
-with 0/1 bit matrices are float64 BLAS products: every partial sum is an
-integer of at most N < 2^53, which a float64 holds exactly, while numpy's
-int64 products have no BLAS. No bias correction is applied; the known
-positive bias of the plug-in MI, roughly (|A|-1)(|B|-1)/(2 N ln 2), is
-exposed as an oracle so tests and sanity checks can bound it.
+2^16 being the largest bin alphabet and the widest marginal `plugin_mi`
+reads (a triple's are two indices of at most CMI_MAX_BITS = 8 bits); a
+wider code space is sorted instead. One rule sorts (`_sort_codes`):
+`np.sort` of the codes, or of int64 keys ``code << p | position`` when the
+input order is needed, with `np.argsort` only where a key would not fit in
+63 bits; runs of equal codes start where a sorted code differs from the
+one before it. `np.unique` is not used: it sorts the same way with more
+passes, and it imports `numpy.ma`, about 13 ms in every fresh process.
+Count products with 0/1 bit matrices are float64 BLAS products: every
+partial sum is an integer of at most N < 2^53, which a float64 holds
+exactly, while numpy's int64 products have no BLAS. No bias correction is
+applied; the known positive bias of the plug-in MI, roughly
+(|A|-1)(|B|-1)/(2 N ln 2), is exposed as an oracle so tests and sanity
+checks can bound it.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ import numpy as np
 
 from .slicing import MAX_BITS, BitMatrix, LabelTable, Numbering, build_labels
 
-# Largest ka x kb x kz alphabet for which conditional MI is reported. It is an
-# output rule, not a memory bound (only occupied cells are held): above it,
-# from b = 9 bits per party on, the sweep CSV leaves `cmi_ab_given_e` empty.
-CMI_CELL_CAPACITY = 1 << 24
+# Deepest bits per index at which conditional MI is reported, where a triple's
+# (x, z) marginal spans 2^16 codes; from b = 9 on, `cmi_ab_given_e` is empty.
+CMI_MAX_BITS = MAX_BITS // 2
 
 
 class AlphabetCapacityError(ValueError):
-    """The 3-way alphabet exceeds CMI_CELL_CAPACITY cells."""
+    """A triple's indices are wider than CMI_MAX_BITS bits."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class MIEstimate:
 
     value: float
     alphabet_sizes: tuple[int, ...]
-    n: int
 
     def __post_init__(self) -> None:
         if self.value < 0:
@@ -95,12 +95,12 @@ def joint_cells(*indices: np.ndarray, weights: np.ndarray | None = None) -> Join
     """Sparse joint histogram of equal-length nonnegative index vectors.
 
     Each coordinate takes b bits, the bit length of the largest index; the
-    caller keeps k b within 63 for k inputs (see `_index_vectors`). There
-    are at most min(N, 2^(k b)) occupied cells. With ``weights``,
-    the integer counts of an existing histogram whose cells the indices
-    label, each input adds its weight instead of 1, so that coarsening a
-    histogram (see `coarsen_cells`) gives the same cells and counts as
-    histogramming the coarsened samples.
+    caller keeps k b within 63 for k inputs (a bin index takes at most 16).
+    There are at most min(N, 2^(k b)) occupied cells. With ``weights``, the
+    integer counts of an existing histogram whose cells the indices label,
+    each input adds its weight instead of 1, so that coarsening a histogram
+    (see `coarsen_cells`) gives the same cells and counts as histogramming
+    the coarsened samples.
 
     A code space that `_dense` allows for the inputs is counted by a dense
     `np.bincount`; otherwise the distinct codes are sorted. Both give the
@@ -171,7 +171,8 @@ def _dense(width: int, n: int) -> bool:
     """Whether an array over the 2^width codes of n inputs is small enough to allocate.
 
     It is when it holds no more entries than the inputs, or than the largest
-    bin alphabet, 2^MAX_BITS, which `label_bit_tables` allocates anyway.
+    bin alphabet, 2^MAX_BITS, which `label_bit_tables` allocates anyway and
+    no marginal of `plugin_mi` exceeds.
     """
     return 1 << width <= max(n, 1 << MAX_BITS)
 
@@ -199,45 +200,33 @@ def coarsen_cells(cells: JointCells, shift: int) -> JointCells:
 def plugin_mi(cells: JointCells) -> float:
     """Plug-in I(X;Y) of a pair histogram, or I(X;Y|Z) of a triple, from occupied cells.
 
-    Each marginal is accumulated over the cells in ascending code order,
-    read off the codes by shift and mask.
+    Each marginal is bincounted by its code, a shift and mask of the cell
+    codes. A triple of more than CMI_MAX_BITS bits raises AlphabetCapacityError.
     """
+    codes, b = cells.codes, cells.bits
+    if cells.ndim == 3 and b > CMI_MAX_BITS:
+        raise AlphabetCapacityError(
+            f"conditional MI is reported up to {CMI_MAX_BITS} bits per index, got {b}"
+        )
     p = cells.counts / cells.counts.sum()
 
     def marginal(code: np.ndarray) -> np.ndarray:
         return np.bincount(code, weights=p)[code]
 
-    codes, b = cells.codes, cells.bits
     low = (1 << b) - 1
     if cells.ndim == 2:
-        x, y = _marginal_code(codes >> b, b), _marginal_code(codes & low, b)
-        ratio = p / (marginal(x) * marginal(y))
+        ratio = p / (marginal(codes >> b) * marginal(codes & low))
     else:
         z = codes & low
-        xz = _marginal_code((codes >> (2 * b) << b) | z, 2 * b)
-        yz = _marginal_code(codes & ((1 << (2 * b)) - 1), 2 * b)
-        ratio = marginal(_marginal_code(z, b)) * p / (marginal(xz) * marginal(yz))
+        xz = (codes >> (2 * b) << b) | z
+        yz = codes & ((1 << (2 * b)) - 1)
+        ratio = marginal(z) * p / (marginal(xz) * marginal(yz))
     terms = p * np.log2(ratio)
     # Summing in sorted order makes the result exactly symmetric in X and Y
     # (swapping them permutes the same term multiset).
     terms.sort()
     # The estimate is a KL divergence, nonnegative up to float rounding.
     return max(0.0, float(terms.sum()))
-
-
-def _marginal_code(code: np.ndarray, width: int) -> np.ndarray:
-    """A marginal's code per occupied cell, within the size `_dense` allows.
-
-    ``code`` itself when `_dense` allows its 2^width code space for the
-    cells, else its values numbered densely in ascending order. A marginal
-    accumulates each code's cells in input order either way, so both give
-    the same floats.
-    """
-    if not _dense(width, len(code)):
-        ordered, order = _sort_codes(code, width)
-        code = np.empty(len(code), dtype=np.int64)
-        code[order] = np.cumsum(_run_starts(ordered)) - 1
-    return code
 
 
 def plugin_mi_2x2(tables: np.ndarray) -> np.ndarray:
@@ -258,8 +247,11 @@ def plugin_mi_2x2(tables: np.ndarray) -> np.ndarray:
     return np.where(total > 0.0, total, 0.0)
 
 
-def _index_vectors(*vectors) -> list[np.ndarray]:
-    """The inputs as int64 index vectors whose cells pack into one 63-bit code."""
+def _symbol_estimate(*vectors) -> MIEstimate:
+    """`plugin_mi` of equal-length vectors of bin indices, integers in [0, 2^MAX_BITS).
+
+    Each alphabet is one more than its vector's largest index.
+    """
     vectors = [np.asarray(v) for v in vectors]
     if len({len(v) for v in vectors}) != 1:
         raise ValueError(f"length mismatch: {', '.join(str(len(v)) for v in vectors)}")
@@ -268,26 +260,16 @@ def _index_vectors(*vectors) -> list[np.ndarray]:
     for v in vectors:
         if v.dtype.kind not in "biu":
             raise ValueError(f"index vectors must hold integers, got dtype {v.dtype}")
-    lowest = min(int(v.min()) for v in vectors)
-    if lowest < 0:
-        raise ValueError(f"index vectors must be nonnegative, got {lowest}")
-    highest = max(int(v.max()) for v in vectors)
-    if len(vectors) * highest.bit_length() > 63:
-        raise ValueError(
-            f"index {highest} needs {highest.bit_length()} bits, too wide to pack"
-            f" {len(vectors)} indices into a 63-bit cell code"
-        )
-    return [v.astype(np.int64) for v in vectors]
+        lo, hi = int(v.min()), int(v.max())
+        if lo < 0 or hi >> MAX_BITS:
+            raise ValueError(f"bin indices must lie in [0, 2^{MAX_BITS}), got {lo if lo < 0 else hi}")
+    vectors = [v.astype(np.int64) for v in vectors]
+    return MIEstimate(plugin_mi(joint_cells(*vectors)), tuple(int(v.max()) + 1 for v in vectors))
 
 
 def mutual_information_symbols(a: np.ndarray, b: np.ndarray) -> MIEstimate:
-    """Plug-in I(A;B) over two equal-length index vectors."""
-    a, b = _index_vectors(a, b)
-    return MIEstimate(
-        value=plugin_mi(joint_cells(a, b)),
-        alphabet_sizes=(int(a.max()) + 1, int(b.max()) + 1),
-        n=len(a),
-    )
+    """Plug-in I(A;B) over two equal-length bin-index vectors (see `_symbol_estimate`)."""
+    return _symbol_estimate(a, b)
 
 
 def mutual_information_bitwise(a: BitMatrix, b: BitMatrix) -> MIEstimate:
@@ -303,7 +285,7 @@ def mutual_information_bitwise(a: BitMatrix, b: BitMatrix) -> MIEstimate:
     total = 0.0
     for j in range(a.n_bits):
         total += plugin_mi(joint_cells(a.bits[:, j], b.bits[:, j]))
-    return MIEstimate(value=total, alphabet_sizes=(2, 2), n=a.n_symbols)
+    return MIEstimate(value=total, alphabet_sizes=(2, 2))
 
 
 def bitwise_mi_from_tables(tables: np.ndarray) -> np.ndarray:
@@ -373,25 +355,13 @@ def bit_error_rate_from_tables(tables: np.ndarray) -> float:
     return int(tables[:, 0, 1].sum() + tables[:, 1, 0].sum()) / int(tables.sum())
 
 
-def within_cmi_capacity(sizes: Sequence[int]) -> bool:
-    """Whether conditional MI is reported over (A, B, Z) alphabets of these sizes."""
-    return math.prod(sizes) <= CMI_CELL_CAPACITY
-
-
 def conditional_mi(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> MIEstimate:
-    """Plug-in I(A;B|Z) from the 3-way joint histogram.
+    """Plug-in I(A;B|Z) from the 3-way joint histogram (see `_symbol_estimate`).
 
-    Raises AlphabetCapacityError when the alphabets (max + 1 each) are not
-    `within_cmi_capacity`.
+    Raises AlphabetCapacityError, from `plugin_mi`, for an index of more
+    than CMI_MAX_BITS bits.
     """
-    a, b, z = _index_vectors(a, b, z)
-    sizes = tuple(int(v.max()) + 1 for v in (a, b, z))
-    if not within_cmi_capacity(sizes):
-        raise AlphabetCapacityError(
-            f"joint alphabet of {'x'.join(map(str, sizes))} cells exceeds capacity"
-            f" {CMI_CELL_CAPACITY}"
-        )
-    return MIEstimate(value=plugin_mi(joint_cells(a, b, z)), alphabet_sizes=sizes, n=len(a))
+    return _symbol_estimate(a, b, z)
 
 
 def bit_error_rate(a: BitMatrix, b: BitMatrix) -> float:

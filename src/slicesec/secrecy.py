@@ -18,6 +18,7 @@ from .channel import (
     ChannelParams, ChannelRealization, Stream, check_count, check_transmission, transmit,
 )
 from .infotheory import (
+    CMI_MAX_BITS,
     AlphabetCapacityError,
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
@@ -26,7 +27,6 @@ from .infotheory import (
     label_bit_tables,
     plugin_bias,
     plugin_mi,
-    within_cmi_capacity,
 )
 from .slicing import Numbering, Positioning, SlicingScheme, _ranked_bins, build_labels
 
@@ -64,11 +64,14 @@ def default_t_grid() -> tuple[float, ...]:
 def t_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
     """The transmissions lo, lo + step, ... up to hi, each rounded to 12 decimals.
 
-    A step below 1e-12, an end outside [0, 1] (see `check_transmission`) and
-    more than MAX_T_POINTS points are each rejected before any point is built.
+    A step below 1e-12, an end that is not finite or lies outside [0, 1]
+    (see `check_transmission`) and more than MAX_T_POINTS points are each
+    rejected before any point is built.
     """
     if not step >= 1e-12:
         raise ValueError(f"t range {lo}:{hi}:{step} needs a step of at least 1e-12")
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"t range {lo}:{hi}:{step} needs finite ends")
     count = int(round((hi - lo) / step)) + 1
     while count > 0 and lo + (count - 1) * step > hi + 1e-9:
         count -= 1  # the rounded count overshoots hi
@@ -179,16 +182,11 @@ def _evaluate_group(
     deep_pairs = [joint_cells(x, y) for x, y in ((a, b), (a, e), (b, e))]
 
     depths = sorted({s.bits for s in group})
-    # A depth's (A, B, E) alphabet grows with the depth, so the depths whose
-    # CMI is within capacity are the shallowest ones; each party's alphabet
-    # there is one more than its deepest largest bin, shifted.
-    largest = [int(v.max()) for v in (a, b, e)]
-    reported = [
-        d for d in depths if within_cmi_capacity([(m >> (deep - d)) + 1 for m in largest])
-    ]
+    # CMI is reported up to CMI_MAX_BITS bits per party, from one (A, B, E)
+    # histogram at the deepest such depth, coarsened for the shallower ones.
+    reported = [d for d in depths if d <= CMI_MAX_BITS]
     if reported:
-        shift = deep - reported[-1]
-        triple = joint_cells(a >> shift, b >> shift, e >> shift)
+        triple = joint_cells(*(v >> (deep - reported[-1]) for v in (a, b, e)))
 
     for bits in depths:
         pairs = [coarsen_cells(cells, deep - bits) for cells in deep_pairs]
@@ -331,7 +329,7 @@ def post_exchange_conditions(
     ``eqprob:binary:<bits>`` report; the threshold is three times the
     plug-in bias oracle, so an estimate above it is genuinely positive
     rather than estimator bias. Raises AlphabetCapacityError where that
-    report leaves I(X;Y|Z) out, from 9 bits on.
+    report leaves I(X;Y|Z) out, above CMI_MAX_BITS bits.
     """
     scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, bits)
     report = evaluate_scheme(realization, scheme)

@@ -45,7 +45,7 @@ def test_distinct_streams_are_uncorrelated():
 
 @pytest.mark.parametrize("n,sigma", [
     (0, 1.0), (10, 0.0), (10, -1.0), (10.0, 1.0), (True, 1.0),
-    (10, math.nan), (10, math.inf), (10, -math.inf),
+    (10, math.nan), (10, math.inf), (10, -math.inf), (10, True), (10, np.bool_(True)),
 ])
 def test_gaussian_source_rejects_bad_args(n, sigma):
     with pytest.raises(ValueError):
@@ -62,6 +62,10 @@ def test_gaussian_source_rejects_bad_args(n, sigma):
     dict(transmission=0.5, sigma_alice=math.nan),
     dict(transmission=0.5, sigma_alice=math.inf),
     dict(transmission=0.5, sigma_vacuum=math.nan),
+    # A bool compares as 0 or 1, so each float rule alone would take it.
+    dict(transmission=True, samples=100),
+    dict(transmission=0.5, sigma_alice=np.bool_(True)),
+    dict(transmission=0.5, sigma_vacuum=np.bool_(False)),
 ])
 def test_channel_params_validation(kwargs):
     with pytest.raises(ValueError):

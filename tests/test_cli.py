@@ -117,6 +117,8 @@ class TestParseArgs:
         (["--seed", str(1 << 64)], "seed must lie in [0, 2^64)"),
         (["--t", "0:1e7:0.5"], "transmission 10000000.0 outside [0, 1]"),
         (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--t", "0:inf:0.1"], "t range 0.0:inf:0.1 needs finite ends"),
+        (["--t", "nan:1:0.1"], "t range nan:1.0:0.1 needs finite ends"),
     ])
     def test_usage_error_names_the_value(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

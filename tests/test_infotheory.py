@@ -18,6 +18,7 @@ from slicesec import (
 )
 from slicesec import infotheory
 from slicesec.infotheory import (
+    CMI_MAX_BITS,
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
     coarsen_cells,
@@ -149,16 +150,19 @@ class TestSymbolMI:
 
     def test_rejects_negative_indices(self):
         # A packed cell code would alias -1 with another cell.
-        with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\^16\), got -1"):
             mutual_information_symbols([0, -1], [0, 1])
 
-    @pytest.mark.parametrize("estimator,top", [
-        (mutual_information_symbols, 2**40), (conditional_mi, 2**21),
-    ])
-    def test_rejects_indices_too_wide_to_pack(self, estimator, top):
+    @pytest.mark.parametrize("estimator", [mutual_information_symbols, conditional_mi],
+                             ids=["mi", "cmi"])
+    @pytest.mark.parametrize("top", [2**16, 2**40])
+    def test_rejects_an_index_beyond_16_bits(self, estimator, top):
+        # A bin index takes at most MAX_BITS = 16 bits.
         vectors = [[0, top]] + [[0, 1]] * (2 if estimator is conditional_mi else 1)
-        with pytest.raises(ValueError, match=f"index {top} needs .* too wide to pack"):
+        with pytest.raises(ValueError, match=rf"must lie in \[0, 2\^16\), got {top}"):
             estimator(*vectors)
+        vectors[0][1] = (1 << 16) - 1 if estimator is mutual_information_symbols else 255
+        assert estimator(*vectors).value >= 0
 
     def test_bounded_by_entropy(self):
         rng = np.random.default_rng(5)
@@ -333,7 +337,7 @@ class TestBitErrorRate:
 
 def test_mi_estimate_rejects_negative():
     with pytest.raises(ValueError):
-        MIEstimate(value=-0.1, alphabet_sizes=(2, 2), n=10)
+        MIEstimate(value=-0.1, alphabet_sizes=(2, 2))
 
 
 def test_plugin_bias_oracle_scale():
@@ -454,38 +458,23 @@ def test_coarsening_to_more_codes_than_cells_counts_densely(monkeypatch):
     assert_same_cells(coarse, dense_cells([x >> 1, y >> 1]))
 
 
-def test_triple_marginals_within_two_to_the_16_codes_are_not_renumbered(monkeypatch):
-    # At b = 8 the (x, z) and (y, z) marginals span 2^16 codes, more than
-    # their occupied cells but no more than the largest bin alphabet, so
-    # `plugin_mi` bins them by code, without a sort.
-    rng = np.random.default_rng(8)
-    x = rng.integers(0, 256, size=5000)
-    x[0] = 255
-    y, z = ((x + rng.integers(0, 4, size=5000)) & 255 for _ in range(2))
+@pytest.mark.parametrize("bits", [8, 9])
+def test_plugin_mi_raises_on_a_triple_above_cmi_max_bits(bits):
+    # A triple's (x, z) and (y, z) marginals span 2^(2 b) codes, within the
+    # 2^16 that `_dense` allows up to CMI_MAX_BITS = 8 bits.
+    rng = np.random.default_rng(bits)
+    top = (1 << bits) - 1
+    x = rng.integers(0, top + 1, size=5000)
+    x[0] = top
+    y, z = ((x + rng.integers(0, 4, size=5000)) & top for _ in range(2))
     cells = joint_cells(x, y, z)
-    assert cells.bits == 8 and len(cells.codes) < 1 << 16  # so fewer marginal cells too
-    sorts = record(monkeypatch, "_sort_codes", infotheory)
-    plugin_mi(cells)
-    monkeypatch.undo()
-    assert sorts == []
-
-
-def test_triple_marginals_beyond_two_to_the_16_codes_are_renumbered(monkeypatch):
-    # At b = 9 the (x, z) and (y, z) marginals span 2^18 codes, more than
-    # max(cells, 2^16), so each is sorted and numbered densely; the value is
-    # that of the same data relabelled to the occupied values.
-    rng = np.random.default_rng(9)
-    x = rng.integers(0, 512, size=5000)
-    x[0] = 511
-    y, z = ((x + rng.integers(0, 4, size=5000)) & 511 for _ in range(2))
-    cells = joint_cells(x, y, z)
-    assert cells.bits == 9
-    expected = plugin_mi(joint_cells(*(np.unique(v, return_inverse=True)[1] for v in (x, y, z))))
-    sorts = record(monkeypatch, "_sort_codes", infotheory)
-    value = plugin_mi(cells)
-    monkeypatch.undo()
-    assert len(sorts) == 2
-    assert value == expected > 0
+    assert cells.bits == bits
+    if bits <= CMI_MAX_BITS:
+        assert plugin_mi(cells) == conditional_mi(x, y, z).value > 0
+    else:
+        for estimate in (lambda: plugin_mi(cells), lambda: conditional_mi(x, y, z)):
+            with pytest.raises(AlphabetCapacityError, match="up to 8 bits per index, got 9"):
+                estimate()
 
 
 @pytest.mark.parametrize("n,packed", [(8, True), (9, False)])
@@ -513,13 +502,14 @@ def test_weighted_counting_is_exact_at_the_packed_key_guard(n, packed, monkeypat
     assert cells.counts.tolist() == [expected[c] for c in cell_keys]
 
 def test_symbol_mi_of_a_wide_index_allocates_within_the_rule(monkeypatch):
-    # An index of 2^20 packs every coordinate at 21 bits, a code space wider
-    # than max(N, 2^16), so its marginals are renumbered, not allocated; the
-    # value is that of the same data relabelled to small indices.
+    # The widest bin index, 2^16 - 1, packs a pair's codes at 32 bits, a code
+    # space wider than max(N, 2^16), so the cells are sorted, and each
+    # marginal spans the 2^16 codes of one index; the value is that of the
+    # same data relabelled to small indices.
     rng = np.random.default_rng(20)
     n = 100
     a = rng.integers(0, 10, size=n)
-    a[0] = 1 << 20
+    a[0] = (1 << 16) - 1
     b = np.minimum(a, 11) + rng.integers(0, 2, size=n)
     small = np.unique(a, return_inverse=True)[1]
     expected = mutual_information_symbols(small, b).value

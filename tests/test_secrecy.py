@@ -1,3 +1,4 @@
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +40,7 @@ from slicesec.secrecy import (
     post_exchange_conditions,
     realization_for_cell,
 )
+from slicesec.infotheory import CMI_MAX_BITS
 from slicesec.slicing import MAX_BITS
 
 SMALL_T = [0.2, 0.5, 0.8]
@@ -174,6 +176,37 @@ def test_deepest_scheme_runs_on_sparse_histograms(text):
     (report,) = evaluate_schemes(realization, [scheme])
     assert all(np.isfinite([report.i_ab_sym, report.i_ae_sym, report.i_be_sym]))
     assert report.cmi_ab_given_e is None
+
+
+@settings(max_examples=120, deadline=None)
+@example(positioning=Positioning.EQUAL_WIDTH, depths=[9, 8], width=1e6, t=1.0, extra=0, seed=0)
+@example(positioning=Positioning.EQUAL_WIDTH, depths=[16], width=0.05, t=0.0, extra=0, seed=1)
+@example(positioning=Positioning.EQUAL_PROBABILITY, depths=[16, 8, 9], width=3.0, t=0.5,
+         extra=0, seed=2)
+@given(
+    positioning=st.sampled_from(list(Positioning)),
+    depths=st.lists(st.integers(1, MAX_BITS), min_size=1, max_size=3, unique=True),
+    width=st.floats(0.05, 1e6),
+    t=st.sampled_from([0.0, 0.01, 0.3, 0.5, 0.99, 1.0]),
+    extra=st.integers(0, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cmi_is_reported_by_depth_as_the_alphabet_product_rule_did(
+    positioning, depths, width, t, extra, seed
+):
+    # CMI is reported up to CMI_MAX_BITS = 8 bits per party. The former rule
+    # multiplied the parties' occupied alphabets and reported up to 2^24
+    # cells; it agrees because each party's top bin at depth d is at least
+    # 2^(d - 1), its largest sample being no less than the middle boundary.
+    samples = (1 << max(depths)) + extra  # down to one sample per bin
+    realization = transmit(ChannelParams(transmission=t, samples=samples, seed=seed))
+    schemes = [SlicingScheme(positioning, Numbering.BINARY, d, width) for d in depths]
+    for scheme, report in zip(schemes, evaluate_schemes(realization, schemes)):
+        reported = scheme.bits <= CMI_MAX_BITS
+        assert (report.cmi_ab_given_e is not None) == reported
+        parties = (realization.alice, realization.bob, realization.eve)
+        sizes = [int(bin_indices(v, scheme).max()) + 1 for v in parties]
+        assert (math.prod(sizes) <= 1 << 24) == reported
 
 
 class TestSweep:
@@ -341,7 +374,7 @@ def test_post_exchange_conditions_are_the_engines_symbol_estimates(t):
             "I(X;Z)": mutual_information_symbols(x, z).value,
             "I(X;Y|Z)": conditional_mi(x, y, z).value,
         }
-    with pytest.raises(AlphabetCapacityError):  # 2^27 (X, Y, Z) cells
+    with pytest.raises(AlphabetCapacityError):  # 9 bits, above CMI_MAX_BITS
         post_exchange_conditions(r, bits=9)
 
 

@@ -52,6 +52,11 @@ class TestSchemeParsing:
         with pytest.raises(ValueError):
             SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 4, width_multiplier=k)
 
+    @pytest.mark.parametrize("k", [True, np.bool_(True)], ids=["bool", "numpy-bool"])
+    def test_width_multiplier_must_be_a_number(self, k):
+        with pytest.raises(ValueError, match="width_multiplier must be a number, got"):
+            SlicingScheme("eqwidth", "gray", 3, k)
+
     @pytest.mark.parametrize("bits", [4.0, 4.5, np.float64(4.0), True, np.bool_(True)],
                              ids=["float", "fraction", "numpy-float", "bool", "numpy-bool"])
     def test_bits_must_be_an_integer(self, bits):
