@@ -10,7 +10,9 @@ pairs and the change first in odd ones, so that a drift in the machine's
 speed falls on both sides alike. A run's time is the command's wall
 seconds, interpreter start-up and import included. Each pair's line gives
 both times and whether the two CSVs are byte-identical; the last line gives
-the pairs the change won and both medians.
+the pairs the change won and both medians and, from 2 pairs on, each side's
+quartiles (inclusive method) and the parent's interquartile range, the
+spread a difference of the medians must exceed to count as a gain.
 """
 
 import argparse
@@ -65,8 +67,14 @@ def main() -> int:
 
     won = sum(c < p for p, c in zip(times["parent"], times["change"]))
     parent, change = (statistics.median(times[side]) for side in sides)
-    print(f"change won {won} of {args.pairs} pairs; median parent {parent:.3f} s, "
-          f"change {change:.3f} s (ratio {change / parent:.3f})")
+    summary = (f"change won {won} of {args.pairs} pairs; median parent {parent:.3f} s, "
+               f"change {change:.3f} s (ratio {change / parent:.3f})")
+    if args.pairs >= 2:
+        q1, _, q3 = statistics.quantiles(times["parent"], n=4, method="inclusive")
+        c1, _, c3 = statistics.quantiles(times["change"], n=4, method="inclusive")
+        summary += (f"; quartiles parent {q1:.3f}/{q3:.3f} s, change {c1:.3f}/{c3:.3f} s; "
+                    f"parent IQR {q3 - q1:.3f} s")
+    print(summary)
     return 0
 
 

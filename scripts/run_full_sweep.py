@@ -3,21 +3,19 @@
 
 Usage: python scripts/run_full_sweep.py [outdir] [--samples N] [--seed S] [--workers W]
 
-A flag left out takes `slicesec sweep`'s own default.
+A flag left out takes `slicesec sweep`'s own default. The five charts and
+two `best` tables are the benchmark's report commands (`report_argvs` in
+`bench/workloads.py`).
 """
 
 import argparse
 import os
 import subprocess
 import sys
+from pathlib import Path
 
-CHARTS = [
-    ("mi_vs_t", "direct", "mi_vs_t.svg"),
-    ("delta_vs_t", "direct", "delta_direct.svg"),
-    ("delta_vs_t", "reverse", "delta_reverse.svg"),
-    ("best_vs_t", "direct", "best_direct.svg"),
-    ("best_vs_t", "reverse", "best_reverse.svg"),
-]
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import CSV_NAME, report_argvs  # noqa: E402
 
 
 def main() -> int:
@@ -29,7 +27,7 @@ def main() -> int:
     args = ap.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
-    csv_path = os.path.join(args.outdir, "sweep.csv")
+    csv_path = os.path.join(args.outdir, CSV_NAME)
 
     run = [sys.executable, "-m", "slicesec"]
     given = []
@@ -38,17 +36,8 @@ def main() -> int:
             given += [f"--{flag}", str(getattr(args, flag))]
     subprocess.run(run + ["sweep", *given, "--out", csv_path], check=True)
 
-    for plot_mode, mode, name in CHARTS:
-        subprocess.run(run + [
-            "plot", csv_path, "--plot-mode", plot_mode, "--mode", mode,
-            "--out", os.path.join(args.outdir, name),
-        ], check=True)
-
-    for mode in ("direct", "reverse"):
-        subprocess.run(run + [
-            "best", csv_path, "--mode", mode,
-            "--out", os.path.join(args.outdir, f"best_{mode}.csv"),
-        ], check=True)
+    for report in report_argvs(args.outdir):
+        subprocess.run(run + report, check=True)
 
     print(f"wrote sweep and charts to {args.outdir}/")
     return 0

@@ -10,6 +10,7 @@ and parallel schedules cannot perturb results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ def check_count(name: str, value) -> None:
 
 
 def _check_number(name: str, value) -> None:
-    """Reject a bool or a numpy bool, which compare as the numbers 0 and 1."""
-    if isinstance(value, (bool, np.bool_)):
+    """Reject a ``value`` that is not a real number; a bool compares as 0 or 1 but is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
 
 

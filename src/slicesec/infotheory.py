@@ -4,18 +4,22 @@ All quantities are in bits (log base 2). Every estimator reads one sparse
 joint histogram, the occupied cells of `joint_cells`, and sums over those
 cells only. A histogram (`JointCells`) holds one int64 code per occupied
 cell, its coordinates packed b bits each with the first highest, so
-ascending codes are row-major cell order. Coarsening (`coarsen_cells`)
-repacks each field at fewer bits, and every marginal is a shift and a mask
-of the codes. One rule sizes every array indexed by code (`_dense`): an
-array over 2^w codes of n inputs is allocated when 2^w <= max(n, 2^16),
-2^16 being the largest bin alphabet and the widest marginal `plugin_mi`
-reads (a triple's are two indices of at most CMI_MAX_BITS = 8 bits); a
-wider code space is sorted instead. One rule sorts (`_sort_codes`):
-`np.sort` of the codes, or of int64 keys ``code << p | position`` when the
-input order is needed, with `np.argsort` only where a key would not fit in
-63 bits; runs of equal codes start where a sorted code differs from the
-one before it. `np.unique` is not used: it sorts the same way with more
-passes, and it imports `numpy.ma`, about 13 ms in every fresh process.
+ascending codes are row-major cell order, and every marginal is a shift
+and a mask of the codes. One rule sizes every array indexed by code
+(`_dense`): an array over 2^w codes of n inputs is allocated when
+2^w <= max(n, 2^16), 2^16 being the largest bin alphabet and the widest
+marginal `plugin_mi` reads (a triple's are two indices of at most
+CMI_MAX_BITS = 8 bits). Codes are counted by one of two algorithms, one
+per side of that rule: a dense `np.bincount`, or an `np.sort` of the
+codes (int32 up to 31 bits), whose runs of equal codes start where a code
+differs from the one before it. `np.unique` is not used: it sorts the same
+way with more passes, and it imports `numpy.ma`, about 13 ms in every
+fresh process. Coarsening (`coarsen_cells`) gives the histogram of the
+indices shifted right: where `_dense` allows the coarse code space for the
+occupied cells, it repacks each field at fewer bits and merges the cells
+by a bincount weighted with their counts; otherwise the histogram is too
+sparse to gain from its cells, nearly one per sample, and the shifted
+indices are counted again.
 Count products with 0/1 bit matrices are float64 BLAS products: every
 partial sum is an integer of at most N < 2^53, which a float64 holds
 exactly, while numpy's int64 products have no BLAS. No bias correction is
@@ -91,20 +95,15 @@ class JointCells:
         return (self.codes >> ((self.ndim - 1 - i) * self.bits)) & ((1 << self.bits) - 1)
 
 
-def joint_cells(*indices: np.ndarray, weights: np.ndarray | None = None) -> JointCells:
+def joint_cells(*indices: np.ndarray) -> JointCells:
     """Sparse joint histogram of equal-length nonnegative index vectors.
 
     Each coordinate takes b bits, the bit length of the largest index; the
     caller keeps k b within 63 for k inputs (a bin index takes at most 16).
-    There are at most min(N, 2^(k b)) occupied cells. With ``weights``, the
-    integer counts of an existing histogram whose cells the indices label,
-    each input adds its weight instead of 1, so that coarsening a histogram
-    (see `coarsen_cells`) gives the same cells and counts as histogramming
-    the coarsened samples.
+    There are at most min(N, 2^(k b)) occupied cells.
 
     A code space that `_dense` allows for the inputs is counted by a dense
-    `np.bincount`; otherwise the distinct codes are sorted. Both give the
-    same arrays.
+    `np.bincount`; otherwise the codes are sorted. Both give the same arrays.
     """
     bits = max(int(v.max()) for v in indices).bit_length()
     width = len(indices) * bits
@@ -112,51 +111,32 @@ def joint_cells(*indices: np.ndarray, weights: np.ndarray | None = None) -> Join
     for v in indices[1:]:
         codes <<= bits
         codes |= v
-    codes, counts = _count_codes(codes, width, weights)
+    codes, counts = _count_codes(codes, width)
     return JointCells(codes, counts, bits, len(indices))
 
 
 def _count_codes(
-    codes: np.ndarray, width: int, weights: np.ndarray | None
+    codes: np.ndarray, width: int, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``width``-bit codes, ascending as int64, and their counts.
 
-    Counted densely when `_dense` allows, else by sorting the codes.
+    Counted densely when `_dense` allows, each code adding its integer
+    weight if ``weights`` are given; otherwise the codes are sorted, and each
+    adds one. Only `coarsen_cells` passes weights, and only where `_dense`
+    allows.
     """
     if _dense(width, len(codes)):
         dense = np.bincount(codes, weights=weights, minlength=1 << width)
         codes = np.flatnonzero(dense)
         # Float sums of integer counts are exact, so the cast loses nothing.
         counts = dense[codes].astype(np.int64, copy=False)
-    elif weights is None:
+    else:
         if width <= 31:
             codes = codes.astype(np.int32)  # 32-bit codes sort about twice as fast
         codes = np.sort(codes)
         starts = np.flatnonzero(_run_starts(codes))
         codes, counts = codes[starts], np.diff(starts, append=len(codes))
-    else:
-        codes, order = _sort_codes(codes, width)
-        starts = np.flatnonzero(_run_starts(codes))
-        codes, counts = codes[starts], np.add.reduceat(weights[order], starts)
     return codes.astype(np.int64, copy=False), counts
-
-
-def _sort_codes(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nonnegative ``width``-bit ``codes`` ascending, and the stable sorting permutation.
-
-    Each code is packed with its position p bits wide, p the bit length of
-    n - 1, into one int64 key, so one `np.sort` orders the codes and keeps
-    equal ones in input order. When width + p exceeds 63 the keys would not
-    fit, and a stable `np.argsort` gives the same permutation.
-    """
-    p = (len(codes) - 1).bit_length()
-    if width + p > 63:
-        order = np.argsort(codes, kind="stable")
-        return codes[order], order
-    keys = codes.astype(np.int64) << p
-    keys |= np.arange(len(codes))
-    keys.sort()
-    return keys >> p, keys & ((1 << p) - 1)
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -177,17 +157,21 @@ def _dense(width: int, n: int) -> bool:
     return 1 << width <= max(n, 1 << MAX_BITS)
 
 
-def coarsen_cells(cells: JointCells, shift: int) -> JointCells:
-    """`joint_cells` of every index shifted right by ``shift``, from the occupied cells.
+def coarsen_cells(cells: JointCells, indices: Sequence[np.ndarray], shift: int) -> JointCells:
+    """`joint_cells` of every index vector shifted right by ``shift``.
 
-    Each ``bits``-bit field of a code is shifted and repacked at
-    ``bits - shift`` bits. Integer counts merge exactly, so this equals
-    histogramming the shifted samples again, at the cost of the occupied
-    cells rather than of N.
+    ``cells`` is `joint_cells` of ``indices``. Where `_dense` allows the
+    coarse code space for the occupied cells, each ``bits``-bit field of a
+    code is repacked at ``bits - shift`` bits and the cells merge by their
+    integer counts, at the cost of the occupied cells rather than of N.
+    Otherwise the histogram is too sparse for its cells to save work, and
+    the shifted indices are counted again.
     """
     if shift == 0:
         return cells
     bits = max(cells.bits - shift, 0)
+    if not _dense(cells.ndim * bits, len(cells.codes)):
+        return joint_cells(*(v >> shift for v in indices))
     mask = (1 << bits) - 1
     codes = cells.codes >> ((cells.ndim - 1) * cells.bits + shift)
     for i in range(cells.ndim - 2, -1, -1):

@@ -144,11 +144,12 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     The three pair histograms are built once per group from those indices,
     and the (A, B, E) histogram once, at the deepest depth whose CMI is
     reported. A shallower depth is an exact right shift of the indices, so
-    its histograms are those coarsened (see `coarsen_cells`). Each pair's
-    histogram gives the symbol MI and, with each numbering's label table,
-    that numbering's bitwise MI and BER, since every per-bit 2x2 table is a
-    marginal of that joint. A binning failure names the party, its depth
-    and the group.
+    its histograms are those coarsened: merged from the occupied cells, or
+    counted again from the shifted indices where the cells are too sparse
+    to merge (see `coarsen_cells`). Each pair's histogram gives the symbol
+    MI and, with each numbering's label table, that numbering's bitwise MI
+    and BER, since every per-bit 2x2 table is a marginal of that joint. A
+    binning failure names the party, its depth and the group.
     """
     schemes = list(schemes)
     groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
@@ -179,18 +180,23 @@ def _evaluate_group(
     """
     reports = {}
     deep = max(s.bits for s in group)
-    deep_pairs = [joint_cells(x, y) for x, y in ((a, b), (a, e), (b, e))]
+    pair_bins = [(a, b), (a, e), (b, e)]
+    deep_pairs = [joint_cells(*bins) for bins in pair_bins]
 
     depths = sorted({s.bits for s in group})
     # CMI is reported up to CMI_MAX_BITS bits per party, from one (A, B, E)
     # histogram at the deepest such depth, coarsened for the shallower ones.
     reported = [d for d in depths if d <= CMI_MAX_BITS]
     if reported:
-        triple = joint_cells(*(v >> (deep - reported[-1]) for v in (a, b, e)))
+        top = reported[-1]
+        triple_bins = (a, b, e) if top == deep else [v >> (deep - top) for v in (a, b, e)]
+        triple = joint_cells(*triple_bins)
 
     for bits in depths:
-        pairs = [coarsen_cells(cells, deep - bits) for cells in deep_pairs]
-        cmi = plugin_mi(coarsen_cells(triple, reported[-1] - bits)) if bits in reported else None
+        pairs = [
+            coarsen_cells(cells, bins, deep - bits) for cells, bins in zip(deep_pairs, pair_bins)
+        ]
+        cmi = plugin_mi(coarsen_cells(triple, triple_bins, top - bits)) if bits in reported else None
         i_ab_sym, i_ae_sym, i_be_sym = (plugin_mi(cells) for cells in pairs)
 
         at_depth = [s for s in group if s.bits == bits]
@@ -299,9 +305,10 @@ def sweep(
     is keyed by the cell's index in ``t_grid``, and rows are assembled in
     (transmission, scheme) order.
     """
-    t_grid = [float(t) for t in t_grid]
+    t_grid = list(t_grid)
     schemes = list(schemes)
     check_grid(t_grid, schemes)
+    t_grid = [float(t) for t in t_grid]
     check_count("workers", workers)
 
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]

@@ -154,10 +154,6 @@ class BitMatrix:
         object.__setattr__(self, "symbol_index", idx)
 
     @property
-    def n_symbols(self) -> int:
-        return self.bits.shape[0]
-
-    @property
     def n_bits(self) -> int:
         return self.bits.shape[1]
 

@@ -72,6 +72,12 @@ def test_channel_params_validation(kwargs):
         ChannelParams(**kwargs)
 
 
+def test_channel_params_reject_a_transmission_that_is_not_a_number():
+    # A string would otherwise fail the range rule's comparison with a TypeError.
+    with pytest.raises(ValueError, match=r"^transmission must be a number, got '0\.5'$"):
+        ChannelParams(transmission="0.5")
+
+
 def test_largest_u64_seed_is_accepted():
     assert ChannelParams(transmission=0.5, seed=2**64 - 1).seed == 2**64 - 1
 

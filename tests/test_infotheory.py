@@ -19,6 +19,7 @@ from slicesec import (
 from slicesec import infotheory
 from slicesec.infotheory import (
     CMI_MAX_BITS,
+    JointCells,
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
     coarsen_cells,
@@ -346,11 +347,11 @@ def test_plugin_bias_oracle_scale():
     )
 
 
-def dense_cells(indices, weights=None):
+def dense_cells(indices):
     """Independent oracle for `joint_cells`: a dense histogram read in row-major order."""
     shape = tuple(int(v.max()) + 1 for v in indices)
     dense = np.zeros(shape, dtype=np.int64)
-    np.add.at(dense, tuple(indices), 1 if weights is None else weights)
+    np.add.at(dense, tuple(indices), 1)
     coords = np.nonzero(dense)
     return coords, dense[coords]
 
@@ -365,9 +366,9 @@ def assert_same_cells(got, expected):
 
 
 def table_cells(table):
-    """The occupied cells of a dense count table, as a sparse joint histogram."""
-    coords = np.nonzero(table)
-    return joint_cells(*coords, weights=table[coords])
+    """The occupied cells of a 2x2 count table, as a sparse joint histogram."""
+    x, y = np.nonzero(table)
+    return JointCells(x << 1 | y, table[x, y].astype(np.int64), 1, 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -375,15 +376,13 @@ def table_cells(table):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3),
     n=st.integers(min_value=1, max_value=2000),
-    weighted=st.booleans(),
 )
-def test_joint_cells_counts_by_bincount_and_by_unique_alike(seed, sizes, n, weighted):
+def test_joint_cells_counts_by_bincount_and_by_unique_alike(seed, sizes, n):
     # Small alphabets against large n take the bincount path, the rest the
     # sorted-codes path; both must equal the dense oracle, dtypes included.
     rng = np.random.default_rng(seed)
     indices = [rng.integers(0, k, size=n).astype(np.uint16) for k in sizes]
-    weights = rng.integers(1, 1000, size=n) if weighted else None
-    assert_same_cells(joint_cells(*indices, weights=weights), dense_cells(indices, weights))
+    assert_same_cells(joint_cells(*indices), dense_cells(indices))
 
 
 def record(monkeypatch, name, module=np):
@@ -402,22 +401,31 @@ def record(monkeypatch, name, module=np):
     ((2, 3), 6), ((2, 3), 5), ((50, 50), 10), ((4, 4, 4), 64), ((2, 3), 3), ((3, 3), 4),
     ((256, 256), 10), ((1 << 17,), 10), ((1 << 17,), 1 << 17), ((1 << 17,), (1 << 17) - 1),
 ])
-@pytest.mark.parametrize("weighted", [False, True])
-def test_joint_cells_path_boundary(sizes, n, weighted, monkeypatch):
+@pytest.mark.parametrize("coarsened", [False, True])
+def test_joint_cells_path_boundary(sizes, n, coarsened, monkeypatch):
     # Up to 2^16 codes are counted densely at any n, a wider code space
     # from n = 2^width on: 2^16 and 2^17 codes at small n, and 2^17 codes
-    # at n = 2^17 and at one input fewer (sorted), counted or weighted.
+    # at n = 2^17 and at one input fewer (sorted). Coarsened from one bit
+    # deeper, the cells merge densely where `_dense` allows the code space
+    # for the occupied cells; otherwise the indices are counted again, by
+    # the same rule, so a bincount runs on the same side of the boundary.
     rng = np.random.default_rng(n)
     indices = [np.arange(n) % k for k in sizes]
     for v, k in zip(indices, sizes):
         v[0] = k - 1
-    weights = rng.integers(1, 5, size=n) if weighted else None
     width = len(sizes) * (max(sizes) - 1).bit_length()
+    if coarsened:
+        deeper = [v << 1 | rng.integers(0, 2, size=n) for v in indices]
+        fine = joint_cells(*deeper)
+        merged = 1 << width <= max(len(fine.codes), 1 << 16)
+    recounts = record(monkeypatch, "joint_cells", infotheory)
     bincounts = record(monkeypatch, "bincount")
-    cells = joint_cells(*indices, weights=weights)
+    cells = coarsen_cells(fine, deeper, 1) if coarsened else joint_cells(*indices)
     monkeypatch.undo()
     assert bool(bincounts) == (1 << width <= max(n, 1 << 16))
-    assert_same_cells(cells, dense_cells(indices, weights))
+    if coarsened:
+        assert len(recounts) == (0 if merged else 1)
+    assert_same_cells(cells, dense_cells(indices))
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,7 +444,7 @@ def test_coarsened_cells_equal_cells_of_shifted_indices(seed, bits, parties, n, 
         np.clip(x + rng.integers(-9, 10, size=n), 0, (1 << bits) - 1) for _ in range(parties - 1)
     ]
     indices = [v.astype(np.uint16) for v in indices]
-    got = coarsen_cells(joint_cells(*indices), shift)
+    got = coarsen_cells(joint_cells(*indices), indices, shift)
     expected = joint_cells(*(v >> shift for v in indices))
     assert (got.bits, got.ndim) == (expected.bits, expected.ndim)
     assert np.array_equal(got.codes, expected.codes)
@@ -445,16 +453,17 @@ def test_coarsened_cells_equal_cells_of_shifted_indices(seed, bits, parties, n, 
 
 def test_coarsening_to_more_codes_than_cells_counts_densely(monkeypatch):
     # The coarse code space exceeds the occupied cells but not 2^16, so the
-    # weighted cells are counted densely, with no sort.
+    # cells merge by a dense bincount, with no sort and no recount.
     rng = np.random.default_rng(5)
     x = rng.integers(0, 16, size=2000)
     y = np.clip(x + rng.integers(0, 3, size=2000), 0, 15)
     cells = joint_cells(x, y)
     assert len(cells.counts) < 8 * 8
-    sorts = record(monkeypatch, "_sort_codes", infotheory)
-    coarse = coarsen_cells(cells, 1)
+    sorts = record(monkeypatch, "sort")
+    recounts = record(monkeypatch, "joint_cells", infotheory)
+    coarse = coarsen_cells(cells, (x, y), 1)
     monkeypatch.undo()
-    assert sorts == []
+    assert sorts == [] and recounts == []
     assert_same_cells(coarse, dense_cells([x >> 1, y >> 1]))
 
 
@@ -476,30 +485,6 @@ def test_plugin_mi_raises_on_a_triple_above_cmi_max_bits(bits):
             with pytest.raises(AlphabetCapacityError, match="up to 8 bits per index, got 9"):
                 estimate()
 
-
-@pytest.mark.parametrize("n,packed", [(8, True), (9, False)])
-def test_weighted_counting_is_exact_at_the_packed_key_guard(n, packed, monkeypatch):
-    # Three 20-bit indices pack into 60-bit codes. A code and its position
-    # need 60 + 3 = 63 bits for 8 inputs, one int64 key, and 60 + 4 = 64 for
-    # 9, where the stable argsort takes over. Codes near 2^60 and repeated
-    # cells put the keys' top bits and the runs to the test.
-    top = (1 << 20) - 1
-    rng = np.random.default_rng(n)
-    indices = [rng.integers(top - 2, top + 1, size=n) for _ in range(3)]
-    indices[0][: n // 2] = top
-    weights = rng.integers(1, 1 << 40, size=n)
-    argsorts = record(monkeypatch, "argsort")
-    cells = joint_cells(*indices, weights=weights)
-    monkeypatch.undo()
-    assert bool(argsorts) is not packed
-    expected = {}
-    for cell, weight in zip(zip(*(v.tolist() for v in indices)), weights.tolist()):
-        expected[cell] = expected.get(cell, 0) + weight
-    cell_keys = sorted(expected)
-    assert len(cell_keys) < n  # some cells repeat
-    assert cells.codes.dtype == np.int64 and (np.diff(cells.codes) > 0).all()
-    assert list(zip(*(cells.coordinate(i).tolist() for i in range(3)))) == cell_keys
-    assert cells.counts.tolist() == [expected[c] for c in cell_keys]
 
 def test_symbol_mi_of_a_wide_index_allocates_within_the_rule(monkeypatch):
     # The widest bin index, 2^16 - 1, packs a pair's codes at 32 bits, a code
@@ -593,12 +578,15 @@ def gathered_label_tables(cells, table):
 @pytest.mark.parametrize("bits", [3, 12])
 def test_label_bit_tables_are_exact_above_two_to_the_32_samples(bits):
     # Cell counts near 2^40 make a total near 2^44, past any 32-bit sum and
-    # within the 2^53 up to which the float64 products are exact.
+    # within the 2^53 up to which the float64 products are exact. The
+    # distinct cells of 4000 samples take the chosen counts.
     rng = np.random.default_rng(bits)
     k = 1 << bits
     x = rng.integers(0, k, size=4000)
     y = np.clip(x + rng.integers(-2, 3, size=x.size), 0, k - 1)
-    cells = joint_cells(x, y, weights=rng.integers(1 << 39, 1 << 40, size=x.size))
+    distinct = joint_cells(x, y)
+    counts = rng.integers(1 << 39, 1 << 40, size=distinct.codes.size)
+    cells = JointCells(distinct.codes, counts, distinct.bits, 2)
     assert cells.counts.sum() > 1 << 32
     tables = [build_labels(numbering, bits) for numbering in Numbering]
     got = label_bit_tables(cells, tables)

@@ -92,16 +92,14 @@ def assert_plugin_mi_equals_oracle(cells, oracle):
 
 @st.composite
 def histograms(draw):
-    """Index vectors of k parties at b bits, n of them, and maybe integer weights.
+    """Index vectors of k parties at b bits, n of them.
 
     Up to 2^16 codes `joint_cells` counts densely at any n. Where the
     packed code space 2^(k b) is the next one above, 2^18, n is drawn on
-    either side of its dense/sorted limit, n = 2^(k b), for counted
-    samples and weighted cells alike.
+    either side of its dense/sorted limit, n = 2^(k b).
     """
     k = draw(st.sampled_from([2, 3]))
     bits = draw(st.integers(min_value=1, max_value=16))
-    weighted = draw(st.booleans())
     size = 1 << (k * bits)
     if size == 1 << 18 and draw(st.booleans()):
         n = draw(st.sampled_from([size - 1, size]))
@@ -113,35 +111,33 @@ def histograms(draw):
     x = rng.integers(0, top + 1, size=n)
     x[0] = top  # packed at b bits; the oracle's other alphabets may be smaller
     indices = [x] + [(x + rng.integers(0, spread, size=n)) & top for _ in range(k - 1)]
-    indices = [v.astype(np.uint16) for v in indices]
-    weights = rng.integers(1, 1000, size=n) if weighted else None
-    return indices, bits, weights
+    return [v.astype(np.uint16) for v in indices], bits
 
 
 @settings(max_examples=300, deadline=None)
 @given(histograms())
 def test_packed_cells_count_as_the_coordinate_tuple_cells(case):
-    indices, bits, weights = case
-    cells = joint_cells(*indices, weights=weights)
+    indices, bits = case
+    cells = joint_cells(*indices)
     assert (cells.bits, cells.ndim) == (bits, len(indices))
-    assert_cells_equal_oracle(cells, oracle_joint_cells(*indices, weights=weights))
+    assert_cells_equal_oracle(cells, oracle_joint_cells(*indices))
 
 
 @settings(max_examples=300, deadline=None)
 @given(histograms())
 def test_packed_plugin_mi_equals_the_coordinate_tuple_plugin_mi_bit_for_bit(case):
-    indices, bits, weights = case
-    cells = joint_cells(*indices, weights=weights)
-    assert_plugin_mi_equals_oracle(cells, oracle_joint_cells(*indices, weights=weights))
+    indices, bits = case
+    cells = joint_cells(*indices)
+    assert_plugin_mi_equals_oracle(cells, oracle_joint_cells(*indices))
 
 
 @settings(max_examples=300, deadline=None)
 @given(histograms(), st.data())
 def test_packed_coarsening_equals_the_coordinate_tuple_coarsening(case, data):
-    indices, bits, weights = case
+    indices, bits = case
     shift = data.draw(st.integers(min_value=0, max_value=bits))
-    coarse = coarsen_cells(joint_cells(*indices, weights=weights), shift)
-    oracle = oracle_coarsen_cells(*oracle_joint_cells(*indices, weights=weights), shift)
+    coarse = coarsen_cells(joint_cells(*indices), indices, shift)
+    oracle = oracle_coarsen_cells(*oracle_joint_cells(*indices), shift)
     assert_cells_equal_oracle(coarse, oracle)
     assert_plugin_mi_equals_oracle(coarse, oracle)
 
@@ -151,10 +147,10 @@ def test_packed_coarsening_equals_the_coordinate_tuple_coarsening(case, data):
 def test_cells_built_at_a_shallower_depth_equal_the_deepest_cells_coarsened(case, data):
     # The engine builds the (A, B, E) histogram at the deepest depth whose
     # CMI is reported, not at the group's deepest.
-    indices, bits, weights = case
+    indices, bits = case
     shift = data.draw(st.integers(min_value=0, max_value=bits))
-    built = joint_cells(*(v >> shift for v in indices), weights=weights)
-    coarse = coarsen_cells(joint_cells(*indices, weights=weights), shift)
+    built = joint_cells(*(v >> shift for v in indices))
+    coarse = coarsen_cells(joint_cells(*indices), indices, shift)
     assert (built.bits, built.ndim) == (coarse.bits, coarse.ndim)
     assert np.array_equal(built.codes, coarse.codes)
     assert np.array_equal(built.counts, coarse.counts)

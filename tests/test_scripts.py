@@ -1,9 +1,12 @@
 """Smoke tests of the experiment drivers in scripts/, run as subprocesses."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +56,17 @@ def test_ab_pairs_times_each_side_once_per_pair():
         ("0", "3", "parent", "yes"), ("1", "4", "change", "yes"),
     ]
     assert lines[3].startswith("change won ") and " of 2 pairs; median parent " in lines[3]
+    # From 2 pairs on, each side's inclusive quartiles and the parent's IQR.
+    summary = re.fullmatch(
+        r"change won \d of 2 pairs; median parent ([\d.]+) s, change ([\d.]+) s "
+        r"\(ratio [\d.]+\); quartiles parent ([\d.]+)/([\d.]+) s, "
+        r"change ([\d.]+)/([\d.]+) s; parent IQR ([\d.]+) s", lines[3])
+    assert summary, lines[3]
+    median_p, median_c, q1_p, q3_p, q1_c, q3_c, iqr = map(float, summary.groups())
+    for side, q1, median, q3 in ((3, q1_p, median_p, q3_p), (4, q1_c, median_c, q3_c)):
+        low, high = sorted(float(p[side]) for p in pairs)
+        # Two runs: the quartiles lie a quarter of the way in from each end.
+        assert q1 == pytest.approx(low + (high - low) / 4, abs=2e-3)
+        assert q3 == pytest.approx(high - (high - low) / 4, abs=2e-3)
+        assert q1 <= median <= q3
+    assert iqr == pytest.approx(q3_p - q1_p, abs=2e-3)

@@ -137,10 +137,26 @@ def bitmatrix_report(realization, scheme):
     )
 
 
+# Groups at 12, 10 and 8 bits: at N = 5000 a 12-bit pair histogram is too
+# sparse to merge into 2^20 codes, so the 10-bit pairs are counted again
+# from the shifted bins, while the 8-bit pairs merge and the (A, B, E)
+# histogram is built at 8 bits.
+SPARSE_SCHEMES = [
+    SlicingScheme(pos, num, bits)
+    for pos in Positioning
+    for num, bits in ((Numbering.GRAY, 12), (Numbering.FLFSR, 10), (Numbering.BINARY, 8))
+]
+
+
 class TestEvaluateSchemes:
     def test_batch_equals_one_scheme_at_a_time(self, mixed_realization):
         batch = evaluate_schemes(mixed_realization, MIXED_SCHEMES)
         assert batch == [evaluate_scheme(mixed_realization, s) for s in MIXED_SCHEMES]
+
+    def test_batch_equals_one_scheme_at_a_time_when_a_depth_is_recounted(self):
+        realization = transmit(ChannelParams(transmission=0.4, samples=5000, seed=8))
+        batch = evaluate_schemes(realization, SPARSE_SCHEMES)
+        assert batch == [evaluate_scheme(realization, s) for s in SPARSE_SCHEMES]
 
     def test_matches_bitmatrix_reference_exactly(self, mixed_realization):
         batch = evaluate_schemes(mixed_realization, MIXED_SCHEMES)
@@ -284,6 +300,12 @@ class TestSweep:
             sweep(SMALL_T, SMALL_SCHEMES + SMALL_SCHEMES[1:2], SMALL_BASE)
         with pytest.raises(ValueError, match=r"transmission 1\.5 outside"):
             sweep([0.5, 1.5], SMALL_SCHEMES, SMALL_BASE)
+
+    @pytest.mark.parametrize("point", [True, np.True_, "0.5"])
+    def test_rejects_a_grid_point_that_is_not_a_number(self, point):
+        # Each would pass once converted by float(): as T = 1.0 or 0.5.
+        with pytest.raises(ValueError, match=f"transmission must be a number, got {point!r}"):
+            sweep([0.2, point], SMALL_SCHEMES, SMALL_BASE)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 17])
     def test_base_with_out_of_range_seed_cannot_be_built(self, seed):

@@ -58,20 +58,27 @@ def test_histograms_read_the_samples_once_per_cell_and_positioning(tmp_path, mon
     # Each (positioning, width multiplier) group builds its three pair
     # histograms from the N bin indices, and its (A, B, E) histogram only
     # when some depth's CMI is within capacity, at the deepest such depth.
-    # Every other histogram is coarsened from those, and no estimator reads
-    # the samples.
-    builds = []
+    # Every other histogram is coarsened from those: its cells merge where
+    # `_dense` allows the coarse code space for the occupied cells, and
+    # otherwise the shifted indices are counted again (a recount). No
+    # estimator reads the samples.
+    builds, recounts = [], []
+    build = infotheory.joint_cells
 
-    def recording_joint_cells(*indices, **kwargs):
-        cells = infotheory.joint_cells(*indices, **kwargs)
-        builds.append((cells.ndim, len(indices[0]), cells.bits))
-        return cells
+    def recording(calls):
+        def recording_joint_cells(*indices):
+            cells = build(*indices)
+            calls.append((cells.ndim, len(indices[0]), cells.bits))
+            return cells
+        return recording_joint_cells
 
-    monkeypatch.setattr(secrecy, "joint_cells", recording_joint_cells)
+    monkeypatch.setattr(secrecy, "joint_cells", recording(builds))
+    monkeypatch.setattr(infotheory, "joint_cells", recording(recounts))
     schemes = [
         slicing.SlicingScheme("eqwidth", "gray", 3),
         slicing.SlicingScheme("eqwidth", "flfsr", 5),
         slicing.SlicingScheme("eqwidth", "binary", 10, 2.0),  # 2^30 CMI cells: no triple
+        slicing.SlicingScheme("eqwidth", "gray", 9, 2.0),  # 2^18 codes for 3000 cells: recount
         slicing.SlicingScheme("eqprob", "binary", 4),
         slicing.SlicingScheme("eqprob", "gray", 9),  # 2^27 CMI cells, reported at 4 bits only
     ]
@@ -83,11 +90,12 @@ def test_histograms_read_the_samples_once_per_cell_and_positioning(tmp_path, mon
     # (parties, samples read, bits per coordinate) of every build, per cell.
     per_cell = [(2, n, 5)] * 3 + [(2, n, 10)] * 3 + [(2, n, 9)] * 3 + [(3, n, 5), (3, n, 4)]
     assert Counter(builds) == Counter(per_cell * cells)
+    assert Counter(recounts) == Counter([(2, n, 9)] * 3 * cells)
     for name in ("mutual_information_symbols", "conditional_mi", "mutual_information_bitwise",
                  "bit_error_rate"):
         assert tracer.calls[f"infotheory.{name}"] == 0
     assert tracer.calls["slicing.assign_bins"] == 0
     reported = {str(r.scheme): r.cmi_ab_given_e is not None for r in table.rows}
     assert reported == {"eqwidth:gray:3": True, "eqwidth:flfsr:5": True,
-                        "eqwidth:binary:10": False, "eqprob:binary:4": True,
-                        "eqprob:gray:9": False}
+                        "eqwidth:binary:10": False, "eqwidth:gray:9": False,
+                        "eqprob:binary:4": True, "eqprob:gray:9": False}
