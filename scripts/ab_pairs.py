@@ -12,7 +12,8 @@ seconds, interpreter start-up and import included. Each pair's line gives
 both times and whether the two CSVs are byte-identical; the last line gives
 the pairs the change won and both medians and, from 2 pairs on, each side's
 quartiles (inclusive method) and the parent's interquartile range, the
-spread a difference of the medians must exceed to count as a gain.
+spread a difference of the medians must exceed to count as a gain. The
+script exits 1, after that line, when any pair's CSVs differ.
 """
 
 import argparse
@@ -52,6 +53,7 @@ def main() -> int:
     sides = {"parent": args.parent_dir.resolve() / "src", "change": ROOT / "src"}
 
     times = {side: [] for side in sides}
+    differing = 0
     print("pair\tseed\tfirst\tparent_s\tchange_s\tsame_csv")
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(args.pairs):
@@ -62,6 +64,7 @@ def main() -> int:
                 os.makedirs(outdir, exist_ok=True)
                 times[side].append(timed_sweep(sides[side], workload.sweep_argv(seed, outdir)))
             same = len({Path(tmp, side, CSV_NAME).read_bytes() for side in sides}) == 1
+            differing += not same
             print(f"{i}\t{seed}\t{order[0]}\t{times['parent'][i]:.3f}\t"
                   f"{times['change'][i]:.3f}\t{'yes' if same else 'NO'}", flush=True)
 
@@ -75,7 +78,7 @@ def main() -> int:
         summary += (f"; quartiles parent {q1:.3f}/{q3:.3f} s, change {c1:.3f}/{c3:.3f} s; "
                     f"parent IQR {q3 - q1:.3f} s")
     print(summary)
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

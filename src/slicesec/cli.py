@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import infotheory, slicing
+from . import slicing
 from .channel import ChannelParams, check_count, transmit
 from .secrecy import (
     FLOAT_FORMAT,
@@ -25,6 +25,7 @@ from .secrecy import (
     check_grid,
     default_schemes,
     default_t_grid,
+    evaluate_scheme,
     evaluate_schemes,
     sweep,
     t_range,
@@ -360,15 +361,10 @@ def selftest() -> int:
     # Perfect transmission is an identity channel
     real = transmit(ChannelParams(transmission=1.0, samples=5000, seed=7))
     scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.GRAY, 4)
-    alice, bob = (bin_indices(v, scheme) for v in (real.alice, real.bob))
-    gray = build_labels(Numbering.GRAY, 4)
-    ber = infotheory.bit_error_rate_from_tables(
-        infotheory.label_bit_tables(infotheory.joint_cells(alice, bob), [gray])[0]
-    )
-    check("T=1 gives zero Alice-Bob BER", ber == 0.0)
+    check("T=1 gives zero Alice-Bob BER", evaluate_scheme(real, scheme).ber_ab == 0.0)
 
     # Equal-probability occupancy
-    occ = np.bincount(alice, minlength=16)
+    occ = np.bincount(bin_indices(real.alice, scheme), minlength=16)
     check("equal-probability occupancy within +/-1 of N/2^b",
           bool((np.abs(occ - 5000 / 16) <= 1).all()))
 

@@ -127,7 +127,7 @@ def _count_codes(
     """
     if _dense(width, len(codes)):
         dense = np.bincount(codes, weights=weights, minlength=1 << width)
-        codes = np.flatnonzero(dense)
+        codes = np.flatnonzero(dense != 0)  # numpy finds nonzeros fastest in a bool array
         # Float sums of integer counts are exact, so the cast loses nothing.
         counts = dense[codes].astype(np.int64, copy=False)
     else:
@@ -276,9 +276,9 @@ def bitwise_mi_from_tables(tables: np.ndarray) -> np.ndarray:
     """Sum of the binary plug-in MI of each bit's 2x2 count table, in bit order.
 
     ``tables`` holds one codebook's per-bit tables, shape (b, 2, 2), or a
-    stack of them, shape (m, b, 2, 2), as `label_bit_tables` returns; one
+    stack of them, shape (..., b, 2, 2), as `label_bit_tables` returns; one
     `plugin_mi_2x2` call serves every table.
-    Returns one float, or m of them, equal to `mutual_information_bitwise`.
+    Returns one float, or one per codebook, equal to `mutual_information_bitwise`.
     """
     per_bit = plugin_mi_2x2(tables.reshape(-1, 2, 2)).reshape(tables.shape[:-2])
     total = np.zeros(per_bit.shape[:-1])
@@ -287,40 +287,45 @@ def bitwise_mi_from_tables(tables: np.ndarray) -> np.ndarray:
     return total[()]
 
 
-def label_bit_tables(cells: JointCells, tables: Sequence[LabelTable]) -> np.ndarray:
-    """Per-bit 2x2 count tables of a labelled symbol pair, shape (m, b, 2, 2).
+def label_bit_tables(pairs: Sequence[JointCells], marginals: np.ndarray,
+                     tables: Sequence[LabelTable]) -> np.ndarray:
+    """Per-bit 2x2 count tables of three labelled parties' pairs, shape (3, m, b, 2, 2).
 
-    ``cells`` is a sparse joint histogram of two parties (see `joint_cells`)
-    and ``tables`` m label codebooks of one depth. Entry [i, j, u, v] counts
-    the samples whose first party's bit j under codebook i is u and second's
-    is v: each per-bit table is an exact marginal of the symbol joint.
+    ``pairs`` are the (A, B), (A, E) and (B, E) histograms of one depth (see
+    `joint_cells`), ``marginals`` the int64 symbol counts of A, B and E,
+    shape (3, 2^b), and ``tables`` m <= 3 label codebooks of that depth.
+    Entry [p, i, j, u, v] counts the samples whose first party of pair p
+    has bit j u under codebook i and whose second has v: each per-bit table
+    is an exact marginal of the pair's symbol joint.
 
     Every per-bit sum is taken over a 2^b-entry histogram, so no cell's
-    label is expanded to b bits. Each histogram is first carried from bins
-    to labels: a party's symbol marginal, counted once for every codebook,
-    is summed over the bins of each label, and the samples' pairs of labels
-    are histogrammed by their bitwise AND, which is one where both bits
-    are. One float64 product with the binary codebook's bits then gives a
-    party's ones and the samples where both bits are one, for every
-    codebook and bit. It is exact: each count and partial sum is an integer
-    of at most the total count, which stays below 2^53.
+    label is expanded to b bits. Each party's marginal, counted once for
+    both its pairs, is summed over the bins of each label. A bin's m labels
+    are packed b bits apiece into one int64 code, so one gather per
+    coordinate and one AND over a pair's occupied cells give, for every
+    codebook at once, the label that is one where both bits are; each
+    codebook's field is histogrammed. A float64 product with the binary
+    codebook's bits then gives the parties' ones and the pairs' both-ones,
+    for every codebook and bit. It is exact: each count and partial sum is
+    an integer of at most the total count, which stays below 2^53.
     """
-    k, b = tables[0].labels.shape
-    x, y, counts = cells.coordinate(0), cells.coordinate(1), cells.counts
-
-    def hist(index: np.ndarray, weights: np.ndarray = counts) -> np.ndarray:
-        return np.bincount(index, weights=weights, minlength=k)
-
-    marginals = hist(x), hist(y)
-    by_label = [hist(t.codes, weights=marginal) for marginal in marginals for t in tables]
-    by_label += [hist(t.codes[x] & t.codes[y]) for t in tables]
-    ones_x, ones_y, both = (
-        (np.stack(by_label) @ _bit_matrix(b)).astype(np.int64).reshape(3, len(tables), b)
-    )
-    n = counts.sum()
+    m, (k, b) = len(tables), tables[0].labels.shape
+    packed = np.zeros(k, dtype=np.int64)
+    for i, t in enumerate(tables):
+        packed |= t.codes.astype(np.int64) << (i * b)
+    by_label = [np.bincount(t.codes, weights=marginal, minlength=k)
+                for marginal in marginals.astype(np.float64) for t in tables]
+    for cells in pairs:
+        anded = packed[cells.coordinate(0)] & packed[cells.coordinate(1)]
+        counts = cells.counts.astype(np.float64)
+        by_label += [np.bincount((anded >> (i * b)) & (k - 1), weights=counts, minlength=k)
+                     for i in range(m)]
+    ones, both = (np.stack(by_label) @ _bit_matrix(b)).astype(np.int64).reshape(2, 3, m, b)
+    first, second = ones[[0, 0, 1]], ones[[1, 2, 2]]  # the parties of (A, B), (A, E), (B, E)
+    n = marginals[0].sum()
     return np.stack(
-        [n - ones_x - ones_y + both, ones_y - both, ones_x - both, both], axis=-1
-    ).reshape(len(tables), b, 2, 2)
+        [n - first - second + both, second - both, first - both, both], axis=-1
+    ).reshape(3, m, b, 2, 2)
 
 
 @functools.cache
@@ -331,12 +336,14 @@ def _bit_matrix(b: int) -> np.ndarray:
     return bits
 
 
-def bit_error_rate_from_tables(tables: np.ndarray) -> float:
+def bit_error_rate_from_tables(tables: np.ndarray) -> np.ndarray:
     """Fraction of differing bits over all N*b positions, from per-bit tables.
 
-    ``tables`` are one codebook's, shape (b, 2, 2), as in a `label_bit_tables` stack.
+    ``tables`` are one codebook's, shape (b, 2, 2), or a stack (..., b, 2, 2) as
+    `label_bit_tables` returns; one float per codebook, each count below 2^53.
     """
-    return int(tables[:, 0, 1].sum() + tables[:, 1, 0].sum()) / int(tables.sum())
+    errors = (tables[..., 0, 1] + tables[..., 1, 0]).sum(axis=-1)
+    return (errors / tables.sum(axis=(-3, -2, -1)))[()]
 
 
 def conditional_mi(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> MIEstimate:

@@ -147,13 +147,15 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     its histograms are those coarsened: merged from the occupied cells, or
     counted again from the shifted indices where the cells are too sparse
     to merge (see `coarsen_cells`). Each pair's histogram gives the symbol
-    MI and, with each numbering's label table, that numbering's bitwise MI
-    and BER, since every per-bit 2x2 table is a marginal of that joint. A
-    binning failure names the party, its depth and the group.
+    MI. Each party is counted once per group and block-summed per depth;
+    one `label_bit_tables` call per depth gathers every codebook at once for
+    all three pairs' per-bit 2x2 tables (each a marginal of its pair's joint,
+    in integer counts below 2^53, so exact), and so every bitwise MI and BER.
+    A binning failure names the party, its depth and the group.
     """
     schemes = list(schemes)
     groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
-    for scheme in schemes:
+    for scheme in dict.fromkeys(schemes):  # distinct, so a depth has at most 3 numberings
         groups.setdefault((scheme.positioning, scheme.width_multiplier), []).append(scheme)
     deepest = [max(group, key=lambda s: s.bits) for group in groups.values()]
 
@@ -182,6 +184,12 @@ def _evaluate_group(
     deep = max(s.bits for s in group)
     pair_bins = [(a, b), (a, e), (b, e)]
     deep_pairs = [joint_cells(*bins) for bins in pair_bins]
+    # Each party's symbol counts, A's and B's from the (A, B) histogram and
+    # E's from (A, E)'s; a shallower depth's are exact block sums of these.
+    marginals = np.stack([
+        np.bincount(cells.coordinate(i), weights=cells.counts, minlength=1 << deep)
+        for cells, i in ((deep_pairs[0], 0), (deep_pairs[0], 1), (deep_pairs[1], 1))
+    ]).astype(np.int64)
 
     depths = sorted({s.bits for s in group})
     # CMI is reported up to CMI_MAX_BITS bits per party, from one (A, B, E)
@@ -201,13 +209,12 @@ def _evaluate_group(
 
         at_depth = [s for s in group if s.bits == bits]
         tables = [build_labels(scheme.numbering, bits) for scheme in at_depth]
-        # Per pair, every numbering's per-bit tables, shape (numberings, bits, 2, 2).
-        bit_tables = [label_bit_tables(cells, tables) for cells in pairs]
-        bitwise_mi = [bitwise_mi_from_tables(t) for t in bit_tables]
+        bit_tables = label_bit_tables(pairs, marginals.reshape(3, 1 << bits, -1).sum(axis=2), tables)
+        bitwise_mi, ber = bitwise_mi_from_tables(bit_tables), bit_error_rate_from_tables(bit_tables)
 
         for k, (scheme, table) in enumerate(zip(at_depth, tables)):
-            i_ab, i_ae, i_be = (float(mi[k]) for mi in bitwise_mi)
-            ber_ab, ber_ae, ber_be = (bit_error_rate_from_tables(t[k]) for t in bit_tables)
+            i_ab, i_ae, i_be = (float(mi) for mi in bitwise_mi[:, k])
+            ber_ab, ber_ae, ber_be = (float(rate) for rate in ber[:, k])
             delta_direct, delta_reverse = secrecy_deltas(i_ab, i_ae, i_be)
             reports[scheme] = SecrecyReport(
                 transmission=p.transmission,

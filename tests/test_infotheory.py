@@ -230,6 +230,19 @@ class TestBitwiseMI:
             )
 
 
+# The parties of each pair in a `label_bit_tables` stack: (A, B), (A, E), (B, E).
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def party_label_tables(parties, tables):
+    """`label_bit_tables` of three parties' bin indices: each pair's histogram
+    built from the samples, and each party's marginal bincounted on its own."""
+    k = 1 << tables[0].bits
+    marginals = np.stack([np.bincount(v, minlength=k) for v in parties])
+    pairs = [joint_cells(parties[x], parties[y]) for x, y in PAIRS]
+    return label_bit_tables(pairs, marginals, tables)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -242,19 +255,20 @@ def test_label_bit_tables_are_marginals_of_the_symbol_joint(seed, bits, numberin
     # Against the BitMatrix path: expand labels to N x b bits and count per bit.
     rng = np.random.default_rng(seed)
     k = 1 << bits
-    x = rng.integers(0, k, size=n)
-    y = np.clip(x + rng.integers(-noise, noise + 1, size=n), 0, k - 1)
+    a = rng.integers(0, k, size=n)
+    b, e = (np.clip(a + rng.integers(-noise, noise + 1, size=n), 0, k - 1) for _ in range(2))
     table = build_labels(numbering, bits)
-    labels = table.labels
-    tables = label_bit_tables(joint_cells(x, y), [table])[0]
+    tables = party_label_tables((a, b, e), [table])
+    mi, ber = bitwise_mi_from_tables(tables), bit_error_rate_from_tables(tables)
+    assert tables.shape == (3, 1, bits, 2, 2) and mi.shape == ber.shape == (3, 1)
 
-    bx, by = labels[x], labels[y]
-    for j in range(bits):
-        expected = np.bincount(2 * bx[:, j] + by[:, j], minlength=4).reshape(2, 2)
-        assert np.array_equal(tables[j], expected)
-    assert (bitwise_mi_from_tables(tables)
-            == mutual_information_bitwise(matrix(bx), matrix(by)).value)
-    assert bit_error_rate_from_tables(tables) == bit_error_rate(matrix(bx), matrix(by))
+    for p, (x, y) in enumerate(PAIRS):
+        bx, by = (table.labels[v] for v in ((a, b, e)[x], (a, b, e)[y]))
+        for j in range(bits):
+            expected = np.bincount(2 * bx[:, j] + by[:, j], minlength=4).reshape(2, 2)
+            assert np.array_equal(tables[p, 0, j], expected)
+        assert mi[p, 0] == mutual_information_bitwise(matrix(bx), matrix(by)).value
+        assert ber[p, 0] == bit_error_rate(matrix(bx), matrix(by))
 
 
 @settings(max_examples=60, deadline=None)
@@ -546,21 +560,42 @@ def test_bitwise_mi_of_a_stack_sums_each_table_in_bit_order():
             expected += plugin_mi(table_cells(table))
         assert total == expected
         assert bitwise_mi_from_tables(tables) == expected
+    # As `label_bit_tables` stacks them: (pairs, codebooks, b, 2, 2).
+    assert np.array_equal(bitwise_mi_from_tables(stack.reshape(4, 10, 12, 2, 2)),
+                          totals.reshape(4, 10))
 
 
-@pytest.mark.parametrize("bits", [4, 8, 12, 16])
+def test_bit_error_rate_of_a_stack_equals_each_codebooks_rate():
+    rng = np.random.default_rng(4)
+    stack = rng.integers(0, 1 << 40, size=(3, 3, 16, 2, 2))
+    rates = bit_error_rate_from_tables(stack)
+    assert rates.shape == (3, 3)
+    for tables, rate in zip(stack.reshape(9, 16, 2, 2), rates.ravel()):
+        errors = int(tables[:, 0, 1].sum()) + int(tables[:, 1, 0].sum())
+        assert rate == bit_error_rate_from_tables(tables) == errors / int(tables.sum())
+
+
+@pytest.mark.parametrize("bits", [1, 4, 8, 12, 16])
 @pytest.mark.parametrize("numbering", list(Numbering))
 def test_label_bit_tables_equal_the_gathered_label_formula(bits, numbering):
     # The formula the histogram form replaced: expand each cell's labels
-    # to b bits and weight them by the cell counts.
+    # to b bits and weight them by the cell counts. All three numberings
+    # share one call, ``numbering`` first, so each codebook takes each packed
+    # field of b bits in some case, the top one ending at bit 48 at b = 16.
     rng = np.random.default_rng(bits)
     k = 1 << bits
-    x = rng.integers(0, k, size=20_000)
-    y = np.clip(x + rng.integers(-k // 16, k // 16 + 1, size=x.size), 0, k - 1)
-    cells = joint_cells(x, y)
-    table = build_labels(numbering, bits)
-    got = label_bit_tables(cells, [table])[0]
-    assert got.dtype == np.int64 and np.array_equal(got, gathered_label_tables(cells, table))
+    a = rng.integers(0, k, size=20_000)
+    b, e = (np.clip(a + rng.integers(-(k // 16), k // 16 + 1, size=a.size), 0, k - 1)
+            for _ in range(2))
+    order = list(Numbering)
+    start = order.index(numbering)
+    tables = [build_labels(n, bits) for n in order[start:] + order[:start]]
+    got = party_label_tables((a, b, e), tables)
+    assert got.dtype == np.int64 and got.shape == (3, len(tables), bits, 2, 2)
+    for pair, (x, y) in zip(got, PAIRS):
+        cells = joint_cells((a, b, e)[x], (a, b, e)[y])
+        for stacked, table in zip(pair, tables):
+            assert np.array_equal(stacked, gathered_label_tables(cells, table))
 
 
 def gathered_label_tables(cells, table):
@@ -575,33 +610,47 @@ def gathered_label_tables(cells, table):
     ).reshape(-1, 2, 2)
 
 
+def pair_cells(triple, x, y):
+    """The (x, y) histogram of a triple histogram, its counts summed in int64."""
+    codes = triple.coordinate(x) << triple.bits | triple.coordinate(y)
+    codes, inverse = np.unique(codes, return_inverse=True)
+    counts = np.zeros(codes.size, dtype=np.int64)
+    np.add.at(counts, inverse, triple.counts)
+    return JointCells(codes, counts, triple.bits, 2)
+
+
 @pytest.mark.parametrize("bits", [3, 12])
 def test_label_bit_tables_are_exact_above_two_to_the_32_samples(bits):
     # Cell counts near 2^40 make a total near 2^44, past any 32-bit sum and
     # within the 2^53 up to which the float64 products are exact. The
-    # distinct cells of 4000 samples take the chosen counts.
+    # distinct (A, B, E) cells of 4000 samples take the chosen counts, and
+    # the pairs and marginals are their int64 sums.
     rng = np.random.default_rng(bits)
     k = 1 << bits
-    x = rng.integers(0, k, size=4000)
-    y = np.clip(x + rng.integers(-2, 3, size=x.size), 0, k - 1)
-    distinct = joint_cells(x, y)
+    a = rng.integers(0, k, size=4000)
+    b, e = (np.clip(a + rng.integers(-2, 3, size=a.size), 0, k - 1) for _ in range(2))
+    distinct = joint_cells(a, b, e)
     counts = rng.integers(1 << 39, 1 << 40, size=distinct.codes.size)
-    cells = JointCells(distinct.codes, counts, distinct.bits, 2)
-    assert cells.counts.sum() > 1 << 32
+    triple = JointCells(distinct.codes, counts, distinct.bits, 3)
+    assert counts.sum() > 1 << 32
+    pairs = [pair_cells(triple, x, y) for x, y in PAIRS]
+    marginals = np.zeros((3, k), dtype=np.int64)
+    for i, marginal in enumerate(marginals):
+        np.add.at(marginal, triple.coordinate(i), triple.counts)
     tables = [build_labels(numbering, bits) for numbering in Numbering]
-    got = label_bit_tables(cells, tables)
-    for stacked, table in zip(got, tables):
-        assert np.array_equal(stacked, gathered_label_tables(cells, table))
+    got = label_bit_tables(pairs, marginals, tables)
+    for pair, cells in zip(got, pairs):
+        for stacked, table in zip(pair, tables):
+            assert np.array_equal(stacked, gathered_label_tables(cells, table))
 
 
 @pytest.mark.parametrize("bits", [1, 5, 12])
 def test_label_bit_tables_of_several_codebooks_stack_each_codebooks_tables(bits):
     rng = np.random.default_rng(bits)
-    x = rng.integers(0, 1 << bits, size=5000)
-    y = (x + rng.integers(0, 3, size=x.size)) % (1 << bits)
-    cells = joint_cells(x, y)
+    a = rng.integers(0, 1 << bits, size=5000)
+    b, e = ((a + rng.integers(0, 3, size=a.size)) % (1 << bits) for _ in range(2))
     tables = [build_labels(numbering, bits) for numbering in Numbering]
-    got = label_bit_tables(cells, tables)
-    assert got.shape == (len(tables), bits, 2, 2)
-    for stacked, table in zip(got, tables):
-        assert np.array_equal(stacked, label_bit_tables(cells, [table])[0])
+    got = party_label_tables((a, b, e), tables)
+    assert got.shape == (3, len(tables), bits, 2, 2)
+    for i, table in enumerate(tables):
+        assert np.array_equal(got[:, i], party_label_tables((a, b, e), [table])[:, 0])

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -70,3 +71,19 @@ def test_ab_pairs_times_each_side_once_per_pair():
         assert q3 == pytest.approx(high - (high - low) / 4, abs=2e-3)
         assert q1 <= median <= q3
     assert iqr == pytest.approx(q3_p - q1_p, abs=2e-3)
+
+
+def test_ab_pairs_exits_1_when_the_csvs_differ(tmp_path):
+    # A parent that prints one digit fewer writes different CSV bytes.
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    secrecy = tmp_path / "src" / "slicesec" / "secrecy.py"
+    source = secrecy.read_text()
+    assert 'FLOAT_FORMAT = "%.9g"' in source
+    secrecy.write_text(source.replace('FLOAT_FORMAT = "%.9g"', 'FLOAT_FORMAT = "%.8g"'))
+    result = run_script("ab_pairs.py", str(tmp_path), "--workload", "paper_grid",
+                        "--pairs", "1", "--seed", "3")
+    assert result.returncode == 1, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[1].split("\t")[5] == "NO"
+    assert lines[2].startswith("change won ")

@@ -162,6 +162,23 @@ class TestEvaluateSchemes:
         batch = evaluate_schemes(mixed_realization, MIXED_SCHEMES)
         assert batch == [bitmatrix_report(mixed_realization, s) for s in MIXED_SCHEMES]
 
+    def test_one_label_call_per_group_and_depth(self, mixed_realization, monkeypatch):
+        # One `label_bit_tables` call per (group, depth) serves all three
+        # pairs and every numbering; a repeated scheme adds no codebook, so
+        # a call packs at most three.
+        calls = []
+        label_bit_tables = secrecy.label_bit_tables
+
+        def recording(pairs, marginals, tables):
+            calls.append((len(pairs), marginals.shape, tuple(t.bits for t in tables)))
+            return label_bit_tables(pairs, marginals, tables)
+
+        monkeypatch.setattr(secrecy, "label_bit_tables", recording)
+        batch = evaluate_schemes(mixed_realization, MIXED_SCHEMES + MIXED_SCHEMES[:4])
+        assert batch[-4:] == batch[:4]
+        groups = 3
+        assert sorted(calls) == sorted([(3, (3, 1 << d), (d,) * 3) for d in (7, 1, 3)] * groups)
+
 
 def test_failure_names_the_scheme_group():
     # Whole-unit values: equal-width bins still exist, but at 2^5 levels
