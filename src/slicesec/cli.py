@@ -8,7 +8,6 @@ complete, reproducible description of a run.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import operator
 import os
@@ -31,7 +30,6 @@ from .secrecy import (
     t_range,
 )
 from .slicing import Numbering, Positioning, SlicingScheme, bin_indices, build_labels
-from .svgplot import Chart, Series
 
 # Each CSV column in order, and the `SecrecyReport` attribute it prints.
 CSV_FIELDS = {
@@ -211,6 +209,8 @@ def read_csv(path: str) -> list[dict]:
     Each row's ``scheme`` is the `SlicingScheme` string of its positioning,
     numbering and bits.
     """
+    import csv  # on use: only `best` and `plot` read a CSV
+
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -281,6 +281,8 @@ def best_rows(rows: list[dict], mode: str) -> list[tuple[float, str]]:
 
 def emit_plot(csv_path: str, plot_mode: str, mode: str, out: str) -> None:
     """Render one of the chart modes from a sweep CSV to a standalone SVG."""
+    from .svgplot import Chart, Series  # on use: only `plot` draws
+
     rows = read_csv(csv_path)
     schemes = sorted({r["scheme"] for r in rows})
     by_scheme = {s: [r for r in rows if r["scheme"] == s] for s in schemes}
@@ -410,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "selftest":
             return selftest()
         if args.subcommand == "sweep":
+            out_dir = os.path.dirname(args.out) or "."
+            if not os.path.isdir(out_dir):  # checked before the first cell, not after the last
+                raise FileNotFoundError(f"output directory {out_dir} does not exist")
             keep_freed_memory()
             emit_csv(sweep(args.t_grid, args.schemes, args.base, workers=args.workers), args.out)
         elif args.subcommand == "best":

@@ -274,8 +274,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="no data rows"):
             read_csv(str(empty))
 
-    def test_unwritable_output_exits_1(self):
+    def test_unwritable_output_exits_1(self, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a cell ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
         assert main(SMALL_ARGS + ["--out", "/nonexistent/dir/x.csv"]) == 1
+        assert "output directory /nonexistent/dir does not exist" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -494,25 +499,32 @@ def test_second_sweep_reuses_the_memory_the_first_freed(tmp_path):
     assert int(result.stdout) < 200
 
 
-def test_sweep_leaves_numpy_ma_unimported():
+def test_commands_leave_unused_modules_unimported():
     # numpy.ma, which np.unique imports on first use, costs about 13 ms in
     # every fresh process. This sweep counts sorted pair codes (b = 9, 10),
     # merges sorted weighted cells (10 -> 9 bits) and counts F-LFSR label
-    # collisions.
+    # collisions. The process pool's stack (concurrent.futures,
+    # multiprocessing: about 20 ms) is loaded only by a sweep that starts
+    # workers, and the chart module only by `plot`.
     script = textwrap.dedent("""
-        import sys, tempfile
+        import contextlib, io, sys, tempfile
         from slicesec import cli
         with tempfile.TemporaryDirectory() as tmp:
             assert cli.main(["sweep", "--samples", "4000", "--t", "0.5", "--workers", "1",
                              "--schemes", "eqprob:flfsr:10,eqprob:gray:9,eqwidth:binary:4",
                              "--out", tmp + "/x.csv"]) == 0
-        print("numpy.ma" in sys.modules)
+            print("numpy.ma" in sys.modules)
+            assert cli.main(["best", tmp + "/x.csv", "--out", tmp + "/best.csv"]) == 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["selftest"]) == 0
+        unused = ("concurrent.futures", "multiprocessing", "slicesec.svgplot")
+        print(",".join(name for name in unused if name in sys.modules) or "none")
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False"]
+    assert result.stdout.split() == ["False", "none"]
 
 
 def test_keep_freed_memory_does_nothing_without_mallopt(monkeypatch):

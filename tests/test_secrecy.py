@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tempfile
 from dataclasses import replace
@@ -248,6 +249,7 @@ class TestSweep:
         keys = [(r.transmission, str(r.scheme)) for r in small_table.rows]
         expected = [(t, str(s)) for t in SMALL_T for s in SMALL_SCHEMES]
         assert keys == expected
+        assert small_table.t_grid == tuple(SMALL_T)
 
     def test_deterministic_rerun(self, small_table):
         again = sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE)
@@ -275,7 +277,8 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(secrecy, "ProcessPoolExecutor", RecordingPool)
+        # `sweep` imports the pool class only when it starts a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE, workers=10_000) == small_table
         assert sizes == [len(SMALL_T)]
 
@@ -451,7 +454,7 @@ def test_every_grid_check_grid_accepts_reads_back(t_grid, schemes):
     rows = tuple(_report(t, s) for t in t_grid for s in schemes)
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "sweep.csv")
-        emit_csv(SweepTable(rows=rows, t_grid=tuple(t_grid)), path)
+        emit_csv(SweepTable(rows=rows), path)
         back = read_csv(path)
     assert [(r["transmission"], r["scheme"]) for r in back] == [
         (float(FLOAT_FORMAT % t), str(s)) for t in t_grid for s in schemes
