@@ -5,12 +5,14 @@ The gate is the set of outputs an engine change must leave byte-identical:
 the paper grid (18 schemes x 19 transmissions) and the fine-slice grid
 (b = 8, 10, 12 at T = 0.25, 0.5, 0.75) at N = 5e4 for seeds 1, 42 and
 123456, the default N = 2e5 seed-42 sweep with one and with two workers,
-and the report phase of every sweep: its five `plot` charts and both
-`best` tables. The grids and the report commands are the benchmark's
-(`paper_grid`, `fine_slices` and `report_argvs` in `bench/workloads.py`).
-The sweeps run the `slicesec` in this checkout's `src/`, so running the
-script from two checkouts and diffing their SHA256SUMS compares the two
-programs:
+the report phase of every sweep (its five `plot` charts and both `best`
+tables), and the stdout of `slicesec selftest` and of `slicesec sweep
+--help`. Every command runs with COLUMNS=80, so that argparse wraps the
+help alike on every terminal. The grids and the report commands are the
+benchmark's (`paper_grid`, `fine_slices` and `report_argvs` in
+`bench/workloads.py`). The commands run the `slicesec` in this
+checkout's `src/`, so running the script from two checkouts and diffing
+their SHA256SUMS compares the two programs:
 
     python scripts/byte_gate.py OUTDIR
 
@@ -55,19 +57,25 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("outdir")
     out = Path(ap.parse_args().outdir)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
 
     runs = ["argv\twall_s\tminor_faults\n"]
 
-    def slicesec(*argv):
+    def slicesec(*argv, stdout=None):
         faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "slicesec", *argv], env=env, check=True)
+        subprocess.run([sys.executable, "-m", "slicesec", *argv], env=env, check=True,
+                       stdout=stdout)
         wall = time.perf_counter() - start
         faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
         runs.append(f"{shlex.join(argv)}\t{wall:.3f}\t{faults}\n")
 
     written = []
+    out.mkdir(parents=True, exist_ok=True)
+    for name, argv in (("selftest.txt", ["selftest"]), ("sweep-help.txt", ["sweep", "--help"])):
+        with open(out / name, "wb") as fh:
+            slicesec(*argv, stdout=fh)
+        written.append(out / name)
     for outdir, argv in sweeps(out):
         outdir.mkdir(parents=True, exist_ok=True)
         slicesec(*argv)

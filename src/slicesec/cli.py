@@ -415,6 +415,8 @@ def main(argv: list[str] | None = None) -> int:
             out_dir = os.path.dirname(args.out) or "."
             if not os.path.isdir(out_dir):  # checked before the first cell, not after the last
                 raise FileNotFoundError(f"output directory {out_dir} does not exist")
+            if os.path.isdir(args.out):
+                raise IsADirectoryError(f"output path {args.out} is a directory")
             keep_freed_memory()
             emit_csv(sweep(args.t_grid, args.schemes, args.base, workers=args.workers), args.out)
         elif args.subcommand == "best":

@@ -9,19 +9,20 @@ and a mask of the codes. One rule sizes every array indexed by code
 (`_dense`): an array over 2^w codes of n inputs is allocated when
 2^w <= max(n, 2^16), 2^16 being the largest bin alphabet and the widest
 marginal `plugin_mi` reads (a triple's are two indices of at most
-CMI_MAX_BITS = 8 bits). Codes are counted by one of two algorithms, one
-per side of that rule: a dense `np.bincount`, or an `np.sort` of the
-codes (int32 up to 31 bits), whose runs of equal codes start where a code
-differs from the one before it. `np.unique` is not used: it sorts the same
-way with more passes, and it imports `numpy.ma`, about 13 ms in every
-fresh process. Coarsening (`coarsen_cells`) gives the histogram of the
-indices shifted right: where `_dense` allows the coarse code space for the
-occupied cells, it repacks each field at fewer bits and merges the cells
-by a bincount weighted with their counts; otherwise the histogram is too
-sparse to gain from its cells, nearly one per sample, and the shifted
-indices are counted again.
-Count products with 0/1 bit matrices are float64 BLAS products: every
-partial sum is an integer of at most N < 2^53, which a float64 holds
+CMI_MAX_BITS = 8 bits). One builder, `_histogram`, packs field vectors
+into codes and counts them by one of two algorithms, one per side of that
+rule: a dense `np.bincount`, or an `np.sort` of the codes (int32 up to 31
+bits), whose runs of equal codes start where a code differs from the one
+before it. `np.unique` is not used: it sorts the same way with more
+passes, and it imports `numpy.ma`, about 13 ms in every fresh process.
+`joint_cells` builds from bin indices; `coarsen_cells`, from the cells'
+fields at fewer bits weighted with their counts, where `_dense` allows the
+coarse code space for the occupied cells, and otherwise from the shifted
+indices (a histogram that sparse, nearly one cell per sample, gains
+nothing from its cells). One term sum, `_term_sum`, adds the plug-in MI
+terms in sorted order and clamps at 0 for `plugin_mi` and `plugin_mi_2x2`.
+Products with the binary codebook's 0/1 labels are float64 BLAS products:
+every partial sum is an integer of at most N < 2^53, which a float64 holds
 exactly, while numpy's int64 products have no BLAS. No bias correction is
 applied; the known positive bias of the plug-in MI, roughly
 (|A|-1)(|B|-1)/(2 N ln 2), is exposed as an oracle so tests and sanity
@@ -30,7 +31,6 @@ checks can bound it.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -100,31 +100,26 @@ def joint_cells(*indices: np.ndarray) -> JointCells:
 
     Each coordinate takes b bits, the bit length of the largest index; the
     caller keeps k b within 63 for k inputs (a bin index takes at most 16).
-    There are at most min(N, 2^(k b)) occupied cells.
+    There are at most min(N, 2^(k b)) occupied cells. `_histogram` packs
+    and counts them.
+    """
+    return _histogram(indices, max(int(v.max()) for v in indices).bit_length())
+
+
+def _histogram(fields: Sequence[np.ndarray], bits: int, weights=None) -> JointCells:
+    """The histogram of equal-length field vectors, packed ``bits`` apiece, first highest.
 
     A code space that `_dense` allows for the inputs is counted by a dense
-    `np.bincount`; otherwise the codes are sorted. Both give the same arrays.
+    `np.bincount`, each code adding its integer weight if ``weights`` (int64,
+    passed only where `_dense` allows) are given; otherwise the codes are
+    sorted, each adding one, and a run of equal codes starts where a code
+    differs from the one before it.
     """
-    bits = max(int(v.max()) for v in indices).bit_length()
-    width = len(indices) * bits
-    codes = indices[0].astype(np.int64)
-    for v in indices[1:]:
+    width = len(fields) * bits
+    codes = fields[0].astype(np.int64)
+    for v in fields[1:]:
         codes <<= bits
         codes |= v
-    codes, counts = _count_codes(codes, width)
-    return JointCells(codes, counts, bits, len(indices))
-
-
-def _count_codes(
-    codes: np.ndarray, width: int, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``width``-bit codes, ascending as int64, and their counts.
-
-    Counted densely when `_dense` allows, each code adding its integer
-    weight if ``weights`` are given; otherwise the codes are sorted, and each
-    adds one. Only `coarsen_cells` passes weights, and only where `_dense`
-    allows.
-    """
     if _dense(width, len(codes)):
         dense = np.bincount(codes, weights=weights, minlength=1 << width)
         codes = np.flatnonzero(dense != 0)  # numpy finds nonzeros fastest in a bool array
@@ -134,17 +129,12 @@ def _count_codes(
         if width <= 31:
             codes = codes.astype(np.int32)  # 32-bit codes sort about twice as fast
         codes = np.sort(codes)
-        starts = np.flatnonzero(_run_starts(codes))
+        starts = np.empty(len(codes), dtype=bool)
+        starts[0] = True
+        np.not_equal(codes[1:], codes[:-1], out=starts[1:])
+        starts = np.flatnonzero(starts)
         codes, counts = codes[starts], np.diff(starts, append=len(codes))
-    return codes.astype(np.int64, copy=False), counts
-
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Whether each entry of nonempty ascending ``ordered`` starts a run of equal values."""
-    starts = np.empty(len(ordered), dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    return starts
+    return JointCells(codes.astype(np.int64, copy=False), counts, bits, len(fields))
 
 
 def _dense(width: int, n: int) -> bool:
@@ -161,11 +151,11 @@ def coarsen_cells(cells: JointCells, indices: Sequence[np.ndarray], shift: int) 
     """`joint_cells` of every index vector shifted right by ``shift``.
 
     ``cells`` is `joint_cells` of ``indices``. Where `_dense` allows the
-    coarse code space for the occupied cells, each ``bits``-bit field of a
-    code is repacked at ``bits - shift`` bits and the cells merge by their
-    integer counts, at the cost of the occupied cells rather than of N.
-    Otherwise the histogram is too sparse for its cells to save work, and
-    the shifted indices are counted again.
+    coarse code space for the occupied cells, `_histogram` repacks each
+    ``bits``-bit field of a code, shifted and masked, at ``bits - shift``
+    bits and merges the cells by their integer counts, at the cost of the
+    occupied cells rather than of N. Otherwise the histogram is too sparse
+    for its cells to save work, and the shifted indices are counted again.
     """
     if shift == 0:
         return cells
@@ -173,12 +163,9 @@ def coarsen_cells(cells: JointCells, indices: Sequence[np.ndarray], shift: int) 
     if not _dense(cells.ndim * bits, len(cells.codes)):
         return joint_cells(*(v >> shift for v in indices))
     mask = (1 << bits) - 1
-    codes = cells.codes >> ((cells.ndim - 1) * cells.bits + shift)
-    for i in range(cells.ndim - 2, -1, -1):
-        codes <<= bits
-        codes |= (cells.codes >> (i * cells.bits + shift)) & mask
-    codes, counts = _count_codes(codes, cells.ndim * bits, cells.counts)
-    return JointCells(codes, counts, bits, cells.ndim)
+    fields = [(cells.codes >> (i * cells.bits + shift)) & mask
+              for i in range(cells.ndim - 1, -1, -1)]
+    return _histogram(fields, bits, cells.counts)
 
 
 def plugin_mi(cells: JointCells) -> float:
@@ -205,30 +192,34 @@ def plugin_mi(cells: JointCells) -> float:
         xz = (codes >> (2 * b) << b) | z
         yz = codes & ((1 << (2 * b)) - 1)
         ratio = marginal(z) * p / (marginal(xz) * marginal(yz))
-    terms = p * np.log2(ratio)
-    # Summing in sorted order makes the result exactly symmetric in X and Y
-    # (swapping them permutes the same term multiset).
+    return float(_term_sum(p * np.log2(ratio)))
+
+
+def _term_sum(terms: np.ndarray) -> np.ndarray:
+    """The plug-in MI of each row of ``terms``, sorted in place and summed over the last axis.
+
+    The sorted sum is exactly symmetric in X and Y (swapping them permutes the
+    same terms); a KL divergence, it is nonnegative up to rounding, so below 0 reads 0.
+    """
     terms.sort()
-    # The estimate is a KL divergence, nonnegative up to float rounding.
-    return max(0.0, float(terms.sum()))
+    total = terms.sum(axis=-1)
+    return np.where(total > 0.0, total, 0.0)
 
 
 def plugin_mi_2x2(tables: np.ndarray) -> np.ndarray:
     """`plugin_mi` of each 2x2 count table of an (m, 2, 2) stack, bit for bit.
 
     The same operations as `plugin_mi` on a table's occupied cells, for all
-    tables at once: a zero cell adds 0.0 to its marginals and contributes a
-    0.0 term, and with at most four terms per table the sorted sum adds them
-    left to right, so the zeros change no float.
+    tables at once, ending in the same `_term_sum`: a zero cell adds 0.0 to
+    its marginals and contributes a 0.0 term, and with at most four terms
+    per table the sorted sum adds them left to right, so the zeros change
+    no float.
     """
     p = tables / tables.sum(axis=(1, 2))[:, None, None]
     px = p[:, :, 0] + p[:, :, 1]
     py = p[:, 0, :] + p[:, 1, :]
     ratio = np.divide(p, px[:, :, None] * py[:, None, :], out=np.ones_like(p), where=p > 0)
-    terms = (p * np.log2(ratio)).reshape(-1, 4)
-    terms.sort(axis=1)
-    total = terms.sum(axis=1)
-    return np.where(total > 0.0, total, 0.0)
+    return _term_sum((p * np.log2(ratio)).reshape(-1, 4))
 
 
 def _symbol_estimate(*vectors) -> MIEstimate:
@@ -305,9 +296,10 @@ def label_bit_tables(pairs: Sequence[JointCells], marginals: np.ndarray,
     coordinate and one AND over a pair's occupied cells give, for every
     codebook at once, the label that is one where both bits are; each
     codebook's field is histogrammed. A float64 product with the binary
-    codebook's bits then gives the parties' ones and the pairs' both-ones,
-    for every codebook and bit. It is exact: each count and partial sum is
-    an integer of at most the total count, which stays below 2^53.
+    codebook's own labels (`build_labels`, uint8, cast by the product) then
+    gives the parties' ones and the pairs' both-ones, for every codebook and
+    bit. It is exact: each count and partial sum is an integer of at most
+    the total count, which stays below 2^53.
     """
     m, (k, b) = len(tables), tables[0].labels.shape
     packed = np.zeros(k, dtype=np.int64)
@@ -320,20 +312,13 @@ def label_bit_tables(pairs: Sequence[JointCells], marginals: np.ndarray,
         counts = cells.counts.astype(np.float64)
         by_label += [np.bincount((anded >> (i * b)) & (k - 1), weights=counts, minlength=k)
                      for i in range(m)]
-    ones, both = (np.stack(by_label) @ _bit_matrix(b)).astype(np.int64).reshape(2, 3, m, b)
+    binary = build_labels(Numbering.BINARY, b).labels  # the bits of every b-bit label
+    ones, both = (np.stack(by_label) @ binary).astype(np.int64).reshape(2, 3, m, b)
     first, second = ones[[0, 0, 1]], ones[[1, 2, 2]]  # the parties of (A, B), (A, E), (B, E)
     n = marginals[0].sum()
     return np.stack(
         [n - first - second + both, second - both, first - both, both], axis=-1
     ).reshape(3, m, b, 2, 2)
-
-
-@functools.cache
-def _bit_matrix(b: int) -> np.ndarray:
-    """The bits of every b-bit label, as the float64 (2^b, b) binary codebook."""
-    bits = build_labels(Numbering.BINARY, b).labels.astype(np.float64)
-    bits.setflags(write=False)
-    return bits
 
 
 def bit_error_rate_from_tables(tables: np.ndarray) -> np.ndarray:

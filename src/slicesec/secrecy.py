@@ -271,7 +271,7 @@ def _sweep_cell(args: tuple) -> list[SecrecyReport]:
     try:
         return evaluate_schemes(realization_for_cell(base, t, t_index), schemes)
     except Exception as exc:
-        # Name the failing cell as the CSV prints it; sweep() reports the error.
+        # Name the failing cell as the CSV prints it.
         raise RuntimeError(f"T={FLOAT_FORMAT % t}: {exc}") from exc
 
 
@@ -317,7 +317,8 @@ def sweep(
 
     Output is bit-identical for any worker count: each cell's random stream
     is keyed by the cell's index in ``t_grid``, and rows are assembled in
-    (transmission, scheme) order.
+    (transmission, scheme) order. A failing cell raises a RuntimeError that
+    names its transmission once, ``T=<t>: <error>``.
     """
     t_grid = list(t_grid)
     schemes = list(schemes)
@@ -326,17 +327,14 @@ def sweep(
     check_count("workers", workers)
 
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]
-    try:
-        if workers > 1 and len(cells) > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if workers > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            # Under fork the pool starts all max_workers processes at once.
-            with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-                per_cell = list(pool.map(_sweep_cell, cells))
-        else:
-            per_cell = [_sweep_cell(cell) for cell in cells]
-    except Exception as exc:
-        raise RuntimeError(f"sweep failed: {exc}") from exc
+        # Under fork the pool starts all max_workers processes at once.
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+            per_cell = list(pool.map(_sweep_cell, cells))
+    else:
+        per_cell = [_sweep_cell(cell) for cell in cells]
 
     rows = tuple(report for cell_rows in per_cell for report in cell_rows)
     return SweepTable(rows=rows)

@@ -274,26 +274,32 @@ class TestCsv:
         with pytest.raises(ValueError, match="no data rows"):
             read_csv(str(empty))
 
-    def test_unwritable_output_exits_1(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("out,message", [
+        ("/nonexistent/dir/x.csv", "output directory /nonexistent/dir does not exist"),
+        (".", "output path . is a directory"),
+    ], ids=["missing-parent", "directory"])
+    def test_unwritable_output_exits_1(self, monkeypatch, capsys, out, message):
         def no_sweep(*args, **kwargs):
-            raise AssertionError("a cell ran before the output directory was checked")
+            raise AssertionError("a cell ran before the output path was checked")
 
         monkeypatch.setattr(cli, "sweep", no_sweep)
-        assert main(SMALL_ARGS + ["--out", "/nonexistent/dir/x.csv"]) == 1
-        assert "output directory /nonexistent/dir does not exist" in capsys.readouterr().err
+        assert main(SMALL_ARGS + ["--out", out]) == 1
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_error_names_the_failing_transmission(tmp_path, capsys, workers):
+    out = tmp_path / "x.csv"
+    out.write_text("an earlier sweep\n")
     # Without vacuum noise Bob receives nothing at T = 0: zero variance.
     assert main([
         "sweep", "--t", "0,0.5", "--sigma-vacuum", "0", "--samples", "1000",
-        "--schemes", "eqprob:gray:4", "--workers", workers,
-        "--out", str(tmp_path / "x.csv"),
+        "--schemes", "eqprob:gray:4", "--workers", workers, "--out", str(out),
     ]) == 1
-    assert (
-        "T=0: degenerate samples: zero variance (bob at 4 bits, in eqprob group, width 3)"
-        in capsys.readouterr().err
+    assert out.read_text() == "an earlier sweep\n"  # a failed sweep leaves the file as it was
+    # The cell's own error, wrapped once: nothing between "error:" and the transmission.
+    assert capsys.readouterr().err == (
+        "error: T=0: degenerate samples: zero variance (bob at 4 bits, in eqprob group, width 3)\n"
     )
 
 
