@@ -8,12 +8,15 @@ with seed S + i twice, each a fresh `python -m slicesec` process: once from
 PARENT_DIR/src and once from this checkout's src, the parent first in even
 pairs and the change first in odd ones, so that a drift in the machine's
 speed falls on both sides alike. A run's time is the command's wall
-seconds, interpreter start-up and import included. Each pair's line gives
-both times and whether the two CSVs are byte-identical; the last line gives
-the pairs the change won and both medians and, from 2 pairs on, each side's
-quartiles (inclusive method) and the parent's interquartile range, the
-spread a difference of the medians must exceed to count as a gain. The
-script exits 1, after that line, when any pair's CSVs differ.
+seconds, interpreter start-up and import included, and its peak RSS is the
+command's ru_maxrss as `os.wait4` reports it, which covers the pool workers
+the command waited for. Each pair's line gives both sides' times and peak
+RSS and whether the two CSVs are byte-identical. The last two lines, one
+for wall time and one for peak RSS, give the pairs the change won and both
+medians and, from 2 pairs on, each side's quartiles (inclusive method) and
+the parent's interquartile range, the spread a difference of the medians
+must exceed to count as a gain. The script exits 1, after those lines, when
+any pair's CSVs differ.
 """
 
 import argparse
@@ -30,12 +33,32 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import CSV_NAME, WORKLOADS  # noqa: E402
 
 
-def timed_sweep(src: Path, argv: list[str]) -> float:
-    """Wall seconds of one `slicesec` command run from ``src``."""
+def measured_sweep(src: Path, argv: list[str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one `slicesec` command run from ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "slicesec", *argv], env=env, check=True)
-    return time.perf_counter() - start
+    proc = subprocess.Popen([sys.executable, "-m", "slicesec", *argv], env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return wall, usage.ru_maxrss / 1024.0  # Linux reports kilobytes
+
+
+def summary(parent: list[float], change: list[float], unit: str, digits: int) -> str:
+    """The pairs the change won (lower wins), both medians and, from 2 pairs on, the quartiles."""
+    won = sum(c < p for p, c in zip(parent, change))
+    mp, mc = statistics.median(parent), statistics.median(change)
+    text = (f"change won {won} of {len(parent)} pairs; median parent {mp:.{digits}f} {unit}, "
+            f"change {mc:.{digits}f} {unit} (ratio {mc / mp:.3f})")
+    if len(parent) >= 2:
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        c1, _, c3 = statistics.quantiles(change, n=4, method="inclusive")
+        text += (f"; quartiles parent {q1:.{digits}f}/{q3:.{digits}f} {unit}, "
+                 f"change {c1:.{digits}f}/{c3:.{digits}f} {unit}; "
+                 f"parent IQR {q3 - q1:.{digits}f} {unit}")
+    return text
 
 
 def main() -> int:
@@ -53,8 +76,9 @@ def main() -> int:
     sides = {"parent": args.parent_dir.resolve() / "src", "change": ROOT / "src"}
 
     times = {side: [] for side in sides}
+    peaks = {side: [] for side in sides}
     differing = 0
-    print("pair\tseed\tfirst\tparent_s\tchange_s\tsame_csv")
+    print("pair\tseed\tfirst\tparent_s\tparent_mb\tchange_s\tchange_mb\tsame_csv")
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(args.pairs):
             seed = args.seed + i
@@ -62,22 +86,17 @@ def main() -> int:
             for side in order:
                 outdir = os.path.join(tmp, side)
                 os.makedirs(outdir, exist_ok=True)
-                times[side].append(timed_sweep(sides[side], workload.sweep_argv(seed, outdir)))
+                wall, peak = measured_sweep(sides[side], workload.sweep_argv(seed, outdir))
+                times[side].append(wall)
+                peaks[side].append(peak)
             same = len({Path(tmp, side, CSV_NAME).read_bytes() for side in sides}) == 1
             differing += not same
-            print(f"{i}\t{seed}\t{order[0]}\t{times['parent'][i]:.3f}\t"
-                  f"{times['change'][i]:.3f}\t{'yes' if same else 'NO'}", flush=True)
+            print(f"{i}\t{seed}\t{order[0]}\t"
+                  + "".join(f"{times[side][i]:.3f}\t{peaks[side][i]:.2f}\t" for side in sides)
+                  + ("yes" if same else "NO"), flush=True)
 
-    won = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    parent, change = (statistics.median(times[side]) for side in sides)
-    summary = (f"change won {won} of {args.pairs} pairs; median parent {parent:.3f} s, "
-               f"change {change:.3f} s (ratio {change / parent:.3f})")
-    if args.pairs >= 2:
-        q1, _, q3 = statistics.quantiles(times["parent"], n=4, method="inclusive")
-        c1, _, c3 = statistics.quantiles(times["change"], n=4, method="inclusive")
-        summary += (f"; quartiles parent {q1:.3f}/{q3:.3f} s, change {c1:.3f}/{c3:.3f} s; "
-                    f"parent IQR {q3 - q1:.3f} s")
-    print(summary)
+    print(summary(times["parent"], times["change"], "s", 3))
+    print("peak RSS: " + summary(peaks["parent"], peaks["change"], "MB", 2))
     return 1 if differing else 0
 
 

@@ -155,7 +155,11 @@ def transmit(params: ChannelParams, base_stream: Stream | None = None) -> Channe
     with v, w independent N(0, sigma_vacuum^2) noise from disjoint sub-streams.
 
     ``base_stream`` defaults to Stream(params.seed); sweeps pass a child
-    stream per transmission cell.
+    stream per transmission cell. Bob's and Eve's samples are mixed in
+    place into their noise draws, so the four N-sample arrays that are
+    alive at once (Alice's, both draws and one product) are the peak. IEEE
+    addition commutes, so sqrt(1-T) * v + sqrt(T) * alice is the formula's
+    bob bit for bit, and likewise eve.
     """
     if base_stream is None:
         base_stream = Stream(params.seed)
@@ -172,9 +176,11 @@ def transmit(params: ChannelParams, base_stream: Stream | None = None) -> Channe
         v = np.zeros(n)
         w = np.zeros(n)
 
-    bob = ct * alice + cr * v
-    eve = cr * alice + ct * w
-    return ChannelRealization(alice=alice, bob=bob, eve=eve, params=params)
+    v *= cr
+    v += ct * alice
+    w *= ct
+    w += cr * alice
+    return ChannelRealization(alice=alice, bob=v, eve=w, params=params)
 
 
 def analytic_gaussian_mi(params: ChannelParams, party: str) -> float:

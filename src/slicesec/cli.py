@@ -92,15 +92,18 @@ def available_cpus() -> int:
 def keep_freed_memory() -> None:
     """Make the C allocator keep the memory this process frees, for reuse.
 
-    Each sweep cell allocates and frees about 40 temporary arrays of N
-    elements. By default glibc hands freed memory back to the kernel, by
-    trimming the heap or by unmapping each block above its mmap threshold,
-    and the next cell faults the same pages in again, zero-filled. With the
-    heap never trimmed and blocks up to 32 MiB served from it, every cell
-    after the first reuses pages the process has already touched. Pool
-    workers forked from this process inherit the setting; workers started
-    by ``spawn`` or ``forkserver`` do not. Where the C library has no
-    ``mallopt`` (macOS, Windows) this does nothing; musl's is a stub.
+    Each cell of the default 18-scheme sweep allocates and frees 40
+    temporary arrays of N elements, and about 45 more of at least N bytes
+    sized by its histograms' occupied cells (100 and about 400 on a grid of
+    8, 10 and 12 bits). By default glibc hands freed memory back to the
+    kernel, by trimming the heap or by unmapping each block above its mmap
+    threshold, and the next cell faults the same pages in again,
+    zero-filled. With the heap never trimmed and blocks up to 32 MiB served
+    from it, every cell after the first reuses pages the process has
+    already touched. Pool workers forked from this process inherit the
+    setting; workers started by ``spawn`` or ``forkserver`` do not. Where
+    the C library has no ``mallopt`` (macOS, Windows) this does nothing;
+    musl's is a stub.
     """
     import ctypes  # on use: only `sweep` needs it
 

@@ -173,6 +173,10 @@ def plugin_mi(cells: JointCells) -> float:
 
     Each marginal is bincounted by its code, a shift and mask of the cell
     codes. A triple of more than CMI_MAX_BITS bits raises AlphabetCapacityError.
+    The ratio, its log and the terms share one array, computed in place;
+    IEEE multiplication commutes, so each float is that of
+    ``p * log2(p / (p_x * p_y))``, or of ``p_z * p / (p_xz * p_yz)`` inside
+    the log of a triple.
     """
     codes, b = cells.codes, cells.bits
     if cells.ndim == 3 and b > CMI_MAX_BITS:
@@ -186,13 +190,20 @@ def plugin_mi(cells: JointCells) -> float:
 
     low = (1 << b) - 1
     if cells.ndim == 2:
-        ratio = p / (marginal(codes >> b) * marginal(codes & low))
+        ratio = marginal(codes >> b)
+        ratio *= marginal(codes & low)
+        np.divide(p, ratio, out=ratio)
     else:
         z = codes & low
-        xz = (codes >> (2 * b) << b) | z
-        yz = codes & ((1 << (2 * b)) - 1)
-        ratio = marginal(z) * p / (marginal(xz) * marginal(yz))
-    return float(_term_sum(p * np.log2(ratio)))
+        ratio = marginal(z)
+        ratio *= p
+        denominator = marginal(codes & ((1 << (2 * b)) - 1))  # p_yz
+        z |= codes >> (2 * b) << b  # now the (x, z) code
+        denominator *= marginal(z)
+        ratio /= denominator
+    np.log2(ratio, out=ratio)
+    ratio *= p
+    return float(_term_sum(ratio))
 
 
 def _term_sum(terms: np.ndarray) -> np.ndarray:

@@ -155,6 +155,12 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     all three pairs' per-bit 2x2 tables (each a marginal of its pair's joint,
     in integer counts below 2^53, so exact), and so every bitwise MI and BER.
     A binning failure names the party, its depth and the group.
+
+    Every N-sample array dies at its last use, so a cell's peak is the
+    largest set of arrays one step needs, not their sum: the realization is
+    dropped on entry (a caller that holds it, as `evaluate_scheme`'s do,
+    keeps its samples alive), each party's samples go once that party is
+    binned, and each group's bins once that group is evaluated.
     """
     schemes = list(schemes)
     groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
@@ -162,31 +168,51 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
         groups.setdefault((scheme.positioning, scheme.width_multiplier), []).append(scheme)
     deepest = [max(group, key=lambda s: s.bits) for group in groups.values()]
 
+    params = realization.params
+    parties = [realization.alice, realization.bob, realization.eve]
+    del realization
     bins = [[] for _ in deepest]  # per group, the (A, B, E) bins at its deepest depth
-    parties = (realization.alice, realization.bob, realization.eve)
-    for party, samples in zip(("alice", "bob", "eve"), parties):
+    for party in ("alice", "bob", "eve"):
+        samples = parties.pop(0)
         order = np.argsort(samples)
         ranked = (samples, order, samples[order])
         for group_bins, scheme in zip(bins, deepest):
             group_bins.append(_party_bins(party, ranked, scheme))
-        del order, ranked
+        del samples, order, ranked
     reports: dict[SlicingScheme, SecrecyReport] = {}
-    for group, (a, b, e) in zip(groups.values(), bins):
-        reports.update(_evaluate_group(realization.params, a, b, e, group))
+    for group in groups.values():
+        reports.update(_evaluate_group(params, bins.pop(0), group))
     return [reports[scheme] for scheme in schemes]
 
 
 def _evaluate_group(
-    p: ChannelParams, a: np.ndarray, b: np.ndarray, e: np.ndarray, group: list[SlicingScheme]
+    p: ChannelParams, bins: list[np.ndarray], group: list[SlicingScheme]
 ) -> dict[SlicingScheme, SecrecyReport]:
     """Reports of one (positioning, width multiplier) group of schemes.
 
-    ``a``, ``b`` and ``e`` are the parties' bins at the group's deepest depth.
+    ``bins`` holds the parties' (A, B, E) bins at the group's deepest depth.
+    The (A, B, E) histogram lives its whole life (build, coarsening, the CMI
+    of every reported depth) before the pair histograms are built, and it
+    and its shifted bins are dropped first, so the two never share the peak.
     """
     reports = {}
-    deep = max(s.bits for s in group)
+    depths = sorted({s.bits for s in group})
+    deep = depths[-1]
+    # CMI is reported up to CMI_MAX_BITS bits per party, from one (A, B, E)
+    # histogram at the deepest such depth, coarsened for the shallower ones.
+    reported = [d for d in depths if d <= CMI_MAX_BITS]
+    cmis = {}
+    if reported:
+        top = reported[-1]
+        triple_bins = bins if top == deep else [v >> (deep - top) for v in bins]
+        triple = joint_cells(*triple_bins)
+        for bits in reported:
+            cmis[bits] = plugin_mi(coarsen_cells(triple, triple_bins, top - bits))
+        del triple, triple_bins
+
+    a, b, e = bins
     pair_bins = [(a, b), (a, e), (b, e)]
-    deep_pairs = [joint_cells(*bins) for bins in pair_bins]
+    deep_pairs = [joint_cells(*pair) for pair in pair_bins]
     # Each party's symbol counts, A's and B's from the (A, B) histogram and
     # E's from (A, E)'s; a shallower depth's are exact block sums of these.
     marginals = np.stack([
@@ -194,20 +220,11 @@ def _evaluate_group(
         for cells, i in ((deep_pairs[0], 0), (deep_pairs[0], 1), (deep_pairs[1], 1))
     ]).astype(np.int64)
 
-    depths = sorted({s.bits for s in group})
-    # CMI is reported up to CMI_MAX_BITS bits per party, from one (A, B, E)
-    # histogram at the deepest such depth, coarsened for the shallower ones.
-    reported = [d for d in depths if d <= CMI_MAX_BITS]
-    if reported:
-        top = reported[-1]
-        triple_bins = (a, b, e) if top == deep else [v >> (deep - top) for v in (a, b, e)]
-        triple = joint_cells(*triple_bins)
-
     for bits in depths:
         pairs = [
-            coarsen_cells(cells, bins, deep - bits) for cells, bins in zip(deep_pairs, pair_bins)
+            coarsen_cells(cells, pair, deep - bits) for cells, pair in zip(deep_pairs, pair_bins)
         ]
-        cmi = plugin_mi(coarsen_cells(triple, triple_bins, top - bits)) if bits in reported else None
+        cmi = cmis.get(bits)
         i_ab_sym, i_ae_sym, i_be_sym = (plugin_mi(cells) for cells in pairs)
 
         at_depth = [s for s in group if s.bits == bits]

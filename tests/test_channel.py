@@ -14,7 +14,7 @@ from slicesec import (
     gaussian_source,
     transmit,
 )
-from slicesec.channel import BOB_NOISE_STREAM, EVE_NOISE_STREAM
+from slicesec.channel import ALICE_STREAM, BOB_NOISE_STREAM, EVE_NOISE_STREAM
 
 N_BIG = 1_000_000
 # 3-standard-error bands at N = 10^6: SE(mean) = sigma/sqrt(N),
@@ -134,6 +134,27 @@ def test_bob_eve_exchange_symmetry_is_exact(monkeypatch):
     assert np.array_equal(swapped.alice, mirrored.alice)
     assert np.array_equal(swapped.bob, mirrored.eve)
     assert np.array_equal(swapped.eve, mirrored.bob)
+
+
+@pytest.mark.parametrize("sigma_vacuum", [1.0, 0.0])
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.5, 1.0])
+def test_in_place_mix_is_the_formula_bit_for_bit(t, sigma_vacuum):
+    # `transmit` mixes Bob's and Eve's samples into their noise draws in
+    # place; every float, signed zeros included, is the textbook formula's.
+    params = ChannelParams(transmission=t, sigma_vacuum=sigma_vacuum, samples=4000, seed=21)
+    r = transmit(params)
+    base = Stream(params.seed)
+    alice = gaussian_source(params.samples, params.sigma_alice, base.child(ALICE_STREAM))
+    if sigma_vacuum > 0:
+        v = gaussian_source(params.samples, sigma_vacuum, base.child(BOB_NOISE_STREAM))
+        w = gaussian_source(params.samples, sigma_vacuum, base.child(EVE_NOISE_STREAM))
+    else:
+        v = w = np.zeros(params.samples)
+    bob = math.sqrt(t) * alice + math.sqrt(1 - t) * v
+    eve = math.sqrt(1 - t) * alice + math.sqrt(t) * w
+    assert np.array_equal(r.alice.view(np.uint64), alice.view(np.uint64))
+    assert np.array_equal(r.bob.view(np.uint64), bob.view(np.uint64))
+    assert np.array_equal(r.eve.view(np.uint64), eve.view(np.uint64))
 
 
 @settings(max_examples=25, deadline=None)

@@ -51,26 +51,35 @@ def test_ab_pairs_times_each_side_once_per_pair():
                         "--pairs", "2", "--seed", "3")
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0].split("\t") == ["pair", "seed", "first", "parent_s", "change_s", "same_csv"]
+    assert lines[0].split("\t") == ["pair", "seed", "first", "parent_s", "parent_mb",
+                                    "change_s", "change_mb", "same_csv"]
     pairs = [line.split("\t") for line in lines[1:3]]
-    assert [(p[0], p[1], p[2], p[5]) for p in pairs] == [
+    assert [(p[0], p[1], p[2], p[7]) for p in pairs] == [
         ("0", "3", "parent", "yes"), ("1", "4", "change", "yes"),
     ]
-    assert lines[3].startswith("change won ") and " of 2 pairs; median parent " in lines[3]
-    # From 2 pairs on, each side's inclusive quartiles and the parent's IQR.
-    summary = re.fullmatch(
-        r"change won \d of 2 pairs; median parent ([\d.]+) s, change ([\d.]+) s "
-        r"\(ratio [\d.]+\); quartiles parent ([\d.]+)/([\d.]+) s, "
-        r"change ([\d.]+)/([\d.]+) s; parent IQR ([\d.]+) s", lines[3])
-    assert summary, lines[3]
-    median_p, median_c, q1_p, q3_p, q1_c, q3_c, iqr = map(float, summary.groups())
-    for side, q1, median, q3 in ((3, q1_p, median_p, q3_p), (4, q1_c, median_c, q3_c)):
-        low, high = sorted(float(p[side]) for p in pairs)
-        # Two runs: the quartiles lie a quarter of the way in from each end.
-        assert q1 == pytest.approx(low + (high - low) / 4, abs=2e-3)
-        assert q3 == pytest.approx(high - (high - low) / 4, abs=2e-3)
-        assert q1 <= median <= q3
-    assert iqr == pytest.approx(q3_p - q1_p, abs=2e-3)
+    # A fresh interpreter with numpy imported holds more than 10 MB.
+    assert all(float(p[col]) > 10 for p in pairs for col in (4, 6))
+    # One summary line per measure: wall seconds, then peak RSS in MB. From
+    # 2 pairs on, each gives each side's inclusive quartiles and the parent's IQR.
+    # Each tolerance is two units of the last printed digit (3 decimals for s, 2 for MB).
+    for line, prefix, unit, parent_col, change_col, tol in (
+        (lines[3], "", "s", 3, 5, 2e-3), (lines[4], "peak RSS: ", "MB", 4, 6, 2e-2),
+    ):
+        assert line.startswith(prefix + "change won ")
+        summary = re.fullmatch(
+            rf"{prefix}change won \d of 2 pairs; median parent ([\d.]+) {unit}, "
+            rf"change ([\d.]+) {unit} \(ratio [\d.]+\); quartiles parent ([\d.]+)/([\d.]+) "
+            rf"{unit}, change ([\d.]+)/([\d.]+) {unit}; parent IQR ([\d.]+) {unit}", line)
+        assert summary, line
+        median_p, median_c, q1_p, q3_p, q1_c, q3_c, iqr = map(float, summary.groups())
+        for col, q1, median, q3 in ((parent_col, q1_p, median_p, q3_p),
+                                    (change_col, q1_c, median_c, q3_c)):
+            low, high = sorted(float(p[col]) for p in pairs)
+            # Two runs: the quartiles lie a quarter of the way in from each end.
+            assert q1 == pytest.approx(low + (high - low) / 4, abs=tol)
+            assert q3 == pytest.approx(high - (high - low) / 4, abs=tol)
+            assert q1 <= median <= q3
+        assert iqr == pytest.approx(q3_p - q1_p, abs=tol)
 
 
 def test_ab_pairs_exits_1_when_the_csvs_differ(tmp_path):
@@ -85,5 +94,5 @@ def test_ab_pairs_exits_1_when_the_csvs_differ(tmp_path):
                         "--pairs", "1", "--seed", "3")
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[1].split("\t")[5] == "NO"
+    assert lines[1].split("\t")[7] == "NO"
     assert lines[2].startswith("change won ")

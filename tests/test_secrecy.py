@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -473,3 +474,32 @@ def test_cell_realization_shared_across_schemes():
     r2 = realization_for_cell(SMALL_BASE, 0.4, 3)
     assert np.array_equal(r1.alice, r2.alice)
     assert np.array_equal(r1.bob, r2.bob)
+
+
+# The 18 schemes of the benchmark's fine-slice grid: 8, 10 and 12 bits.
+FINE_SCHEMES = [SlicingScheme(pos, num, bits)
+                for pos in Positioning for num in Numbering for bits in (8, 10, 12)]
+
+
+@pytest.mark.parametrize("schemes, budget", [
+    (default_schemes(), 55), (FINE_SCHEMES, 151),
+], ids=["paper_grid", "fine_grid"])
+def test_one_cell_peak_bytes_per_sample(schemes, budget):
+    # Every N-sample array of a cell dies at its last use, so one T = 0.5
+    # cell at N = 2e5 peaks at 48 traced bytes per sample on the paper grid
+    # and 132 on the fine grid (each budget is that plus 15%); while the
+    # realization, the other group's bins or the (A, B, E) histogram lived
+    # past their use, the peaks were 75 and 183.
+    n = 200_000
+    base = ChannelParams(transmission=0.5, samples=n, seed=1)
+    sweep([0.5], schemes, replace(base, samples=5000))  # fills the codebook cache
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sweep([0.5], schemes, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak / n <= budget
