@@ -19,8 +19,10 @@ passes, and it imports `numpy.ma`, about 13 ms in every fresh process.
 fields at fewer bits weighted with their counts, where `_dense` allows the
 coarse code space for the occupied cells, and otherwise from the shifted
 indices (a histogram that sparse, nearly one cell per sample, gains
-nothing from its cells). One term sum, `_term_sum`, adds the plug-in MI
-terms in sorted order and clamps at 0 for `plugin_mi` and `plugin_mi_2x2`.
+nothing from its cells); a caller coarsening depth by depth passes the
+deepest indices and their total shift. One term sum, `_term_sum`, adds
+the plug-in MI terms in sorted order and clamps at 0 for `plugin_mi` and
+`plugin_mi_2x2`.
 Products with the binary codebook's 0/1 labels are float64 BLAS products:
 every partial sum is an integer of at most N < 2^53, which a float64 holds
 exactly, while numpy's int64 products have no BLAS. No bias correction is
@@ -32,7 +34,7 @@ checks can bound it.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,20 +108,25 @@ def joint_cells(*indices: np.ndarray) -> JointCells:
     return _histogram(indices, max(int(v.max()) for v in indices).bit_length())
 
 
-def _histogram(fields: Sequence[np.ndarray], bits: int, weights=None) -> JointCells:
+def _histogram(fields: Iterable[np.ndarray], bits: int, weights=None) -> JointCells:
     """The histogram of equal-length field vectors, packed ``bits`` apiece, first highest.
 
-    A code space that `_dense` allows for the inputs is counted by a dense
-    `np.bincount`, each code adding its integer weight if ``weights`` (int64,
-    passed only where `_dense` allows) are given; otherwise the codes are
-    sorted, each adding one, and a run of equal codes starts where a code
-    differs from the one before it.
+    The fields are packed as they come, so a generator's fields are made
+    one at a time; the first is copied, so a caller's vector is never
+    shifted. A code space that `_dense` allows for the inputs is counted by
+    a dense `np.bincount`, each code adding its integer weight if
+    ``weights`` (int64, passed only where `_dense` allows) are given;
+    otherwise the codes are sorted, each adding one, and a run of equal
+    codes starts where a code differs from the one before it.
     """
-    width = len(fields) * bits
-    codes = fields[0].astype(np.int64)
-    for v in fields[1:]:
+    fields = iter(fields)
+    codes = next(fields).astype(np.int64)
+    ndim = 1
+    for v in fields:
         codes <<= bits
         codes |= v
+        ndim += 1
+    width = ndim * bits
     if _dense(width, len(codes)):
         dense = np.bincount(codes, weights=weights, minlength=1 << width)
         codes = np.flatnonzero(dense != 0)  # numpy finds nonzeros fastest in a bool array
@@ -134,7 +141,7 @@ def _histogram(fields: Sequence[np.ndarray], bits: int, weights=None) -> JointCe
         np.not_equal(codes[1:], codes[:-1], out=starts[1:])
         starts = np.flatnonzero(starts)
         codes, counts = codes[starts], np.diff(starts, append=len(codes))
-    return JointCells(codes.astype(np.int64, copy=False), counts, bits, len(fields))
+    return JointCells(codes.astype(np.int64, copy=False), counts, bits, ndim)
 
 
 def _dense(width: int, n: int) -> bool:
@@ -147,24 +154,31 @@ def _dense(width: int, n: int) -> bool:
     return 1 << width <= max(n, 1 << MAX_BITS)
 
 
-def coarsen_cells(cells: JointCells, indices: Sequence[np.ndarray], shift: int) -> JointCells:
-    """`joint_cells` of every index vector shifted right by ``shift``.
+def coarsen_cells(
+    cells: JointCells, indices: Sequence[np.ndarray], shift: int, total: int | None = None
+) -> JointCells:
+    """`joint_cells` of every index vector shifted right by ``total`` (by default ``shift``).
 
-    ``cells`` is `joint_cells` of ``indices``. Where `_dense` allows the
-    coarse code space for the occupied cells, `_histogram` repacks each
-    ``bits``-bit field of a code, shifted and masked, at ``bits - shift``
-    bits and merges the cells by their integer counts, at the cost of the
-    occupied cells rather than of N. Otherwise the histogram is too sparse
-    for its cells to save work, and the shifted indices are counted again.
+    ``cells`` is `joint_cells` of ``indices`` shifted right by ``total -
+    shift``, so that a caller can coarsen depth by depth, each histogram
+    from the one above, while ``indices`` stay the deepest. Where `_dense`
+    allows the coarse code space for the occupied cells, `_histogram`
+    repacks each ``bits``-bit field of a code, shifted right by ``shift``
+    and masked, at ``bits - shift`` bits, one field at a time, and merges
+    the cells by their integer counts, at the cost of the occupied cells
+    rather than of N. Otherwise the histogram is too sparse for its cells to
+    save work, and the indices shifted by ``total`` are counted again.
+    Counts are integers, so the result is the same from any depth above.
     """
     if shift == 0:
         return cells
     bits = max(cells.bits - shift, 0)
     if not _dense(cells.ndim * bits, len(cells.codes)):
-        return joint_cells(*(v >> shift for v in indices))
+        total = shift if total is None else total
+        return joint_cells(*(v >> total for v in indices))
     mask = (1 << bits) - 1
-    fields = [(cells.codes >> (i * cells.bits + shift)) & mask
-              for i in range(cells.ndim - 1, -1, -1)]
+    fields = ((cells.codes >> (i * cells.bits + shift)) & mask
+              for i in range(cells.ndim - 1, -1, -1))
     return _histogram(fields, bits, cells.counts)
 
 
@@ -306,11 +320,13 @@ def label_bit_tables(pairs: Sequence[JointCells], marginals: np.ndarray,
     are packed b bits apiece into one int64 code, so one gather per
     coordinate and one AND over a pair's occupied cells give, for every
     codebook at once, the label that is one where both bits are; each
-    codebook's field is histogrammed. A float64 product with the binary
-    codebook's own labels (`build_labels`, uint8, cast by the product) then
-    gives the parties' ones and the pairs' both-ones, for every codebook and
-    bit. It is exact: each count and partial sum is an integer of at most
-    the total count, which stays below 2^53.
+    codebook's field is extracted, in place into one reused array, and
+    histogrammed, and a pair's arrays are dropped before the next pair's
+    are made. A float64 product with the binary codebook's own labels
+    (`build_labels`, uint8, cast by the product) then gives the parties'
+    ones and the pairs' both-ones, for every codebook and bit. It is exact:
+    each count and partial sum is an integer of at most the total count,
+    which stays below 2^53.
     """
     m, (k, b) = len(tables), tables[0].labels.shape
     packed = np.zeros(k, dtype=np.int64)
@@ -319,10 +335,15 @@ def label_bit_tables(pairs: Sequence[JointCells], marginals: np.ndarray,
     by_label = [np.bincount(t.codes, weights=marginal, minlength=k)
                 for marginal in marginals.astype(np.float64) for t in tables]
     for cells in pairs:
-        anded = packed[cells.coordinate(0)] & packed[cells.coordinate(1)]
+        anded = packed[cells.coordinate(0)]
+        anded &= packed[cells.coordinate(1)]
         counts = cells.counts.astype(np.float64)
-        by_label += [np.bincount((anded >> (i * b)) & (k - 1), weights=counts, minlength=k)
-                     for i in range(m)]
+        label = np.empty_like(anded)
+        for i in range(m):
+            np.right_shift(anded, i * b, out=label)
+            label &= k - 1
+            by_label.append(np.bincount(label, weights=counts, minlength=k))
+        del anded, counts, label
     binary = build_labels(Numbering.BINARY, b).labels  # the bits of every b-bit label
     ones, both = (np.stack(by_label) @ binary).astype(np.int64).reshape(2, 3, m, b)
     first, second = ones[[0, 0, 1]], ones[[1, 2, 2]]  # the parties of (A, B), (A, E), (B, E)

@@ -27,7 +27,10 @@ from .infotheory import (
     plugin_bias,
     plugin_mi,
 )
-from .slicing import Numbering, Positioning, SlicingScheme, _ranked_bins, build_labels
+from . import slicing
+from .slicing import (
+    BinEdges, Numbering, Positioning, SlicingScheme, _ranked_bins, build_labels,
+)
 
 # bench/tracing.py wraps these names in this module's namespace (and raises
 # KeyError if one is missing), so they stay importable from here although
@@ -141,17 +144,19 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     table. Each party is sorted once per cell, and its bins in every
     (positioning, width multiplier) group come from the ranks of that one
     sort and its one sorted copy (see `bin_indices`), at the group's deepest
-    bit count; the sort and the copy are dropped before the next party's
-    are made. Equal-width bins need no sort, but one bin rule for both
-    positionings sorts every party even when every scheme is equal-width.
-    The three pair histograms are built once per group from those indices,
-    and the (A, B, E) histogram once, at the deepest depth whose CMI is
-    reported. A shallower depth is an exact right shift of the indices, so
-    its histograms are those coarsened: merged from the occupied cells, or
-    counted again from the shifted indices where the cells are too sparse
-    to merge (see `coarsen_cells`). Each pair's histogram gives the symbol
-    MI. Each party is counted once per group and block-summed per depth;
-    one `label_bit_tables` call per depth gathers every codebook at once for
+    bit count. A party's equal-width edges read its samples in their own
+    order and are placed before the sort; its equal-probability edges read
+    the sorted copy. Equal-width bins need no sort, but one bin rule for
+    both positionings sorts every party even when every scheme is
+    equal-width. The three pair histograms are built once per group from
+    those indices, and the (A, B, E) histogram once, at the deepest depth
+    whose CMI is reported. A shallower depth is an exact right shift of the
+    indices, so its histograms are those of the depth above coarsened:
+    merged from the occupied cells, or counted again from the deepest
+    indices shifted by the total where the cells are too sparse to merge
+    (see `coarsen_cells`). Each pair's histogram gives the symbol MI. Each
+    party is counted once per group and block-summed per depth; one
+    `label_bit_tables` call per depth gathers every codebook at once for
     all three pairs' per-bit 2x2 tables (each a marginal of its pair's joint,
     in integer counts below 2^53, so exact), and so every bitwise MI and BER.
     A binning failure names the party, its depth and the group.
@@ -159,8 +164,10 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     Every N-sample array dies at its last use, so a cell's peak is the
     largest set of arrays one step needs, not their sum: the realization is
     dropped on entry (a caller that holds it, as `evaluate_scheme`'s do,
-    keeps its samples alive), each party's samples go once that party is
-    binned, and each group's bins once that group is evaluated.
+    keeps its samples alive), each party's samples go once its sorted copy
+    exists, its sort and sorted copy once it is binned, and each group's
+    bins once that group is evaluated. Depths run deepest first, so one
+    depth's histograms are alive at a time (see `_evaluate_group`).
     """
     schemes = list(schemes)
     groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
@@ -174,11 +181,17 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     bins = [[] for _ in deepest]  # per group, the (A, B, E) bins at its deepest depth
     for party in ("alice", "bob", "eve"):
         samples = parties.pop(0)
+        edges = [_party_edges(party, samples, scheme)
+                 if scheme.positioning is Positioning.EQUAL_WIDTH else None
+                 for scheme in deepest]
         order = np.argsort(samples)
-        ranked = (samples, order, samples[order])
-        for group_bins, scheme in zip(bins, deepest):
-            group_bins.append(_party_bins(party, ranked, scheme))
-        del samples, order, ranked
+        ordered = samples[order]
+        del samples
+        for group_bins, scheme, group_edges in zip(bins, deepest, edges):
+            if group_edges is None:
+                group_edges = _party_edges(party, ordered, scheme)
+            group_bins.append(_ranked_bins(order, ordered, group_edges))
+        del order, ordered
     reports: dict[SlicingScheme, SecrecyReport] = {}
     for group in groups.values():
         reports.update(_evaluate_group(params, bins.pop(0), group))
@@ -191,45 +204,53 @@ def _evaluate_group(
     """Reports of one (positioning, width multiplier) group of schemes.
 
     ``bins`` holds the parties' (A, B, E) bins at the group's deepest depth.
-    The (A, B, E) histogram lives its whole life (build, coarsening, the CMI
-    of every reported depth) before the pair histograms are built, and it
-    and its shifted bins are dropped first, so the two never share the peak.
+    Depths run deepest first, and each depth's histograms are coarsened from
+    the depth above (see `coarsen_cells`), each replacing its predecessor as
+    soon as it exists, so one depth's histograms are alive at a time. The
+    (A, B, E) histogram lives its whole life (build, coarsening, the CMI of
+    every reported depth) before the pair histograms are built, and it and
+    its shifted bins are dropped first, so the two never share the peak.
     """
     reports = {}
-    depths = sorted({s.bits for s in group})
-    deep = depths[-1]
+    depths = sorted({s.bits for s in group}, reverse=True)
+    deep = depths[0]
     # CMI is reported up to CMI_MAX_BITS bits per party, from one (A, B, E)
     # histogram at the deepest such depth, coarsened for the shallower ones.
     reported = [d for d in depths if d <= CMI_MAX_BITS]
     cmis = {}
     if reported:
-        top = reported[-1]
+        top = reported[0]
         triple_bins = bins if top == deep else [v >> (deep - top) for v in bins]
         triple = joint_cells(*triple_bins)
+        above = top
         for bits in reported:
-            cmis[bits] = plugin_mi(coarsen_cells(triple, triple_bins, top - bits))
+            triple = coarsen_cells(triple, triple_bins, above - bits, top - bits)
+            cmis[bits] = plugin_mi(triple)
+            above = bits
         del triple, triple_bins
 
     a, b, e = bins
     pair_bins = [(a, b), (a, e), (b, e)]
-    deep_pairs = [joint_cells(*pair) for pair in pair_bins]
+    pairs = [joint_cells(*pair) for pair in pair_bins]
     # Each party's symbol counts, A's and B's from the (A, B) histogram and
     # E's from (A, E)'s; a shallower depth's are exact block sums of these.
     marginals = np.stack([
         np.bincount(cells.coordinate(i), weights=cells.counts, minlength=1 << deep)
-        for cells, i in ((deep_pairs[0], 0), (deep_pairs[0], 1), (deep_pairs[1], 1))
+        for cells, i in ((pairs[0], 0), (pairs[0], 1), (pairs[1], 1))
     ]).astype(np.int64)
 
+    above = deep
     for bits in depths:
-        pairs = [
-            coarsen_cells(cells, pair, deep - bits) for cells, pair in zip(deep_pairs, pair_bins)
-        ]
+        for i, pair in enumerate(pair_bins):
+            pairs[i] = coarsen_cells(pairs[i], pair, above - bits, deep - bits)
+        marginals = marginals.reshape(3, 1 << bits, -1).sum(axis=2)
+        above = bits
         cmi = cmis.get(bits)
         i_ab_sym, i_ae_sym, i_be_sym = (plugin_mi(cells) for cells in pairs)
 
         at_depth = [s for s in group if s.bits == bits]
         tables = [build_labels(scheme.numbering, bits) for scheme in at_depth]
-        bit_tables = label_bit_tables(pairs, marginals.reshape(3, 1 << bits, -1).sum(axis=2), tables)
+        bit_tables = label_bit_tables(pairs, marginals, tables)
         bitwise_mi, ber = bitwise_mi_from_tables(bit_tables), bit_error_rate_from_tables(bit_tables)
 
         for k, (scheme, table) in enumerate(zip(at_depth, tables)):
@@ -258,13 +279,14 @@ def _evaluate_group(
     return reports
 
 
-def _party_bins(party: str, ranked: tuple, scheme: SlicingScheme) -> np.ndarray:
-    """One party's bins under ``scheme`` from its (samples, sorting permutation, sorted copy).
+def _party_edges(party: str, samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
+    """One party's edges under ``scheme``, from its samples or their sorted copy.
 
-    A failure names the party, the depth and the scheme's group.
+    `compute_edges` is looked up in `slicing`, where `bench/tracing.py`
+    wraps it. A failure names the party, the depth and the scheme's group.
     """
     try:
-        return _ranked_bins(*ranked, scheme)
+        return slicing.compute_edges(samples, scheme)
     except ValueError as exc:
         raise ValueError(
             f"{exc} ({party} at {scheme.bits} bits, in {scheme.positioning.value} group,"

@@ -230,35 +230,36 @@ def bin_indices(samples: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
 
     Both positionings give exactly ``assign_bins(samples, edges)``, without
     its binary search per sample: the samples are sorted once and the bins
-    read off their ranks (see `_ranked_bins`).
+    read off their ranks (see `_ranked_bins`). Equal-width edges read mean
+    and std from the samples in their own order, since a sum's last bits
+    depend on the order of its terms, and are placed before the sort;
+    equal-probability edges depend only on the sorted values, so they read
+    the sorted copy.
     """
     samples = np.asarray(samples, dtype=float)
+    by_width = scheme.positioning is Positioning.EQUAL_WIDTH
+    edges = compute_edges(samples, scheme) if by_width else None
     order = np.argsort(samples)
-    return _ranked_bins(samples, order, samples[order], scheme)
+    ordered = samples[order]
+    if edges is None:
+        edges = compute_edges(ordered, scheme)
+    return _ranked_bins(order, ordered, edges)
 
 
-def _ranked_bins(
-    samples: np.ndarray, order: np.ndarray, ordered: np.ndarray, scheme: SlicingScheme
-) -> np.ndarray:
-    """`bin_indices` of ``samples`` from their sorting permutation ``order``.
+def _ranked_bins(order: np.ndarray, ordered: np.ndarray, edges: BinEdges) -> np.ndarray:
+    """`assign_bins` of the samples whose sorting permutation is ``order``, as uint16.
 
     ``ordered`` is the sorted copy ``samples[order]``, which a caller binning
-    one party under several schemes gathers once. Equal-width edges read
-    mean and std from the samples in their own order, since a sum's last
-    bits depend on the order of its terms; equal-probability edges depend
-    only on the sorted values, so they read the sorted copy. One search per
-    boundary then finds the rank at which its bin starts. The first sample
-    not below a boundary starts the higher bin, so a sample equal to a
-    boundary goes to the higher bin, as in `assign_bins`. Each run of ranks
-    between two starts is one bin, written back to the samples' original
-    positions.
+    one party under several schemes gathers once. One search per boundary
+    finds the rank at which its bin starts. The first sample not below a
+    boundary starts the higher bin, so a sample equal to a boundary goes to
+    the higher bin, as in `assign_bins`. Each run of ranks between two
+    starts is one bin, written back to the samples' original positions.
     """
-    by_width = scheme.positioning is Positioning.EQUAL_WIDTH
-    edges = compute_edges(samples if by_width else ordered, scheme)
     starts = np.searchsorted(ordered, edges.boundaries, side="left")
     runs = np.diff(starts, prepend=0, append=len(ordered))
     idx = np.empty(len(ordered), dtype=np.uint16)
-    idx[order] = np.repeat(np.arange(scheme.n_bins, dtype=np.uint16), runs)
+    idx[order] = np.repeat(np.arange(len(runs), dtype=np.uint16), runs)
     return idx
 
 

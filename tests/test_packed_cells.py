@@ -8,12 +8,14 @@ counts and the same floats, bit for bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from slicesec import infotheory
 from slicesec.infotheory import (
     CMI_MAX_BITS, AlphabetCapacityError, coarsen_cells, joint_cells, plugin_mi,
 )
@@ -162,3 +164,72 @@ def test_cells_built_at_a_shallower_depth_equal_the_deepest_cells_coarsened(case
     assert (built.bits, built.ndim) == (coarse.bits, coarse.ndim)
     assert np.array_equal(built.codes, coarse.codes)
     assert np.array_equal(built.counts, coarse.counts)
+
+
+@st.composite
+def chains(draw):
+    """Index vectors of a depth b, as `histograms` draws them, and two shifts s1 + s2 <= b.
+
+    The vectors may be shifted right by up to two bits at the same depth, so
+    that their largest index lies below 2^(b-1) and `joint_cells` packs them
+    at fewer than b bits.
+    """
+    indices, bits = draw(histograms())
+    low = draw(st.integers(min_value=0, max_value=min(2, bits)))
+    s1 = draw(st.integers(min_value=0, max_value=bits))
+    s2 = draw(st.integers(min_value=0, max_value=bits - s1))
+    return [v >> low for v in indices], s1, s2
+
+
+def dense_chain(n, bits, seed):
+    """Two wide index vectors of ``bits`` bits, n of them, nearly one cell per sample."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 1 << bits, size=n).astype(np.uint16) for _ in range(2)]
+
+
+# At N = 2^16, 12 -> 10 bits recounts (2^20 codes for about 2^16 cells) and
+# 10 -> 8 merges (2^16 codes). 16 -> 14 -> 12 bits at N = 3000 recounts
+# twice, the second time shifting the deepest indices by the total, 4.
+# A merge followed by a recount would need at least 2^20 cells of a pair.
+@settings(max_examples=300, deadline=None)
+@given(chains())
+@example((dense_chain(1 << 16, 12, 1), 2, 2))
+@example((dense_chain(3000, 16, 2), 2, 2))
+def test_chained_coarsening_equals_one_step_coarsening(case):
+    indices, s1, s2 = case
+    cells = joint_cells(*indices)
+    chained = coarsen_cells(coarsen_cells(cells, indices, s1), indices, s2, s1 + s2)
+    direct = coarsen_cells(cells, indices, s1 + s2)
+    built = joint_cells(*(v >> (s1 + s2) for v in indices))
+    for coarse in (chained, direct):
+        assert (coarse.bits, coarse.ndim) == (built.bits, built.ndim)
+        assert np.array_equal(coarse.codes, built.codes)
+        assert np.array_equal(coarse.counts, built.counts)
+
+
+def test_chained_recount_shifts_the_deepest_indices_by_the_total():
+    indices = dense_chain(3000, 16, 2)
+    cells = joint_cells(*indices)
+    with mock.patch.object(infotheory, "joint_cells", wraps=joint_cells) as recount:
+        coarse = coarsen_cells(coarsen_cells(cells, indices, 2), indices, 2, 4)
+    assert recount.call_count == 2
+    (first, _), _ = recount.call_args
+    assert np.array_equal(first, indices[0] >> 4)
+    assert np.array_equal(coarse.codes, joint_cells(*(v >> 4 for v in indices)).codes)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int32])
+def test_histograms_leave_their_inputs_unchanged(dtype):
+    # Fields are packed into a copy of the first: shifting a caller's int64
+    # vector in place would corrupt every histogram built from it later.
+    rng = np.random.default_rng(5)
+    indices = [rng.integers(0, 1 << 10, size=5000).astype(dtype) for _ in range(3)]
+    before = [v.copy() for v in indices]
+    for k in (2, 3):
+        cells = joint_cells(*indices[:k])
+        codes, counts = cells.codes.copy(), cells.counts.copy()
+        for shift in range(11):  # sorted, recounted and merged histograms alike
+            coarsen_cells(cells, indices[:k], shift)
+        assert np.array_equal(cells.codes, codes) and np.array_equal(cells.counts, counts)
+    for v, w in zip(indices, before):
+        assert v.dtype == dtype and np.array_equal(v, w)

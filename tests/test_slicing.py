@@ -325,8 +325,7 @@ def test_equal_width_bins_by_rank_equal_searchsorted(
     ])
     expected = np.searchsorted(boundaries, probes, side="right")
     order = np.argsort(probes)
-    with mock.patch.object(slicing, "compute_edges", return_value=edges):
-        assert np.array_equal(_ranked_bins(probes, order, probes[order], scheme), expected)
+    assert np.array_equal(_ranked_bins(order, probes[order], edges), expected)
     assert np.array_equal(bin_indices(samples, scheme), expected[: len(samples)])
 
 
