@@ -93,9 +93,9 @@ def keep_freed_memory() -> None:
     """Make the C allocator keep the memory this process frees, for reuse.
 
     Each cell of the default 18-scheme sweep allocates and frees 40
-    temporary arrays of N elements, and about 45 more of at least N bytes
-    sized by its histograms' occupied cells (100 and about 400 on a grid of
-    8, 10 and 12 bits). By default glibc hands freed memory back to the
+    temporary arrays of N elements, and 32 more of at least N bytes sized
+    by its histograms' occupied cells (100 and 332 on a grid of 8, 10 and
+    12 bits, at N = 2e5). By default glibc hands freed memory back to the
     kernel, by trimming the heap or by unmapping each block above its mmap
     threshold, and the next cell faults the same pages in again,
     zero-filled. With the heap never trimmed and blocks up to 32 MiB served
@@ -117,6 +117,33 @@ def keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim the heap
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's 64-bit ceiling for its dynamic one
+
+
+def _import_random_without_openssl() -> None:
+    """Import `numpy.random` without loading OpenSSL, leaving `sys.modules` as it was.
+
+    `numpy.random.bit_generator` imports `secrets` for seed entropy, which
+    imports `hmac` and `hashlib`, and they load `_hashlib` and with it
+    OpenSSL's libcrypto: about 3.4 MB resident in every sweep, for a digest
+    no sweep computes. With `_hashlib` blocked for this one import, `hmac`
+    and `hashlib` take their built-in paths, as in a Python built without
+    OpenSSL: `hashlib` serves md5, the sha1, sha2 and sha3 families, shake
+    and blake2 from its own modules (`_sha256` and the others) and lacks
+    OpenSSL-only names such as `scrypt` and ripemd160; `hmac` compares
+    digests with `_operator`'s. No draw changes: every `Stream` keys its
+    Philox generator explicitly. Nothing is done where `numpy.random` or
+    `_hashlib` is already loaded. Pool workers forked from this process
+    inherit the module; workers started by ``spawn`` or ``forkserver``
+    import their own. This is the `sweep` command's, which owns its
+    process; a library caller's `hashlib` stays as it is.
+    """
+    if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
+        return
+    sys.modules["_hashlib"] = None  # an import of a None entry raises ImportError
+    try:
+        import numpy.random  # noqa: F401
+    finally:
+        del sys.modules["_hashlib"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -421,6 +448,7 @@ def main(argv: list[str] | None = None) -> int:
             if os.path.isdir(args.out):
                 raise IsADirectoryError(f"output path {args.out} is a directory")
             keep_freed_memory()
+            _import_random_without_openssl()
             emit_csv(sweep(args.t_grid, args.schemes, args.base, workers=args.workers), args.out)
         elif args.subcommand == "best":
             lines = ["transmission,scheme"]

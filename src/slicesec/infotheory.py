@@ -186,10 +186,12 @@ def plugin_mi(cells: JointCells) -> float:
     """Plug-in I(X;Y) of a pair histogram, or I(X;Y|Z) of a triple, from occupied cells.
 
     Each marginal is bincounted by its code, a shift and mask of the cell
-    codes. A triple of more than CMI_MAX_BITS bits raises AlphabetCapacityError.
+    codes made in one reused buffer, and gathered back to the cells with
+    ``np.take(..., mode="clip")``, which writes into ``out`` unbuffered. A
+    triple of more than CMI_MAX_BITS bits raises AlphabetCapacityError.
     The ratio, its log and the terms share one array, computed in place;
     IEEE multiplication commutes, so each float is that of
-    ``p * log2(p / (p_x * p_y))``, or of ``p_z * p / (p_xz * p_yz)`` inside
+    ``p * log2(p / (p_x * p_y))``, or of ``p_z * p / (p_yz * p_xz)`` inside
     the log of a triple.
     """
     codes, b = cells.codes, cells.bits
@@ -199,21 +201,26 @@ def plugin_mi(cells: JointCells) -> float:
         )
     p = cells.counts / cells.counts.sum()
 
-    def marginal(code: np.ndarray) -> np.ndarray:
-        return np.bincount(code, weights=p)[code]
+    def marginal(out=None) -> np.ndarray:
+        return np.take(np.bincount(code, weights=p), code, out=out, mode="clip")
 
     low = (1 << b) - 1
     if cells.ndim == 2:
-        ratio = marginal(codes >> b)
-        ratio *= marginal(codes & low)
+        code = codes >> b
+        ratio = marginal()
+        np.bitwise_and(codes, low, out=code)
+        ratio *= marginal()
         np.divide(p, ratio, out=ratio)
     else:
-        z = codes & low
-        ratio = marginal(z)
+        code = codes >> (2 * b) << b
+        code |= codes & low  # the (x, z) code
+        ratio = marginal()
+        np.bitwise_and(codes, (1 << (2 * b)) - 1, out=code)  # (y, z)
+        denominator = marginal()
+        denominator *= ratio  # p_yz * p_xz
+        code &= low  # z
+        marginal(out=ratio)
         ratio *= p
-        denominator = marginal(codes & ((1 << (2 * b)) - 1))  # p_yz
-        z |= codes >> (2 * b) << b  # now the (x, z) code
-        denominator *= marginal(z)
         ratio /= denominator
     np.log2(ratio, out=ratio)
     ratio *= p
@@ -303,47 +310,57 @@ def bitwise_mi_from_tables(tables: np.ndarray) -> np.ndarray:
     return total[()]
 
 
-def label_bit_tables(pairs: Sequence[JointCells], marginals: np.ndarray,
+def pair_label_counts(cells: JointCells, tables: Sequence[LabelTable]) -> list[np.ndarray]:
+    """Each codebook's counts of the AND of a pair's two labels, one float64 row of 2^b apiece.
+
+    ``cells`` is one pair's histogram at a depth (see `joint_cells`) and
+    ``tables`` m <= 3 label codebooks of that depth. Entry [i][l] counts the
+    samples whose two labels under codebook i AND to l, the label that is one
+    where both bits are. A bin's m labels are packed b bits apiece into one
+    int64 code, so one gather per coordinate and one AND over the occupied
+    cells serve every codebook at once; each codebook's field is extracted,
+    in place into one reused array, and histogrammed. `label_bit_tables`
+    takes these rows, so no cell's label is expanded to b bits.
+    """
+    m, (k, b) = len(tables), tables[0].labels.shape
+    packed = np.zeros(k, dtype=np.int64)
+    for i, t in enumerate(tables):
+        packed |= t.codes.astype(np.int64) << (i * b)
+    anded = packed[cells.coordinate(0)]
+    anded &= packed[cells.coordinate(1)]
+    counts = cells.counts.astype(np.float64)
+    label = np.empty_like(anded)
+    rows = []
+    for i in range(m):
+        np.right_shift(anded, i * b, out=label)
+        label &= k - 1
+        rows.append(np.bincount(label, weights=counts, minlength=k))
+    return rows
+
+
+def label_bit_tables(pair_labels: Sequence[Sequence[np.ndarray]], marginals: np.ndarray,
                      tables: Sequence[LabelTable]) -> np.ndarray:
     """Per-bit 2x2 count tables of three labelled parties' pairs, shape (3, m, b, 2, 2).
 
-    ``pairs`` are the (A, B), (A, E) and (B, E) histograms of one depth (see
-    `joint_cells`), ``marginals`` the int64 symbol counts of A, B and E,
-    shape (3, 2^b), and ``tables`` m <= 3 label codebooks of that depth.
-    Entry [p, i, j, u, v] counts the samples whose first party of pair p
-    has bit j u under codebook i and whose second has v: each per-bit table
-    is an exact marginal of the pair's symbol joint.
+    ``pair_labels`` are `pair_label_counts` of the (A, B), (A, E) and (B, E)
+    histograms of one depth under ``tables``, m <= 3 label codebooks of that
+    depth, and ``marginals`` the int64 symbol counts of A, B and E, shape
+    (3, 2^b). Entry [p, i, j, u, v] counts the samples whose first party of
+    pair p has bit j u under codebook i and whose second has v: each per-bit
+    table is an exact marginal of the pair's symbol joint.
 
-    Every per-bit sum is taken over a 2^b-entry histogram, so no cell's
-    label is expanded to b bits. Each party's marginal, counted once for
-    both its pairs, is summed over the bins of each label. A bin's m labels
-    are packed b bits apiece into one int64 code, so one gather per
-    coordinate and one AND over a pair's occupied cells give, for every
-    codebook at once, the label that is one where both bits are; each
-    codebook's field is extracted, in place into one reused array, and
-    histogrammed, and a pair's arrays are dropped before the next pair's
-    are made. A float64 product with the binary codebook's own labels
+    Every per-bit sum is taken over a 2^b-entry histogram. Each party's
+    marginal, counted once for both its pairs, is summed over the bins of
+    each label. A float64 product with the binary codebook's own labels
     (`build_labels`, uint8, cast by the product) then gives the parties'
     ones and the pairs' both-ones, for every codebook and bit. It is exact:
     each count and partial sum is an integer of at most the total count,
     which stays below 2^53.
     """
     m, (k, b) = len(tables), tables[0].labels.shape
-    packed = np.zeros(k, dtype=np.int64)
-    for i, t in enumerate(tables):
-        packed |= t.codes.astype(np.int64) << (i * b)
     by_label = [np.bincount(t.codes, weights=marginal, minlength=k)
                 for marginal in marginals.astype(np.float64) for t in tables]
-    for cells in pairs:
-        anded = packed[cells.coordinate(0)]
-        anded &= packed[cells.coordinate(1)]
-        counts = cells.counts.astype(np.float64)
-        label = np.empty_like(anded)
-        for i in range(m):
-            np.right_shift(anded, i * b, out=label)
-            label &= k - 1
-            by_label.append(np.bincount(label, weights=counts, minlength=k))
-        del anded, counts, label
+    by_label += [row for rows in pair_labels for row in rows]
     binary = build_labels(Numbering.BINARY, b).labels  # the bits of every b-bit label
     ones, both = (np.stack(by_label) @ binary).astype(np.int64).reshape(2, 3, m, b)
     first, second = ones[[0, 0, 1]], ones[[1, 2, 2]]  # the parties of (A, B), (A, E), (B, E)

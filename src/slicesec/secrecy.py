@@ -24,6 +24,7 @@ from .infotheory import (
     coarsen_cells,
     joint_cells,
     label_bit_tables,
+    pair_label_counts,
     plugin_bias,
     plugin_mi,
 )
@@ -154,11 +155,13 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     indices, so its histograms are those of the depth above coarsened:
     merged from the occupied cells, or counted again from the deepest
     indices shifted by the total where the cells are too sparse to merge
-    (see `coarsen_cells`). Each pair's histogram gives the symbol MI. Each
-    party is counted once per group and block-summed per depth; one
-    `label_bit_tables` call per depth gathers every codebook at once for
-    all three pairs' per-bit 2x2 tables (each a marginal of its pair's joint,
-    in integer counts below 2^53, so exact), and so every bitwise MI and BER.
+    (see `coarsen_cells`). Each pair's histogram gives the symbol MI and,
+    in one `pair_label_counts` gather for every codebook at once, the counts
+    of its labels' AND. Each party is counted once per group and
+    block-summed per depth; one `label_bit_tables` call per depth turns
+    these into all three pairs' per-bit 2x2 tables (each a marginal of its
+    pair's joint, in integer counts below 2^53, so exact), and so every
+    bitwise MI and BER.
     A binning failure names the party, its depth and the group.
 
     Every N-sample array dies at its last use, so a cell's peak is the
@@ -166,8 +169,9 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     dropped on entry (a caller that holds it, as `evaluate_scheme`'s do,
     keeps its samples alive), each party's samples go once its sorted copy
     exists, its sort and sorted copy once it is binned, and each group's
-    bins once that group is evaluated. Depths run deepest first, so one
-    depth's histograms are alive at a time (see `_evaluate_group`).
+    bins once that group is evaluated. Each histogram runs through the
+    depths deepest first before the next is built, so one histogram is
+    alive at a time (see `_evaluate_group`).
     """
     schemes = list(schemes)
     groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
@@ -204,12 +208,12 @@ def _evaluate_group(
     """Reports of one (positioning, width multiplier) group of schemes.
 
     ``bins`` holds the parties' (A, B, E) bins at the group's deepest depth.
-    Depths run deepest first, and each depth's histograms are coarsened from
-    the depth above (see `coarsen_cells`), each replacing its predecessor as
-    soon as it exists, so one depth's histograms are alive at a time. The
-    (A, B, E) histogram lives its whole life (build, coarsening, the CMI of
-    every reported depth) before the pair histograms are built, and it and
-    its shifted bins are dropped first, so the two never share the peak.
+    Each histogram runs through the depths deepest first, coarsened from the
+    depth above (see `_by_depth`), and is done with before the next is
+    built, so one histogram is alive at a time: the (A, B, E) histogram over
+    the depths whose CMI is reported, then (A, B), (A, E) and (B, E) in turn,
+    each giving its symbol MI and its `pair_label_counts` at every depth.
+    One `label_bit_tables` call per depth then assembles the per-bit tables.
     """
     reports = {}
     depths = sorted({s.bits for s in group}, reverse=True)
@@ -221,39 +225,38 @@ def _evaluate_group(
     if reported:
         top = reported[0]
         triple_bins = bins if top == deep else [v >> (deep - top) for v in bins]
-        triple = joint_cells(*triple_bins)
-        above = top
-        for bits in reported:
-            triple = coarsen_cells(triple, triple_bins, above - bits, top - bits)
+        for bits, triple in _by_depth(triple_bins, reported):
             cmis[bits] = plugin_mi(triple)
-            above = bits
         del triple, triple_bins
 
+    at_depth = {bits: [s for s in group if s.bits == bits] for bits in depths}
+    codebooks = {bits: [build_labels(s.numbering, bits) for s in at_depth[bits]]
+                 for bits in depths}
+    symbol_mi = {bits: [] for bits in depths}
+    pair_labels = {bits: [] for bits in depths}
+    # Each party's symbol counts, A's and B's from the deepest (A, B)
+    # histogram and E's from (A, E)'s; a shallower depth's are exact block
+    # sums of these.
+    marginals = []
     a, b, e = bins
-    pair_bins = [(a, b), (a, e), (b, e)]
-    pairs = [joint_cells(*pair) for pair in pair_bins]
-    # Each party's symbol counts, A's and B's from the (A, B) histogram and
-    # E's from (A, E)'s; a shallower depth's are exact block sums of these.
-    marginals = np.stack([
-        np.bincount(cells.coordinate(i), weights=cells.counts, minlength=1 << deep)
-        for cells, i in ((pairs[0], 0), (pairs[0], 1), (pairs[1], 1))
-    ]).astype(np.int64)
+    for pair, sides in (((a, b), (0, 1)), ((a, e), (1,)), ((b, e), ())):
+        for bits, cells in _by_depth(pair, depths):
+            if bits == deep:
+                marginals += [np.bincount(cells.coordinate(i), weights=cells.counts,
+                                          minlength=1 << deep) for i in sides]
+            symbol_mi[bits].append(plugin_mi(cells))
+            pair_labels[bits].append(pair_label_counts(cells, codebooks[bits]))
+        del cells
+    marginals = np.stack(marginals).astype(np.int64)
 
-    above = deep
     for bits in depths:
-        for i, pair in enumerate(pair_bins):
-            pairs[i] = coarsen_cells(pairs[i], pair, above - bits, deep - bits)
         marginals = marginals.reshape(3, 1 << bits, -1).sum(axis=2)
-        above = bits
         cmi = cmis.get(bits)
-        i_ab_sym, i_ae_sym, i_be_sym = (plugin_mi(cells) for cells in pairs)
-
-        at_depth = [s for s in group if s.bits == bits]
-        tables = [build_labels(scheme.numbering, bits) for scheme in at_depth]
-        bit_tables = label_bit_tables(pairs, marginals, tables)
+        i_ab_sym, i_ae_sym, i_be_sym = symbol_mi[bits]
+        bit_tables = label_bit_tables(pair_labels[bits], marginals, codebooks[bits])
         bitwise_mi, ber = bitwise_mi_from_tables(bit_tables), bit_error_rate_from_tables(bit_tables)
 
-        for k, (scheme, table) in enumerate(zip(at_depth, tables)):
+        for k, (scheme, table) in enumerate(zip(at_depth[bits], codebooks[bits])):
             i_ab, i_ae, i_be = (float(mi) for mi in bitwise_mi[:, k])
             ber_ab, ber_ae, ber_be = (float(rate) for rate in ber[:, k])
             delta_direct, delta_reverse = secrecy_deltas(i_ab, i_ae, i_be)
@@ -277,6 +280,20 @@ def _evaluate_group(
                 seed=p.seed,
             )
     return reports
+
+
+def _by_depth(indices: list[np.ndarray], depths: list[int]):
+    """Yield (bits, histogram) of ``indices`` at each of ``depths``, deepest first.
+
+    ``indices`` are at ``depths[0]`` bits. Each histogram is coarsened from
+    the one above (see `coarsen_cells`) and replaces it as soon as it exists.
+    """
+    deep = above = depths[0]
+    cells = joint_cells(*indices)
+    for bits in depths:
+        cells = coarsen_cells(cells, indices, above - bits, deep - bits)
+        above = bits
+        yield bits, cells
 
 
 def _party_edges(party: str, samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:

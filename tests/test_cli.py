@@ -511,7 +511,9 @@ def test_commands_leave_unused_modules_unimported():
     # merges sorted weighted cells (10 -> 9 bits) and counts F-LFSR label
     # collisions. The process pool's stack (concurrent.futures,
     # multiprocessing: about 20 ms) is loaded only by a sweep that starts
-    # workers, and the chart module only by `plot`.
+    # workers, and the chart module only by `plot`. The sweep imports
+    # numpy.random without OpenSSL's `_hashlib` (libcrypto: about 3.4 MB
+    # resident), and `selftest`'s draws then find it loaded.
     script = textwrap.dedent("""
         import contextlib, io, sys, tempfile
         from slicesec import cli
@@ -523,7 +525,7 @@ def test_commands_leave_unused_modules_unimported():
             assert cli.main(["best", tmp + "/x.csv", "--out", tmp + "/best.csv"]) == 0
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["selftest"]) == 0
-        unused = ("concurrent.futures", "multiprocessing", "slicesec.svgplot")
+        unused = ("concurrent.futures", "multiprocessing", "slicesec.svgplot", "_hashlib")
         print(",".join(name for name in unused if name in sys.modules) or "none")
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -531,6 +533,45 @@ def test_commands_leave_unused_modules_unimported():
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "none"]
+
+
+# A plain sweep imports numpy.random without `_hashlib`, so `hashlib` serves
+# SHA-256 from its built-in `_sha256`; the same sweep after an `import
+# hashlib` finds `_hashlib` loaded and leaves OpenSSL's SHA-256 in place.
+# Either way the script prints whether `_hashlib` is as the sweep found it,
+# the None entries left in sys.modules, SHA-256 of "abc", and HMAC-SHA256
+# of the Wikipedia example.
+HASHLIB_SCRIPT = textwrap.dedent("""
+    import sys
+    if sys.argv[2] == "hashlib first":
+        import hashlib
+    loaded = sys.modules.get("_hashlib")
+    from slicesec import cli
+    assert cli.main(["sweep", "--samples", "4000", "--t", "0.3,0.6", "--workers", "1",
+                     "--schemes", "eqprob:gray:5,eqwidth:binary:4", "--out", sys.argv[1]]) == 0
+    import hashlib, hmac
+    print(hashlib.sha256.__name__)
+    print(sys.modules.get("_hashlib") is loaded)
+    print([name for name, module in sys.modules.items() if module is None])
+    print(hashlib.sha256(b"abc").hexdigest())
+    print(hmac.new(b"key", b"The quick brown fox jumps over the lazy dog", "sha256").hexdigest())
+""")
+
+
+def test_sweep_leaves_hashlib_working_whether_or_not_it_was_loaded_first(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    runs = {}
+    for case in ("plain", "hashlib first"):
+        csv = tmp_path / f"{case.replace(' ', '_')}.csv"
+        result = subprocess.run([sys.executable, "-c", HASHLIB_SCRIPT, str(csv), case], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        runs[case] = result.stdout.split(), csv.read_bytes()
+    checks = ["True", "[]", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+              "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"]
+    assert runs["plain"][0] == ["sha256", *checks]
+    assert runs["hashlib first"][0] == ["openssl_sha256", *checks]
+    assert runs["plain"][1] == runs["hashlib first"][1]
 
 
 def test_keep_freed_memory_does_nothing_without_mallopt(monkeypatch):

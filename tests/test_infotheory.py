@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from slicesec.infotheory import (
     coarsen_cells,
     joint_cells,
     label_bit_tables,
+    pair_label_counts,
     plugin_mi,
     plugin_mi_2x2,
 )
@@ -240,7 +242,7 @@ def party_label_tables(parties, tables):
     k = 1 << tables[0].bits
     marginals = np.stack([np.bincount(v, minlength=k) for v in parties])
     pairs = [joint_cells(parties[x], parties[y]) for x, y in PAIRS]
-    return label_bit_tables(pairs, marginals, tables)
+    return label_bit_tables([pair_label_counts(c, tables) for c in pairs], marginals, tables)
 
 
 @settings(max_examples=40, deadline=None)
@@ -481,6 +483,31 @@ def test_coarsening_to_more_codes_than_cells_counts_densely(monkeypatch):
     assert_same_cells(coarse, dense_cells([x >> 1, y >> 1]))
 
 
+def test_plugin_mi_of_a_triple_holds_four_arrays_per_cell():
+    # At its peak, `plugin_mi` of a triple holds `p`, one reused code buffer
+    # and two gathered marginals, 8 bytes per occupied cell each (32.5 here,
+    # with the small marginal bincounts of 6-bit indices). A fresh code per
+    # marginal, or a gather by `np.take`'s default mode="raise", which
+    # buffers its `out`, adds one more array: 40 bytes per cell.
+    rng = np.random.default_rng(3)
+    n = 200_000
+    a = rng.integers(0, 64, size=n)
+    b, e = ((a + rng.integers(0, 32, size=n)) % 64 for _ in range(2))
+    cells = joint_cells(a, b, e)
+    expected = plugin_mi(cells)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        assert plugin_mi(cells) == expected
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak / len(cells.codes) <= 36
+
+
 @pytest.mark.parametrize("bits", [8, 9])
 def test_plugin_mi_raises_on_a_triple_above_cmi_max_bits(bits):
     # A triple's (x, z) and (y, z) marginals span 2^(2 b) codes, within the
@@ -638,7 +665,7 @@ def test_label_bit_tables_are_exact_above_two_to_the_32_samples(bits):
     for i, marginal in enumerate(marginals):
         np.add.at(marginal, triple.coordinate(i), triple.counts)
     tables = [build_labels(numbering, bits) for numbering in Numbering]
-    got = label_bit_tables(pairs, marginals, tables)
+    got = label_bit_tables([pair_label_counts(c, tables) for c in pairs], marginals, tables)
     for pair, cells in zip(got, pairs):
         for stacked, table in zip(pair, tables):
             assert np.array_equal(stacked, gathered_label_tables(cells, table))

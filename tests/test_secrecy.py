@@ -167,13 +167,15 @@ class TestEvaluateSchemes:
     def test_one_label_call_per_group_and_depth(self, mixed_realization, monkeypatch):
         # One `label_bit_tables` call per (group, depth) serves all three
         # pairs and every numbering; a repeated scheme adds no codebook, so
-        # a call packs at most three.
+        # a call takes at most three, and each pair's label counts one row
+        # per codebook.
         calls = []
         label_bit_tables = secrecy.label_bit_tables
 
-        def recording(pairs, marginals, tables):
-            calls.append((len(pairs), marginals.shape, tuple(t.bits for t in tables)))
-            return label_bit_tables(pairs, marginals, tables)
+        def recording(pair_labels, marginals, tables):
+            calls.append((len(pair_labels), marginals.shape, tuple(t.bits for t in tables)))
+            assert [len(rows) for rows in pair_labels] == [len(tables)] * 3
+            return label_bit_tables(pair_labels, marginals, tables)
 
         monkeypatch.setattr(secrecy, "label_bit_tables", recording)
         batch = evaluate_schemes(mixed_realization, MIXED_SCHEMES + MIXED_SCHEMES[:4])
@@ -482,17 +484,19 @@ FINE_SCHEMES = [SlicingScheme(pos, num, bits)
 
 
 @pytest.mark.parametrize("schemes, n, budget", [
-    (default_schemes(), 200_000, 46), (FINE_SCHEMES, 200_000, 105), (FINE_SCHEMES, 50_000, 114),
+    (default_schemes(), 200_000, 46), (FINE_SCHEMES, 200_000, 76), (FINE_SCHEMES, 50_000, 89),
 ], ids=["paper_grid", "fine_grid", "fine_grid_5e4"])
 def test_one_cell_peak_bytes_per_sample(schemes, n, budget):
-    # Every N-sample array of a cell dies at its last use, so one T = 0.5
-    # cell peaks at 40 traced bytes per sample on the paper grid at N = 2e5,
-    # and on the fine grid at 91 at N = 2e5 and 100 at the benchmark's 5e4
-    # (each budget is that plus 15%). While a group's deepest pair
-    # histograms lived until its shallowest depth was done, and a party's
-    # equal-width edges were placed after its sort, the peaks were 48, 132
-    # and 152; before that, with the realization, the other group's bins
-    # and the (A, B, E) histogram alive past their use, 75 and 183 at 2e5.
+    # Every N-sample array of a cell dies at its last use and one histogram
+    # is alive at a time, so one T = 0.5 cell peaks at 40 traced bytes per
+    # sample on the paper grid at N = 2e5, and on the fine grid at 66.3 at
+    # N = 2e5 and 77.2 at the benchmark's 5e4, in the 8-bit CMI's
+    # `plugin_mi` (each fine budget is that plus 15%). With the three pair
+    # histograms of a depth alive together, and `plugin_mi` allocating each
+    # marginal code and gather afresh, the fine grid's were 91.3 and 99.5;
+    # with every depth coarsened from the deepest, 132 and 152; before that,
+    # with the realization, the other group's bins and the (A, B, E)
+    # histogram alive past their use, 75 and 183 at 2e5.
     base = ChannelParams(transmission=0.5, samples=n, seed=1)
     sweep([0.5], schemes, replace(base, samples=5000))  # fills the codebook cache
     was_tracing = tracemalloc.is_tracing()
