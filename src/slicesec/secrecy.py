@@ -28,10 +28,7 @@ from .infotheory import (
     plugin_bias,
     plugin_mi,
 )
-from . import slicing
-from .slicing import (
-    BinEdges, Numbering, Positioning, SlicingScheme, _ranked_bins, build_labels,
-)
+from .slicing import Numbering, Positioning, SlicingScheme, build_labels, party_bins
 
 # bench/tracing.py wraps these names in this module's namespace (and raises
 # KeyError if one is missing), so they stay importable from here although
@@ -142,14 +139,10 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     only advantage is her own received data.
 
     Every quantity is a function of the parties' bin indices and the label
-    table. Each party is sorted once per cell, and its bins in every
-    (positioning, width multiplier) group come from the ranks of that one
-    sort and its one sorted copy (see `bin_indices`), at the group's deepest
-    bit count. A party's equal-width edges read its samples in their own
-    order and are placed before the sort; its equal-probability edges read
-    the sorted copy. Equal-width bins need no sort, but one bin rule for
-    both positionings sorts every party even when every scheme is
-    equal-width. The three pair histograms are built once per group from
+    table. Each party is binned by one `party_bins` call per cell, at the
+    deepest bit count of every (positioning, width multiplier) group, so
+    it is sorted once even when every scheme is equal-width, which needs
+    no sort. The three pair histograms are built once per group from
     those indices, and the (A, B, E) histogram once, at the deepest depth
     whose CMI is reported. A shallower depth is an exact right shift of the
     indices, so its histograms are those of the depth above coarsened:
@@ -162,16 +155,16 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     these into all three pairs' per-bit 2x2 tables (each a marginal of its
     pair's joint, in integer counts below 2^53, so exact), and so every
     bitwise MI and BER.
-    A binning failure names the party, its depth and the group.
+    A binning failure names the party, its depth and the group (see `party_bins`).
 
     Every N-sample array dies at its last use, so a cell's peak is the
     largest set of arrays one step needs, not their sum: the realization is
     dropped on entry (a caller that holds it, as `evaluate_scheme`'s do,
-    keeps its samples alive), each party's samples go once its sorted copy
-    exists, its sort and sorted copy once it is binned, and each group's
-    bins once that group is evaluated. Each histogram runs through the
-    depths deepest first before the next is built, so one histogram is
-    alive at a time (see `_evaluate_group`).
+    keeps its samples alive), each party's samples are handed to
+    `party_bins`, which frees them once their sorted copy exists, and each
+    group's bins go once that group is evaluated. Each histogram runs
+    through the depths deepest first before the next is built, so one
+    histogram is alive at a time (see `_evaluate_group`).
     """
     schemes = list(schemes)
     groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
@@ -180,22 +173,11 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     deepest = [max(group, key=lambda s: s.bits) for group in groups.values()]
 
     params = realization.params
-    parties = [realization.alice, realization.bob, realization.eve]
+    parties = {"alice": realization.alice, "bob": realization.bob, "eve": realization.eve}
     del realization
-    bins = [[] for _ in deepest]  # per group, the (A, B, E) bins at its deepest depth
-    for party in ("alice", "bob", "eve"):
-        samples = parties.pop(0)
-        edges = [_party_edges(party, samples, scheme)
-                 if scheme.positioning is Positioning.EQUAL_WIDTH else None
-                 for scheme in deepest]
-        order = np.argsort(samples)
-        ordered = samples[order]
-        del samples
-        for group_bins, scheme, group_edges in zip(bins, deepest, edges):
-            if group_edges is None:
-                group_edges = _party_edges(party, ordered, scheme)
-            group_bins.append(_ranked_bins(order, ordered, group_edges))
-        del order, ordered
+    by_party = [party_bins(parties, party, deepest) for party in ("alice", "bob", "eve")]
+    bins = [list(group_bins) for group_bins in zip(*by_party)]  # per group, (A, B, E)
+    del by_party
     reports: dict[SlicingScheme, SecrecyReport] = {}
     for group in groups.values():
         reports.update(_evaluate_group(params, bins.pop(0), group))
@@ -294,21 +276,6 @@ def _by_depth(indices: list[np.ndarray], depths: list[int]):
         cells = coarsen_cells(cells, indices, above - bits, deep - bits)
         above = bits
         yield bits, cells
-
-
-def _party_edges(party: str, samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
-    """One party's edges under ``scheme``, from its samples or their sorted copy.
-
-    `compute_edges` is looked up in `slicing`, where `bench/tracing.py`
-    wraps it. A failure names the party, the depth and the scheme's group.
-    """
-    try:
-        return slicing.compute_edges(samples, scheme)
-    except ValueError as exc:
-        raise ValueError(
-            f"{exc} ({party} at {scheme.bits} bits, in {scheme.positioning.value} group,"
-            f" width {scheme.width_multiplier:g})"
-        ) from exc
 
 
 def realization_for_cell(base: ChannelParams, t: float, t_index: int) -> ChannelRealization:

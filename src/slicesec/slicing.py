@@ -31,7 +31,7 @@ class Numbering(str, Enum):
     FLFSR = "flfsr"
 
 
-MAX_BITS = 16  # bin indices are stored as uint16 (see bin_indices)
+MAX_BITS = 16  # bin indices are stored as uint16 (see party_bins)
 
 
 def _bit_count(value, name: str) -> int:
@@ -168,7 +168,7 @@ def compute_edges(samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
         )
     # Non-finite and constant samples show at the samples' ends (a float std
     # of constant samples need not be 0): np.min and np.max propagate a NaN,
-    # and a NaN sorts last. Samples that arrive sorted, as `bin_indices`
+    # and a NaN sorts last. Samples that arrive sorted, as `party_bins`
     # passes them, are not sorted again.
     by_width = scheme.positioning is Positioning.EQUAL_WIDTH
     if by_width:
@@ -220,41 +220,71 @@ def assign_bins(samples: np.ndarray, edges: BinEdges) -> np.ndarray:
 def bin_indices(samples: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
     """Bin indices of one party's samples under ``scheme``, as uint16.
 
-    uint16 holds every index up to MAX_BITS = 16. The indices at any
-    shallower depth b of the same positioning and width multiplier are an
-    exact right shift, ``bin_indices(samples, scheme) >> (scheme.bits - b)``:
-    the equal-width step 2 k std / 2^b and the equal-probability quantile
-    levels i / 2^b differ from the deeper depth's only by a power of two,
-    which floating point scales exactly, so the shallower boundaries are the
-    same floats as every 2^(bits - b)-th deeper boundary.
-
-    Both positionings give exactly ``assign_bins(samples, edges)``, without
-    its binary search per sample: the samples are sorted once and the bins
-    read off their ranks (see `_ranked_bins`). Equal-width edges read mean
-    and std from the samples in their own order, since a sum's last bits
-    depend on the order of its terms, and are placed before the sort;
-    equal-probability edges depend only on the sorted values, so they read
-    the sorted copy.
+    The one-scheme call of `party_bins`, which states the bin rule; its
+    failures end ``(party at <b> bits, ...)``. uint16 holds every index up
+    to MAX_BITS = 16. The indices at any shallower depth b of the same
+    positioning and width multiplier are an exact right shift,
+    ``bin_indices(samples, scheme) >> (scheme.bits - b)``: the equal-width
+    step 2 k std / 2^b and the equal-probability quantile levels i / 2^b
+    differ from the deeper depth's only by a power of two, which floating
+    point scales exactly, so the shallower boundaries are the same floats as
+    every 2^(bits - b)-th deeper boundary.
     """
-    samples = np.asarray(samples, dtype=float)
-    by_width = scheme.positioning is Positioning.EQUAL_WIDTH
-    edges = compute_edges(samples, scheme) if by_width else None
+    return party_bins({"party": samples}, "party", [scheme])[0]
+
+
+def party_bins(
+    parties: dict[str, np.ndarray], party: str, schemes: list[SlicingScheme]
+) -> list[np.ndarray]:
+    """The bins of ``parties[party]`` under each of ``schemes``, as uint16, in order.
+
+    This is the bin rule, and every binning in the package runs through it.
+    The party's samples are sorted once, by one `np.argsort`, and gathered
+    once into a sorted copy. Each scheme's bins equal
+    ``assign_bins(samples, compute_edges(samples, scheme))``, without its
+    binary search per sample: they are read off the ranks of that one sort
+    (see `_ranked_bins`). Equal-width edges read mean and std from the
+    samples in their own order, since a sum's last bits depend on the order
+    of its terms, and are placed before the sort; equal-probability edges
+    depend only on the sorted values, so they read the sorted copy, scheme
+    by scheme as each is binned. `compute_edges` is called once per scheme,
+    through this module, where `bench/tracing.py` wraps it.
+
+    The samples are handed over: they are popped from ``parties``, so that
+    they die once their sorted copy exists whatever the caller holds, and
+    the sort and the sorted copy die on return. A failure names the party,
+    the depth and the scheme's (positioning, width multiplier) group,
+    ``<error> (<party> at <b> bits, in <positioning> group, width <k>)``.
+    """
+    samples = np.asarray(parties.pop(party), dtype=float)
+
+    def edges(values: np.ndarray, scheme: SlicingScheme) -> BinEdges:
+        try:
+            return compute_edges(values, scheme)
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc} ({party} at {scheme.bits} bits, in {scheme.positioning.value} group,"
+                f" width {scheme.width_multiplier:g})"
+            ) from exc
+
+    by_width = [edges(samples, scheme) if scheme.positioning is Positioning.EQUAL_WIDTH
+                else None for scheme in schemes]
     order = np.argsort(samples)
     ordered = samples[order]
-    if edges is None:
-        edges = compute_edges(ordered, scheme)
-    return _ranked_bins(order, ordered, edges)
+    del samples
+    return [_ranked_bins(order, ordered, edges(ordered, scheme) if placed is None else placed)
+            for scheme, placed in zip(schemes, by_width)]
 
 
 def _ranked_bins(order: np.ndarray, ordered: np.ndarray, edges: BinEdges) -> np.ndarray:
     """`assign_bins` of the samples whose sorting permutation is ``order``, as uint16.
 
-    ``ordered`` is the sorted copy ``samples[order]``, which a caller binning
-    one party under several schemes gathers once. One search per boundary
-    finds the rank at which its bin starts. The first sample not below a
-    boundary starts the higher bin, so a sample equal to a boundary goes to
-    the higher bin, as in `assign_bins`. Each run of ranks between two
-    starts is one bin, written back to the samples' original positions.
+    ``ordered`` is the sorted copy ``samples[order]`` (see `party_bins`).
+    One search per boundary finds the rank at which its bin starts. The
+    first sample not below a boundary starts the higher bin, so a sample
+    equal to a boundary goes to the higher bin, as in `assign_bins`. Each
+    run of ranks between two starts is one bin, written back to the
+    samples' original positions.
     """
     starts = np.searchsorted(ordered, edges.boundaries, side="left")
     runs = np.diff(starts, prepend=0, append=len(ordered))

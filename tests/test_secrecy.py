@@ -202,6 +202,42 @@ def test_failure_names_the_scheme_group():
         evaluate_schemes(tied, schemes)
 
 
+@pytest.mark.parametrize("party", ["alice", "bob", "eve"])
+def test_failure_names_the_failing_party(party):
+    # Only this party's samples are whole-unit values, so only its 2^5
+    # quantiles coincide.
+    real = transmit(ChannelParams(transmission=0.5, samples=3000, seed=11))
+    tied = replace(real, **{party: np.round(getattr(real, party))})
+    with pytest.raises(
+        ValueError,
+        match=r"^quantile boundaries are not strictly increasing .*"
+        rf" \({party} at 5 bits, in eqprob group, width 3\)$",
+    ):
+        evaluate_schemes(tied, [SlicingScheme.parse("eqprob:gray:5")])
+
+
+def test_one_sort_per_party_per_cell(monkeypatch):
+    # Three groups, two of them equal-width, and still one argsort per party:
+    # every group's bins are read off the ranks of the same sort.
+    sorts = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        sorts.append(len(args[0]))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    schemes = [
+        SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 4),
+        SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, 3, 2.0),
+        SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.FLFSR, 5),
+    ]
+    n = 3000
+    table = sweep([0.3, 0.6], schemes, ChannelParams(transmission=0.5, samples=n, seed=4))
+    assert len(table.rows) == 2 * len(schemes)
+    assert sorts == [n] * 3 * 2
+
+
 @pytest.mark.parametrize("text", [f"eqwidth:gray:{MAX_BITS}", f"eqprob:gray:{MAX_BITS}"])
 def test_deepest_scheme_runs_on_sparse_histograms(text):
     # At MAX_BITS each pair spans 2^32 symbol pairs and the 3-way alphabet
@@ -484,19 +520,21 @@ FINE_SCHEMES = [SlicingScheme(pos, num, bits)
 
 
 @pytest.mark.parametrize("schemes, n, budget", [
-    (default_schemes(), 200_000, 46), (FINE_SCHEMES, 200_000, 76), (FINE_SCHEMES, 50_000, 89),
-], ids=["paper_grid", "fine_grid", "fine_grid_5e4"])
+    (default_schemes(), 200_000, 46), (default_schemes(), 50_000, 51),
+    (FINE_SCHEMES, 200_000, 76), (FINE_SCHEMES, 50_000, 89),
+], ids=["paper_grid", "paper_grid_5e4", "fine_grid", "fine_grid_5e4"])
 def test_one_cell_peak_bytes_per_sample(schemes, n, budget):
     # Every N-sample array of a cell dies at its last use and one histogram
     # is alive at a time, so one T = 0.5 cell peaks at 40 traced bytes per
-    # sample on the paper grid at N = 2e5, and on the fine grid at 66.3 at
-    # N = 2e5 and 77.2 at the benchmark's 5e4, in the 8-bit CMI's
-    # `plugin_mi` (each fine budget is that plus 15%). With the three pair
-    # histograms of a depth alive together, and `plugin_mi` allocating each
-    # marginal code and gather afresh, the fine grid's were 91.3 and 99.5;
-    # with every depth coarsened from the deepest, 132 and 152; before that,
-    # with the realization, the other group's bins and the (A, B, E)
-    # histogram alive past their use, 75 and 183 at 2e5.
+    # sample on the paper grid at N = 2e5 and 44.7 at the benchmark's 5e4
+    # (in the 6-bit CMI's `plugin_mi`), and on the fine grid at 66.3 at
+    # N = 2e5 and 77.2 at 5e4, in the 8-bit CMI's `plugin_mi` (each budget
+    # is that plus 15%). With the three pair histograms of a depth alive
+    # together, and `plugin_mi` allocating each marginal code and gather
+    # afresh, the fine grid's were 91.3 and 99.5 and the paper grid's 51.0
+    # at 5e4; with every depth coarsened from the deepest, 132 and 152;
+    # before that, with the realization, the other group's bins and the
+    # (A, B, E) histogram alive past their use, 75 and 183 at 2e5.
     base = ChannelParams(transmission=0.5, samples=n, seed=1)
     sweep([0.5], schemes, replace(base, samples=5000))  # fills the codebook cache
     was_tracing = tracemalloc.is_tracing()

@@ -377,7 +377,9 @@ def test_equal_probability_bins_reject_what_edges_reject(samples):
     scheme = SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.BINARY, 2)
     with pytest.raises(ValueError) as rejected:
         compute_edges(samples, scheme)
-    with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+    # The same error, naming the scheme's group as `party_bins` does.
+    suffix = r" \(party at 2 bits, in eqprob group, width 3\)$"
+    with pytest.raises(ValueError, match="^" + re.escape(str(rejected.value)) + suffix):
         bin_indices(samples, scheme)
 
 
