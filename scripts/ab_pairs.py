@@ -8,15 +8,16 @@ with seed S + i twice, each a fresh `python -m slicesec` process: once from
 PARENT_DIR/src and once from this checkout's src, the parent first in even
 pairs and the change first in odd ones, so that a drift in the machine's
 speed falls on both sides alike. A run's time is the command's wall
-seconds, interpreter start-up and import included, and its peak RSS is the
-command's ru_maxrss as `os.wait4` reports it, which covers the pool workers
-the command waited for. Each pair's line gives both sides' times and peak
-RSS and whether the two CSVs are byte-identical. The last two lines, one
-for wall time and one for peak RSS, give the pairs the change won and both
-medians and, from 2 pairs on, each side's quartiles (inclusive method) and
-the parent's interquartile range, the spread a difference of the medians
-must exceed to count as a gain. The script exits 1, after those lines, when
-any pair's CSVs differ.
+seconds, interpreter start-up and import included. Its peak RSS is the
+command's ru_maxrss and its CPU seconds are ru_utime + ru_stime, as
+`os.wait4` reports them, which cover the pool workers the command waited
+for. Each pair's line gives both sides' wall time, peak RSS and CPU time
+and whether the two CSVs are byte-identical. The last three lines, for wall
+time, peak RSS and CPU time, give the pairs the change won and both medians
+and, from 2 pairs on, each side's quartiles (inclusive method) and the
+parent's interquartile range, the spread a difference of the medians must
+exceed to count as a gain. The script exits 1, after those lines, when any
+pair's CSVs differ.
 """
 
 import argparse
@@ -33,8 +34,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import CSV_NAME, WORKLOADS  # noqa: E402
 
 
-def measured_sweep(src: Path, argv: list[str]) -> tuple[float, float]:
-    """Wall seconds and peak RSS in MB of one `slicesec` command run from ``src``."""
+def measured_sweep(src: Path, argv: list[str]) -> tuple[float, float, float]:
+    """Wall seconds, peak RSS in MB and CPU seconds of one `slicesec` command run from ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "slicesec", *argv], env=env)
@@ -43,7 +44,8 @@ def measured_sweep(src: Path, argv: list[str]) -> tuple[float, float]:
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     if proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, proc.args)
-    return wall, usage.ru_maxrss / 1024.0  # Linux reports kilobytes
+    peak = usage.ru_maxrss / 1024.0  # Linux reports kilobytes
+    return wall, peak, usage.ru_utime + usage.ru_stime
 
 
 def summary(parent: list[float], change: list[float], unit: str, digits: int) -> str:
@@ -77,8 +79,10 @@ def main() -> int:
 
     times = {side: [] for side in sides}
     peaks = {side: [] for side in sides}
+    cpus = {side: [] for side in sides}
     differing = 0
-    print("pair\tseed\tfirst\tparent_s\tparent_mb\tchange_s\tchange_mb\tsame_csv")
+    print("pair\tseed\tfirst\t"
+          + "".join(f"{side}_s\t{side}_mb\t{side}_cpu_s\t" for side in sides) + "same_csv")
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(args.pairs):
             seed = args.seed + i
@@ -86,17 +90,20 @@ def main() -> int:
             for side in order:
                 outdir = os.path.join(tmp, side)
                 os.makedirs(outdir, exist_ok=True)
-                wall, peak = measured_sweep(sides[side], workload.sweep_argv(seed, outdir))
+                wall, peak, cpu = measured_sweep(sides[side], workload.sweep_argv(seed, outdir))
                 times[side].append(wall)
                 peaks[side].append(peak)
+                cpus[side].append(cpu)
             same = len({Path(tmp, side, CSV_NAME).read_bytes() for side in sides}) == 1
             differing += not same
             print(f"{i}\t{seed}\t{order[0]}\t"
-                  + "".join(f"{times[side][i]:.3f}\t{peaks[side][i]:.2f}\t" for side in sides)
+                  + "".join(f"{times[side][i]:.3f}\t{peaks[side][i]:.2f}\t{cpus[side][i]:.3f}\t"
+                            for side in sides)
                   + ("yes" if same else "NO"), flush=True)
 
     print(summary(times["parent"], times["change"], "s", 3))
     print("peak RSS: " + summary(peaks["parent"], peaks["change"], "MB", 2))
+    print("CPU time: " + summary(cpus["parent"], cpus["change"], "s", 3))
     return 1 if differing else 0
 
 

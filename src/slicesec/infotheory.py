@@ -15,14 +15,11 @@ rule: a dense `np.bincount`, or an `np.sort` of the codes (int32 up to 31
 bits), whose runs of equal codes start where a code differs from the one
 before it. `np.unique` is not used: it sorts the same way with more
 passes, and it imports `numpy.ma`, about 13 ms in every fresh process.
-`joint_cells` builds from bin indices; `coarsen_cells`, from the cells'
-fields at fewer bits weighted with their counts, where `_dense` allows the
-coarse code space for the occupied cells, and otherwise from the shifted
-indices (a histogram that sparse, nearly one cell per sample, gains
-nothing from its cells); a caller coarsening depth by depth passes the
-deepest indices and their total shift. One term sum, `_term_sum`, adds
-the plug-in MI terms in sorted order and clamps at 0 for `plugin_mi` and
-`plugin_mi_2x2`.
+`joint_cells` builds from bin indices, at the bit length of the largest;
+`histograms_by_depth` yields the histograms of index vectors at each of
+several depths, deepest first, each merged from the one above or counted
+again. One term sum, `_term_sum`, adds the plug-in MI terms in sorted
+order and clamps at 0 for `plugin_mi` and `plugin_mi_2x2`.
 Products with the binary codebook's 0/1 labels are float64 BLAS products:
 every partial sum is an integer of at most N < 2^53, which a float64 holds
 exactly, while numpy's int64 products have no BLAS. No bias correction is
@@ -154,32 +151,32 @@ def _dense(width: int, n: int) -> bool:
     return 1 << width <= max(n, 1 << MAX_BITS)
 
 
-def coarsen_cells(
-    cells: JointCells, indices: Sequence[np.ndarray], shift: int, total: int | None = None
-) -> JointCells:
-    """`joint_cells` of every index vector shifted right by ``total`` (by default ``shift``).
+def histograms_by_depth(indices: Sequence[np.ndarray], bits: int, depths: Iterable[int]):
+    """Yield (depth, histogram of the indices shifted right by ``bits - depth``), deepest first.
 
-    ``cells`` is `joint_cells` of ``indices`` shifted right by ``total -
-    shift``, so that a caller can coarsen depth by depth, each histogram
-    from the one above, while ``indices`` stay the deepest. Where `_dense`
-    allows the coarse code space for the occupied cells, `_histogram`
-    repacks each ``bits``-bit field of a code, shifted right by ``shift``
-    and masked, at ``bits - shift`` bits, one field at a time, and merges
-    the cells by their integer counts, at the cost of the occupied cells
-    rather than of N. Otherwise the histogram is too sparse for its cells to
-    save work, and the indices shifted by ``total`` are counted again.
-    Counts are integers, so the result is the same from any depth above.
+    ``indices`` are equal-length index vectors of at most ``bits`` bits and
+    ``depths`` descend from at most ``bits``; every histogram packs its
+    fields at its depth. The first, and each whose coarser code space
+    `_dense` rejects for the occupied cells above, is counted from the
+    shifted indices: a histogram that sparse, nearly one cell per sample,
+    gains nothing from its cells. Every other is merged from the cells
+    above, at the cost of the occupied cells rather than of N: `_histogram`
+    repacks each field of their codes at the shallower depth, one field at
+    a time, weighted with their integer counts. Counts are integers, so
+    each histogram is the same however it was made. Each replaces the one
+    above as soon as it exists, so the chain holds one at a time.
     """
-    if shift == 0:
-        return cells
-    bits = max(cells.bits - shift, 0)
-    if not _dense(cells.ndim * bits, len(cells.codes)):
-        total = shift if total is None else total
-        return joint_cells(*(v >> total for v in indices))
-    mask = (1 << bits) - 1
-    fields = ((cells.codes >> (i * cells.bits + shift)) & mask
-              for i in range(cells.ndim - 1, -1, -1))
-    return _histogram(fields, bits, cells.counts)
+    cells = None
+    for depth in depths:
+        if cells is None or not _dense(cells.ndim * depth, len(cells.codes)):
+            fields = (v >> (bits - depth) for v in indices)
+            cells = _histogram(fields, depth)
+        else:
+            shift, mask = cells.bits - depth, (1 << depth) - 1
+            fields = ((cells.codes >> (i * cells.bits + shift)) & mask
+                      for i in range(cells.ndim - 1, -1, -1))
+            cells = _histogram(fields, depth, cells.counts)
+        yield depth, cells
 
 
 def plugin_mi(cells: JointCells) -> float:

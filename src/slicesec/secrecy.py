@@ -21,8 +21,7 @@ from .infotheory import (
     AlphabetCapacityError,
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
-    coarsen_cells,
-    joint_cells,
+    histograms_by_depth,
     label_bit_tables,
     pair_label_counts,
     plugin_bias,
@@ -142,15 +141,12 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     table. Each party is binned by one `party_bins` call per cell, at the
     deepest bit count of every (positioning, width multiplier) group, so
     it is sorted once even when every scheme is equal-width, which needs
-    no sort. The three pair histograms are built once per group from
-    those indices, and the (A, B, E) histogram once, at the deepest depth
-    whose CMI is reported. A shallower depth is an exact right shift of the
-    indices, so its histograms are those of the depth above coarsened:
-    merged from the occupied cells, or counted again from the deepest
-    indices shifted by the total where the cells are too sparse to merge
-    (see `coarsen_cells`). Each pair's histogram gives the symbol MI and,
-    in one `pair_label_counts` gather for every codebook at once, the counts
-    of its labels' AND. Each party is counted once per group and
+    no sort. A shallower depth is an exact right shift of those indices,
+    so one `histograms_by_depth` chain of the group's bins gives each
+    pair's histogram at every depth, and one the (A, B, E) histogram at
+    each depth whose CMI is reported. Each pair's histogram gives the
+    symbol MI and, in one `pair_label_counts` gather for every codebook at
+    once, the counts of its labels' AND. Each party is counted once per group and
     block-summed per depth; one `label_bit_tables` call per depth turns
     these into all three pairs' per-bit 2x2 tables (each a marginal of its
     pair's joint, in integer counts below 2^53, so exact), and so every
@@ -190,8 +186,8 @@ def _evaluate_group(
     """Reports of one (positioning, width multiplier) group of schemes.
 
     ``bins`` holds the parties' (A, B, E) bins at the group's deepest depth.
-    Each histogram runs through the depths deepest first, coarsened from the
-    depth above (see `_by_depth`), and is done with before the next is
+    Each histogram runs through the depths deepest first in one
+    `histograms_by_depth` chain, and is done with before the next is
     built, so one histogram is alive at a time: the (A, B, E) histogram over
     the depths whose CMI is reported, then (A, B), (A, E) and (B, E) in turn,
     each giving its symbol MI and its `pair_label_counts` at every depth.
@@ -200,16 +196,9 @@ def _evaluate_group(
     reports = {}
     depths = sorted({s.bits for s in group}, reverse=True)
     deep = depths[0]
-    # CMI is reported up to CMI_MAX_BITS bits per party, from one (A, B, E)
-    # histogram at the deepest such depth, coarsened for the shallower ones.
+    # CMI is reported up to CMI_MAX_BITS bits per party, from one (A, B, E) chain.
     reported = [d for d in depths if d <= CMI_MAX_BITS]
-    cmis = {}
-    if reported:
-        top = reported[0]
-        triple_bins = bins if top == deep else [v >> (deep - top) for v in bins]
-        for bits, triple in _by_depth(triple_bins, reported):
-            cmis[bits] = plugin_mi(triple)
-        del triple, triple_bins
+    cmis = {d: plugin_mi(t) for d, t in histograms_by_depth(bins, deep, reported)}
 
     at_depth = {bits: [s for s in group if s.bits == bits] for bits in depths}
     codebooks = {bits: [build_labels(s.numbering, bits) for s in at_depth[bits]]
@@ -222,7 +211,7 @@ def _evaluate_group(
     marginals = []
     a, b, e = bins
     for pair, sides in (((a, b), (0, 1)), ((a, e), (1,)), ((b, e), ())):
-        for bits, cells in _by_depth(pair, depths):
+        for bits, cells in histograms_by_depth(pair, deep, depths):
             if bits == deep:
                 marginals += [np.bincount(cells.coordinate(i), weights=cells.counts,
                                           minlength=1 << deep) for i in sides]
@@ -262,20 +251,6 @@ def _evaluate_group(
                 seed=p.seed,
             )
     return reports
-
-
-def _by_depth(indices: list[np.ndarray], depths: list[int]):
-    """Yield (bits, histogram) of ``indices`` at each of ``depths``, deepest first.
-
-    ``indices`` are at ``depths[0]`` bits. Each histogram is coarsened from
-    the one above (see `coarsen_cells`) and replaces it as soon as it exists.
-    """
-    deep = above = depths[0]
-    cells = joint_cells(*indices)
-    for bits in depths:
-        cells = coarsen_cells(cells, indices, above - bits, deep - bits)
-        above = bits
-        yield bits, cells
 
 
 def realization_for_cell(base: ChannelParams, t: float, t_index: int) -> ChannelRealization:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from slicesec.infotheory import (
     JointCells,
     bit_error_rate_from_tables,
     bitwise_mi_from_tables,
-    coarsen_cells,
+    histograms_by_depth,
     joint_cells,
     label_bit_tables,
     pair_label_counts,
@@ -413,6 +414,19 @@ def record(monkeypatch, name, module=np):
     return results
 
 
+def record_recounts(monkeypatch):
+    """The depth of every `_histogram` call that counts indices, not cells, until undone."""
+    recounts, build = [], infotheory._histogram
+
+    def recording(fields, bits, weights=None):
+        if weights is None:
+            recounts.append(bits)
+        return build(fields, bits, weights)
+
+    monkeypatch.setattr(infotheory, "_histogram", recording)
+    return recounts
+
+
 @pytest.mark.parametrize("sizes,n", [
     ((2, 3), 6), ((2, 3), 5), ((50, 50), 10), ((4, 4, 4), 64), ((2, 3), 3), ((3, 3), 4),
     ((256, 256), 10), ((1 << 17,), 10), ((1 << 17,), 1 << 17), ((1 << 17,), (1 << 17) - 1),
@@ -422,25 +436,28 @@ def test_joint_cells_path_boundary(sizes, n, coarsened, monkeypatch):
     # Up to 2^16 codes are counted densely at any n, a wider code space
     # from n = 2^width on: 2^16 and 2^17 codes at small n, and 2^17 codes
     # at n = 2^17 and at one input fewer (sorted). Coarsened from one bit
-    # deeper, the cells merge densely where `_dense` allows the code space
-    # for the occupied cells; otherwise the indices are counted again, by
-    # the same rule, so a bincount runs on the same side of the boundary.
+    # deeper by `histograms_by_depth`, the cells merge densely where `_dense`
+    # allows the code space for the occupied cells; otherwise the indices
+    # are counted again, by the same rule, so a bincount runs on the same
+    # side of the boundary.
     rng = np.random.default_rng(n)
     indices = [np.arange(n) % k for k in sizes]
     for v, k in zip(indices, sizes):
         v[0] = k - 1
-    width = len(sizes) * (max(sizes) - 1).bit_length()
+    bits = (max(sizes) - 1).bit_length()
+    width = len(sizes) * bits
     if coarsened:
         deeper = [v << 1 | rng.integers(0, 2, size=n) for v in indices]
-        fine = joint_cells(*deeper)
+        by_depth = histograms_by_depth(deeper, bits + 1, [bits + 1, bits])
+        _, fine = next(by_depth)
         merged = 1 << width <= max(len(fine.codes), 1 << 16)
-    recounts = record(monkeypatch, "joint_cells", infotheory)
+    recounts = record_recounts(monkeypatch)
     bincounts = record(monkeypatch, "bincount")
-    cells = coarsen_cells(fine, deeper, 1) if coarsened else joint_cells(*indices)
+    cells = next(by_depth)[1] if coarsened else joint_cells(*indices)
     monkeypatch.undo()
     assert bool(bincounts) == (1 << width <= max(n, 1 << 16))
     if coarsened:
-        assert len(recounts) == (0 if merged else 1)
+        assert recounts == ([] if merged else [bits])
     assert_same_cells(cells, dense_cells(indices))
 
 
@@ -460,10 +477,12 @@ def test_coarsened_cells_equal_cells_of_shifted_indices(seed, bits, parties, n, 
         np.clip(x + rng.integers(-9, 10, size=n), 0, (1 << bits) - 1) for _ in range(parties - 1)
     ]
     indices = [v.astype(np.uint16) for v in indices]
-    got = coarsen_cells(joint_cells(*indices), indices, shift)
-    expected = joint_cells(*(v >> shift for v in indices))
-    assert (got.bits, got.ndim) == (expected.bits, expected.ndim)
-    assert np.array_equal(got.codes, expected.codes)
+    depths = sorted({bits, bits - shift}, reverse=True)
+    *_, (depth, got) = histograms_by_depth(indices, bits, depths)
+    expected = joint_cells(*(v >> shift for v in indices))  # packed at its largest index
+    assert (depth, got.bits, got.ndim) == (bits - shift, bits - shift, parties)
+    for i in range(parties):
+        assert np.array_equal(got.coordinate(i), expected.coordinate(i))
     assert np.array_equal(got.counts, expected.counts)
 
 
@@ -473,14 +492,29 @@ def test_coarsening_to_more_codes_than_cells_counts_densely(monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.integers(0, 16, size=2000)
     y = np.clip(x + rng.integers(0, 3, size=2000), 0, 15)
-    cells = joint_cells(x, y)
+    by_depth = histograms_by_depth((x, y), 4, [4, 3])
+    _, cells = next(by_depth)
     assert len(cells.counts) < 8 * 8
     sorts = record(monkeypatch, "sort")
-    recounts = record(monkeypatch, "joint_cells", infotheory)
-    coarse = coarsen_cells(cells, (x, y), 1)
+    recounts = record_recounts(monkeypatch)
+    _, coarse = next(by_depth)
     monkeypatch.undo()
     assert sorts == [] and recounts == []
     assert_same_cells(coarse, dense_cells([x >> 1, y >> 1]))
+
+
+def test_the_depth_chain_holds_one_histogram_at_a_time():
+    # Each histogram, and its arrays, dies once the next depth is yielded
+    # and the caller's loop variable moves on, whether the next one was
+    # sorted, counted again or merged: a cell's peak memory rests on this.
+    rng = np.random.default_rng(6)
+    indices = [rng.integers(0, 1 << 10, size=5000).astype(np.uint16) for _ in range(3)]
+    for k in (2, 3):
+        above = []
+        for depth, cells in histograms_by_depth(indices[:k], 10, range(10, -1, -1)):
+            assert all(ref() is None for ref in above)
+            above = [weakref.ref(cells), weakref.ref(cells.codes), weakref.ref(cells.counts)]
+        assert depth == 0
 
 
 def test_plugin_mi_of_a_triple_holds_four_arrays_per_cell():

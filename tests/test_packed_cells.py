@@ -3,12 +3,12 @@
 `oracle_joint_cells`, `oracle_coarsen_cells` and `oracle_plugin_mi` are the
 earlier implementations, which numbered each cell with `np.ravel_multi_index`
 over the alphabet sizes (max + 1 per coordinate) and returned one coordinate
-array per input. The packed kernels must give the same cells, the same
-counts and the same floats, bit for bit.
+array per input. The packed kernels, `joint_cells` and the
+`histograms_by_depth` chain, must give the same cells, the same counts and
+the same floats, bit for bit.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from slicesec import infotheory
 from slicesec.infotheory import (
-    CMI_MAX_BITS, AlphabetCapacityError, coarsen_cells, joint_cells, plugin_mi,
+    CMI_MAX_BITS, AlphabetCapacityError, histograms_by_depth, joint_cells, plugin_mi,
 )
 
 
@@ -83,6 +83,25 @@ def assert_cells_equal_oracle(cells, oracle):
     assert cells.counts.dtype == np.int64 and np.array_equal(cells.counts, counts)
 
 
+def chain(indices, bits, *depths):
+    """The histograms `histograms_by_depth` yields at the distinct ``depths``, deepest first.
+
+    Each packs its fields at its depth, whatever the largest index.
+    """
+    depths = sorted(set(depths), reverse=True)
+    histograms = list(histograms_by_depth(indices, bits, depths))
+    assert [depth for depth, _ in histograms] == depths
+    for depth, cells in histograms:
+        assert (cells.bits, cells.ndim) == (depth, len(indices))
+    return [cells for _, cells in histograms]
+
+
+def assert_same_histogram(got, expected):
+    assert (got.bits, got.ndim) == (expected.bits, expected.ndim)
+    assert np.array_equal(got.codes, expected.codes)
+    assert np.array_equal(got.counts, expected.counts)
+
+
 def assert_plugin_mi_equals_oracle(cells, oracle):
     """`plugin_mi` equals the oracle's bit for bit; a triple above CMI_MAX_BITS raises."""
     if cells.ndim == 3 and cells.bits > CMI_MAX_BITS:
@@ -146,7 +165,7 @@ def test_packed_plugin_mi_equals_the_coordinate_tuple_plugin_mi_bit_for_bit(case
 def test_packed_coarsening_equals_the_coordinate_tuple_coarsening(case, shift):
     indices, bits = case
     shift %= bits + 1  # drawn up front, not from the case, so that an @example can name it
-    coarse = coarsen_cells(joint_cells(*indices), indices, shift)
+    coarse = chain(indices, bits, bits, bits - shift)[-1]
     oracle = oracle_coarsen_cells(*oracle_joint_cells(*indices), shift)
     assert_cells_equal_oracle(coarse, oracle)
     assert_plugin_mi_equals_oracle(coarse, oracle)
@@ -155,30 +174,27 @@ def test_packed_coarsening_equals_the_coordinate_tuple_coarsening(case, shift):
 @settings(max_examples=300, deadline=None)
 @given(histograms(), st.data())
 def test_cells_built_at_a_shallower_depth_equal_the_deepest_cells_coarsened(case, data):
-    # The engine builds the (A, B, E) histogram at the deepest depth whose
-    # CMI is reported, not at the group's deepest.
+    # A chain starts from the shifted indices, as the engine's (A, B, E)
+    # chain does at the deepest depth whose CMI is reported.
     indices, bits = case
     shift = data.draw(st.integers(min_value=0, max_value=bits))
-    built = joint_cells(*(v >> shift for v in indices))
-    coarse = coarsen_cells(joint_cells(*indices), indices, shift)
-    assert (built.bits, built.ndim) == (coarse.bits, coarse.ndim)
-    assert np.array_equal(built.codes, coarse.codes)
-    assert np.array_equal(built.counts, coarse.counts)
+    built = chain(indices, bits, bits - shift)[0]
+    coarse = chain(indices, bits, bits, bits - shift)[-1]
+    assert_same_histogram(built, coarse)
 
 
 @st.composite
 def chains(draw):
-    """Index vectors of a depth b, as `histograms` draws them, and two shifts s1 + s2 <= b.
+    """Index vectors of a depth b, as `histograms` draws them, b, and two shifts s1 + s2 <= b.
 
     The vectors may be shifted right by up to two bits at the same depth, so
-    that their largest index lies below 2^(b-1) and `joint_cells` packs them
-    at fewer than b bits.
+    that their largest index lies below 2^(b-1), and the top bins are empty.
     """
     indices, bits = draw(histograms())
     low = draw(st.integers(min_value=0, max_value=min(2, bits)))
     s1 = draw(st.integers(min_value=0, max_value=bits))
     s2 = draw(st.integers(min_value=0, max_value=bits - s1))
-    return [v >> low for v in indices], s1, s2
+    return [v >> low for v in indices], bits, s1, s2
 
 
 def dense_chain(n, bits, seed):
@@ -193,43 +209,56 @@ def dense_chain(n, bits, seed):
 # A merge followed by a recount would need at least 2^20 cells of a pair.
 @settings(max_examples=300, deadline=None)
 @given(chains())
-@example((dense_chain(1 << 16, 12, 1), 2, 2))
-@example((dense_chain(3000, 16, 2), 2, 2))
+@example((dense_chain(1 << 16, 12, 1), 12, 2, 2))
+@example((dense_chain(3000, 16, 2), 16, 2, 2))
 def test_chained_coarsening_equals_one_step_coarsening(case):
-    indices, s1, s2 = case
-    cells = joint_cells(*indices)
-    chained = coarsen_cells(coarsen_cells(cells, indices, s1), indices, s2, s1 + s2)
-    direct = coarsen_cells(cells, indices, s1 + s2)
-    built = joint_cells(*(v >> (s1 + s2) for v in indices))
+    indices, bits, s1, s2 = case
+    depth = bits - s1 - s2
+    chained = chain(indices, bits, bits, bits - s1, depth)[-1]
+    direct = chain(indices, bits, bits, depth)[-1]
+    built = chain(indices, bits, depth)[0]
     for coarse in (chained, direct):
-        assert (coarse.bits, coarse.ndim) == (built.bits, built.ndim)
-        assert np.array_equal(coarse.codes, built.codes)
-        assert np.array_equal(coarse.counts, built.counts)
+        assert_same_histogram(coarse, built)
+    assert_cells_equal_oracle(built, oracle_joint_cells(*(v >> (s1 + s2) for v in indices)))
 
 
-def test_chained_recount_shifts_the_deepest_indices_by_the_total():
+def record_histograms(monkeypatch):
+    """(fields, bits, weights) of every `_histogram` call until the patch is undone."""
+    calls, build = [], infotheory._histogram
+
+    def recording(fields, bits, weights=None):
+        fields = list(fields)
+        calls.append((fields, bits, weights))
+        return build(fields, bits, weights)
+
+    monkeypatch.setattr(infotheory, "_histogram", recording)
+    return calls
+
+
+def test_chained_recount_shifts_the_deepest_indices_by_the_total(monkeypatch):
     indices = dense_chain(3000, 16, 2)
-    cells = joint_cells(*indices)
-    with mock.patch.object(infotheory, "joint_cells", wraps=joint_cells) as recount:
-        coarse = coarsen_cells(coarsen_cells(cells, indices, 2), indices, 2, 4)
-    assert recount.call_count == 2
-    (first, _), _ = recount.call_args
+    calls = record_histograms(monkeypatch)
+    coarse = chain(indices, 16, 16, 14, 12)[-1]
+    monkeypatch.undo()
+    # A count at 16 bits and two recounts, no merge.
+    assert [(bits, weights) for _, bits, weights in calls] == [(16, None), (14, None), (12, None)]
+    first, _ = calls[-1][0]
     assert np.array_equal(first, indices[0] >> 4)
-    assert np.array_equal(coarse.codes, joint_cells(*(v >> 4 for v in indices)).codes)
+    assert_same_histogram(coarse, chain(indices, 16, 12)[0])
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int32])
 def test_histograms_leave_their_inputs_unchanged(dtype):
     # Fields are packed into a copy of the first: shifting a caller's int64
-    # vector in place would corrupt every histogram built from it later.
+    # vector in place would corrupt every histogram built from it later,
+    # and merging a histogram must leave its cells as they were.
     rng = np.random.default_rng(5)
     indices = [rng.integers(0, 1 << 10, size=5000).astype(dtype) for _ in range(3)]
     before = [v.copy() for v in indices]
     for k in (2, 3):
-        cells = joint_cells(*indices[:k])
-        codes, counts = cells.codes.copy(), cells.counts.copy()
-        for shift in range(11):  # sorted, recounted and merged histograms alike
-            coarsen_cells(cells, indices[:k], shift)
-        assert np.array_equal(cells.codes, codes) and np.array_equal(cells.counts, counts)
+        made = [(cells, cells.codes.copy(), cells.counts.copy())  # sorted, recounted and merged
+                for _, cells in histograms_by_depth(indices[:k], 10, range(10, -1, -1))]
+        for cells, codes, counts in made:
+            assert np.array_equal(cells.codes, codes) and np.array_equal(cells.counts, counts)
     for v, w in zip(indices, before):
         assert v.dtype == dtype and np.array_equal(v, w)

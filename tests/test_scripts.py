@@ -52,18 +52,24 @@ def test_ab_pairs_times_each_side_once_per_pair():
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0].split("\t") == ["pair", "seed", "first", "parent_s", "parent_mb",
-                                    "change_s", "change_mb", "same_csv"]
+                                    "parent_cpu_s", "change_s", "change_mb", "change_cpu_s",
+                                    "same_csv"]
     pairs = [line.split("\t") for line in lines[1:3]]
-    assert [(p[0], p[1], p[2], p[7]) for p in pairs] == [
+    assert [(p[0], p[1], p[2], p[9]) for p in pairs] == [
         ("0", "3", "parent", "yes"), ("1", "4", "change", "yes"),
     ]
     # A fresh interpreter with numpy imported holds more than 10 MB.
-    assert all(float(p[col]) > 10 for p in pairs for col in (4, 6))
-    # One summary line per measure: wall seconds, then peak RSS in MB. From
-    # 2 pairs on, each gives each side's inclusive quartiles and the parent's IQR.
-    # Each tolerance is two units of the last printed digit (3 decimals for s, 2 for MB).
+    assert all(float(p[col]) > 10 for p in pairs for col in (4, 7))
+    # Starting an interpreter and importing numpy take CPU time.
+    assert all(float(p[col]) > 0 for p in pairs for col in (5, 8))
+    # One summary line per measure: wall seconds, peak RSS in MB, then CPU
+    # seconds. From 2 pairs on, each gives each side's inclusive quartiles
+    # and the parent's IQR. Each tolerance is two units of the last printed
+    # digit (3 decimals for s, 2 for MB).
+    assert len(lines) == 6
     for line, prefix, unit, parent_col, change_col, tol in (
-        (lines[3], "", "s", 3, 5, 2e-3), (lines[4], "peak RSS: ", "MB", 4, 6, 2e-2),
+        (lines[3], "", "s", 3, 6, 2e-3), (lines[4], "peak RSS: ", "MB", 4, 7, 2e-2),
+        (lines[5], "CPU time: ", "s", 5, 8, 2e-3),
     ):
         assert line.startswith(prefix + "change won ")
         summary = re.fullmatch(
@@ -94,5 +100,5 @@ def test_ab_pairs_exits_1_when_the_csvs_differ(tmp_path):
                         "--pairs", "1", "--seed", "3")
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[1].split("\t")[7] == "NO"
+    assert lines[1].split("\t")[9] == "NO"
     assert lines[2].startswith("change won ")

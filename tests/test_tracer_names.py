@@ -55,25 +55,24 @@ def test_per_cell_layer_counts(tmp_path):
 
 
 def test_histograms_read_the_samples_once_per_cell_and_positioning(tmp_path, monkeypatch):
-    # Each (positioning, width multiplier) group builds its three pair
+    # Each (positioning, width multiplier) group counts its three pair
     # histograms from the N bin indices, and its (A, B, E) histogram only
     # when some depth's CMI is within capacity, at the deepest such depth.
-    # Every other histogram is coarsened from those: its cells merge where
-    # `_dense` allows the coarse code space for the occupied cells, and
-    # otherwise the shifted indices are counted again (a recount). No
-    # estimator reads the samples.
-    builds, recounts = [], []
-    build = infotheory.joint_cells
+    # Every other histogram comes from the one above in its depth chain:
+    # its cells merge, weighted with their counts, where `_dense` allows
+    # the coarse code space for the occupied cells, and otherwise the
+    # shifted indices are counted again (a recount). No estimator reads the
+    # samples.
+    counted, merged = [], []
+    build = infotheory._histogram
 
-    def recording(calls):
-        def recording_joint_cells(*indices):
-            cells = build(*indices)
-            calls.append((cells.ndim, len(indices[0]), cells.bits))
-            return cells
-        return recording_joint_cells
+    def recording_histogram(fields, bits, weights=None):
+        cells = build(fields, bits, weights)
+        calls = counted if weights is None else merged
+        calls.append((cells.ndim, int(cells.counts.sum()), cells.bits))
+        return cells
 
-    monkeypatch.setattr(secrecy, "joint_cells", recording(builds))
-    monkeypatch.setattr(infotheory, "joint_cells", recording(recounts))
+    monkeypatch.setattr(infotheory, "_histogram", recording_histogram)
     schemes = [
         slicing.SlicingScheme("eqwidth", "gray", 3),
         slicing.SlicingScheme("eqwidth", "flfsr", 5),
@@ -87,10 +86,13 @@ def test_histograms_read_the_samples_once_per_cell_and_positioning(tmp_path, mon
     with tracing.installed(tracing.Tracer(str(tmp_path))) as tracer:
         table = secrecy.sweep([0.3, 0.6], schemes, secrecy.ChannelParams(0.5, samples=n, seed=1))
     cells = 2
-    # (parties, samples read, bits per coordinate) of every build, per cell.
-    per_cell = [(2, n, 5)] * 3 + [(2, n, 10)] * 3 + [(2, n, 9)] * 3 + [(3, n, 5), (3, n, 4)]
-    assert Counter(builds) == Counter(per_cell * cells)
-    assert Counter(recounts) == Counter([(2, n, 9)] * 3 * cells)
+    # (parties, samples, bits per coordinate) of every histogram read from
+    # the N samples, per cell: the first of each chain, and the 9-bit recounts.
+    per_cell = [(2, n, 5)] * 3 + [(2, n, 10)] * 3 + [(2, n, 9)] * 6 + [(3, n, 5), (3, n, 4)]
+    assert Counter(counted) == Counter(per_cell * cells)
+    # Merged from the cells above: the 3-bit depth's pairs and triple, and
+    # the equal-probability group's 4-bit pairs.
+    assert Counter(merged) == Counter(([(2, n, 3)] * 3 + [(3, n, 3)] + [(2, n, 4)] * 3) * cells)
     for name in ("mutual_information_symbols", "conditional_mi", "mutual_information_bitwise",
                  "bit_error_rate"):
         assert tracer.calls[f"infotheory.{name}"] == 0
