@@ -10,7 +10,7 @@ pairs and the change first in odd ones, so that a drift in the machine's
 speed falls on both sides alike. A run's time is the command's wall
 seconds, interpreter start-up and import included. Its peak RSS is the
 command's ru_maxrss and its CPU seconds are ru_utime + ru_stime, as
-`os.wait4` reports them, which cover the pool workers the command waited
+`os.wait4` reports them, which cover the sweep workers the command waited
 for. Each pair's line gives both sides' wall time, peak RSS and CPU time
 and whether the two CSVs are byte-identical. The last three lines, for wall
 time, peak RSS and CPU time, give the pairs the change won and both medians

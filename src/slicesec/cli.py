@@ -100,10 +100,9 @@ def keep_freed_memory() -> None:
     threshold, and the next cell faults the same pages in again,
     zero-filled. With the heap never trimmed and blocks up to 32 MiB served
     from it, every cell after the first reuses pages the process has
-    already touched. Pool workers forked from this process inherit the
-    setting; workers started by ``spawn`` or ``forkserver`` do not. Where
-    the C library has no ``mallopt`` (macOS, Windows) this does nothing;
-    musl's is a stub.
+    already touched. A parallel sweep's workers, forked from this process,
+    inherit the setting. Where the C library has no ``mallopt`` (macOS,
+    Windows) this does nothing; musl's is a stub.
     """
     import ctypes  # on use: only `sweep` needs it
 
@@ -132,10 +131,9 @@ def _import_random_without_openssl() -> None:
     OpenSSL-only names such as `scrypt` and ripemd160; `hmac` compares
     digests with `_operator`'s. No draw changes: every `Stream` keys its
     Philox generator explicitly. Nothing is done where `numpy.random` or
-    `_hashlib` is already loaded. Pool workers forked from this process
-    inherit the module; workers started by ``spawn`` or ``forkserver``
-    import their own. This is the `sweep` command's, which owns its
-    process; a library caller's `hashlib` stays as it is.
+    `_hashlib` is already loaded. A parallel sweep's workers, forked from
+    this process, inherit the module. This is the `sweep` command's, which
+    owns its process; a library caller's `hashlib` stays as it is.
     """
     if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
         return

@@ -9,6 +9,8 @@ scheme evaluated there, so scheme comparisons always see identical data.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -308,10 +310,11 @@ def sweep(
     """Evaluate every scheme at every transmission of the grid (see `check_grid`).
 
     Cells run on up to ``workers`` processes, an integer >= 1 (see `check_count`).
-    The process pool, and with it `concurrent.futures` and `multiprocessing`
-    (32 modules, about 20 ms and 1.3 MB in a fresh process), is imported
-    here, and only when it is started: for more than one worker and more
-    than one cell.
+    For more than one worker and more than one cell, where the platform has
+    `os.fork`, the cells are striped over at most one forked child per cell
+    (see `_forked_cells`); otherwise they run in this process. No process
+    pool is started, so `concurrent.futures` and `multiprocessing` (32
+    modules, about 20 ms and 1.3 MB in a fresh process) are never imported.
 
     Output is bit-identical for any worker count: each cell's random stream
     is keyed by the cell's index in ``t_grid``, and rows are assembled in
@@ -325,17 +328,102 @@ def sweep(
     check_count("workers", workers)
 
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]
-    if workers > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Under fork the pool starts all max_workers processes at once.
-        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            per_cell = list(pool.map(_sweep_cell, cells))
+    if workers > 1 and len(cells) > 1 and hasattr(os, "fork"):
+        per_cell = _forked_cells(cells, min(workers, len(cells)))
     else:
         per_cell = [_sweep_cell(cell) for cell in cells]
 
     rows = tuple(report for cell_rows in per_cell for report in cell_rows)
     return SweepTable(rows=rows)
+
+
+def _forked_cells(cells: list[tuple], workers: int) -> list[list[SecrecyReport]]:
+    """Each cell's rows, from ``workers`` forked children: child k runs ``cells[k::workers]``.
+
+    A child runs its stripe through this module's `_sweep_cell`, looked up
+    in the child, so a wrapper installed on it runs there too (see
+    `_report_stripe`). The parent runs no cell, so no cell's working set
+    adds to its peak: it reads each child's pipe to the end in turn and
+    reaps that child. Every stripe is read before any error is raised, so
+    the error raised is that of the earliest failing cell, as in a serial
+    sweep: a cell's own error unchanged, or a RuntimeError naming the
+    stripe of a child that ended without reporting (its first cell's place
+    in the grid). However the parent leaves, each child not yet reaped is
+    killed and reaped, so none outlives the call.
+    """
+    children = []  # (pid, the read end of its pipe)
+    reaped = set()
+    try:
+        for k in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipe = open(read_fd, "rb")
+            try:
+                pid = os.fork()
+            except OSError:
+                pipe.close()
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _report_stripe(cells[k::workers], write_fd)
+            children.append((pid, pipe))
+            os.close(write_fd)  # the child's copy is then the only one: its exit ends the pipe
+
+        per_cell, errors = [None] * len(cells), {}  # errors: cell index -> exception
+        for k, (pid, pipe) in enumerate(children):
+            report = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code or not report:
+                stripe = ",".join(FLOAT_FORMAT % t for _, t, _, _ in cells[k::workers])
+                how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+                errors[k] = RuntimeError(f"T={stripe}: sweep worker {how} before reporting")
+                continue
+            rows, error = pickle.loads(report)
+            if error is None:
+                per_cell[k::workers] = rows
+            else:
+                errors[k + len(rows) * workers] = error
+        if errors:
+            raise errors[min(errors)]
+        return per_cell
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid not in reaped:
+                import signal  # on use: only a sweep that is left early kills its children
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _report_stripe(stripe: list[tuple], write_fd: int) -> None:
+    """In a forked child: run the stripe's cells, send ``pickle.dumps((rows, error))``, leave.
+
+    ``rows`` holds the rows of each cell run, in order, up to the first
+    cell that raises, whose exception is ``error`` (else None). An
+    exception that the parent could not unpickle is sent as a RuntimeError
+    carrying its message. The child leaves by `os._exit`, whatever happens,
+    so it never returns into its parent's code or runs its exit handlers;
+    it exits 1 when it could not report.
+    """
+    status = 1
+    try:
+        rows, error = [], None
+        try:
+            for cell in stripe:
+                rows.append(_sweep_cell(cell))
+        except Exception as exc:
+            error = exc
+            try:
+                pickle.loads(pickle.dumps(error))
+            except Exception:
+                error = RuntimeError(str(exc))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps((rows, error)))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def post_exchange_conditions(

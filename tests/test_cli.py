@@ -303,6 +303,20 @@ def test_sweep_error_names_the_failing_transmission(tmp_path, capsys, workers):
     )
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_error_names_the_earliest_failing_transmission(tmp_path, capsys, workers):
+    # Without vacuum noise Eve receives nothing at T = 1 and Bob nothing at
+    # T = 0. With 2 workers, child 0 runs T = 0.5 and fails at T = 0 (cell
+    # 2), and child 1 fails at T = 1 (cell 1), which a serial sweep names.
+    assert main([
+        "sweep", "--t", "0.5,1,0", "--sigma-vacuum", "0", "--samples", "1000",
+        "--schemes", "eqprob:gray:4", "--workers", workers, "--out", str(tmp_path / "x.csv"),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        "error: T=1: degenerate samples: zero variance (eve at 4 bits, in eqprob group, width 3)\n"
+    )
+
+
 def test_sweep_names_an_equal_width_overflow(tmp_path, capsys):
     # Alice's samples are finite, but their squares, and so their std, are not.
     assert main([
@@ -509,11 +523,11 @@ def test_commands_leave_unused_modules_unimported():
     # numpy.ma, which np.unique imports on first use, costs about 13 ms in
     # every fresh process. This sweep counts sorted pair codes (b = 9, 10),
     # merges sorted weighted cells (10 -> 9 bits) and counts F-LFSR label
-    # collisions. The process pool's stack (concurrent.futures,
-    # multiprocessing: about 20 ms) is loaded only by a sweep that starts
-    # workers, and the chart module only by `plot`. The sweep imports
-    # numpy.random without OpenSSL's `_hashlib` (libcrypto: about 3.4 MB
-    # resident), and `selftest`'s draws then find it loaded.
+    # collisions. A parallel sweep forks its workers itself, so no sweep
+    # loads a process pool's stack (concurrent.futures, multiprocessing:
+    # about 20 ms), and the chart module is loaded only by `plot`. The
+    # sweep imports numpy.random without OpenSSL's `_hashlib` (libcrypto:
+    # about 3.4 MB resident), and `selftest`'s draws then find it loaded.
     script = textwrap.dedent("""
         import contextlib, io, sys, tempfile
         from slicesec import cli
@@ -522,6 +536,8 @@ def test_commands_leave_unused_modules_unimported():
                              "--schemes", "eqprob:flfsr:10,eqprob:gray:9,eqwidth:binary:4",
                              "--out", tmp + "/x.csv"]) == 0
             print("numpy.ma" in sys.modules)
+            assert cli.main(["sweep", "--samples", "4000", "--t", "0.3,0.6", "--workers", "2",
+                             "--schemes", "eqprob:gray:4", "--out", tmp + "/par.csv"]) == 0
             assert cli.main(["best", tmp + "/x.csv", "--out", tmp + "/best.csv"]) == 0
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["selftest"]) == 0

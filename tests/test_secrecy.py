@@ -1,6 +1,8 @@
-import concurrent.futures
 import math
+import os
+import signal
 import tempfile
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -53,11 +55,35 @@ SMALL_SCHEMES = [
     SlicingScheme.parse("eqwidth:flfsr:3"),
 ]
 SMALL_BASE = ChannelParams(transmission=0.5, samples=8000, seed=17)
+# Five cells: no worker count from 2 to 4 divides them into equal stripes.
+FIVE_T = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 
 @pytest.fixture(scope="module")
 def small_table():
     return sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE)
+
+
+@pytest.fixture(scope="module")
+def five_table():
+    return sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE)
+
+
+def assert_no_child_left():
+    # A parallel sweep reaps every child it forked, whichever way it ends.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class CellError(Exception):
+    pass
+
+
+class TwoArgError(Exception):
+    """Pickles, but unpickling calls it with its one message argument and fails."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
 
 
 class TestDeltas:
@@ -294,36 +320,102 @@ class TestSweep:
         again = sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE)
         assert again == small_table
 
-    def test_parallel_matches_serial(self, small_table):
-        parallel = sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE, workers=2)
-        assert parallel == small_table
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_parallel_matches_serial(self, five_table, workers):
+        # Child k runs cells k, k + w, ...; the rows come back in t order.
+        assert sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=workers) == five_table
+        assert_no_child_left()
 
     def test_pool_never_outnumbers_the_cells(self, small_table, monkeypatch):
-        # Under fork the pool starts all max_workers processes at once; this
-        # stand-in records the size asked for and starts none.
-        sizes = []
+        # One child per stripe, and never more stripes than cells.
+        forks = []
+        fork = os.fork
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # `sweep` imports the pool class only when it starts a pool.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(secrecy.os, "fork", counted_fork)
         assert sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE, workers=10_000) == small_table
-        assert sizes == [len(SMALL_T)]
+        assert forks == [os.getpid()] * len(SMALL_T)
+        assert_no_child_left()
+
+    def test_without_fork_the_cells_run_in_this_process(self, five_table, monkeypatch):
+        monkeypatch.delattr(os, "fork")  # as on Windows
+        monkeypatch.setattr(os, "pipe", None)  # so no child can be started either
+        assert sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=2) == five_table
+
+    @pytest.mark.parametrize("death, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit", "signal"])
+    def test_a_worker_that_dies_is_named_by_its_stripe(self, monkeypatch, death, how):
+        sweep_cell = secrecy._sweep_cell
+
+        def dying_cell(cell):
+            if cell[1] == 0.5:
+                death()
+            return sweep_cell(cell)
+
+        monkeypatch.setattr(secrecy, "_sweep_cell", dying_cell)
+        # With 2 workers, the stripe of T = 0.5 is cells 0, 2 and 4.
+        with pytest.raises(RuntimeError) as info:
+            sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=2)
+        assert str(info.value) == f"T=0.1,0.5,0.9: sweep worker {how} before reporting"
+        assert_no_child_left()
+
+    def test_the_earliest_failing_cell_is_raised_unchanged(self, monkeypatch):
+        def failing_cell(cell):
+            if cell[1] >= 0.3:
+                raise CellError(f"T={cell[1]}")
+            return []
+
+        # Child 0 runs T = 0.1 and fails at 0.5 (cell 2); child 1 fails at 0.3 (cell 1).
+        monkeypatch.setattr(secrecy, "_sweep_cell", failing_cell)
+        for workers in (1, 2):
+            with pytest.raises(CellError, match="^T=0.3$"):
+                sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=workers)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [
+        lambda t: type("LocalError", (Exception,), {})(f"no pickle at T={t}"),
+        lambda t: TwoArgError("no unpickle", f"T={t}"),
+    ], ids=["dumps-fails", "loads-fails"])
+    def test_an_error_that_cannot_be_pickled_arrives_as_its_message(self, monkeypatch, error):
+        def failing_cell(cell):
+            raise error(cell[1])
+
+        monkeypatch.setattr(secrecy, "_sweep_cell", failing_cell)
+        with pytest.raises(RuntimeError) as info:
+            sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=2)
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == str(error(0.1))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", [KeyboardInterrupt, OSError])
+    def test_a_parent_that_fails_kills_and_reaps_every_child(self, monkeypatch, failure):
+        sweep_cell = secrecy._sweep_cell
+
+        def stuck_cell(cell):
+            if cell[2] % 3:  # with 3 workers, every stripe but the first outlasts the test
+                time.sleep(60)
+            return sweep_cell(cell)
+
+        def failing_parent(status):
+            raise failure("the parent fails after reaping its first child")
+
+        monkeypatch.setattr(secrecy, "_sweep_cell", stuck_cell)
+        # Only the parent reads exit statuses.
+        monkeypatch.setattr(os, "waitstatus_to_exitcode", failing_parent)
+        start = time.perf_counter()
+        with pytest.raises(failure):
+            sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=3)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [0, -3, True, 2.5, 2.0])
     def test_rejects_a_worker_count_that_is_not_an_integer_of_at_least_one(self, workers):
-        # Unchecked, 0, -3 and True would run serially and 2.5 start a two-process pool.
+        # Unchecked, 0, -3 and True would run serially and 2.5 would raise a TypeError.
         with pytest.raises(ValueError, match="workers must be"):
             sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE, workers=workers)
 
