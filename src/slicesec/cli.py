@@ -440,6 +440,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "selftest":
             return selftest()
         if args.subcommand == "sweep":
+            if not args.out:
+                raise FileNotFoundError("output path '' is empty")
             out_dir = os.path.dirname(args.out) or "."
             if not os.path.isdir(out_dir):  # checked before the first cell, not after the last
                 raise FileNotFoundError(f"output directory {out_dir} does not exist")

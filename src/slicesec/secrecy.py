@@ -311,10 +311,9 @@ def sweep(
 
     Cells run on up to ``workers`` processes, an integer >= 1 (see `check_count`).
     For more than one worker and more than one cell, where the platform has
-    `os.fork`, the cells are striped over at most one forked child per cell
-    (see `_forked_cells`); otherwise they run in this process. No process
-    pool is started, so `concurrent.futures` and `multiprocessing` (32
-    modules, about 20 ms and 1.3 MB in a fresh process) are never imported.
+    `os.fork`, the grid is cut into contiguous blocks of cells, one per
+    forked child and never more than the cells (see `_forked_blocks`);
+    otherwise the cells run in this process.
 
     Output is bit-identical for any worker count: each cell's random stream
     is keyed by the cell's index in ``t_grid``, and rows are assembled in
@@ -329,32 +328,32 @@ def sweep(
 
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]
     if workers > 1 and len(cells) > 1 and hasattr(os, "fork"):
-        per_cell = _forked_cells(cells, min(workers, len(cells)))
+        rows = _forked_blocks(cells, min(workers, len(cells)))
     else:
-        per_cell = [_sweep_cell(cell) for cell in cells]
-
-    rows = tuple(report for cell_rows in per_cell for report in cell_rows)
-    return SweepTable(rows=rows)
+        rows = [report for cell in cells for report in _sweep_cell(cell)]
+    return SweepTable(rows=tuple(rows))
 
 
-def _forked_cells(cells: list[tuple], workers: int) -> list[list[SecrecyReport]]:
-    """Each cell's rows, from ``workers`` forked children: child k runs ``cells[k::workers]``.
+def _forked_blocks(cells: list[tuple], workers: int) -> list[SecrecyReport]:
+    """The cells' rows in grid order, from ``workers`` forked children, one block each.
 
-    A child runs its stripe through this module's `_sweep_cell`, looked up
-    in the child, so a wrapper installed on it runs there too (see
-    `_report_stripe`). The parent runs no cell, so no cell's working set
-    adds to its peak: it reads each child's pipe to the end in turn and
-    reaps that child. Every stripe is read before any error is raised, so
-    the error raised is that of the earliest failing cell, as in a serial
-    sweep: a cell's own error unchanged, or a RuntimeError naming the
-    stripe of a child that ended without reporting (its first cell's place
-    in the grid). However the parent leaves, each child not yet reaped is
+    Child k runs the contiguous block ``cells[k * n // workers:(k + 1) * n // workers]``
+    of the n cells (block sizes differ by at most one) through this module's
+    `_sweep_cell`, looked up in the child, so a wrapper installed on it runs
+    there too. The parent runs no cell, so no cell's working set adds to its
+    peak. It reads and reaps the children in block order, which is grid
+    order, and raises at the first failed block, which holds the earliest
+    failing cell, as a serial sweep would: a RuntimeError with that cell's
+    message, or naming the block's transmissions if its child ended without
+    reporting. However the parent leaves, each child not yet reaped is
     killed and reaped, so none outlives the call.
     """
-    children = []  # (pid, the read end of its pipe)
+    n = len(cells)
+    blocks = [cells[k * n // workers:(k + 1) * n // workers] for k in range(workers)]
+    children = []  # (pid, the read end of its pipe), in block order
     reaped = set()
     try:
-        for k in range(workers):
+        for block in blocks:
             read_fd, write_fd = os.pipe()
             pipe = open(read_fd, "rb")
             try:
@@ -364,29 +363,25 @@ def _forked_cells(cells: list[tuple], workers: int) -> list[list[SecrecyReport]]
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _report_stripe(cells[k::workers], write_fd)
+                _report_block(block, write_fd)
             children.append((pid, pipe))
             os.close(write_fd)  # the child's copy is then the only one: its exit ends the pipe
 
-        per_cell, errors = [None] * len(cells), {}  # errors: cell index -> exception
-        for k, (pid, pipe) in enumerate(children):
+        rows = []
+        for block, (pid, pipe) in zip(blocks, children):
             report = pipe.read()
             status = os.waitpid(pid, 0)[1]
             reaped.add(pid)
             code = os.waitstatus_to_exitcode(status)
             if code or not report:
-                stripe = ",".join(FLOAT_FORMAT % t for _, t, _, _ in cells[k::workers])
+                where = ",".join(FLOAT_FORMAT % t for _, t, _, _ in block)
                 how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
-                errors[k] = RuntimeError(f"T={stripe}: sweep worker {how} before reporting")
-                continue
-            rows, error = pickle.loads(report)
-            if error is None:
-                per_cell[k::workers] = rows
-            else:
-                errors[k + len(rows) * workers] = error
-        if errors:
-            raise errors[min(errors)]
-        return per_cell
+                raise RuntimeError(f"T={where}: sweep worker {how} before reporting")
+            block_rows, message = pickle.loads(report)
+            if message is not None:
+                raise RuntimeError(message)
+            rows += block_rows
+        return rows
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -397,30 +392,24 @@ def _forked_cells(cells: list[tuple], workers: int) -> list[list[SecrecyReport]]
                 os.waitpid(pid, 0)
 
 
-def _report_stripe(stripe: list[tuple], write_fd: int) -> None:
-    """In a forked child: run the stripe's cells, send ``pickle.dumps((rows, error))``, leave.
+def _report_block(block: list[tuple], write_fd: int) -> None:
+    """In a forked child: run the block's cells, send ``pickle.dumps((rows, message))``, leave.
 
-    ``rows`` holds the rows of each cell run, in order, up to the first
-    cell that raises, whose exception is ``error`` (else None). An
-    exception that the parent could not unpickle is sent as a RuntimeError
-    carrying its message. The child leaves by `os._exit`, whatever happens,
-    so it never returns into its parent's code or runs its exit handlers;
-    it exits 1 when it could not report.
+    ``message`` is the text of the first failing cell's error (`_sweep_cell`
+    raises RuntimeErrors that carry only it), else None. The child leaves by
+    `os._exit`, whatever happens, so it never returns into its parent's code
+    or runs its exit handlers; it exits 1 when it could not report.
     """
     status = 1
     try:
-        rows, error = [], None
+        rows, message = [], None
         try:
-            for cell in stripe:
-                rows.append(_sweep_cell(cell))
+            for cell in block:
+                rows += _sweep_cell(cell)
         except Exception as exc:
-            error = exc
-            try:
-                pickle.loads(pickle.dumps(error))
-            except Exception:
-                error = RuntimeError(str(exc))
+            message = str(exc)
         with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps((rows, error)))
+            pipe.write(pickle.dumps((rows, message)))
         status = 0
     finally:
         os._exit(status)

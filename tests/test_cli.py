@@ -277,7 +277,8 @@ class TestCsv:
     @pytest.mark.parametrize("out,message", [
         ("/nonexistent/dir/x.csv", "output directory /nonexistent/dir does not exist"),
         (".", "output path . is a directory"),
-    ], ids=["missing-parent", "directory"])
+        ("", "output path '' is empty"),
+    ], ids=["missing-parent", "directory", "empty"])
     def test_unwritable_output_exits_1(self, monkeypatch, capsys, out, message):
         def no_sweep(*args, **kwargs):
             raise AssertionError("a cell ran before the output path was checked")
@@ -521,13 +522,14 @@ def test_second_sweep_reuses_the_memory_the_first_freed(tmp_path):
 
 def test_commands_leave_unused_modules_unimported():
     # numpy.ma, which np.unique imports on first use, costs about 13 ms in
-    # every fresh process. This sweep counts sorted pair codes (b = 9, 10),
-    # merges sorted weighted cells (10 -> 9 bits) and counts F-LFSR label
-    # collisions. A parallel sweep forks its workers itself, so no sweep
-    # loads a process pool's stack (concurrent.futures, multiprocessing:
-    # about 20 ms), and the chart module is loaded only by `plot`. The
-    # sweep imports numpy.random without OpenSSL's `_hashlib` (libcrypto:
-    # about 3.4 MB resident), and `selftest`'s draws then find it loaded.
+    # every fresh process. This sweep counts sorted pair codes at b = 10,
+    # recounts b = 9 from the shifted bins (`_dense(18, ~4000)` is false, so
+    # nothing is merged) and counts F-LFSR label collisions. A parallel
+    # sweep forks its workers itself, so no sweep loads a process pool's
+    # stack (concurrent.futures, multiprocessing: about 20 ms), and the
+    # chart module is loaded only by `plot`. The sweep imports numpy.random
+    # without OpenSSL's `_hashlib` (libcrypto: about 3.4 MB resident), and
+    # `selftest`'s draws then find it loaded.
     script = textwrap.dedent("""
         import contextlib, io, sys, tempfile
         from slicesec import cli

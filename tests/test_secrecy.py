@@ -55,7 +55,7 @@ SMALL_SCHEMES = [
     SlicingScheme.parse("eqwidth:flfsr:3"),
 ]
 SMALL_BASE = ChannelParams(transmission=0.5, samples=8000, seed=17)
-# Five cells: no worker count from 2 to 4 divides them into equal stripes.
+# Five cells: no worker count from 2 to 4 cuts them into equal blocks.
 FIVE_T = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 
@@ -73,10 +73,6 @@ def assert_no_child_left():
     # A parallel sweep reaps every child it forked, whichever way it ends.
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-class CellError(Exception):
-    pass
 
 
 class TwoArgError(Exception):
@@ -322,12 +318,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", [2, 3, 7])
     def test_parallel_matches_serial(self, five_table, workers):
-        # Child k runs cells k, k + w, ...; the rows come back in t order.
+        # Child k runs the k-th contiguous block of cells; the rows come back in t order.
         assert sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=workers) == five_table
         assert_no_child_left()
 
-    def test_pool_never_outnumbers_the_cells(self, small_table, monkeypatch):
-        # One child per stripe, and never more stripes than cells.
+    def test_children_never_outnumber_the_cells(self, small_table, monkeypatch):
+        # One child per block, and never more blocks than cells.
         forks = []
         fork = os.fork
 
@@ -349,7 +345,7 @@ class TestSweep:
         (lambda: os._exit(3), "exited with status 3"),
         (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
     ], ids=["exit", "signal"])
-    def test_a_worker_that_dies_is_named_by_its_stripe(self, monkeypatch, death, how):
+    def test_a_worker_that_dies_is_named_by_its_block(self, monkeypatch, death, how):
         sweep_cell = secrecy._sweep_cell
 
         def dying_cell(cell):
@@ -358,22 +354,22 @@ class TestSweep:
             return sweep_cell(cell)
 
         monkeypatch.setattr(secrecy, "_sweep_cell", dying_cell)
-        # With 2 workers, the stripe of T = 0.5 is cells 0, 2 and 4.
+        # With 2 workers, the block of T = 0.5 is cells 2 to 4.
         with pytest.raises(RuntimeError) as info:
             sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=2)
-        assert str(info.value) == f"T=0.1,0.5,0.9: sweep worker {how} before reporting"
+        assert str(info.value) == f"T=0.5,0.7,0.9: sweep worker {how} before reporting"
         assert_no_child_left()
 
     def test_the_earliest_failing_cell_is_raised_unchanged(self, monkeypatch):
         def failing_cell(cell):
             if cell[1] >= 0.3:
-                raise CellError(f"T={cell[1]}")
+                raise RuntimeError(f"T={cell[1]}")  # as `_sweep_cell` raises
             return []
 
-        # Child 0 runs T = 0.1 and fails at 0.5 (cell 2); child 1 fails at 0.3 (cell 1).
+        # Every cell from T = 0.3 (cell 1) on fails: with 3 workers, in blocks 1 and 2.
         monkeypatch.setattr(secrecy, "_sweep_cell", failing_cell)
-        for workers in (1, 2):
-            with pytest.raises(CellError, match="^T=0.3$"):
+        for workers in (1, 2, 3):
+            with pytest.raises(RuntimeError, match="^T=0.3$"):
                 sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=workers)
         assert_no_child_left()
 
@@ -392,12 +388,27 @@ class TestSweep:
         assert str(info.value) == str(error(0.1))
         assert_no_child_left()
 
+    def test_a_failing_block_does_not_wait_for_later_blocks(self, monkeypatch):
+        def failing_cell(cell):
+            if cell[2] == 0:
+                raise RuntimeError("T=0.1: boom")
+            if cell[2] >= 2:  # with 2 workers, the second block: cells 2 to 4
+                time.sleep(60)
+            return []
+
+        monkeypatch.setattr(secrecy, "_sweep_cell", failing_cell)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="^T=0.1: boom$"):
+            sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=2)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
     @pytest.mark.parametrize("failure", [KeyboardInterrupt, OSError])
     def test_a_parent_that_fails_kills_and_reaps_every_child(self, monkeypatch, failure):
         sweep_cell = secrecy._sweep_cell
 
         def stuck_cell(cell):
-            if cell[2] % 3:  # with 3 workers, every stripe but the first outlasts the test
+            if cell[2]:  # with 3 workers, every block but the first outlasts the test
                 time.sleep(60)
             return sweep_cell(cell)
 
