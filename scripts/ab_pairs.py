@@ -12,12 +12,15 @@ seconds, interpreter start-up and import included. Its peak RSS is the
 command's ru_maxrss and its CPU seconds are ru_utime + ru_stime, as
 `os.wait4` reports them, which cover the sweep workers the command waited
 for. Each pair's line gives both sides' wall time, peak RSS and CPU time
-and whether the two CSVs are byte-identical. The last three lines, for wall
-time, peak RSS and CPU time, give the pairs the change won and both medians
-and, from 2 pairs on, each side's quartiles (inclusive method) and the
-parent's interquartile range, the spread a difference of the medians must
-exceed to count as a gain. The script exits 1, after those lines, when any
-pair's CSVs differ.
+and whether the two CSVs are byte-identical. Three summary lines follow, for
+wall time, peak RSS and CPU time. Each gives the pairs the change won and
+both medians and, from 2 pairs on, each side's quartiles (inclusive method)
+and the parent's interquartile range, the spread a difference of the
+medians must exceed to count as a gain. After each, a line says whether a
+gain is shown: the change won at least 9 of every 10 pairs (ties count for
+neither side), and its median is lower than the parent's by more than the
+parent's IQR. The script exits 1, after those lines, when any pair's CSVs
+differ.
 """
 
 import argparse
@@ -63,6 +66,16 @@ def summary(parent: list[float], change: list[float], unit: str, digits: int) ->
     return text
 
 
+def gain_shown(parent: list[float], change: list[float]) -> bool:
+    """Whether the change won 9 of every 10 pairs and beat the parent's median by its IQR."""
+    if len(parent) < 2:
+        return False  # no spread to exceed
+    won = sum(c < p for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    return (10 * won >= 9 * len(parent)
+            and statistics.median(parent) - statistics.median(change) > q3 - q1)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_dir", type=Path)
@@ -101,9 +114,11 @@ def main() -> int:
                             for side in sides)
                   + ("yes" if same else "NO"), flush=True)
 
-    print(summary(times["parent"], times["change"], "s", 3))
-    print("peak RSS: " + summary(peaks["parent"], peaks["change"], "MB", 2))
-    print("CPU time: " + summary(cpus["parent"], cpus["change"], "s", 3))
+    for prefix, measure, unit, digits in (("", times, "s", 3), ("peak RSS: ", peaks, "MB", 2),
+                                          ("CPU time: ", cpus, "s", 3)):
+        print(prefix + summary(measure["parent"], measure["change"], unit, digits))
+        shown = gain_shown(measure["parent"], measure["change"])
+        print(f"{prefix}gain shown: {'yes' if shown else 'no'}")
     return 1 if differing else 0
 
 

@@ -5,16 +5,17 @@ joint histogram, the occupied cells of `joint_cells`, and sums over those
 cells only. A histogram (`JointCells`) holds one int64 code per occupied
 cell, its coordinates packed b bits each with the first highest, so
 ascending codes are row-major cell order, and every marginal is a shift
-and a mask of the codes. One rule sizes every array indexed by code
+and a mask of the codes. One rule sizes every histogram's array
 (`_dense`): an array over 2^w codes of n inputs is allocated when
-2^w <= max(n, 2^16), 2^16 being the largest bin alphabet and the widest
-marginal `plugin_mi` reads (a triple's are two indices of at most
-CMI_MAX_BITS = 8 bits). One builder, `_histogram`, packs field vectors
-into codes and counts them by one of two algorithms, one per side of that
-rule: a dense `np.bincount`, or an `np.sort` of the codes (int32 up to 31
-bits), whose runs of equal codes start where a code differs from the one
-before it. `np.unique` is not used: it sorts the same way with more
-passes, and it imports `numpy.ma`, about 13 ms in every fresh process.
+2^w <= n. Other arrays indexed by code keep their own bounds: `plugin_mi`'s
+marginals span at most 2^16 codes (one MAX_BITS index of a pair, or two
+CMI_MAX_BITS indices of a triple), `label_bit_tables`' rows 2^MAX_BITS.
+One builder, `_histogram`, packs field vectors into codes and counts them
+by one of two algorithms, one per side of that rule: a dense
+`np.bincount`, or an `np.sort` of the codes (int32 up to 31 bits), whose
+runs of equal codes start where a code differs from the one before it.
+`np.unique` is not used: it sorts the same way with more passes, and it
+imports `numpy.ma`, about 13 ms in every fresh process.
 `joint_cells` builds from bin indices, at the bit length of the largest;
 `histograms_by_depth` yields the histograms of index vectors at each of
 several depths, deepest first, each merged from the one above or counted
@@ -110,9 +111,9 @@ def _histogram(fields: Iterable[np.ndarray], bits: int, weights=None) -> JointCe
 
     The fields are packed as they come, so a generator's fields are made
     one at a time; the first is copied, so a caller's vector is never
-    shifted. A code space that `_dense` allows for the inputs is counted by
-    a dense `np.bincount`, each code adding its integer weight if
-    ``weights`` (int64, passed only where `_dense` allows) are given;
+    shifted. A code space of no more codes than inputs (`_dense`) is
+    counted by a dense `np.bincount`, each code adding its integer weight
+    if ``weights`` (int64, passed only where `_dense` allows) are given;
     otherwise the codes are sorted, each adding one, and a run of equal
     codes starts where a code differs from the one before it.
     """
@@ -142,13 +143,8 @@ def _histogram(fields: Iterable[np.ndarray], bits: int, weights=None) -> JointCe
 
 
 def _dense(width: int, n: int) -> bool:
-    """Whether an array over the 2^width codes of n inputs is small enough to allocate.
-
-    It is when it holds no more entries than the inputs, or than the largest
-    bin alphabet, 2^MAX_BITS, which `label_bit_tables` allocates anyway and
-    no marginal of `plugin_mi` exceeds.
-    """
-    return 1 << width <= max(n, 1 << MAX_BITS)
+    """Whether an array over 2^width codes is allocated for n inputs: no more codes than inputs."""
+    return 1 << width <= n
 
 
 def histograms_by_depth(indices: Sequence[np.ndarray], bits: int, depths: Iterable[int]):
@@ -157,14 +153,15 @@ def histograms_by_depth(indices: Sequence[np.ndarray], bits: int, depths: Iterab
     ``indices`` are equal-length index vectors of at most ``bits`` bits and
     ``depths`` descend from at most ``bits``; every histogram packs its
     fields at its depth. The first, and each whose coarser code space
-    `_dense` rejects for the occupied cells above, is counted from the
-    shifted indices: a histogram that sparse, nearly one cell per sample,
-    gains nothing from its cells. Every other is merged from the cells
-    above, at the cost of the occupied cells rather than of N: `_histogram`
-    repacks each field of their codes at the shallower depth, one field at
-    a time, weighted with their integer counts. Counts are integers, so
-    each histogram is the same however it was made. Each replaces the one
-    above as soon as it exists, so the chain holds one at a time.
+    holds more codes than the occupied cells above (`_dense`), is counted
+    from the shifted indices: a histogram that sparse, nearly one cell per
+    sample, gains nothing from its cells. Every other is merged from the
+    cells above, at the cost of the occupied cells rather than of N:
+    `_histogram` repacks each field of their codes at the shallower depth,
+    one field at a time, weighted with their integer counts, densely.
+    Counts are integers, so each histogram is the same however it was
+    made. Each replaces the one above as soon as it exists, so the chain
+    holds one at a time.
     """
     cells = None
     for depth in depths:
@@ -185,7 +182,8 @@ def plugin_mi(cells: JointCells) -> float:
     Each marginal is bincounted by its code, a shift and mask of the cell
     codes made in one reused buffer, and gathered back to the cells with
     ``np.take(..., mode="clip")``, which writes into ``out`` unbuffered. A
-    triple of more than CMI_MAX_BITS bits raises AlphabetCapacityError.
+    triple of more than CMI_MAX_BITS bits raises AlphabetCapacityError, so
+    no marginal spans more than 2^16 codes, a pair's being MAX_BITS wide.
     The ratio, its log and the terms share one array, computed in place;
     IEEE multiplication commutes, so each float is that of
     ``p * log2(p / (p_x * p_y))``, or of ``p_z * p / (p_yz * p_xz)`` inside
@@ -346,13 +344,13 @@ def label_bit_tables(pair_labels: Sequence[Sequence[np.ndarray]], marginals: np.
     pair p has bit j u under codebook i and whose second has v: each per-bit
     table is an exact marginal of the pair's symbol joint.
 
-    Every per-bit sum is taken over a 2^b-entry histogram. Each party's
-    marginal, counted once for both its pairs, is summed over the bins of
-    each label. A float64 product with the binary codebook's own labels
-    (`build_labels`, uint8, cast by the product) then gives the parties'
-    ones and the pairs' both-ones, for every codebook and bit. It is exact:
-    each count and partial sum is an integer of at most the total count,
-    which stays below 2^53.
+    Every per-bit sum is taken over a 2^b-entry histogram, b <= MAX_BITS.
+    Each party's marginal, counted once for both its pairs, is summed over
+    the bins of each label. A float64 product with the binary codebook's
+    own labels (`build_labels`, uint8, cast by the product) then gives the
+    parties' ones and the pairs' both-ones, for every codebook and bit. It
+    is exact: each count and partial sum is an integer of at most the total
+    count, which stays below 2^53.
     """
     m, (k, b) = len(tables), tables[0].labels.shape
     by_label = [np.bincount(t.codes, weights=marginal, minlength=k)

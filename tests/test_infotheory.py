@@ -414,32 +414,33 @@ def record(monkeypatch, name, module=np):
     return results
 
 
-def record_recounts(monkeypatch):
-    """The depth of every `_histogram` call that counts indices, not cells, until undone."""
-    recounts, build = [], infotheory._histogram
+def record_histograms(monkeypatch):
+    """(code space, inputs, weighted) of every `_histogram` call until the patch is undone."""
+    calls, build = [], infotheory._histogram
 
     def recording(fields, bits, weights=None):
-        if weights is None:
-            recounts.append(bits)
+        fields = list(fields)
+        calls.append((1 << len(fields) * bits, len(fields[0]), weights is not None))
         return build(fields, bits, weights)
 
     monkeypatch.setattr(infotheory, "_histogram", recording)
-    return recounts
+    return calls
 
 
 @pytest.mark.parametrize("sizes,n", [
     ((2, 3), 6), ((2, 3), 5), ((50, 50), 10), ((4, 4, 4), 64), ((2, 3), 3), ((3, 3), 4),
     ((256, 256), 10), ((1 << 17,), 10), ((1 << 17,), 1 << 17), ((1 << 17,), (1 << 17) - 1),
+    ((2, 3), 16), ((2, 3), 15), ((4, 4, 4), 63), ((256, 256), 1 << 16),
 ])
 @pytest.mark.parametrize("coarsened", [False, True])
 def test_joint_cells_path_boundary(sizes, n, coarsened, monkeypatch):
-    # Up to 2^16 codes are counted densely at any n, a wider code space
-    # from n = 2^width on: 2^16 and 2^17 codes at small n, and 2^17 codes
-    # at n = 2^17 and at one input fewer (sorted). Coarsened from one bit
-    # deeper by `histograms_by_depth`, the cells merge densely where `_dense`
-    # allows the code space for the occupied cells; otherwise the indices
-    # are counted again, by the same rule, so a bincount runs on the same
-    # side of the boundary.
+    # A code space is counted densely from n = 2^width on, whatever its
+    # width, and sorted below: 2^4, 2^6 and 2^17 codes at n = 2^width and
+    # at one input fewer, 2^16 codes at n = 2^16 and n = 10. Coarsened
+    # from one bit deeper by `histograms_by_depth`, the cells merge (a
+    # weighted, dense count) exactly when 2^width is at most the occupied
+    # cells above; otherwise the indices are counted again, by the same
+    # rule, so a bincount runs on the same side of the boundary.
     rng = np.random.default_rng(n)
     indices = [np.arange(n) % k for k in sizes]
     for v, k in zip(indices, sizes):
@@ -450,14 +451,14 @@ def test_joint_cells_path_boundary(sizes, n, coarsened, monkeypatch):
         deeper = [v << 1 | rng.integers(0, 2, size=n) for v in indices]
         by_depth = histograms_by_depth(deeper, bits + 1, [bits + 1, bits])
         _, fine = next(by_depth)
-        merged = 1 << width <= max(len(fine.codes), 1 << 16)
-    recounts = record_recounts(monkeypatch)
+        merged = 1 << width <= len(fine.codes)
+    calls = record_histograms(monkeypatch)
     bincounts = record(monkeypatch, "bincount")
     cells = next(by_depth)[1] if coarsened else joint_cells(*indices)
     monkeypatch.undo()
-    assert bool(bincounts) == (1 << width <= max(n, 1 << 16))
+    assert bool(bincounts) == (1 << width <= n)
     if coarsened:
-        assert recounts == ([] if merged else [bits])
+        assert calls == [(1 << width, len(fine.codes) if merged else n, merged)]
     assert_same_cells(cells, dense_cells(indices))
 
 
@@ -486,21 +487,54 @@ def test_coarsened_cells_equal_cells_of_shifted_indices(seed, bits, parties, n, 
     assert np.array_equal(got.counts, expected.counts)
 
 
-def test_coarsening_to_more_codes_than_cells_counts_densely(monkeypatch):
-    # The coarse code space exceeds the occupied cells but not 2^16, so the
-    # cells merge by a dense bincount, with no sort and no recount.
+def test_coarsening_to_more_codes_than_cells_counts_the_indices_again(monkeypatch):
+    # The coarse code space exceeds the occupied cells, so no cell is
+    # merged: the shifted indices are counted again, densely, as 2000
+    # samples fill 2^6 codes.
     rng = np.random.default_rng(5)
     x = rng.integers(0, 16, size=2000)
     y = np.clip(x + rng.integers(0, 3, size=2000), 0, 15)
     by_depth = histograms_by_depth((x, y), 4, [4, 3])
     _, cells = next(by_depth)
     assert len(cells.counts) < 8 * 8
-    sorts = record(monkeypatch, "sort")
-    recounts = record_recounts(monkeypatch)
+    calls = record_histograms(monkeypatch)
     _, coarse = next(by_depth)
     monkeypatch.undo()
-    assert sorts == [] and recounts == []
+    assert calls == [(8 * 8, 2000, False)]
     assert_same_cells(coarse, dense_cells([x >> 1, y >> 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bits=st.integers(min_value=0, max_value=12),
+    parties=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=1, max_value=3000),
+    spread=st.sampled_from([1, 3, 1 << 12]),
+    data=st.data(),
+)
+def test_the_depth_chain_merges_only_into_code_spaces_within_the_cells_above(
+        seed, bits, parties, n, spread, data):
+    # Each weighted count's inputs are the occupied cells above, and it
+    # writes a dense array over the coarse code space; every histogram,
+    # merged or counted again, is that of the shifted indices.
+    depths = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=bits), min_size=1)),
+                    reverse=True)
+    rng = np.random.default_rng(seed)
+    top = (1 << bits) - 1
+    x = rng.integers(0, top + 1, size=n)
+    indices = [x] + [(x + rng.integers(0, spread, size=n)) & top for _ in range(parties - 1)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = record_histograms(monkeypatch)
+        yielded = list(histograms_by_depth(indices, bits, depths))
+    assert all(codes <= inputs for codes, inputs, weighted in calls if weighted)
+    assert [depth for depth, _ in yielded] == depths
+    for depth, got in yielded:
+        expected = joint_cells(*(v >> (bits - depth) for v in indices))
+        assert (got.bits, got.ndim) == (depth, parties)
+        for i in range(parties):
+            assert np.array_equal(got.coordinate(i), expected.coordinate(i))
+        assert np.array_equal(got.counts, expected.counts)
 
 
 def test_the_depth_chain_holds_one_histogram_at_a_time():
@@ -544,8 +578,8 @@ def test_plugin_mi_of_a_triple_holds_four_arrays_per_cell():
 
 @pytest.mark.parametrize("bits", [8, 9])
 def test_plugin_mi_raises_on_a_triple_above_cmi_max_bits(bits):
-    # A triple's (x, z) and (y, z) marginals span 2^(2 b) codes, within the
-    # 2^16 that `_dense` allows up to CMI_MAX_BITS = 8 bits.
+    # A triple's (x, z) and (y, z) marginals span 2^(2 b) codes, within
+    # `plugin_mi`'s own bound of 2^16 up to CMI_MAX_BITS = 8 bits.
     rng = np.random.default_rng(bits)
     top = (1 << bits) - 1
     x = rng.integers(0, top + 1, size=5000)
@@ -563,9 +597,9 @@ def test_plugin_mi_raises_on_a_triple_above_cmi_max_bits(bits):
 
 def test_symbol_mi_of_a_wide_index_allocates_within_the_rule(monkeypatch):
     # The widest bin index, 2^16 - 1, packs a pair's codes at 32 bits, a code
-    # space wider than max(N, 2^16), so the cells are sorted, and each
-    # marginal spans the 2^16 codes of one index; the value is that of the
-    # same data relabelled to small indices.
+    # space wider than N, so the cells are sorted, and each marginal spans
+    # the 2^16 codes of one MAX_BITS index, `plugin_mi`'s own bound; the
+    # value is that of the same data relabelled to small indices.
     rng = np.random.default_rng(20)
     n = 100
     a = rng.integers(0, 10, size=n)

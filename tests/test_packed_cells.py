@@ -115,9 +115,10 @@ def assert_plugin_mi_equals_oracle(cells, oracle):
 def histograms(draw):
     """Index vectors of k parties at b bits, n of them.
 
-    Up to 2^16 codes `joint_cells` counts densely at any n. Where the
-    packed code space 2^(k b) is the next one above, 2^18, n is drawn on
-    either side of its dense/sorted limit, n = 2^(k b).
+    `joint_cells` counts the packed code space 2^(k b) densely from
+    n = 2^(k b) on. The n drawn up to 3000 fall on either side of that
+    limit for small code spaces; where the code space is 2^18, n is also
+    drawn on either side of it.
     """
     k = draw(st.sampled_from([2, 3]))
     bits = draw(st.integers(min_value=1, max_value=16))
@@ -203,14 +204,17 @@ def dense_chain(n, bits, seed):
     return [rng.integers(0, 1 << bits, size=n).astype(np.uint16) for _ in range(2)]
 
 
-# At N = 2^16, 12 -> 10 bits recounts (2^20 codes for about 2^16 cells) and
-# 10 -> 8 merges (2^16 codes). 16 -> 14 -> 12 bits at N = 3000 recounts
-# twice, the second time shifting the deepest indices by the total, 4.
-# A merge followed by a recount would need at least 2^20 cells of a pair.
+# At N = 2^16, 12 -> 10 -> 8 bits recounts twice (2^20 codes for about
+# 2^16 cells, then 2^16 codes for 63,523 cells). 16 -> 14 -> 12 bits at
+# N = 3000 recounts twice, the second time shifting the deepest indices by
+# the total, 4. The 16 cells of two 2-bit indices at 4 bits merge into the
+# 2^4 codes of 2 bits, all in one cell, and 1 bit counts them again: a
+# merge followed by a recount needs a second shift smaller than the first.
 @settings(max_examples=300, deadline=None)
 @given(chains())
 @example((dense_chain(1 << 16, 12, 1), 12, 2, 2))
 @example((dense_chain(3000, 16, 2), 16, 2, 2))
+@example(([np.arange(16, dtype=np.uint16) >> 2, np.arange(16, dtype=np.uint16) & 3], 4, 2, 1))
 def test_chained_coarsening_equals_one_step_coarsening(case):
     indices, bits, s1, s2 = case
     depth = bits - s1 - s2

@@ -1,5 +1,6 @@
 """Smoke tests of the experiment drivers in scripts/, run as subprocesses."""
 
+import importlib.util
 import os
 import re
 import shutil
@@ -64,20 +65,25 @@ def test_ab_pairs_times_each_side_once_per_pair():
     assert all(float(p[col]) > 0 for p in pairs for col in (5, 8))
     # One summary line per measure: wall seconds, peak RSS in MB, then CPU
     # seconds. From 2 pairs on, each gives each side's inclusive quartiles
-    # and the parent's IQR. Each tolerance is two units of the last printed
-    # digit (3 decimals for s, 2 for MB).
-    assert len(lines) == 6
-    for line, prefix, unit, parent_col, change_col, tol in (
-        (lines[3], "", "s", 3, 6, 2e-3), (lines[4], "peak RSS: ", "MB", 4, 7, 2e-2),
-        (lines[5], "CPU time: ", "s", 5, 8, 2e-3),
+    # and the parent's IQR, and a verdict line follows it; a gain needs
+    # both pairs won. Each tolerance is two units of the last printed digit
+    # (3 decimals for s, 2 for MB).
+    assert len(lines) == 9
+    for line, verdict, prefix, unit, parent_col, change_col, tol in (
+        (lines[3], lines[4], "", "s", 3, 6, 2e-3),
+        (lines[5], lines[6], "peak RSS: ", "MB", 4, 7, 2e-2),
+        (lines[7], lines[8], "CPU time: ", "s", 5, 8, 2e-3),
     ):
         assert line.startswith(prefix + "change won ")
         summary = re.fullmatch(
-            rf"{prefix}change won \d of 2 pairs; median parent ([\d.]+) {unit}, "
+            rf"{prefix}change won (\d) of 2 pairs; median parent ([\d.]+) {unit}, "
             rf"change ([\d.]+) {unit} \(ratio [\d.]+\); quartiles parent ([\d.]+)/([\d.]+) "
             rf"{unit}, change ([\d.]+)/([\d.]+) {unit}; parent IQR ([\d.]+) {unit}", line)
         assert summary, line
-        median_p, median_c, q1_p, q3_p, q1_c, q3_c, iqr = map(float, summary.groups())
+        assert verdict in (prefix + "gain shown: yes", prefix + "gain shown: no")
+        if summary.group(1) != "2":
+            assert verdict == prefix + "gain shown: no"
+        median_p, median_c, q1_p, q3_p, q1_c, q3_c, iqr = map(float, summary.groups()[1:])
         for col, q1, median, q3 in ((parent_col, q1_p, median_p, q3_p),
                                     (change_col, q1_c, median_c, q3_c)):
             low, high = sorted(float(p[col]) for p in pairs)
@@ -102,3 +108,26 @@ def test_ab_pairs_exits_1_when_the_csvs_differ(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[1].split("\t")[9] == "NO"
     assert lines[2].startswith("change won ")
+    assert lines[3] == "gain shown: no"  # one pair has no spread to exceed
+
+
+def load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]  # median 1.2, IQR 0.2
+
+
+@pytest.mark.parametrize("change,shown", [
+    ([p - 0.3 for p in PARENT], True),  # 10 of 10 won, medians 0.3 apart
+    ([p - 0.3 for p in PARENT[:9]] + [PARENT[9]], True),  # 9 won and a tie
+    ([p - 0.3 for p in PARENT[:8]] + PARENT[8:], False),  # 8 won and 2 ties
+    ([p - 0.3 for p in PARENT[:9]] + [PARENT[9] + 1], True),  # 9 won and 1 lost
+    ([p - 0.1 for p in PARENT], False),  # 10 won, medians within the parent's IQR
+    ([p + 0.3 for p in PARENT], False),  # 10 lost
+])
+def test_ab_pairs_shows_a_gain_from_9_in_10_pairs_beyond_the_parent_iqr(change, shown):
+    assert load_ab_pairs().gain_shown(PARENT, change) is shown
