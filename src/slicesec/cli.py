@@ -229,11 +229,13 @@ def emit_csv(table: SweepTable, path: str) -> None:
 def read_csv(path: str) -> list[dict]:
     """Read a sweep CSV back into per-row dicts of parsed values.
 
-    A value that does not parse, a non-finite float, or a bit count that no
-    `SlicingScheme` has is rejected with its data row (1-based) and column,
-    so that no NaN margin or unknown scheme is ever ranked. So is a row with
-    more fields than the header, and a second row of the same
-    (transmission, scheme) cell, naming both rows.
+    A header that names a column twice is rejected, naming the column. A
+    value that does not parse, a non-finite float, a transmission that a
+    sweep would not print as it stands (at `FLOAT_FORMAT`, which keys its
+    cells) or a bit count that no `SlicingScheme` has is rejected with its
+    data row (1-based) and column, so that no NaN margin or unknown scheme
+    is ever ranked. So is a row with more fields than the header, and a
+    second row of the same (transmission, scheme) cell, naming both rows.
     Each row's ``scheme`` is the `SlicingScheme` string of its positioning,
     numbering and bits.
     """
@@ -242,6 +244,9 @@ def read_csv(path: str) -> list[dict]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
+        for i, col in enumerate(header):  # DictReader would keep a repeated column's last copy
+            if col in header[:i]:
+                raise ValueError(f"column {col!r} appears twice in the header of {path}")
         for col in CSV_COLUMNS:
             if col not in header:
                 raise ValueError(f"missing column {col!r} in {path}")
@@ -262,7 +267,9 @@ def read_csv(path: str) -> list[dict]:
                     value = COLUMN_TYPES.get(col, float)(raw[col])
                 except (TypeError, ValueError):  # TypeError: the row is short
                     value = math.nan
-                if isinstance(value, float) and not math.isfinite(value):
+                if (isinstance(value, float) and not math.isfinite(value)) or (
+                    col == "transmission" and float(FLOAT_FORMAT % value) != value
+                ):  # a transmission reads back only as a sweep prints it
                     raise ValueError(
                         f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}"
                     )
@@ -455,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
             winners = best_rows(read_csv(args.csv_path), args.mode)
             lines += [f"{FLOAT_FORMAT % t},{s}" for t, s in winners]
             text = "\n".join(lines) + "\n"
-            if args.out:
+            if args.out is not None:  # an empty path fails to open, as `plot`'s does
                 with open(args.out, "w") as fh:
                     fh.write(text)
             else:

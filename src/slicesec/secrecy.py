@@ -143,16 +143,16 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     table. Each party is binned by one `party_bins` call per cell, at the
     deepest bit count of every (positioning, width multiplier) group, so
     it is sorted once even when every scheme is equal-width, which needs
-    no sort. A shallower depth is an exact right shift of those indices,
-    so one `histograms_by_depth` chain of the group's bins gives each
-    pair's histogram at every depth, and one the (A, B, E) histogram at
-    each depth whose CMI is reported. Each pair's histogram gives the
+    no sort; the call also gives the party's symbol counts (see
+    `party_bins`). A shallower depth is an exact right shift of those
+    indices, so one `histograms_by_depth` chain of the group's bins gives
+    each pair's histogram at every depth, and one the (A, B, E) histogram
+    at each depth whose CMI is reported. Each pair's histogram gives the
     symbol MI and, in one `pair_label_counts` gather for every codebook at
-    once, the counts of its labels' AND. Each party is counted once per group and
-    block-summed per depth; one `label_bit_tables` call per depth turns
-    these into all three pairs' per-bit 2x2 tables (each a marginal of its
-    pair's joint, in integer counts below 2^53, so exact), and so every
-    bitwise MI and BER.
+    once, the counts of its labels' AND. With the parties' counts, one
+    `label_bit_tables` call per depth turns these into all three pairs'
+    per-bit 2x2 tables (each a marginal of its pair's joint, in integer
+    counts below 2^53, so exact), and so every bitwise MI and BER.
     A binning failure names the party, its depth and the group (see `party_bins`).
 
     Every N-sample array dies at its last use, so a cell's peak is the
@@ -174,20 +174,21 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     parties = {"alice": realization.alice, "bob": realization.bob, "eve": realization.eve}
     del realization
     by_party = [party_bins(parties, party, deepest) for party in ("alice", "bob", "eve")]
-    bins = [list(group_bins) for group_bins in zip(*by_party)]  # per group, (A, B, E)
+    binned = [list(group_binned) for group_binned in zip(*by_party)]  # per group, (A, B, E)
     del by_party
     reports: dict[SlicingScheme, SecrecyReport] = {}
     for group in groups.values():
-        reports.update(_evaluate_group(params, bins.pop(0), group))
+        reports.update(_evaluate_group(params, binned.pop(0), group))
     return [reports[scheme] for scheme in schemes]
 
 
 def _evaluate_group(
-    p: ChannelParams, bins: list[np.ndarray], group: list[SlicingScheme]
+    p: ChannelParams, binned: list[tuple[np.ndarray, np.ndarray]], group: list[SlicingScheme]
 ) -> dict[SlicingScheme, SecrecyReport]:
     """Reports of one (positioning, width multiplier) group of schemes.
 
-    ``bins`` holds the parties' (A, B, E) bins at the group's deepest depth.
+    ``binned`` holds A's, B's and E's (bins, counts) at the group's deepest
+    depth (see `party_bins`); a shallower depth's counts are block sums.
     Each histogram runs through the depths deepest first in one
     `histograms_by_depth` chain, and is done with before the next is
     built, so one histogram is alive at a time: the (A, B, E) histogram over
@@ -196,32 +197,24 @@ def _evaluate_group(
     One `label_bit_tables` call per depth then assembles the per-bit tables.
     """
     reports = {}
+    (a, b, e), counts = zip(*binned)
     depths = sorted({s.bits for s in group}, reverse=True)
     deep = depths[0]
     # CMI is reported up to CMI_MAX_BITS bits per party, from one (A, B, E) chain.
     reported = [d for d in depths if d <= CMI_MAX_BITS]
-    cmis = {d: plugin_mi(t) for d, t in histograms_by_depth(bins, deep, reported)}
+    cmis = {d: plugin_mi(t) for d, t in histograms_by_depth((a, b, e), deep, reported)}
 
     at_depth = {bits: [s for s in group if s.bits == bits] for bits in depths}
     codebooks = {bits: [build_labels(s.numbering, bits) for s in at_depth[bits]]
                  for bits in depths}
     symbol_mi = {bits: [] for bits in depths}
     pair_labels = {bits: [] for bits in depths}
-    # Each party's symbol counts, A's and B's from the deepest (A, B)
-    # histogram and E's from (A, E)'s; a shallower depth's are exact block
-    # sums of these.
-    marginals = []
-    a, b, e = bins
-    for pair, sides in (((a, b), (0, 1)), ((a, e), (1,)), ((b, e), ())):
+    for pair in ((a, b), (a, e), (b, e)):
         for bits, cells in histograms_by_depth(pair, deep, depths):
-            if bits == deep:
-                marginals += [np.bincount(cells.coordinate(i), weights=cells.counts,
-                                          minlength=1 << deep) for i in sides]
             symbol_mi[bits].append(plugin_mi(cells))
             pair_labels[bits].append(pair_label_counts(cells, codebooks[bits]))
         del cells
-    marginals = np.stack(marginals).astype(np.int64)
-
+    marginals = np.stack(counts)
     for bits in depths:
         marginals = marginals.reshape(3, 1 << bits, -1).sum(axis=2)
         cmi = cmis.get(bits)

@@ -230,25 +230,28 @@ def bin_indices(samples: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
     point scales exactly, so the shallower boundaries are the same floats as
     every 2^(bits - b)-th deeper boundary.
     """
-    return party_bins({"party": samples}, "party", [scheme])[0]
+    return party_bins({"party": samples}, "party", [scheme])[0][0]
 
 
 def party_bins(
     parties: dict[str, np.ndarray], party: str, schemes: list[SlicingScheme]
-) -> list[np.ndarray]:
-    """The bins of ``parties[party]`` under each of ``schemes``, as uint16, in order.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (bins, counts) of ``parties[party]`` under each of ``schemes``, in order.
 
     This is the bin rule, and every binning in the package runs through it.
     The party's samples are sorted once, by one `np.argsort`, and gathered
-    once into a sorted copy. Each scheme's bins equal
+    once into a sorted copy. Each scheme's bins, uint16, equal
     ``assign_bins(samples, compute_edges(samples, scheme))``, without its
     binary search per sample: they are read off the ranks of that one sort
-    (see `_ranked_bins`). Equal-width edges read mean and std from the
-    samples in their own order, since a sum's last bits depend on the order
-    of its terms, and are placed before the sort; equal-probability edges
-    depend only on the sorted values, so they read the sorted copy, scheme
-    by scheme as each is binned. `compute_edges` is called once per scheme,
-    through this module, where `bench/tracing.py` wraps it.
+    (see `_ranked_bins`). So are its counts, the party's symbol counts
+    ``np.bincount(bins, minlength=2^b)``: each is a bin's run of ranks, and
+    no other code of a sweep counts a party's symbols. Equal-width edges
+    read mean and std from the samples in their own order, since a sum's
+    last bits depend on the order of its terms, and are placed before the
+    sort; equal-probability edges depend only on the sorted values, so they
+    read the sorted copy, scheme by scheme as each is binned.
+    `compute_edges` is called once per scheme, through this module, where
+    `bench/tracing.py` wraps it.
 
     The samples are handed over: they are popped from ``parties``, so that
     they die once their sorted copy exists whatever the caller holds, and
@@ -276,21 +279,23 @@ def party_bins(
             for scheme, placed in zip(schemes, by_width)]
 
 
-def _ranked_bins(order: np.ndarray, ordered: np.ndarray, edges: BinEdges) -> np.ndarray:
-    """`assign_bins` of the samples whose sorting permutation is ``order``, as uint16.
+def _ranked_bins(
+    order: np.ndarray, ordered: np.ndarray, edges: BinEdges
+) -> tuple[np.ndarray, np.ndarray]:
+    """`assign_bins` of the samples whose sorting permutation is ``order``, and its counts.
 
     ``ordered`` is the sorted copy ``samples[order]`` (see `party_bins`).
     One search per boundary finds the rank at which its bin starts. The
     first sample not below a boundary starts the higher bin, so a sample
     equal to a boundary goes to the higher bin, as in `assign_bins`. Each
     run of ranks between two starts is one bin, written back to the
-    samples' original positions.
+    samples' original positions; its length is the bin's count.
     """
     starts = np.searchsorted(ordered, edges.boundaries, side="left")
     runs = np.diff(starts, prepend=0, append=len(ordered))
     idx = np.empty(len(ordered), dtype=np.uint16)
     idx[order] = np.repeat(np.arange(len(runs), dtype=np.uint16), runs)
-    return idx
+    return idx, runs
 
 
 def build_labels(numbering: Numbering, b: int) -> LabelTable:

@@ -262,11 +262,18 @@ class TestCsv:
         ]) == 0
         assert out.read_bytes() == GOLDEN_FINE_CSV.read_bytes()
 
-    def test_missing_column_is_reported(self, tmp_path):
+    def test_missing_column_is_reported(self, small_csv, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("transmission,positioning\n0.5,eqprob\n")
         with pytest.raises(ValueError, match="missing column"):
             read_csv(str(bad))
+        # A column named twice, whose last copy csv.DictReader would keep.
+        lines = small_csv.read_text().splitlines()
+        bad.write_text("\n".join([lines[0] + ",delta_direct"] + [l + ",-5" for l in lines[1:]]))
+        assert main(["best", str(bad)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: column 'delta_direct' appears twice in the header of {bad}\n"
+        )
 
     def test_empty_body_is_reported(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -352,6 +359,7 @@ def test_non_finite_value_exits_1_naming_row_and_column(
 
 @pytest.mark.parametrize("column,value", [
     ("positioning", "foo"), ("numbering", "nope"), ("bits", "0"),
+    ("transmission", "0.20000000001"),  # read back as 0.2, which a sweep prints
 ])
 @pytest.mark.parametrize("command", [
     ["best", "--mode", "direct"],
@@ -427,6 +435,11 @@ class TestBest:
 
     def test_missing_csv_exits_1(self):
         assert main(["best", "/no/such/file.csv"]) == 1
+
+    def test_empty_output_path_exits_1(self, small_csv, capsys):
+        assert main(["best", str(small_csv), "--out", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
 
 class TestPlot:

@@ -18,7 +18,7 @@ from slicesec import (
     slice_samples,
 )
 from slicesec import slicing
-from slicesec.slicing import _label_table, _ranked_bins
+from slicesec.slicing import _label_table, _ranked_bins, party_bins
 
 
 class TestSchemeParsing:
@@ -295,7 +295,7 @@ def test_shallower_bins_are_exact_right_shifts(
     assert np.array_equal(deep >> (top - bits), indices(bits))
 
 
-@pytest.mark.parametrize("bits", [1, 2, 5, 9, 16])
+@pytest.mark.parametrize("bits", [1, 2, 5, 9, 12, 16])
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -325,8 +325,18 @@ def test_equal_width_bins_by_rank_equal_searchsorted(
     ])
     expected = np.searchsorted(boundaries, probes, side="right")
     order = np.argsort(probes)
-    assert np.array_equal(_ranked_bins(order, probes[order], edges), expected)
-    assert np.array_equal(bin_indices(samples, scheme), expected[: len(samples)])
+    idx, counts = _ranked_bins(order, probes[order], edges)
+    assert np.array_equal(idx, expected)
+    assert np.array_equal(counts, np.bincount(expected, minlength=1 << bits))
+    assert counts.sum() == len(probes)
+    # The samples alone: from 12 bits on, at N = 2^b, the tails leave bins empty.
+    expected = expected[: len(samples)]
+    [(idx, counts)] = party_bins({"party": samples}, "party", [scheme])
+    assert np.array_equal(idx, expected)
+    assert np.array_equal(counts, np.bincount(expected, minlength=1 << bits))
+    assert counts.sum() == len(samples)
+    assert bits < 12 or not counts.all()
+    assert np.array_equal(bin_indices(samples, scheme), expected)
 
 
 @pytest.mark.parametrize("positioning", list(Positioning))
@@ -362,8 +372,12 @@ def test_equal_probability_bins_by_rank_equal_searchsorted(bits, seed, loc, scal
             bin_indices(samples, scheme)
         return
     idx = bin_indices(samples, scheme)
+    expected = np.searchsorted(edges, samples, side="right")
     assert idx.dtype == np.uint16
-    assert np.array_equal(idx, np.searchsorted(edges, samples, side="right"))
+    assert np.array_equal(idx, expected)
+    [(_, counts)] = party_bins({"party": samples}, "party", [scheme])
+    assert np.array_equal(counts, np.bincount(expected, minlength=1 << bits))
+    assert counts.sum() == len(samples)
 
 
 @pytest.mark.parametrize("samples", [
