@@ -293,6 +293,21 @@ def read_csv(path: str) -> list[dict]:
     return rows
 
 
+def _margin_column(mode: str) -> str:
+    """The CSV column of the ``mode`` ("direct" or "reverse") reconciliation's secrecy margin."""
+    if mode not in ("direct", "reverse"):
+        raise ValueError(f"mode must be 'direct' or 'reverse', got {mode!r}")
+    return f"delta_{mode}"
+
+
+def _group(rows: list[dict], column: str) -> dict:
+    """``rows`` grouped by their ``column`` value in one pass: keys sorted, rows in row order."""
+    groups: dict = {}
+    for r in rows:
+        groups.setdefault(r[column], []).append(r)
+    return dict(sorted(groups.items()))  # the keys differ, so no two groups are compared
+
+
 def best_rows(rows: list[dict], mode: str) -> list[tuple[float, str]]:
     """Per transmission, the scheme of the row maximizing the ``mode`` secrecy margin.
 
@@ -300,27 +315,20 @@ def best_rows(rows: list[dict], mode: str) -> list[tuple[float, str]]:
     Alice-Bob BER, then the lexicographically smallest scheme string, giving
     a total order.
     """
-    if mode not in ("direct", "reverse"):
-        raise ValueError(f"mode must be 'direct' or 'reverse', got {mode!r}")
-    delta_key = f"delta_{mode}"
-    winners = []
-    for t in sorted({r["transmission"] for r in rows}):
-        candidates = [r for r in rows if r["transmission"] == t]
-        best = min(
-            candidates,
-            key=lambda r: (-r[delta_key], r["bits"], r["ber_ab"], r["scheme"]),
-        )
-        winners.append((t, best["scheme"]))
-    return winners
+    delta_key = _margin_column(mode)
+
+    def rank(r: dict) -> tuple:
+        return (-r[delta_key], r["bits"], r["ber_ab"], r["scheme"])
+    return [(t, min(rs, key=rank)["scheme"]) for t, rs in _group(rows, "transmission").items()]
 
 
 def emit_plot(csv_path: str, plot_mode: str, mode: str, out: str) -> None:
     """Render one of the chart modes from a sweep CSV to a standalone SVG."""
     from .svgplot import Chart, Series  # on use: only `plot` draws
 
+    delta_key = _margin_column(mode)  # every plot mode rejects a bad mode before reading
     rows = read_csv(csv_path)
-    schemes = sorted({r["scheme"] for r in rows})
-    by_scheme = {s: [r for r in rows if r["scheme"] == s] for s in schemes}
+    by_scheme = _group(rows, "scheme")
 
     if plot_mode == "mi_vs_t":
         chart = Chart(
@@ -328,37 +336,30 @@ def emit_plot(csv_path: str, plot_mode: str, mode: str, out: str) -> None:
             x_label="channel transmission",
             y_label="mutual information (bits)",
         )
-        for s in schemes:
-            rs = by_scheme[s]
+        for s, rs in by_scheme.items():
             chart.add(Series(f"I_AB {s}", [r["transmission"] for r in rs],
                              [r["i_ab"] for r in rs]))
             chart.add(Series(f"max(I_AE,I_BE) {s}", [r["transmission"] for r in rs],
                              [max(r["i_ae"], r["i_be"]) for r in rs], dashed=True))
     elif plot_mode == "delta_vs_t":
-        delta_key = "delta_direct" if mode == "direct" else "delta_reverse"
         chart = Chart(
             title=f"Secrecy margin ({mode} reconciliation) vs channel transmission",
             x_label="channel transmission",
             y_label="secrecy margin (bits)",
         )
-        for s in schemes:
-            rs = by_scheme[s]
-            chart.add(Series(s, [r["transmission"] for r in rs],
-                             [r[delta_key] for r in rs]))
+        for s, rs in by_scheme.items():
+            chart.add(Series(s, [r["transmission"] for r in rs], [r[delta_key] for r in rs]))
     elif plot_mode == "best_vs_t":
         winners = best_rows(rows, mode)
+        position = {s: i for i, s in enumerate(by_scheme)}
         chart = Chart(
             title=f"Optimal slicing method ({mode} reconciliation) per transmission",
             x_label="channel transmission",
             y_label="winning scheme",
-            y_ticks=[(i, s) for i, s in enumerate(schemes)],
+            y_ticks=list(enumerate(by_scheme)),
         )
-        chart.add(Series(
-            "winner",
-            [t for t, _ in winners],
-            [float(schemes.index(s)) for _, s in winners],
-            step=True,
-        ))
+        chart.add(Series("winner", [t for t, _ in winners],
+                         [float(position[s]) for _, s in winners], step=True))
     else:
         raise ValueError(f"unknown plot mode {plot_mode!r}")
 
@@ -451,6 +452,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise FileNotFoundError("output path '' is empty")
             out_dir = os.path.dirname(args.out) or "."
             if not os.path.isdir(out_dir):  # checked before the first cell, not after the last
+                if os.path.exists(out_dir):
+                    raise NotADirectoryError(f"output directory {out_dir} is not a directory")
                 raise FileNotFoundError(f"output directory {out_dir} does not exist")
             if os.path.isdir(args.out):
                 raise IsADirectoryError(f"output path {args.out} is a directory")

@@ -285,7 +285,8 @@ class TestCsv:
         ("/nonexistent/dir/x.csv", "output directory /nonexistent/dir does not exist"),
         (".", "output path . is a directory"),
         ("", "output path '' is empty"),
-    ], ids=["missing-parent", "directory", "empty"])
+        (f"{__file__}/x.csv", f"output directory {__file__} is not a directory"),
+    ], ids=["missing-parent", "directory", "empty", "file-parent"])
     def test_unwritable_output_exits_1(self, monkeypatch, capsys, out, message):
         def no_sweep(*args, **kwargs):
             raise AssertionError("a cell ran before the output path was checked")
@@ -468,6 +469,17 @@ class TestPlot:
         empty = tmp_path / "empty.csv"
         empty.write_text(",".join(CSV_COLUMNS) + "\n")
         assert main(["plot", str(empty), "--out", str(tmp_path / "x.svg")]) == 1
+
+    @pytest.mark.parametrize("plot_mode", ["mi_vs_t", "delta_vs_t", "best_vs_t"])
+    def test_bad_mode_is_rejected_before_the_csv_is_read(self, monkeypatch, tmp_path, plot_mode):
+        def no_read(path):
+            raise AssertionError("the CSV was read before the mode was checked")
+
+        monkeypatch.setattr(cli, "read_csv", no_read)
+        out = tmp_path / "x.svg"
+        with pytest.raises(ValueError, match="mode must be 'direct' or 'reverse', got 'sideways'"):
+            cli.emit_plot(str(tmp_path / "sweep.csv"), plot_mode, "sideways", str(out))
+        assert not out.exists()
 
 
 class TestSelftest:

@@ -540,6 +540,26 @@ class TestBestMethod:
         with pytest.raises(ValueError):
             best_rows([_row(0.5, "eqprob:gray:4", 0.4, 0.4)], "sideways")
 
+    def test_each_row_is_looked_up_a_bounded_number_of_times(self):
+        lookups = 0
+
+        class CountingRow(dict):
+            def __getitem__(self, key):
+                nonlocal lookups
+                lookups += 1
+                return super().__getitem__(key)
+
+        # Scheme-major, so each transmission's two rows lie 500 rows apart;
+        # the 4-bit scheme wins at odd i and the 5-bit one at even i.
+        ts = [i / 1000 for i in range(500)]
+        schemes = ("eqprob:gray:4", "eqwidth:binary:5")
+        rows = [
+            CountingRow(_row(t, s, float((i + k) % 2), 0.0))
+            for k, s in enumerate(schemes) for i, t in enumerate(ts)
+        ]
+        assert best_rows(rows, "direct") == [(t, schemes[1 - i % 2]) for i, t in enumerate(ts)]
+        assert lookups <= 10 * len(rows)  # a rescan per transmission makes it about 500
+
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
 def test_post_exchange_conditions_are_the_engines_symbol_estimates(t):
