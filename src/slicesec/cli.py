@@ -192,8 +192,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     For ``sweep`` the namespace also carries the parsed ``t_grid`` and
     ``schemes`` and the channel parameters as ``base``; every rule on them is
-    stated once, by `t_range`, `check_grid`, `check_count`, `SlicingScheme`
-    and `ChannelParams`.
+    stated once, by `t_range`, `check_grid`, `check_count`, `SlicingScheme`,
+    `ChannelParams` and `slicing.check_sample_count`, which the deepest
+    scheme must pass before any cell runs.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -210,6 +211,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             samples=ns.samples,
             seed=ns.seed,
         )
+        slicing.check_sample_count(ns.samples, max(ns.schemes, key=operator.attrgetter("bits")))
         check_count("workers", ns.workers)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
@@ -326,43 +328,36 @@ def emit_plot(csv_path: str, plot_mode: str, mode: str, out: str) -> None:
     """Render one of the chart modes from a sweep CSV to a standalone SVG."""
     from .svgplot import Chart, Series  # on use: only `plot` draws
 
-    delta_key = _margin_column(mode)  # every plot mode rejects a bad mode before reading
+    delta_key = _margin_column(mode)  # both modes are checked before the CSV is read
+    if plot_mode not in PLOT_MODES:
+        raise ValueError(f"unknown plot mode {plot_mode!r}")
     rows = read_csv(csv_path)
     by_scheme = _group(rows, "scheme")
 
+    y_ticks = None
     if plot_mode == "mi_vs_t":
-        chart = Chart(
-            title="Mutual information vs channel transmission",
-            x_label="channel transmission",
-            y_label="mutual information (bits)",
-        )
+        title = "Mutual information vs channel transmission"
+        y_label = "mutual information (bits)"
+        series = []
         for s, rs in by_scheme.items():
-            chart.add(Series(f"I_AB {s}", [r["transmission"] for r in rs],
-                             [r["i_ab"] for r in rs]))
-            chart.add(Series(f"max(I_AE,I_BE) {s}", [r["transmission"] for r in rs],
-                             [max(r["i_ae"], r["i_be"]) for r in rs], dashed=True))
+            ts = [r["transmission"] for r in rs]
+            series += [Series(f"I_AB {s}", ts, [r["i_ab"] for r in rs]),
+                       Series(f"max(I_AE,I_BE) {s}", ts,
+                              [max(r["i_ae"], r["i_be"]) for r in rs], dashed=True)]
     elif plot_mode == "delta_vs_t":
-        chart = Chart(
-            title=f"Secrecy margin ({mode} reconciliation) vs channel transmission",
-            x_label="channel transmission",
-            y_label="secrecy margin (bits)",
-        )
-        for s, rs in by_scheme.items():
-            chart.add(Series(s, [r["transmission"] for r in rs], [r[delta_key] for r in rs]))
-    elif plot_mode == "best_vs_t":
-        winners = best_rows(rows, mode)
-        position = {s: i for i, s in enumerate(by_scheme)}
-        chart = Chart(
-            title=f"Optimal slicing method ({mode} reconciliation) per transmission",
-            x_label="channel transmission",
-            y_label="winning scheme",
-            y_ticks=list(enumerate(by_scheme)),
-        )
-        chart.add(Series("winner", [t for t, _ in winners],
-                         [float(position[s]) for _, s in winners], step=True))
+        title = f"Secrecy margin ({mode} reconciliation) vs channel transmission"
+        y_label = "secrecy margin (bits)"
+        series = [Series(s, [r["transmission"] for r in rs], [r[delta_key] for r in rs])
+                  for s, rs in by_scheme.items()]
     else:
-        raise ValueError(f"unknown plot mode {plot_mode!r}")
+        title = f"Optimal slicing method ({mode} reconciliation) per transmission"
+        y_label, y_ticks = "winning scheme", list(enumerate(by_scheme))
+        position = {s: i for i, s in y_ticks}
+        winners = best_rows(rows, mode)
+        series = [Series("winner", [t for t, _ in winners],
+                         [float(position[s]) for _, s in winners], step=True)]
 
+    chart = Chart(title, "channel transmission", y_label, series, y_ticks)
     with open(out, "w") as fh:
         fh.write(chart.render())
 

@@ -158,14 +158,18 @@ class BitMatrix:
         return self.bits.shape[1]
 
 
+def check_sample_count(count: int, scheme: SlicingScheme) -> None:
+    """Reject fewer samples than ``scheme`` has bins to place."""
+    n_bins = scheme.n_bins
+    if count < n_bins:
+        raise ValueError(f"need at least {n_bins} samples to place {n_bins} bins, got {count}")
+
+
 def compute_edges(samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
     """Place the 2^b - 1 interior boundaries from this party's own samples."""
     samples = np.asarray(samples, dtype=float)
+    check_sample_count(len(samples), scheme)
     n_bins = scheme.n_bins
-    if len(samples) < n_bins:
-        raise ValueError(
-            f"need at least {n_bins} samples to place {n_bins} bins, got {len(samples)}"
-        )
     # Non-finite and constant samples show at the samples' ends (a float std
     # of constant samples need not be 0): np.min and np.max propagate a NaN,
     # and a NaN sorts last. Samples that arrive sorted, as `party_bins`

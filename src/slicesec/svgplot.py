@@ -31,12 +31,10 @@ class Chart:
     series: list[Series] = field(default_factory=list)
     y_ticks: list[tuple[float, str]] | None = None
 
-    def add(self, series: Series) -> None:
-        self.series.append(series)
-
     def render(self) -> str:
         xs = [v for s in self.series for v in s.x]
-        ys = [v for s in self.series for v in s.y]
+        # the y range spans the given ticks too, so each lands in the frame
+        ys = [v for s in self.series for v in s.y] + [v for v, _ in self.y_ticks or ()]
         if not xs:
             raise ValueError("no data rows")
         x_lo, x_hi = min(xs), max(xs)
@@ -51,6 +49,10 @@ class Chart:
 
         plot_w = WIDTH - MARGIN_L - MARGIN_R
         plot_h = HEIGHT - MARGIN_T - MARGIN_B
+        bottom = MARGIN_T + plot_h
+        # legend entry i sits at legend_y + 16 i; the canvas grows to hold the last
+        legend_x, legend_y = WIDTH - MARGIN_R + 12, MARGIN_T + 14
+        height = max(HEIGHT, legend_y + 16 * len(self.series))
 
         def px(x: float) -> float:
             return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -59,95 +61,71 @@ class Chart:
             return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-            f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_esc(self.title)}</text>',
-        ]
-
-        # frame
-        parts.append(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+            f'viewBox="0 0 {WIDTH} {height}">',
+            f'<rect width="{WIDTH}" height="{height}" fill="white"/>',
+            _text(f"{WIDTH / 2:.1f}", 22, 16, self.title),
+            # frame
             f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-            'fill="none" stroke="#333" stroke-width="1"/>'
-        )
+            'fill="none" stroke="#333" stroke-width="1"/>',
+        ]
 
         # x ticks at nice intervals
         for frac in range(0, 11):
             xv = x_lo + frac / 10 * (x_hi - x_lo)
-            parts.append(
-                f'<line x1="{px(xv):.1f}" y1="{MARGIN_T + plot_h}" x2="{px(xv):.1f}" '
-                f'y2="{MARGIN_T + plot_h + 5}" stroke="#333"/>'
-            )
-            parts.append(
-                f'<text x="{px(xv):.1f}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{xv:.2f}</text>'
-            )
+            x = f"{px(xv):.1f}"
+            parts.append(_line(x, bottom, x, bottom + 5, 'stroke="#333"'))
+            parts.append(_text(x, bottom + 20, 11, f"{xv:.2f}"))
         y_ticks = self.y_ticks
         if y_ticks is None:
-            y_ticks = []
-            for frac in range(0, 6):
-                yv = y_lo + frac / 5 * (y_hi - y_lo)
-                y_ticks.append((yv, f"{yv:.3g}"))
+            steps = (y_lo + frac / 5 * (y_hi - y_lo) for frac in range(0, 6))
+            y_ticks = [(yv, f"{yv:.3g}") for yv in steps]
         for yv, text in y_ticks:
-            parts.append(
-                f'<line x1="{MARGIN_L - 5}" y1="{py(yv):.1f}" x2="{MARGIN_L}" '
-                f'y2="{py(yv):.1f}" stroke="#333"/>'
-            )
-            parts.append(
-                f'<text x="{MARGIN_L - 9}" y="{py(yv) + 4:.1f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{_esc(text)}</text>'
-            )
+            y = f"{py(yv):.1f}"
+            parts.append(_line(MARGIN_L - 5, y, MARGIN_L, y, 'stroke="#333"'))
+            parts.append(_text(MARGIN_L - 9, f"{py(yv) + 4:.1f}", 11, text, "end"))
 
         # axis labels
-        parts.append(
-            f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{_esc(self.x_label)}</text>'
-        )
-        parts.append(
-            f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{_esc(self.y_label)}</text>'
-        )
+        mid_y = f"{MARGIN_T + plot_h / 2:.1f}"
+        parts.append(_text(f"{MARGIN_L + plot_w / 2:.1f}", HEIGHT - 12, 13, self.x_label))
+        parts.append(_text(18, mid_y, 13, self.y_label,
+                           extra=f' transform="rotate(-90 18 {mid_y})"'))
 
         # zero line if visible
         if y_lo < 0 < y_hi:
-            parts.append(
-                f'<line x1="{MARGIN_L}" y1="{py(0):.1f}" x2="{MARGIN_L + plot_w}" '
-                f'y2="{py(0):.1f}" stroke="#999" stroke-dasharray="2,4"/>'
-            )
+            y = f"{py(0):.1f}"
+            parts.append(_line(MARGIN_L, y, MARGIN_L + plot_w, y,
+                               'stroke="#999" stroke-dasharray="2,4"'))
 
         for i, s in enumerate(self.series):
             color = _PALETTE[i % len(_PALETTE)]
             pts = sorted(zip(s.x, s.y))
-            coords: list[tuple[float, float]] = []
-            prev_y: float | None = None
-            for xv, yv in pts:
-                if s.step and prev_y is not None:
-                    coords.append((px(xv), py(prev_y)))
-                coords.append((px(xv), py(yv)))
-                prev_y = yv
-            points = " ".join(f"{cx:.2f},{cy:.2f}" for cx, cy in coords)
+            if s.step:  # each y holds until the next x
+                pts[1:] = [p for (_, y0), (x1, y1) in zip(pts, pts[1:])
+                           for p in ((x1, y0), (x1, y1))]
+            points = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in pts)
             dash = ' stroke-dasharray="6,4"' if s.dashed else ""
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.6"{dash} '
                 f'points="{points}"/>'
             )
-            # legend entry
-            ly = MARGIN_T + 14 + 16 * i
-            lx = WIDTH - MARGIN_R + 12
-            parts.append(
-                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="2"{dash}/>'
-            )
-            parts.append(
-                f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-                f'font-size="11">{_esc(s.label)}</text>'
-            )
+            ly = legend_y + 16 * i
+            parts.append(_line(legend_x, ly - 4, legend_x + 24, ly - 4,
+                               f'stroke="{color}" stroke-width="2"{dash}'))
+            parts.append(_text(legend_x + 30, ly, 11, s.label, anchor=None))
 
         parts.append("</svg>")
         return "\n".join(parts)
 
 
-def _esc(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _text(x, y, size: int, text: str, anchor: str | None = "middle", extra: str = "") -> str:
+    """A ``<text>`` element at (x, y), as formatted, with ``extra`` attributes after the font's."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{x}" y="{y}"{anchor_attr} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{text}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke: str) -> str:
+    """A ``<line>`` from (x1, y1) to (x2, y2), as formatted, with its ``stroke`` attributes."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {stroke}/>'

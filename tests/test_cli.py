@@ -37,6 +37,14 @@ def small_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def all_schemes_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "sweep.csv"
+    assert main(["sweep", "--seed", "7", "--samples", "4000", "--t", "0.2,0.5,0.8",
+                 "--workers", "1", "--out", str(path)]) == 0
+    return path
+
+
 class TestParseArgs:
     def test_full_sweep_defaults(self):
         config = parse_args([
@@ -297,6 +305,20 @@ class TestCsv:
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
+def test_too_few_samples_for_the_deepest_scheme_exit_2(tmp_path, capsys, workers):
+    # The default schemes go to 6 bits: 64 bins, so 64 samples at least.
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--samples", "40", "--workers", workers, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: need at least 64 samples to place 64 bins, got 40\n"
+    )
+    assert not out.exists()
+    assert parse_args(["sweep", "--samples", "64", "--out", str(out)]).base.samples == 64
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_error_names_the_failing_transmission(tmp_path, capsys, workers):
     out = tmp_path / "x.csv"
     out.write_text("an earlier sweep\n")
@@ -469,6 +491,42 @@ class TestPlot:
         empty = tmp_path / "empty.csv"
         empty.write_text(",".join(CSV_COLUMNS) + "\n")
         assert main(["plot", str(empty), "--out", str(tmp_path / "x.svg")]) == 1
+
+    @pytest.mark.parametrize("mode", ["direct", "reverse"])
+    @pytest.mark.parametrize("plot_mode", ["mi_vs_t", "delta_vs_t", "best_vs_t"])
+    def test_every_text_and_line_is_on_the_canvas(self, all_schemes_csv, tmp_path, plot_mode,
+                                                  mode):
+        # 18 schemes give 36 mi_vs_t legend entries and 18 best_vs_t ticks,
+        # most of them schemes that win nowhere.
+        winners = {s for _, s in cli.best_rows(read_csv(all_schemes_csv), mode)}
+        assert 1 <= len(winners) < 18
+        out = tmp_path / "chart.svg"
+        assert main(["plot", str(all_schemes_csv), "--plot-mode", plot_mode, "--mode", mode,
+                     "--out", str(out)]) == 0
+        root = ET.parse(str(out)).getroot()
+        height = float(root.get("height"))
+        assert root.get("viewBox") == f"0 0 {root.get('width')} {root.get('height')}"
+        assert root[0].get("height") == root.get("height")  # the white background
+        ys = []
+        for element in root:
+            tag = element.tag.rsplit("}", 1)[-1]
+            if tag == "text":
+                ys.append(float(element.get("y")))
+            elif tag == "line":
+                ys += [float(element.get("y1")), float(element.get("y2"))]
+                if (element.get("x1"), element.get("x2")) == ("65", "70"):  # a y tick
+                    assert 40 <= float(element.get("y1")) <= 465
+        assert ys and all(0 <= y <= height for y in ys)
+
+    def test_unknown_plot_mode_is_rejected_before_the_csv_is_read(self, monkeypatch, tmp_path):
+        def no_read(path):
+            raise AssertionError("the CSV was read before the plot mode was checked")
+
+        monkeypatch.setattr(cli, "read_csv", no_read)
+        out = tmp_path / "x.svg"
+        with pytest.raises(ValueError, match="unknown plot mode 'pie'"):
+            cli.emit_plot(str(tmp_path / "sweep.csv"), "pie", "direct", str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("plot_mode", ["mi_vs_t", "delta_vs_t", "best_vs_t"])
     def test_bad_mode_is_rejected_before_the_csv_is_read(self, monkeypatch, tmp_path, plot_mode):

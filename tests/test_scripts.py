@@ -111,11 +111,28 @@ def test_ab_pairs_exits_1_when_the_csvs_differ(tmp_path):
     assert lines[3] == "gain shown: no"  # one pair has no spread to exceed
 
 
-def load_ab_pairs():
-    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_byte_gate_writes_8_sweeps_and_66_files(tmp_path):
+    gate = load_script("byte_gate")
+    sweeps = list(gate.sweeps(tmp_path))
+    assert [(outdir.name, argv[argv.index("--seed") + 1], argv[argv.index("--workers") + 1])
+            for outdir, argv in sweeps] == [
+        ("paper_grid-1", "1", "1"), ("fine_slices-1", "1", "1"),
+        ("paper_grid-42", "42", "1"), ("fine_slices-42", "42", "1"),
+        ("paper_grid-123456", "123456", "1"), ("fine_slices-123456", "123456", "1"),
+        ("default-workers1", "42", "1"), ("default-workers2", "42", "2"),
+    ]
+    assert sweeps[-1][1][1:-2] == [*gate.DEFAULT_SWEEP, "--workers", "2"]
+    # Each sweep's CSV and its 7 reports, then the selftest and `sweep --help` stdouts.
+    reports = [len(gate.report_argvs(str(outdir))) for outdir, _ in sweeps]
+    assert reports == [7] * 8
+    assert sum(1 + n for n in reports) + 2 == 66
 
 
 PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]  # median 1.2, IQR 0.2
@@ -130,4 +147,4 @@ PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]  # median 1.2, IQR 0
     ([p + 0.3 for p in PARENT], False),  # 10 lost
 ])
 def test_ab_pairs_shows_a_gain_from_9_in_10_pairs_beyond_the_parent_iqr(change, shown):
-    assert load_ab_pairs().gain_shown(PARENT, change) is shown
+    assert load_script("ab_pairs").gain_shown(PARENT, change) is shown
