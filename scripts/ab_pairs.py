@@ -1,54 +1,40 @@
 #!/usr/bin/env python3
-"""Time a benchmark workload's sweep in interleaved pairs: another checkout against this one.
+"""Run a benchmark workload in interleaved pairs: another checkout against this one.
 
     python scripts/ab_pairs.py PARENT_DIR --workload NAME --pairs K --seed S
 
-Pair i runs the workload's `slicesec sweep` command (`bench/workloads.py`)
-with seed S + i twice, each a fresh `python -m slicesec` process: once from
-PARENT_DIR/src and once from this checkout's src, the parent first in even
-pairs and the change first in odd ones, so that a drift in the machine's
-speed falls on both sides alike. A run's time is the command's wall
-seconds, interpreter start-up and import included. Its peak RSS is the
-command's ru_maxrss and its CPU seconds are ru_utime + ru_stime, as
-`os.wait4` reports them, which cover the sweep workers the command waited
-for. Each pair's line gives both sides' wall time, peak RSS and CPU time
-and whether the two CSVs are byte-identical. Three summary lines follow, for
-wall time, peak RSS and CPU time. Each gives the pairs the change won and
-both medians and, from 2 pairs on, each side's quartiles (inclusive method)
-and the parent's interquartile range, the spread a difference of the
-medians must exceed to count as a gain. After each, a line says whether a
-gain is shown: the change won at least 9 of every 10 pairs (ties count for
-neither side), and its median is lower than the parent's by more than the
-parent's IQR. The script exits 1, after those lines, when any pair's CSVs
-differ.
+PARENT_DIR is a whole checkout (`git worktree add ../parent HEAD~1`). Pair i
+runs each checkout's own `bench/rep.py` once, as `bench/run.py` runs it:
+from the checkout's directory, with `--workload NAME --seed S+i --outdir
+DIR`. The parent goes first in even pairs and the change in odd ones, so
+that a drift in the machine's speed falls on both sides alike. Every number
+is the one that side's `rep.py` printed: `setup_s`, `sweep_s`, `cpu_s` and
+`peak_rss_mb`. The benchmark's fifth measure, `rows_per_s`, is the
+workload's rows over `sweep_s`, so its verdict is `sweep_s`'s. Each pair's
+line gives both sides' four measures and whether the two sweep CSVs are
+byte-identical; the charts may differ. Then each measure gets a summary
+line: the pairs the change won, both medians and, from 2 pairs on, each
+side's quartiles (inclusive method) and the parent's interquartile range,
+the spread a difference of the medians must exceed to count as a gain. A
+line follows it saying whether a gain is shown: the change won at least 9
+of every 10 pairs (ties count for neither side), and its median is lower
+than the parent's by more than the parent's IQR. Both lines start with the
+measure's name. The script exits 1 at once, naming the side, the pair and
+the seed, when a side's `rep.py` exits non-zero or reports a non-zero
+status; and after the summary when any pair's CSVs differ.
 """
 
 import argparse
-import os
+import json
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import CSV_NAME, WORKLOADS  # noqa: E402
-
-
-def measured_sweep(src: Path, argv: list[str]) -> tuple[float, float, float]:
-    """Wall seconds, peak RSS in MB and CPU seconds of one `slicesec` command run from ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "slicesec", *argv], env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, proc.args)
-    peak = usage.ru_maxrss / 1024.0  # Linux reports kilobytes
-    return wall, peak, usage.ru_utime + usage.ru_stime
 
 
 def summary(parent: list[float], change: list[float], unit: str, digits: int) -> str:
@@ -85,40 +71,45 @@ def main() -> int:
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error(f"--pairs must be >= 1, got {args.pairs}")
-    if not (args.parent_dir / "src" / "slicesec").is_dir():
-        ap.error(f"{args.parent_dir} has no src/slicesec")
-    workload = WORKLOADS[args.workload]
-    sides = {"parent": args.parent_dir.resolve() / "src", "change": ROOT / "src"}
+    if not (args.parent_dir / "bench" / "rep.py").is_file():
+        ap.error(f"{args.parent_dir} has no bench/rep.py: give a whole checkout,"
+                 " e.g. one made by `git worktree add ../parent HEAD~1`")
+    sides = {"parent": args.parent_dir.resolve(), "change": ROOT}
+    # Each measure `rep.py` prints, with its unit and printed decimals.
+    measures = {"setup_s": ("s", 3), "sweep_s": ("s", 3), "cpu_s": ("s", 3),
+                "peak_rss_mb": ("MB", 2)}
 
-    times = {side: [] for side in sides}
-    peaks = {side: [] for side in sides}
-    cpus = {side: [] for side in sides}
+    values = {side: {m: [] for m in measures} for side in sides}
     differing = 0
-    print("pair\tseed\tfirst\t"
-          + "".join(f"{side}_s\t{side}_mb\t{side}_cpu_s\t" for side in sides) + "same_csv")
+    print("\t".join(["pair", "seed", "first", *(f"{side}_{m}" for side in sides for m in measures),
+                     "same_csv"]))
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(args.pairs):
             seed = args.seed + i
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
-                outdir = os.path.join(tmp, side)
-                os.makedirs(outdir, exist_ok=True)
-                wall, peak, cpu = measured_sweep(sides[side], workload.sweep_argv(seed, outdir))
-                times[side].append(wall)
-                peaks[side].append(peak)
-                cpus[side].append(cpu)
+                proc = subprocess.run(
+                    [sys.executable, "bench/rep.py", "--workload", args.workload,
+                     "--seed", str(seed), "--outdir", str(Path(tmp, side))],
+                    cwd=sides[side], stdout=subprocess.PIPE, text=True)
+                lines = proc.stdout.splitlines()
+                result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+                if result.get("status", 1):
+                    sys.exit(f"error: the {side}'s bench/rep.py failed in pair {i}, seed {seed}"
+                             f" (exit status {proc.returncode})")
+                for m in measures:
+                    values[side][m].append(result[m])
             same = len({Path(tmp, side, CSV_NAME).read_bytes() for side in sides}) == 1
             differing += not same
-            print(f"{i}\t{seed}\t{order[0]}\t"
-                  + "".join(f"{times[side][i]:.3f}\t{peaks[side][i]:.2f}\t{cpus[side][i]:.3f}\t"
-                            for side in sides)
-                  + ("yes" if same else "NO"), flush=True)
+            print("\t".join([str(i), str(seed), order[0],
+                             *(f"{values[side][m][i]:.{digits}f}"
+                               for side in sides for m, (_, digits) in measures.items()),
+                             "yes" if same else "NO"]), flush=True)
 
-    for prefix, measure, unit, digits in (("", times, "s", 3), ("peak RSS: ", peaks, "MB", 2),
-                                          ("CPU time: ", cpus, "s", 3)):
-        print(prefix + summary(measure["parent"], measure["change"], unit, digits))
-        shown = gain_shown(measure["parent"], measure["change"])
-        print(f"{prefix}gain shown: {'yes' if shown else 'no'}")
+    for m, (unit, digits) in measures.items():
+        parent, change = values["parent"][m], values["change"][m]
+        print(f"{m}: {summary(parent, change, unit, digits)}")
+        print(f"{m}: gain shown: {'yes' if gain_shown(parent, change) else 'no'}")
     return 1 if differing else 0
 
 

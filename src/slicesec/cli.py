@@ -61,13 +61,21 @@ PLOT_MODES = ("mi_vs_t", "delta_vs_t", "best_vs_t")
 
 
 def _parse_t_spec(spec: str) -> tuple[float, ...]:
+    """The transmissions of a ``--t`` spec, min:max:step or a comma list."""
     spec = spec.strip()
+
+    def number(token: str) -> float:
+        try:
+            return float(token)
+        except ValueError:
+            raise ValueError(f"t field {token.strip()!r} in {spec!r} is not a number") from None
+
     if ":" not in spec:
-        return tuple(float(p) for p in spec.split(",") if p.strip())
+        return tuple(number(p) for p in spec.split(",") if p.strip())
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"t range must be min:max:step, got {spec!r}")
-    return t_range(*(float(p) for p in parts))
+    return t_range(*(number(p) for p in parts))
 
 
 def _parse_schemes(spec: str, width_multiplier: float) -> tuple[SlicingScheme, ...]:
@@ -234,10 +242,12 @@ def read_csv(path: str) -> list[dict]:
     A header that names a column twice is rejected, naming the column. A
     value that does not parse, a non-finite float, a transmission that a
     sweep would not print as it stands (at `FLOAT_FORMAT`, which keys its
-    cells) or a bit count that no `SlicingScheme` has is rejected with its
-    data row (1-based) and column, so that no NaN margin or unknown scheme
-    is ever ranked. So is a row with more fields than the header, and a
-    second row of the same (transmission, scheme) cell, naming both rows.
+    cells), a transmission, sample count or seed that `ChannelParams`
+    rejects, or a bit count that no `SlicingScheme` has is rejected with its
+    data row (1-based) and column, and with the library's reason where it
+    has one, so that no row a sweep cannot write is ever ranked. So is a
+    row with more fields than the header, and a second row of the same
+    (transmission, scheme) cell, naming both rows.
     Each row's ``scheme`` is the `SlicingScheme` string of its positioning,
     numbering and bits.
     """
@@ -253,6 +263,7 @@ def read_csv(path: str) -> list[dict]:
             if col not in header:
                 raise ValueError(f"missing column {col!r} in {path}")
         rows = []
+        channel = ChannelParams(transmission=0.5)  # a row's inputs replace its fields one by one
         first_row = {}  # (transmission, scheme) -> the row number that holds it
         for number, raw in enumerate(reader, start=1):
             if None in raw:  # DictReader files the fields past the header under None
@@ -276,11 +287,16 @@ def read_csv(path: str) -> list[dict]:
                         f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}"
                     )
                 row[col] = value
-            try:  # positioning and numbering parsed above, so only bits can fail
+            # The library's rules on a sweep's inputs; positioning and numbering
+            # parsed above, so of the scheme only bits can fail.
+            try:
+                for col in ("transmission", "samples", "seed"):
+                    replace(channel, **{col: row[col]})
+                col = "bits"
                 row["scheme"] = str(SlicingScheme(row["positioning"], row["numbering"], row["bits"]))
             except ValueError as exc:
                 raise ValueError(
-                    f"bad value {raw['bits']!r} in column 'bits' of row {number} in {path}: {exc}"
+                    f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}: {exc}"
                 ) from None
             cell = (row["transmission"], row["scheme"])
             if cell in first_row:
@@ -338,12 +354,12 @@ def emit_plot(csv_path: str, plot_mode: str, mode: str, out: str) -> None:
     if plot_mode == "mi_vs_t":
         title = "Mutual information vs channel transmission"
         y_label = "mutual information (bits)"
-        series = []
-        for s, rs in by_scheme.items():
-            ts = [r["transmission"] for r in rs]
-            series += [Series(f"I_AB {s}", ts, [r["i_ab"] for r in rs]),
-                       Series(f"max(I_AE,I_BE) {s}", ts,
-                              [max(r["i_ae"], r["i_be"]) for r in rs], dashed=True)]
+        # Every solid I_AB curve, then every dashed Eve curve: up to 18 schemes,
+        # no two curves of one style share a colour.
+        curves = (("I_AB", False, lambda r: r["i_ab"]),
+                  ("max(I_AE,I_BE)", True, lambda r: max(r["i_ae"], r["i_be"])))
+        series = [Series(f"{name} {s}", [r["transmission"] for r in rs], [y(r) for r in rs],
+                         dashed) for name, dashed, y in curves for s, rs in by_scheme.items()]
     elif plot_mode == "delta_vs_t":
         title = f"Secrecy margin ({mode} reconciliation) vs channel transmission"
         y_label = "secrecy margin (bits)"

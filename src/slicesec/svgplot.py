@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 _PALETTE = [
@@ -12,6 +13,9 @@ _PALETTE = [
 
 WIDTH, HEIGHT = 860, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 200, 40, 55
+# How far right the rotated y label reaches: its baseline's x, plus its
+# font size's quarter em of descenders.
+Y_LABEL_RIGHT = 18 + 0.25 * 13
 
 
 @dataclass
@@ -47,26 +51,38 @@ class Chart:
         pad = 0.04 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
+        left = MARGIN_L
+        y_ticks = self.y_ticks
+        if y_ticks is None:
+            steps = (y_lo + frac / 5 * (y_hi - y_lo) for frac in range(0, 6))
+            y_ticks = [(yv, f"{yv:.3g}") for yv in steps]
+        else:  # the gutter grows until the widest given tick starts right of the y label
+            left = max(left, math.ceil(Y_LABEL_RIGHT + 9 + _width([t for _, t in y_ticks], 11)))
+
+        # Every coordinate but the y label's keeps its offset from the frame's left edge.
         plot_w = WIDTH - MARGIN_L - MARGIN_R
         plot_h = HEIGHT - MARGIN_T - MARGIN_B
         bottom = MARGIN_T + plot_h
-        # legend entry i sits at legend_y + 16 i; the canvas grows to hold the last
-        legend_x, legend_y = WIDTH - MARGIN_R + 12, MARGIN_T + 14
+        # legend entry i sits at legend_y + 16 i; the canvas grows to hold the
+        # last and the widest
+        legend_x, legend_y = left + plot_w + 12, MARGIN_T + 14
+        width = max(left + plot_w + MARGIN_R,
+                    math.ceil(legend_x + 30 + _width([s.label for s in self.series], 11) + 12))
         height = max(HEIGHT, legend_y + 16 * len(self.series))
 
         def px(x: float) -> float:
-            return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+            return left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
         def py(y: float) -> float:
             return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
-            f'viewBox="0 0 {WIDTH} {height}">',
-            f'<rect width="{WIDTH}" height="{height}" fill="white"/>',
-            _text(f"{WIDTH / 2:.1f}", 22, 16, self.title),
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">',
+            f'<rect width="{width}" height="{height}" fill="white"/>',
+            _text(f"{left + WIDTH / 2 - MARGIN_L:.1f}", 22, 16, self.title),
             # frame
-            f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+            f'<rect x="{left}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
             'fill="none" stroke="#333" stroke-width="1"/>',
         ]
 
@@ -76,25 +92,21 @@ class Chart:
             x = f"{px(xv):.1f}"
             parts.append(_line(x, bottom, x, bottom + 5, 'stroke="#333"'))
             parts.append(_text(x, bottom + 20, 11, f"{xv:.2f}"))
-        y_ticks = self.y_ticks
-        if y_ticks is None:
-            steps = (y_lo + frac / 5 * (y_hi - y_lo) for frac in range(0, 6))
-            y_ticks = [(yv, f"{yv:.3g}") for yv in steps]
         for yv, text in y_ticks:
             y = f"{py(yv):.1f}"
-            parts.append(_line(MARGIN_L - 5, y, MARGIN_L, y, 'stroke="#333"'))
-            parts.append(_text(MARGIN_L - 9, f"{py(yv) + 4:.1f}", 11, text, "end"))
+            parts.append(_line(left - 5, y, left, y, 'stroke="#333"'))
+            parts.append(_text(left - 9, f"{py(yv) + 4:.1f}", 11, text, "end"))
 
         # axis labels
         mid_y = f"{MARGIN_T + plot_h / 2:.1f}"
-        parts.append(_text(f"{MARGIN_L + plot_w / 2:.1f}", HEIGHT - 12, 13, self.x_label))
+        parts.append(_text(f"{left + plot_w / 2:.1f}", HEIGHT - 12, 13, self.x_label))
         parts.append(_text(18, mid_y, 13, self.y_label,
                            extra=f' transform="rotate(-90 18 {mid_y})"'))
 
         # zero line if visible
         if y_lo < 0 < y_hi:
             y = f"{py(0):.1f}"
-            parts.append(_line(MARGIN_L, y, MARGIN_L + plot_w, y,
+            parts.append(_line(left, y, left + plot_w, y,
                                'stroke="#999" stroke-dasharray="2,4"'))
 
         for i, s in enumerate(self.series):
@@ -116,6 +128,11 @@ class Chart:
 
         parts.append("</svg>")
         return "\n".join(parts)
+
+
+def _width(texts: list[str], size: int) -> float:
+    """The widest of ``texts`` at font ``size``, estimated at 0.6 em per character."""
+    return max((0.6 * size * len(text) for text in texts), default=0.0)
 
 
 def _text(x, y, size: int, text: str, anchor: str | None = "middle", extra: str = "") -> str:

@@ -3,6 +3,7 @@ import ctypes
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -173,6 +174,19 @@ class TestParseArgs:
         assert cli._parse_t_spec("0.5:0.500000000003:1e-12") == (
             0.5, 0.500000000001, 0.500000000002, 0.500000000003
         )
+
+    @pytest.mark.parametrize("spec,token", [
+        ("0.1,abc", "abc"),
+        ("0.1:0.5:0.1,0.2", "0.1,0.2"),  # a list where the range's step goes
+    ])
+    def test_t_field_that_is_not_a_number_is_named_with_its_spec(self, capsys, spec, token):
+        message = f"t field {token!r} in {spec!r} is not a number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli._parse_t_spec(spec)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["sweep", "--t", spec, "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_explicit_t_list(self):
         config = parse_args(["sweep", "--t", "0.1,0.5,0.9", "--out", "x.csv"])
@@ -383,6 +397,8 @@ def test_non_finite_value_exits_1_naming_row_and_column(
 @pytest.mark.parametrize("column,value", [
     ("positioning", "foo"), ("numbering", "nope"), ("bits", "0"),
     ("transmission", "0.20000000001"),  # read back as 0.2, which a sweep prints
+    # Values that `ChannelParams` rejects, so that no sweep writes them.
+    ("transmission", "1.5"), ("samples", "-3"), ("seed", "-1"),
 ])
 @pytest.mark.parametrize("command", [
     ["best", "--mode", "direct"],
@@ -504,19 +520,60 @@ class TestPlot:
         assert main(["plot", str(all_schemes_csv), "--plot-mode", plot_mode, "--mode", mode,
                      "--out", str(out)]) == 0
         root = ET.parse(str(out)).getroot()
-        height = float(root.get("height"))
+        width, height = float(root.get("width")), float(root.get("height"))
         assert root.get("viewBox") == f"0 0 {root.get('width')} {root.get('height')}"
-        assert root[0].get("height") == root.get("height")  # the white background
-        ys = []
+        background = root[0]  # the white background
+        assert (background.get("width"), background.get("height")) == (root.get("width"),
+                                                                        root.get("height"))
+        frame = next(e for e in root if e.tag.endswith("rect") and e.get("x") is not None)
+        left, top = float(frame.get("x")), float(frame.get("y"))
+        bottom = top + float(frame.get("height"))
+        xs, ys, tick_starts = [], [], []
+        y_label_right = None
         for element in root:
             tag = element.tag.rsplit("}", 1)[-1]
             if tag == "text":
-                ys.append(float(element.get("y")))
+                x, y, size = (float(element.get(a)) for a in ("x", "y", "font-size"))
+                ys.append(y)
+                if element.get("transform"):  # the y label, rotated -90 about (x, y):
+                    # its glyphs lie left of x, its descenders a quarter em right
+                    y_label_right = x + 0.25 * size
+                    continue
+                # 0.6 em per character, the layout's estimate
+                w = 0.6 * size * len(element.text)
+                start = x - {"middle": w / 2, "end": w}.get(element.get("text-anchor"), 0)
+                xs += [start, start + w]
+                if element.get("text-anchor") == "end":
+                    tick_starts.append(start)
             elif tag == "line":
+                xs += [float(element.get("x1")), float(element.get("x2"))]
                 ys += [float(element.get("y1")), float(element.get("y2"))]
-                if (element.get("x1"), element.get("x2")) == ("65", "70"):  # a y tick
-                    assert 40 <= float(element.get("y1")) <= 465
+                if (float(element.get("x1")), float(element.get("x2"))) == (left - 5, left):
+                    assert top <= float(element.get("y1")) <= bottom  # a y tick
+        assert xs and all(0 <= x <= width for x in xs)
         assert ys and all(0 <= y <= height for y in ys)
+        # Scheme ticks widen the gutter. Numeric ticks keep it at 70 px, which
+        # keeps the delta charts' bytes; at 0.6 em a tick such as "-0.0313"
+        # would start left of the y label's descenders.
+        assert len(tick_starts) == (18 if plot_mode == "best_vs_t" else 6)
+        if plot_mode == "best_vs_t":
+            assert all(y_label_right <= start for start in tick_starts)
+
+    def test_each_scheme_has_its_own_colour_in_mi_vs_t(self, all_schemes_csv, tmp_path):
+        out = tmp_path / "mi.svg"
+        assert main(["plot", str(all_schemes_csv), "--plot-mode", "mi_vs_t",
+                     "--out", str(out)]) == 0
+        root = ET.parse(str(out)).getroot()
+        polylines = [e for e in root if e.tag.endswith("polyline")]
+        legend = [e.text for e in root if e.tag.endswith("text") and e.get("text-anchor") is None]
+        assert len(polylines) == len(legend) == 36  # in series order, both
+        solid, dashed = {}, {}
+        for label, line in zip(legend, polylines):
+            name, scheme = label.split(" ")
+            assert (name == "max(I_AE,I_BE)") == (line.get("stroke-dasharray") is not None)
+            (dashed if line.get("stroke-dasharray") else solid)[scheme] = line.get("stroke")
+        assert len(solid) == 18 and len(set(solid.values())) == 18
+        assert dashed == solid
 
     def test_unknown_plot_mode_is_rejected_before_the_csv_is_read(self, monkeypatch, tmp_path):
         def no_read(path):

@@ -46,46 +46,47 @@ def test_run_full_sweep_writes_charts_and_best_tables(tmp_path):
                        "best_reverse.csv"}
 
 
+MEASURES = ("setup_s", "sweep_s", "cpu_s", "peak_rss_mb")
+
+
 def test_ab_pairs_times_each_side_once_per_pair():
     # This checkout against itself: the CSVs agree, and the sides alternate.
     result = run_script("ab_pairs.py", str(ROOT), "--workload", "paper_grid",
                         "--pairs", "2", "--seed", "3")
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0].split("\t") == ["pair", "seed", "first", "parent_s", "parent_mb",
-                                    "parent_cpu_s", "change_s", "change_mb", "change_cpu_s",
+    assert lines[0].split("\t") == ["pair", "seed", "first",
+                                    *(f"{side}_{m}" for side in ("parent", "change")
+                                      for m in MEASURES),
                                     "same_csv"]
     pairs = [line.split("\t") for line in lines[1:3]]
-    assert [(p[0], p[1], p[2], p[9]) for p in pairs] == [
+    assert [(p[0], p[1], p[2], p[11]) for p in pairs] == [
         ("0", "3", "parent", "yes"), ("1", "4", "change", "yes"),
     ]
-    # A fresh interpreter with numpy imported holds more than 10 MB.
-    assert all(float(p[col]) > 10 for p in pairs for col in (4, 7))
-    # Starting an interpreter and importing numpy take CPU time.
-    assert all(float(p[col]) > 0 for p in pairs for col in (5, 8))
-    # One summary line per measure: wall seconds, peak RSS in MB, then CPU
-    # seconds. From 2 pairs on, each gives each side's inclusive quartiles
-    # and the parent's IQR, and a verdict line follows it; a gain needs
-    # both pairs won. Each tolerance is two units of the last printed digit
-    # (3 decimals for s, 2 for MB).
-    assert len(lines) == 9
-    for line, verdict, prefix, unit, parent_col, change_col, tol in (
-        (lines[3], lines[4], "", "s", 3, 6, 2e-3),
-        (lines[5], lines[6], "peak RSS: ", "MB", 4, 7, 2e-2),
-        (lines[7], lines[8], "CPU time: ", "s", 5, 8, 2e-3),
-    ):
-        assert line.startswith(prefix + "change won ")
+    # Importing numpy takes time, sweeping takes CPU time, and a process
+    # with numpy imported holds more than 10 MB.
+    assert all(float(p[col]) > 0 for p in pairs for col in (3, 4, 5, 7, 8, 9))
+    assert all(float(p[col]) > 10 for p in pairs for col in (6, 10))
+    # One summary line per measure, in the header's order, each followed by
+    # its verdict line. From 2 pairs on, each gives each side's inclusive
+    # quartiles and the parent's IQR; a gain needs both pairs won. Each
+    # tolerance is two units of the last printed digit (3 decimals for s, 2
+    # for MB).
+    assert len(lines) == 11
+    for k, (m, unit, tol) in enumerate(zip(MEASURES, ("s", "s", "s", "MB"),
+                                           (2e-3, 2e-3, 2e-3, 2e-2))):
+        line, verdict = lines[3 + 2 * k], lines[4 + 2 * k]
         summary = re.fullmatch(
-            rf"{prefix}change won (\d) of 2 pairs; median parent ([\d.]+) {unit}, "
+            rf"{m}: change won (\d) of 2 pairs; median parent ([\d.]+) {unit}, "
             rf"change ([\d.]+) {unit} \(ratio [\d.]+\); quartiles parent ([\d.]+)/([\d.]+) "
             rf"{unit}, change ([\d.]+)/([\d.]+) {unit}; parent IQR ([\d.]+) {unit}", line)
         assert summary, line
-        assert verdict in (prefix + "gain shown: yes", prefix + "gain shown: no")
+        assert verdict in (f"{m}: gain shown: yes", f"{m}: gain shown: no")
         if summary.group(1) != "2":
-            assert verdict == prefix + "gain shown: no"
+            assert verdict == f"{m}: gain shown: no"
         median_p, median_c, q1_p, q3_p, q1_c, q3_c, iqr = map(float, summary.groups()[1:])
-        for col, q1, median, q3 in ((parent_col, q1_p, median_p, q3_p),
-                                    (change_col, q1_c, median_c, q3_c)):
+        for col, q1, median, q3 in ((3 + k, q1_p, median_p, q3_p),
+                                    (7 + k, q1_c, median_c, q3_c)):
             low, high = sorted(float(p[col]) for p in pairs)
             # Two runs: the quartiles lie a quarter of the way in from each end.
             assert q1 == pytest.approx(low + (high - low) / 4, abs=tol)
@@ -94,10 +95,15 @@ def test_ab_pairs_times_each_side_once_per_pair():
         assert iqr == pytest.approx(q3_p - q1_p, abs=tol)
 
 
+def copy_checkout(dest):
+    """A copy of this checkout's `src/` and `bench/`, enough for `bench/rep.py` to run."""
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, dest / part, ignore=shutil.ignore_patterns("__pycache__"))
+
+
 def test_ab_pairs_exits_1_when_the_csvs_differ(tmp_path):
     # A parent that prints one digit fewer writes different CSV bytes.
-    shutil.copytree(ROOT / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
+    copy_checkout(tmp_path)
     secrecy = tmp_path / "src" / "slicesec" / "secrecy.py"
     source = secrecy.read_text()
     assert 'FLOAT_FORMAT = "%.9g"' in source
@@ -106,9 +112,29 @@ def test_ab_pairs_exits_1_when_the_csvs_differ(tmp_path):
                         "--pairs", "1", "--seed", "3")
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[1].split("\t")[9] == "NO"
-    assert lines[2].startswith("change won ")
-    assert lines[3] == "gain shown: no"  # one pair has no spread to exceed
+    assert lines[1].split("\t")[11] == "NO"
+    assert lines[2].startswith("setup_s: change won ")
+    assert lines[3] == "setup_s: gain shown: no"  # one pair has no spread to exceed
+
+
+def test_ab_pairs_exits_1_naming_a_side_that_fails(tmp_path):
+    # A parent whose slicesec fails at import: its rep.py exits 1 before any sweep.
+    copy_checkout(tmp_path)
+    init = tmp_path / "src" / "slicesec" / "__init__.py"
+    init.write_text('raise ImportError("broken on purpose")\n' + init.read_text())
+    result = run_script("ab_pairs.py", str(tmp_path), "--workload", "paper_grid",
+                        "--pairs", "2", "--seed", "3")
+    assert result.returncode == 1
+    assert "error: the parent's bench/rep.py failed in pair 0, seed 3" in result.stderr
+    assert len(result.stdout.splitlines()) == 1  # the header only
+
+
+def test_ab_pairs_needs_the_parent_bench(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    result = run_script("ab_pairs.py", str(tmp_path), "--workload", "paper_grid",
+                        "--pairs", "1", "--seed", "3")
+    assert result.returncode == 2
+    assert f"{tmp_path} has no bench/rep.py" in result.stderr
 
 
 def load_script(name):

@@ -40,7 +40,7 @@ CASES = {
     "ticks inside the data": (
         Chart("ticks", "x", "y", [Series("a", T, [0.0, 4.0, 10.0, 6.0, 1.0])],
               y_ticks=[(2.0, "two"), (5.0, "five & <more>")]),
-        "37ca8e2193bd51d3955bf1fc4a4efaba72ea9e691ffc16f3b8fa383cd9c72eeb",
+        "2abcaac9c818cd15362667706a7b34d82f9722476d7eb9a1d8a9449218ed2af5",
     ),
 }
 
