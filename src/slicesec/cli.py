@@ -48,6 +48,12 @@ COLUMN_TYPES = {
     "bits": int, "samples": int, "seed": int, "label_collisions": int,
 }
 
+# The closed range of each measured column that a sweep writes: a mutual
+# information is not negative and a BER is a fraction. `read_csv` adds the
+# collision count's, below the 2^bits labels of the row's scheme.
+_MEASURED_RANGES = {col: (0, 1 if col.startswith("ber_") else math.inf)
+                    for col in CSV_COLUMNS if col.startswith(("i_", "cmi_", "ber_"))}
+
 _report_values = operator.attrgetter(*CSV_FIELDS.values())
 # One row's %-format, str() for a column that is no float. A depth without
 # CMI (see `CMI_MAX_BITS`) leaves the cell empty: "%.0s" prints none of its None.
@@ -243,11 +249,14 @@ def read_csv(path: str) -> list[dict]:
     value that does not parse, a non-finite float, a transmission that a
     sweep would not print as it stands (at `FLOAT_FORMAT`, which keys its
     cells), a transmission, sample count or seed that `ChannelParams`
-    rejects, or a bit count that no `SlicingScheme` has is rejected with its
-    data row (1-based) and column, and with the library's reason where it
-    has one, so that no row a sweep cannot write is ever ranked. So is a
+    rejects, a bit count that no `SlicingScheme` has, a mutual information
+    (plain, symbol-level or conditional) below 0, a BER outside [0, 1] or a
+    label collision count outside [0, 2^bits) is rejected with its data row
+    (1-based) and column, and with the reason where there is one. So is a
     row with more fields than the header, and a second row of the same
-    (transmission, scheme) cell, naming both rows.
+    (transmission, scheme) cell, naming both rows. The secrecy margins are
+    not cross-checked against the mutual informations, since 9 printed
+    digits cannot reproduce them exactly.
     Each row's ``scheme`` is the `SlicingScheme` string of its positioning,
     numbering and bits.
     """
@@ -287,13 +296,18 @@ def read_csv(path: str) -> list[dict]:
                         f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}"
                     )
                 row[col] = value
-            # The library's rules on a sweep's inputs; positioning and numbering
-            # parsed above, so of the scheme only bits can fail.
+            # The library's rules on a sweep's inputs, then the ranges of its
+            # measures; positioning and numbering parsed above, so of the
+            # scheme only bits can fail.
             try:
                 for col in ("transmission", "samples", "seed"):
                     replace(channel, **{col: row[col]})
                 col = "bits"
                 row["scheme"] = str(SlicingScheme(row["positioning"], row["numbering"], row["bits"]))
+                ranges = {**_MEASURED_RANGES, "label_collisions": (0, 2 ** row["bits"] - 1)}
+                for col, (lo, hi) in ranges.items():
+                    if row[col] is not None and not lo <= row[col] <= hi:
+                        raise ValueError(f"{col} {row[col]} outside [{lo}, {hi}]")
             except ValueError as exc:
                 raise ValueError(
                     f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}: {exc}"
@@ -354,8 +368,6 @@ def emit_plot(csv_path: str, plot_mode: str, mode: str, out: str) -> None:
     if plot_mode == "mi_vs_t":
         title = "Mutual information vs channel transmission"
         y_label = "mutual information (bits)"
-        # Every solid I_AB curve, then every dashed Eve curve: up to 18 schemes,
-        # no two curves of one style share a colour.
         curves = (("I_AB", False, lambda r: r["i_ab"]),
                   ("max(I_AE,I_BE)", True, lambda r: max(r["i_ae"], r["i_be"])))
         series = [Series(f"{name} {s}", [r["transmission"] for r in rs], [y(r) for r in rs],

@@ -32,7 +32,7 @@ from .infotheory import (
 from .slicing import Numbering, Positioning, SlicingScheme, build_labels, party_bins
 
 # bench/tracing.py wraps these names in this module's namespace (and raises
-# KeyError if one is missing), so they stay importable from here although
+# AttributeError if one is missing), so they stay importable from here although
 # the engine bins once and derives every estimate from joint tables.
 from .infotheory import bit_error_rate, mutual_information_bitwise  # noqa: F401
 from .infotheory import conditional_mi, mutual_information_symbols  # noqa: F401

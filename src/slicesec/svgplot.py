@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
@@ -32,7 +32,7 @@ class Chart:
     title: str
     x_label: str
     y_label: str
-    series: list[Series] = field(default_factory=list)
+    series: list[Series]
     y_ticks: list[tuple[float, str]] | None = None
 
     def render(self) -> str:
@@ -51,13 +51,12 @@ class Chart:
         pad = 0.04 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
-        left = MARGIN_L
         y_ticks = self.y_ticks
         if y_ticks is None:
             steps = (y_lo + frac / 5 * (y_hi - y_lo) for frac in range(0, 6))
             y_ticks = [(yv, f"{yv:.3g}") for yv in steps]
-        else:  # the gutter grows until the widest given tick starts right of the y label
-            left = max(left, math.ceil(Y_LABEL_RIGHT + 9 + _width([t for _, t in y_ticks], 11)))
+        # the gutter grows until the widest tick starts right of the y label
+        left = max(MARGIN_L, math.ceil(Y_LABEL_RIGHT + 9 + _width([t for _, t in y_ticks], 11)))
 
         # Every coordinate but the y label's keeps its offset from the frame's left edge.
         plot_w = WIDTH - MARGIN_L - MARGIN_R
@@ -110,7 +109,9 @@ class Chart:
                                'stroke="#999" stroke-dasharray="2,4"'))
 
         for i, s in enumerate(self.series):
-            color = _PALETTE[i % len(_PALETTE)]
+            # a series' colour is its rank among the series of its stroke style
+            rank = [t.dashed for t in self.series[:i]].count(s.dashed)
+            color = _PALETTE[rank % len(_PALETTE)]
             pts = sorted(zip(s.x, s.y))
             if s.step:  # each y holds until the next x
                 pts[1:] = [p for (_, y0), (x1, y1) in zip(pts, pts[1:])

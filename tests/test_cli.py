@@ -399,6 +399,9 @@ def test_non_finite_value_exits_1_naming_row_and_column(
     ("transmission", "0.20000000001"),  # read back as 0.2, which a sweep prints
     # Values that `ChannelParams` rejects, so that no sweep writes them.
     ("transmission", "1.5"), ("samples", "-3"), ("seed", "-1"),
+    # Measures out of the range a sweep writes: a BER above 1, a negative
+    # mutual information, a negative collision count.
+    ("ber_ab", "1.5"), ("i_ab", "-2"), ("label_collisions", "-3"),
 ])
 @pytest.mark.parametrize("command", [
     ["best", "--mode", "direct"],
@@ -552,27 +555,26 @@ class TestPlot:
                     assert top <= float(element.get("y1")) <= bottom  # a y tick
         assert xs and all(0 <= x <= width for x in xs)
         assert ys and all(0 <= y <= height for y in ys)
-        # Scheme ticks widen the gutter. Numeric ticks keep it at 70 px, which
-        # keeps the delta charts' bytes; at 0.6 em a tick such as "-0.0313"
-        # would start left of the y label's descenders.
         assert len(tick_starts) == (18 if plot_mode == "best_vs_t" else 6)
-        if plot_mode == "best_vs_t":
-            assert all(y_label_right <= start for start in tick_starts)
+        assert all(y_label_right <= start for start in tick_starts)
 
-    def test_each_scheme_has_its_own_colour_in_mi_vs_t(self, all_schemes_csv, tmp_path):
+    @pytest.mark.parametrize("csv_fixture", ["small_csv", "all_schemes_csv"])
+    def test_each_scheme_has_its_own_colour_in_mi_vs_t(self, request, tmp_path, csv_fixture):
+        csv_path = request.getfixturevalue(csv_fixture)
+        n_schemes = len({r["scheme"] for r in read_csv(csv_path)})
         out = tmp_path / "mi.svg"
-        assert main(["plot", str(all_schemes_csv), "--plot-mode", "mi_vs_t",
+        assert main(["plot", str(csv_path), "--plot-mode", "mi_vs_t",
                      "--out", str(out)]) == 0
         root = ET.parse(str(out)).getroot()
         polylines = [e for e in root if e.tag.endswith("polyline")]
         legend = [e.text for e in root if e.tag.endswith("text") and e.get("text-anchor") is None]
-        assert len(polylines) == len(legend) == 36  # in series order, both
+        assert len(polylines) == len(legend) == 2 * n_schemes  # in series order, both
         solid, dashed = {}, {}
         for label, line in zip(legend, polylines):
             name, scheme = label.split(" ")
             assert (name == "max(I_AE,I_BE)") == (line.get("stroke-dasharray") is not None)
             (dashed if line.get("stroke-dasharray") else solid)[scheme] = line.get("stroke")
-        assert len(solid) == 18 and len(set(solid.values())) == 18
+        assert len(solid) == n_schemes and len(set(solid.values())) == n_schemes
         assert dashed == solid
 
     def test_unknown_plot_mode_is_rejected_before_the_csv_is_read(self, monkeypatch, tmp_path):

@@ -19,7 +19,7 @@ CASES = {
     ),
     "y crosses 0": (
         Chart("cross", "x", "y", [Series("a", T, [-0.2, -0.05, 0.0, 0.15, 0.4])]),
-        "516a6b5e7f69a0ac80aac5e59278c751aedd8bea4b9129f49a7fe03dff170671",
+        "65f75769d81ee9bd6293f890335683e99e310fa8c2c0a2d86cdf970b0d58338b",
     ),
     "step and dashed": (
         Chart("styles", "x", "y", [
@@ -27,7 +27,7 @@ CASES = {
             Series("dashed", T, [0.5, 0.6, 0.7, 0.8, 0.9], dashed=True),
             Series("both", T, [2.0, 1.5, 1.0, 0.5, 0.0], dashed=True, step=True),
         ]),
-        "ac14971390908081110ee554c78f1506baa7877cc92f01197bea06c0c3ae1822",
+        "a6f4fe293a10eba379c149b9e8ce970934ec48ee95f21e8bc693f540f52b7e7f",
     ),
     "palette wraps": (
         Chart("twenty", "x", "y", [Series(f"s{i}", T, [i * t for t in T]) for i in range(20)]),
