@@ -8,6 +8,7 @@ complete, reproducible description of a run.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import operator
 import os
@@ -17,11 +18,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import slicing
-from .channel import ChannelParams, check_count, transmit
+from .channel import ChannelParams, transmit
 from .secrecy import (
     FLOAT_FORMAT,
     SweepTable,
-    check_grid,
+    check_sweep,
     default_schemes,
     default_t_grid,
     evaluate_scheme,
@@ -118,8 +119,6 @@ def keep_freed_memory() -> None:
     inherit the setting. Where the C library has no ``mallopt`` (macOS,
     Windows) this does nothing; musl's is a stub.
     """
-    import ctypes  # on use: only `sweep` needs it
-
     try:
         # The running process's own symbols; ctypes.util.find_library would
         # start ldconfig in a child process.
@@ -206,9 +205,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     For ``sweep`` the namespace also carries the parsed ``t_grid`` and
     ``schemes`` and the channel parameters as ``base``; every rule on them is
-    stated once, by `t_range`, `check_grid`, `check_count`, `SlicingScheme`,
-    `ChannelParams` and `slicing.check_sample_count`, which the deepest
-    scheme must pass before any cell runs.
+    stated once, by `t_range`, `SlicingScheme`, `ChannelParams` and
+    `check_sweep`, the pre-flight that `sweep` makes first.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -217,16 +215,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     try:
         ns.t_grid = default_t_grid() if ns.t is None else _parse_t_spec(ns.t)
         ns.schemes = _parse_schemes(ns.schemes, ns.width_multiplier)
-        check_grid(ns.t_grid, ns.schemes)
-        ns.base = ChannelParams(
-            transmission=0.5,  # each sweep cell replaces it with its own T
-            sigma_alice=ns.sigma_alice,
-            sigma_vacuum=ns.sigma_vacuum,
-            samples=ns.samples,
-            seed=ns.seed,
+        ns.base = ChannelParams(  # each sweep cell replaces the transmission with its own T
+            transmission=0.5, sigma_alice=ns.sigma_alice, sigma_vacuum=ns.sigma_vacuum,
+            samples=ns.samples, seed=ns.seed,
         )
-        slicing.check_sample_count(ns.samples, max(ns.schemes, key=operator.attrgetter("bits")))
-        check_count("workers", ns.workers)
+        check_sweep(ns.t_grid, ns.schemes, ns.base, ns.workers)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     return ns
@@ -253,9 +246,10 @@ def read_csv(path: str) -> list[dict]:
     (plain, symbol-level or conditional) below 0, a BER outside [0, 1] or a
     label collision count outside [0, 2^bits) is rejected with its data row
     (1-based) and column, and with the reason where there is one. So is a
-    row with more fields than the header, and a second row of the same
-    (transmission, scheme) cell, naming both rows. The secrecy margins are
-    not cross-checked against the mutual informations, since 9 printed
+    row whose field count differs from the header's, and a second row of
+    the same (transmission, scheme) cell, naming both rows. Only the columns
+    of `CSV_FIELDS` are read; blank lines are skipped. The secrecy margins
+    are not cross-checked against the mutual informations, since 9 printed
     digits cannot reproduce them exactly.
     Each row's ``scheme`` is the `SlicingScheme` string of its positioning,
     numbering and bits.
@@ -263,9 +257,9 @@ def read_csv(path: str) -> list[dict]:
     import csv  # on use: only `best` and `plot` read a CSV
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for i, col in enumerate(header):  # DictReader would keep a repeated column's last copy
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for i, col in enumerate(header):
             if col in header[:i]:
                 raise ValueError(f"column {col!r} appears twice in the header of {path}")
         for col in CSV_COLUMNS:
@@ -274,20 +268,20 @@ def read_csv(path: str) -> list[dict]:
         rows = []
         channel = ChannelParams(transmission=0.5)  # a row's inputs replace its fields one by one
         first_row = {}  # (transmission, scheme) -> the row number that holds it
-        for number, raw in enumerate(reader, start=1):
-            if None in raw:  # DictReader files the fields past the header under None
-                raise ValueError(
-                    f"row {number} in {path} has {len(header) + len(raw[None])} fields,"
-                    f" more than the header's {len(header)}"
-                )
+        for number, fields in enumerate(filter(None, reader), start=1):
+            if len(fields) != len(header):
+                how = "more" if len(fields) > len(header) else "fewer"
+                raise ValueError(f"row {number} in {path} has {len(fields)} fields,"
+                                 f" {how} than the header's {len(header)}")
+            raw = dict(zip(header, fields))
             row = {}
-            for col in header:
+            for col in CSV_COLUMNS:
                 if col == "cmi_ab_given_e" and not raw[col]:
                     row[col] = None
                     continue
                 try:
                     value = COLUMN_TYPES.get(col, float)(raw[col])
-                except (TypeError, ValueError):  # TypeError: the row is short
+                except ValueError:
                     value = math.nan
                 if (isinstance(value, float) and not math.isfinite(value)) or (
                     col == "transmission" and float(FLOAT_FORMAT % value) != value

@@ -30,6 +30,7 @@ from .infotheory import (
     plugin_mi,
 )
 from .slicing import Numbering, Positioning, SlicingScheme, build_labels, party_bins
+from .slicing import check_sample_count
 
 # bench/tracing.py wraps these names in this module's namespace (and raises
 # AttributeError if one is missing), so they stay importable from here although
@@ -268,9 +269,12 @@ def _sweep_cell(args: tuple) -> list[SecrecyReport]:
         raise RuntimeError(f"T={FLOAT_FORMAT % t}: {exc}") from exc
 
 
-def check_grid(t_grid, schemes) -> None:
-    """Reject an empty grid, a transmission outside [0, 1] or a repeated row.
+def check_sweep(t_grid, schemes, base: ChannelParams, workers) -> None:
+    """Reject a sweep's bad input before any cell runs; `sweep` calls this first.
 
+    It rejects an empty grid, a transmission outside [0, 1] or a repeated
+    row, then too few ``base.samples`` for the deepest scheme (see
+    `check_sample_count`) and a ``workers`` count that fails `check_count`.
     Rows are keyed as the CSV prints them: by the transmission at
     FLOAT_FORMAT and the scheme's name, which leaves out the width
     multiplier. Sweep streams are keyed by a cell's index in ``t_grid``, so
@@ -284,6 +288,8 @@ def check_grid(t_grid, schemes) -> None:
         check_transmission(t)
     _check_distinct("transmission", [float(FLOAT_FORMAT % t) for t in t_grid])
     _check_distinct("scheme", [str(scheme) for scheme in schemes])
+    check_sample_count(base.samples, max(schemes, key=lambda scheme: scheme.bits))
+    check_count("workers", workers)
 
 
 def _check_distinct(kind: str, values) -> None:
@@ -300,13 +306,13 @@ def sweep(
     base: ChannelParams,
     workers: int = 1,
 ) -> SweepTable:
-    """Evaluate every scheme at every transmission of the grid (see `check_grid`).
+    """Evaluate every scheme at every transmission of the grid.
 
-    Cells run on up to ``workers`` processes, an integer >= 1 (see `check_count`).
-    For more than one worker and more than one cell, where the platform has
-    `os.fork`, the grid is cut into contiguous blocks of cells, one per
-    forked child and never more than the cells (see `_forked_blocks`);
-    otherwise the cells run in this process.
+    `check_sweep` rejects bad input first. Cells run on up to ``workers``
+    processes: for more than one worker and more than one cell, where the
+    platform has `os.fork`, the grid is cut into contiguous blocks of cells,
+    one per forked child and never more than the cells (see
+    `_forked_blocks`); otherwise the cells run in this process.
 
     Output is bit-identical for any worker count: each cell's random stream
     is keyed by the cell's index in ``t_grid``, and rows are assembled in
@@ -315,9 +321,8 @@ def sweep(
     """
     t_grid = list(t_grid)
     schemes = list(schemes)
-    check_grid(t_grid, schemes)
+    check_sweep(t_grid, schemes, base, workers)
     t_grid = [float(t) for t in t_grid]
-    check_count("workers", workers)
 
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]
     if workers > 1 and len(cells) > 1 and hasattr(os, "fork"):

@@ -448,19 +448,36 @@ def test_repeated_cell_exits_1_naming_both_rows(small_csv, tmp_path, capsys, com
     ["plot", "--plot-mode", "best_vs_t", "--mode", "direct"],
 ])
 def test_row_longer_than_header_exits_1_naming_the_row(small_csv, tmp_path, capsys, command):
-    lines = small_csv.read_text().splitlines()
-    lines[1] += ",999,zzz"  # data row 1 gains two fields the header does not name
-    bad = tmp_path / "long.csv"
-    bad.write_text("\n".join(lines) + "\n")
-
-    argv = [command[0], str(bad), *command[1:]]
-    if command[0] == "plot":
-        argv += ["--out", str(tmp_path / "x.svg")]
-    assert main(argv) == 1
+    # One rule for a row of more or of fewer fields: it must have the header's count.
     n = len(CSV_COLUMNS)
-    assert f"row 1 in {bad} has {n + 2} fields, more than the header's {n}" in (
-        capsys.readouterr().err
-    )
+    for edit, count, how in [
+        (lambda row: row + ",999,zzz", n + 2, "more"),  # two fields the header does not name
+        (lambda row: row.rsplit(",", 3)[0], n - 3, "fewer"),  # the last three fields dropped
+    ]:
+        lines = small_csv.read_text().splitlines()
+        lines[1] = edit(lines[1])
+        bad = tmp_path / f"{how}.csv"
+        bad.write_text("\n".join(lines) + "\n")
+
+        argv = [command[0], str(bad), *command[1:]]
+        if command[0] == "plot":
+            argv += ["--out", str(tmp_path / "x.svg")]
+        assert main(argv) == 1
+        assert f"row 1 in {bad} has {count} fields, {how} than the header's {n}" in (
+            capsys.readouterr().err
+        )
+
+
+def test_a_column_no_sweep_writes_is_ignored(small_csv, tmp_path, capsys):
+    assert main(["best", str(small_csv)]) == 0
+    winners = capsys.readouterr().out
+    # A first column, so every sweep column sits one field right of where a sweep puts it.
+    lines = small_csv.read_text().splitlines()
+    noted = tmp_path / "noted.csv"
+    noted.write_text("".join(f"{note},{line}\n"
+                             for note, line in zip(["note"] + ["hello"] * len(lines), lines)))
+    assert main(["best", str(noted)]) == 0
+    assert capsys.readouterr().out == winners
 
 
 class TestBest:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from slicesec.cli import main, read_csv
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -34,6 +36,27 @@ def test_compare_numberings_rejects_a_seed_beyond_u64():
                         "--seed", str(2**64 + 42))
     assert result.returncode == 2
     assert "seed must lie in [0, 2^64)" in result.stderr
+
+
+def test_compare_numberings_rejects_too_few_samples_for_its_bits():
+    result = run_script("compare_numberings.py", "--bits", "12", "--samples", "1000")
+    assert result.returncode == 2
+    assert "need at least 4096 samples to place 4096 bins, got 1000" in result.stderr
+
+
+def test_compare_numberings_prints_the_rows_of_a_one_point_sweep(tmp_path):
+    flags = ["--t", "0.95", "--samples", "5000", "--seed", "7"]
+    result = run_script("compare_numberings.py", *flags)
+    assert result.returncode == 0, result.stderr
+    printed = {fields[0]: fields[1:] for fields in map(str.split, result.stdout.splitlines())
+               if fields[0].startswith("eq")}
+    assert len(printed) == 6
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--schemes", ",".join(printed), "--workers", "1",
+                 "--out", str(out)]) == 0
+    columns = ("ber_ab", "i_ab", "i_ae", "i_be", "delta_direct", "delta_reverse")
+    assert printed == {r["scheme"]: [f"{r[col]:.4f}" for col in columns]
+                       for r in read_csv(str(out))}
 
 
 def test_run_full_sweep_writes_charts_and_best_tables(tmp_path):

@@ -40,7 +40,7 @@ from slicesec.secrecy import (
     FLOAT_FORMAT,
     SecrecyReport,
     SweepTable,
-    check_grid,
+    check_sweep,
     post_exchange_conditions,
     realization_for_cell,
 )
@@ -430,6 +430,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="workers must be"):
             sweep(SMALL_T, SMALL_SCHEMES, SMALL_BASE, workers=workers)
 
+    def test_too_few_samples_are_rejected_before_any_cell_or_fork(self, monkeypatch):
+        def ran(*args):
+            raise AssertionError("a cell ran or a child was forked")
+
+        monkeypatch.setattr(secrecy.os, "fork", ran)
+        monkeypatch.setattr(secrecy, "_sweep_cell", ran)
+        # 6 bits place 64 bins, so 40 samples cannot fill them.
+        with pytest.raises(ValueError, match="^need at least 64 samples to place 64 bins, got 40$"):
+            sweep([0.3, 0.5], [SlicingScheme("eqprob", "gray", 6)],
+                  replace(SMALL_BASE, samples=40), workers=2)
+
     def test_symbol_mi_ignores_numbering(self, small_table):
         # eqprob:binary:3 and eqprob:gray:3 share positioning and bit depth,
         # hence identical bins and identical symbol-level MI on shared data
@@ -608,9 +619,9 @@ _SCHEMES = st.builds(
 @example([0.5], [SlicingScheme("eqwidth", "gray", 4, 2.0), SlicingScheme("eqwidth", "gray", 4)])
 @example([0.5, 0.500000000001], [SlicingScheme("eqwidth", "gray", 4)])
 @example([0.0, -0.0], [SlicingScheme("eqwidth", "gray", 4)])
-def test_every_grid_check_grid_accepts_reads_back(t_grid, schemes):
-    try:
-        check_grid(t_grid, schemes)
+def test_every_grid_check_sweep_accepts_reads_back(t_grid, schemes):
+    try:  # enough samples for every scheme, so only the grid's rules can reject
+        check_sweep(t_grid, schemes, replace(SMALL_BASE, samples=1 << MAX_BITS), 1)
     except ValueError:
         return
     rows = tuple(_report(t, s) for t in t_grid for s in schemes)
