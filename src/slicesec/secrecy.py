@@ -343,30 +343,28 @@ def _forked_blocks(cells: list[tuple], workers: int) -> list[SecrecyReport]:
     order, and raises at the first failed block, which holds the earliest
     failing cell, as a serial sweep would: a RuntimeError with that cell's
     message, or naming the block's transmissions if its child ended without
-    reporting. However the parent leaves, each child not yet reaped is
-    killed and reaped, so none outlives the call.
+    reporting. However the parent leaves, every pipe is closed and each
+    child not yet reaped is killed and reaped, so none outlives the call.
     """
     n = len(cells)
     blocks = [cells[k * n // workers:(k + 1) * n // workers] for k in range(workers)]
-    children = []  # (pid, the read end of its pipe), in block order
+    pipes = []  # the read end of each child's pipe, in block order, recorded before its fork
+    pids = []
     reaped = set()
     try:
         for block in blocks:
             read_fd, write_fd = os.pipe()
-            pipe = open(read_fd, "rb")
+            pipes.append(open(read_fd, "rb"))
             try:
                 pid = os.fork()
-            except OSError:
-                pipe.close()
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _report_block(block, write_fd)
-            children.append((pid, pipe))
-            os.close(write_fd)  # the child's copy is then the only one: its exit ends the pipe
+                if pid == 0:
+                    _report_block(block, write_fd)
+            finally:
+                os.close(write_fd)  # the child's copy is then the only one: its exit ends the pipe
+            pids.append(pid)
 
         rows = []
-        for block, (pid, pipe) in zip(blocks, children):
+        for block, pid, pipe in zip(blocks, pids, pipes):
             report = pipe.read()
             status = os.waitpid(pid, 0)[1]
             reaped.add(pid)
@@ -381,8 +379,9 @@ def _forked_blocks(cells: list[tuple], workers: int) -> list[SecrecyReport]:
             rows += block_rows
         return rows
     finally:
-        for pid, pipe in children:
+        for pipe in pipes:
             pipe.close()
+        for pid in pids:
             if pid not in reaped:
                 import signal  # on use: only a sweep that is left early kills its children
 

@@ -10,8 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from slicesec.cli import main, read_csv
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -21,42 +19,6 @@ def run_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
-
-
-def test_compare_numberings_prints_one_row_per_scheme():
-    result = run_script("compare_numberings.py", "--t", "0.9", "--samples", "5000")
-    assert result.returncode == 0, result.stderr
-    rows = [line for line in result.stdout.splitlines() if line.lstrip().startswith("eq")]
-    assert len(rows) == 6
-
-
-def test_compare_numberings_rejects_a_seed_beyond_u64():
-    # 2^64 + 42 would draw seed 42's samples and print the larger seed.
-    result = run_script("compare_numberings.py", "--samples", "5000",
-                        "--seed", str(2**64 + 42))
-    assert result.returncode == 2
-    assert "seed must lie in [0, 2^64)" in result.stderr
-
-
-def test_compare_numberings_rejects_too_few_samples_for_its_bits():
-    result = run_script("compare_numberings.py", "--bits", "12", "--samples", "1000")
-    assert result.returncode == 2
-    assert "need at least 4096 samples to place 4096 bins, got 1000" in result.stderr
-
-
-def test_compare_numberings_prints_the_rows_of_a_one_point_sweep(tmp_path):
-    flags = ["--t", "0.95", "--samples", "5000", "--seed", "7"]
-    result = run_script("compare_numberings.py", *flags)
-    assert result.returncode == 0, result.stderr
-    printed = {fields[0]: fields[1:] for fields in map(str.split, result.stdout.splitlines())
-               if fields[0].startswith("eq")}
-    assert len(printed) == 6
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", *flags, "--schemes", ",".join(printed), "--workers", "1",
-                 "--out", str(out)]) == 0
-    columns = ("ber_ab", "i_ab", "i_ae", "i_be", "delta_direct", "delta_reverse")
-    assert printed == {r["scheme"]: [f"{r[col]:.4f}" for col in columns]
-                       for r in read_csv(str(out))}
 
 
 def test_run_full_sweep_writes_charts_and_best_tables(tmp_path):

@@ -1,9 +1,11 @@
+import gc
 import math
 import os
 import signal
 import tempfile
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -422,6 +424,25 @@ class TestSweep:
         with pytest.raises(failure):
             sweep(FIVE_T, SMALL_SCHEMES, SMALL_BASE, workers=3)
         assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [AssertionError, KeyboardInterrupt])
+    def test_a_failed_fork_leaves_no_pipe_open(self, monkeypatch, error):
+        def failing_fork():
+            raise error("no fork")
+
+        monkeypatch.setattr(secrecy.os, "fork", failing_fork)
+        before = os.listdir("/proc/self/fd")
+        # Recorded, a ResourceWarning from an unclosed pipe's collection cannot
+        # escape into whichever later test the collector happens to run in.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error, match="^no fork$"):
+                sweep([0.3, 0.5], [SlicingScheme("eqprob", "gray", 2)],
+                      replace(SMALL_BASE, samples=400), workers=2)
+            gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == len(before)
+        assert [w.message for w in caught] == []
         assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [0, -3, True, 2.5, 2.0])
