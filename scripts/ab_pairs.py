@@ -3,25 +3,28 @@
 
     python scripts/ab_pairs.py PARENT_DIR --workload NAME --pairs K --seed S
 
-PARENT_DIR is a whole checkout (`git worktree add ../parent HEAD~1`). Pair i
-runs each checkout's own `bench/rep.py` once, as `bench/run.py` runs it:
-from the checkout's directory, with `--workload NAME --seed S+i --outdir
-DIR`. The parent goes first in even pairs and the change in odd ones, so
-that a drift in the machine's speed falls on both sides alike. Every number
-is the one that side's `rep.py` printed: `setup_s`, `sweep_s`, `cpu_s` and
-`peak_rss_mb`. The benchmark's fifth measure, `rows_per_s`, is the
+PARENT_DIR is a whole checkout in a sibling directory whose name is as long as
+this checkout's: from a checkout in `repo`, `git worktree add ../base HEAD~1`.
+A sweep's peak RSS moves by a few tenths of a MB with the length of the path
+it runs from (heap layout), so two names of one length keep `peak_rss_mb`
+comparable. Pair i runs each checkout's own `bench/rep.py` once, as
+`bench/run.py` runs it: from the checkout's directory, with `--workload NAME
+--seed S+i --outdir DIR`. The parent goes first in even pairs and the change
+in odd ones, so that a drift in the machine's speed falls on both sides alike.
+Every number is the one that side's `rep.py` printed: `setup_s`, `sweep_s`,
+`cpu_s` and `peak_rss_mb`. The benchmark's fifth measure, `rows_per_s`, is the
 workload's rows over `sweep_s`, so its verdict is `sweep_s`'s. Each pair's
 line gives both sides' four measures and whether the two sweep CSVs are
-byte-identical; the charts may differ. Then each measure gets a summary
-line: the pairs the change won, both medians and, from 2 pairs on, each
-side's quartiles (inclusive method) and the parent's interquartile range,
-the spread a difference of the medians must exceed to count as a gain. A
-line follows it saying whether a gain is shown: the change won at least 9
-of every 10 pairs (ties count for neither side), and its median is lower
-than the parent's by more than the parent's IQR. Both lines start with the
-measure's name. The script exits 1 at once, naming the side, the pair and
-the seed, when a side's `rep.py` exits non-zero or reports a non-zero
-status; and after the summary when any pair's CSVs differ.
+byte-identical; the charts may differ. Then each measure gets a summary line:
+the pairs the change won, both medians and, from 2 pairs on, each side's
+quartiles (inclusive method) and the parent's interquartile range, the spread
+a difference of the medians must exceed to count as a gain. A line follows it
+saying whether a gain is shown: the change won at least 9 of every 10 pairs
+(ties count for neither side), and its median is lower than the parent's by
+more than the parent's IQR. Both lines start with the measure's name. The
+script exits 1 at once, naming the side, the pair and the seed, when a side's
+`rep.py` exits non-zero or reports a non-zero status; and after the summary
+when any pair's CSVs differ.
 """
 
 import argparse
@@ -73,7 +76,7 @@ def main() -> int:
         ap.error(f"--pairs must be >= 1, got {args.pairs}")
     if not (args.parent_dir / "bench" / "rep.py").is_file():
         ap.error(f"{args.parent_dir} has no bench/rep.py: give a whole checkout,"
-                 " e.g. one made by `git worktree add ../parent HEAD~1`")
+                 " e.g. one made by `git worktree add ../base HEAD~1`")
     sides = {"parent": args.parent_dir.resolve(), "change": ROOT}
     # Each measure `rep.py` prints, with its unit and printed decimals.
     measures = {"setup_s": ("s", 3), "sweep_s": ("s", 3), "cpu_s": ("s", 3),

@@ -131,6 +131,25 @@ def keep_freed_memory() -> None:
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's 64-bit ceiling for its dynamic one
 
 
+def stop_blas_threads() -> None:
+    """Shut down the idle OpenBLAS workers that `import numpy` starts (README).
+
+    A later product that needs them restarts them. Without `/proc/self/maps`
+    or OpenBLAS's `blas_thread_shutdown_` this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh}
+        for path in paths:
+            if "openblas" in os.path.basename(path):  # CDLL returns the loaded copy
+                shutdown = getattr(ctypes.CDLL(path), "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = (), ctypes.c_int
+                    shutdown()
+    except OSError:
+        return
+
+
 def _import_random_without_openssl() -> None:
     """Import `numpy.random` without loading OpenSSL, leaving `sys.modules` as it was.
 
@@ -461,6 +480,7 @@ def selftest() -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    stop_blas_threads()
     try:
         if args.subcommand == "selftest":
             return selftest()

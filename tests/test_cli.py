@@ -19,7 +19,9 @@ from slicesec import (
     default_t_grid, gaussian_source, slicing, sweep,
 )
 from slicesec.channel import check_count, check_transmission
-from slicesec.cli import CSV_COLUMNS, keep_freed_memory, main, parse_args, read_csv, selftest
+from slicesec.cli import (
+    CSV_COLUMNS, keep_freed_memory, main, parse_args, read_csv, selftest, stop_blas_threads,
+)
 from slicesec.secrecy import MAX_T_POINTS
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_sweep.csv"
@@ -755,3 +757,48 @@ def test_keep_freed_memory_does_nothing_without_mallopt(monkeypatch):
     # The C libraries of macOS and Windows have no mallopt.
     monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
     assert keep_freed_memory() is None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc/self/task")
+def test_serial_sweep_leaves_one_thread(tmp_path):
+    # numpy is imported first, as bench/rep.py does, so its OpenBLAS pool is
+    # running before the command starts. A CDLL that loaded a second copy of
+    # the library would shut down that copy's pool and leave this one.
+    script = textwrap.dedent("""
+        import os, sys
+        import numpy
+        print(len(os.listdir("/proc/self/task")))
+        from slicesec import cli
+        status = cli.main(["sweep", "--samples", "4000", "--t", "0.3,0.6", "--workers", "1",
+                           "--schemes", "eqprob:gray:4", "--out", sys.argv[1]])
+        print(status, len(os.listdir("/proc/self/task")))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               OPENBLAS_NUM_THREADS="2")
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "x.csv")], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    before, after = result.stdout.splitlines()
+    if int(before) < 2:
+        pytest.skip(f"import numpy started no BLAS thread here ({before} thread)")
+    assert after.split() == ["0", "1"]
+
+
+def test_stop_blas_threads_does_nothing_without_maps_or_library(monkeypatch):
+    def fail(*args, **kwargs):
+        raise OSError("unavailable")
+
+    with monkeypatch.context() as m:  # no /proc (macOS, Windows)
+        m.setattr("builtins.open", fail)
+        assert stop_blas_threads() is None
+    monkeypatch.setattr(ctypes, "CDLL", fail)
+    assert stop_blas_threads() is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())  # another BLAS
+    assert stop_blas_threads() is None
+
+
+def test_products_after_stop_blas_threads_are_right():
+    # Integer-valued operands make every sum exact, whatever the summation order.
+    a, b = np.random.default_rng(5).integers(-8, 9, size=(2, 512, 512)).astype(np.float64)
+    stop_blas_threads()
+    assert np.array_equal(a @ b, np.einsum("ij,jk->ik", a, b))
