@@ -19,6 +19,7 @@ import numpy as np
 
 from . import slicing
 from .channel import ChannelParams, transmit
+from .infotheory import CMI_MAX_BITS
 from .secrecy import (
     FLOAT_FORMAT,
     SweepTable,
@@ -50,8 +51,7 @@ COLUMN_TYPES = {
 }
 
 # The closed range of each measured column that a sweep writes: a mutual
-# information is not negative and a BER is a fraction. `read_csv` adds the
-# collision count's, below the 2^bits labels of the row's scheme.
+# information is not negative and a BER is a fraction.
 _MEASURED_RANGES = {col: (0, 1 if col.startswith("ber_") else math.inf)
                     for col in CSV_COLUMNS if col.startswith(("i_", "cmi_", "ber_"))}
 
@@ -85,12 +85,10 @@ def _parse_t_spec(spec: str) -> tuple[float, ...]:
     return t_range(*(number(p) for p in parts))
 
 
-def _parse_schemes(spec: str, width_multiplier: float) -> tuple[SlicingScheme, ...]:
+def _parse_schemes(spec: str) -> tuple[SlicingScheme, ...]:
     if spec.strip().lower() == "all":
-        schemes = default_schemes()
-    else:
-        schemes = [SlicingScheme.parse(tok) for tok in spec.split(",") if tok.strip()]
-    return tuple(replace(s, width_multiplier=width_multiplier) for s in schemes)
+        return tuple(default_schemes())
+    return tuple(SlicingScheme.parse(tok) for tok in spec.split(",") if tok.strip())
 
 
 def available_cpus() -> int:
@@ -185,16 +183,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the (T, scheme) grid and write CSV")
     # Every default but the worker count is the library's (`--t`: `default_t_grid`).
+    # Each option is a CSV column or leaves the CSV as it is (`--workers`, `--out`).
     p_sweep.add_argument("--seed", type=int, default=ChannelParams.seed,
                          help="master RNG seed (u64)")
     p_sweep.add_argument("--samples", type=int, default=ChannelParams.samples,
                          help="transmitted points per channel realization")
-    p_sweep.add_argument("--sigma-alice", type=float, default=ChannelParams.sigma_alice,
-                         help="std dev of Alice's Gaussian modulation")
-    p_sweep.add_argument("--sigma-vacuum", type=float, default=ChannelParams.sigma_vacuum,
-                         help="std dev of the added channel noise")
-    p_sweep.add_argument("--width-multiplier", type=float, default=SlicingScheme.width_multiplier,
-                         help="equal-width bins span mean +/- k*std; this is k")
     p_sweep.add_argument("--t", help="transmission grid: min:max:step or comma list")
     p_sweep.add_argument("--schemes", default="all",
                          help="'all' (18-scheme grid) or comma list like eqprob:gray:4")
@@ -233,11 +226,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         return ns
     try:
         ns.t_grid = default_t_grid() if ns.t is None else _parse_t_spec(ns.t)
-        ns.schemes = _parse_schemes(ns.schemes, ns.width_multiplier)
-        ns.base = ChannelParams(  # each sweep cell replaces the transmission with its own T
-            transmission=0.5, sigma_alice=ns.sigma_alice, sigma_vacuum=ns.sigma_vacuum,
-            samples=ns.samples, seed=ns.seed,
-        )
+        ns.schemes = _parse_schemes(ns.schemes)
+        # Each sweep cell replaces the transmission with its own T.
+        ns.base = ChannelParams(transmission=0.5, samples=ns.samples, seed=ns.seed)
         check_sweep(ns.t_grid, ns.schemes, ns.base, ns.workers)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
@@ -262,8 +253,9 @@ def read_csv(path: str) -> list[dict]:
     sweep would not print as it stands (at `FLOAT_FORMAT`, which keys its
     cells), a transmission, sample count or seed that `ChannelParams`
     rejects, a bit count that no `SlicingScheme` has, a mutual information
-    (plain, symbol-level or conditional) below 0, a BER outside [0, 1] or a
-    label collision count outside [0, 2^bits) is rejected with its data row
+    (plain, symbol-level or conditional) below 0, a BER outside [0, 1], a
+    CMI empty at `CMI_MAX_BITS` bits or fewer or present above, or a label
+    collision count not the scheme's is rejected with its data row
     (1-based) and column, and with the reason where there is one. So is a
     row whose field count differs from the header's, and a second row of
     the same (transmission, scheme) cell, naming both rows. Only the columns
@@ -310,17 +302,23 @@ def read_csv(path: str) -> list[dict]:
                     )
                 row[col] = value
             # The library's rules on a sweep's inputs, then the ranges of its
-            # measures; positioning and numbering parsed above, so of the
-            # scheme only bits can fail.
+            # measures and the two columns that its scheme fixes; positioning
+            # and numbering parsed above, so of the scheme only bits can fail.
             try:
                 for col in ("transmission", "samples", "seed"):
                     replace(channel, **{col: row[col]})
                 col = "bits"
                 row["scheme"] = str(SlicingScheme(row["positioning"], row["numbering"], row["bits"]))
-                ranges = {**_MEASURED_RANGES, "label_collisions": (0, 2 ** row["bits"] - 1)}
-                for col, (lo, hi) in ranges.items():
+                for col, (lo, hi) in _MEASURED_RANGES.items():
                     if row[col] is not None and not lo <= row[col] <= hi:
                         raise ValueError(f"{col} {row[col]} outside [{lo}, {hi}]")
+                col = "cmi_ab_given_e"
+                if (row[col] is None) != (row["bits"] > CMI_MAX_BITS):
+                    raise ValueError(f"a sweep leaves it empty exactly above {CMI_MAX_BITS} bits")
+                col = "label_collisions"
+                collisions = build_labels(row["numbering"], row["bits"]).collisions
+                if row[col] != collisions:
+                    raise ValueError(f"{row['scheme']} has {collisions} label collisions")
             except ValueError as exc:
                 raise ValueError(
                     f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}: {exc}"

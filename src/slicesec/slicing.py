@@ -194,6 +194,7 @@ def compute_edges(samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
             boundaries = lo + step * np.arange(1, n_bins)
         if not np.all(np.isfinite(boundaries)):
             raise ValueError(f"equal-width boundaries overflow a float (std {std:.3g})")
+        why = f"equal-width boundaries collapse (std {std:.3g})"
     else:
         # np.quantile(samples, q, method="linear") bit for bit, from one sort
         # (numpy partitions around every requested order statistic, which
@@ -206,10 +207,9 @@ def compute_edges(samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
         a = ordered[lower.astype(np.intp)]
         b = ordered[lower.astype(np.intp) + 1]
         boundaries = np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
-        if not np.all(np.diff(boundaries) > 0):
-            raise ValueError(
-                "quantile boundaries are not strictly increasing (heavy ties in samples)"
-            )
+        why = "quantile boundaries are not strictly increasing (heavy ties in samples)"
+    if not np.all(np.diff(boundaries) > 0):  # `BinEdges` would reject them, for no reason given
+        raise ValueError(why)
     return BinEdges(boundaries)
 
 

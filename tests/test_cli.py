@@ -9,6 +9,7 @@ import sys
 import textwrap
 import types
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from slicesec import (
     ChannelParams, LabelTable, Numbering, SlicingScheme, Stream, cli, default_schemes,
-    default_t_grid, gaussian_source, slicing, sweep,
+    default_t_grid, gaussian_source, secrecy, slicing, sweep,
 )
 from slicesec.channel import check_count, check_transmission
 from slicesec.cli import (
@@ -102,6 +103,7 @@ class TestParseArgs:
         ["sweep", "--t", "0.2,0.5,0.50", "--out", "x.csv"],
         ["sweep", "--schemes", "eqprob:gray:4,eqwidth:gray:4,EQPROB:gray:4", "--out", "x.csv"],
         ["notacommand"],
+        # Options that no CSV column records are not the sweep's.
         ["sweep", "--sigma-alice", "0", "--out", "x.csv"],
         ["sweep", "--sigma-alice", "nan", "--out", "x.csv"],
         ["sweep", "--sigma-vacuum", "-1", "--out", "x.csv"],
@@ -139,13 +141,10 @@ class TestParseArgs:
 
     def test_sweep_namespace_carries_library_types(self):
         config = parse_args([
-            "sweep", "--seed", "7", "--samples", "1000", "--sigma-vacuum", "0.5",
-            "--out", "x.csv",
+            "sweep", "--seed", "7", "--samples", "1000", "--out", "x.csv",
         ])
         assert isinstance(config, argparse.Namespace)
-        assert config.base == ChannelParams(
-            transmission=0.5, sigma_vacuum=0.5, samples=1000, seed=7
-        )
+        assert config.base == ChannelParams(transmission=0.5, samples=1000, seed=7)
 
     def test_largest_u64_seed_is_accepted(self):
         config = parse_args(["sweep", "--seed", str((1 << 64) - 1), "--out", "x.csv"])
@@ -194,12 +193,17 @@ class TestParseArgs:
         config = parse_args(["sweep", "--t", "0.1,0.5,0.9", "--out", "x.csv"])
         assert config.t_grid == (0.1, 0.5, 0.9)
 
-    def test_width_multiplier_reaches_schemes(self):
-        for schemes in ("eqwidth:gray:4", "all"):
-            config = parse_args([
-                "sweep", "--width-multiplier", "2.5", "--schemes", schemes, "--out", "x.csv",
-            ])
-            assert {s.width_multiplier for s in config.schemes} == {2.5}
+    def test_sweep_options_are_csv_columns_or_leave_the_csv_as_it_is(self):
+        # `best` and `plot` read each row as the sweep that wrote it only if
+        # every input that shapes the row is one of its columns: the seed,
+        # the samples, the transmissions and the schemes are, and the worker
+        # count and the output path leave the CSV's bytes as they are. So an
+        # option added here comes with its column.
+        subparsers = next(a for a in cli._build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = [o for a in subparsers.choices["sweep"]._actions for o in a.option_strings]
+        assert options == ["-h", "--help", "--seed", "--samples", "--t", "--schemes",
+                           "--workers", "--out"]
 
 
 def _message(call) -> str:
@@ -334,13 +338,25 @@ def test_too_few_samples_for_the_deepest_scheme_exit_2(tmp_path, capsys, workers
     assert parse_args(["sweep", "--samples", "64", "--out", str(out)]).base.samples == 64
 
 
+def _draw_cells_with(monkeypatch, **channel):
+    """Make every sweep cell draw with ``channel`` in place of its base's fields.
+
+    `sweep` looks `realization_for_cell` up at each cell, so forked workers
+    draw with it too.
+    """
+    draw = secrecy.realization_for_cell
+    monkeypatch.setattr(secrecy, "realization_for_cell",
+                        lambda base, t, t_index: draw(replace(base, **channel), t, t_index))
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_error_names_the_failing_transmission(tmp_path, capsys, workers):
+def test_sweep_error_names_the_failing_transmission(monkeypatch, tmp_path, capsys, workers):
     out = tmp_path / "x.csv"
     out.write_text("an earlier sweep\n")
     # Without vacuum noise Bob receives nothing at T = 0: zero variance.
+    _draw_cells_with(monkeypatch, sigma_vacuum=0.0)
     assert main([
-        "sweep", "--t", "0,0.5", "--sigma-vacuum", "0", "--samples", "1000",
+        "sweep", "--t", "0,0.5", "--samples", "1000",
         "--schemes", "eqprob:gray:4", "--workers", workers, "--out", str(out),
     ]) == 1
     assert out.read_text() == "an earlier sweep\n"  # a failed sweep leaves the file as it was
@@ -351,12 +367,15 @@ def test_sweep_error_names_the_failing_transmission(tmp_path, capsys, workers):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_error_names_the_earliest_failing_transmission(tmp_path, capsys, workers):
+def test_sweep_error_names_the_earliest_failing_transmission(
+    monkeypatch, tmp_path, capsys, workers
+):
     # Without vacuum noise Eve receives nothing at T = 1 and Bob nothing at
     # T = 0. With 2 workers, child 0 runs T = 0.5 and fails at T = 0 (cell
     # 2), and child 1 fails at T = 1 (cell 1), which a serial sweep names.
+    _draw_cells_with(monkeypatch, sigma_vacuum=0.0)
     assert main([
-        "sweep", "--t", "0.5,1,0", "--sigma-vacuum", "0", "--samples", "1000",
+        "sweep", "--t", "0.5,1,0", "--samples", "1000",
         "--schemes", "eqprob:gray:4", "--workers", workers, "--out", str(tmp_path / "x.csv"),
     ]) == 1
     assert capsys.readouterr().err == (
@@ -364,10 +383,11 @@ def test_sweep_error_names_the_earliest_failing_transmission(tmp_path, capsys, w
     )
 
 
-def test_sweep_names_an_equal_width_overflow(tmp_path, capsys):
+def test_sweep_names_an_equal_width_overflow(monkeypatch, tmp_path, capsys):
     # Alice's samples are finite, but their squares, and so their std, are not.
+    _draw_cells_with(monkeypatch, sigma_alice=1e200)
     assert main([
-        "sweep", "--t", "0.5", "--sigma-alice", "1e200", "--samples", "1000",
+        "sweep", "--t", "0.5", "--samples", "1000",
         "--schemes", "eqwidth:gray:4", "--workers", "1", "--out", str(tmp_path / "x.csv"),
     ]) == 1
     assert "equal-width boundaries overflow a float" in capsys.readouterr().err
@@ -425,6 +445,38 @@ def test_unknown_scheme_field_exits_1_naming_row_and_column(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"bad value {value!r} in column {column!r} of row 2" in err
+
+
+def _hand_made_row(**fields) -> str:
+    """One CSV row of a 4-bit binary scheme that a sweep could write, with ``fields`` replaced."""
+    row = dict(transmission="0.5", positioning="eqprob", numbering="binary", bits="4",
+               samples="1000", seed="1", i_ab="0.5", i_ae="0.2", i_be="0.1", i_ab_sym="0.6",
+               i_ae_sym="0.3", i_be_sym="0.2", ber_ab="0.1", ber_ae="0.3", ber_be="0.35",
+               delta_direct="0.3", delta_reverse="0.4", cmi_ab_given_e="0.15",
+               label_collisions="0")
+    row.update(fields)
+    return ",".join(row[col] for col in CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("fields,column,value,reason", [
+    ({"label_collisions": "3"}, "label_collisions", "3",
+     "eqprob:binary:4 has 0 label collisions"),
+    ({"numbering": "flfsr", "bits": "3"}, "label_collisions", "0",
+     "eqprob:flfsr:3 has 1 label collisions"),
+    ({"cmi_ab_given_e": ""}, "cmi_ab_given_e", "",
+     "a sweep leaves it empty exactly above 8 bits"),
+    ({"bits": "10"}, "cmi_ab_given_e", "0.15", "a sweep leaves it empty exactly above 8 bits"),
+], ids=["binary-collisions", "flfsr-collisions", "4-bit-empty-cmi", "10-bit-cmi"])
+def test_a_column_that_the_scheme_fixes_exits_1_naming_row_and_column(
+    tmp_path, capsys, fields, column, value, reason
+):
+    # Row 1 is read, so the error names row 2.
+    path = tmp_path / "rows.csv"
+    rows = [",".join(CSV_COLUMNS), _hand_made_row(), _hand_made_row(transmission="0.6", **fields)]
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["best", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: bad value {value!r} in column {column!r}"
+                                       f" of row 2 in {path}: {reason}\n")
 
 
 @pytest.mark.parametrize("command", [

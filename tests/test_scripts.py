@@ -36,7 +36,7 @@ MEASURES = ("setup_s", "sweep_s", "cpu_s", "peak_rss_mb")
 
 def test_ab_pairs_times_each_side_once_per_pair():
     # This checkout against itself: the CSVs agree, and the sides alternate.
-    result = run_script("ab_pairs.py", str(ROOT), "--workload", "paper_grid",
+    result = run_script("ab_pairs.py", str(ROOT), "--workload", "fine_slices",
                         "--pairs", "2", "--seed", "3")
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
@@ -93,7 +93,7 @@ def test_ab_pairs_exits_1_when_the_csvs_differ(tmp_path):
     source = secrecy.read_text()
     assert 'FLOAT_FORMAT = "%.9g"' in source
     secrecy.write_text(source.replace('FLOAT_FORMAT = "%.9g"', 'FLOAT_FORMAT = "%.8g"'))
-    result = run_script("ab_pairs.py", str(tmp_path), "--workload", "paper_grid",
+    result = run_script("ab_pairs.py", str(tmp_path), "--workload", "fine_slices",
                         "--pairs", "1", "--seed", "3")
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
@@ -107,7 +107,7 @@ def test_ab_pairs_exits_1_naming_a_side_that_fails(tmp_path):
     copy_checkout(tmp_path)
     init = tmp_path / "src" / "slicesec" / "__init__.py"
     init.write_text('raise ImportError("broken on purpose")\n' + init.read_text())
-    result = run_script("ab_pairs.py", str(tmp_path), "--workload", "paper_grid",
+    result = run_script("ab_pairs.py", str(tmp_path), "--workload", "fine_slices",
                         "--pairs", "2", "--seed", "3")
     assert result.returncode == 1
     assert "error: the parent's bench/rep.py failed in pair 0, seed 3" in result.stderr
@@ -116,7 +116,7 @@ def test_ab_pairs_exits_1_naming_a_side_that_fails(tmp_path):
 
 def test_ab_pairs_needs_the_parent_bench(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    result = run_script("ab_pairs.py", str(tmp_path), "--workload", "paper_grid",
+    result = run_script("ab_pairs.py", str(tmp_path), "--workload", "fine_slices",
                         "--pairs", "1", "--seed", "3")
     assert result.returncode == 2
     assert f"{tmp_path} has no bench/rep.py" in result.stderr

@@ -615,13 +615,20 @@ def test_post_exchange_conditions_are_the_engines_symbol_estimates(t):
 
 
 def _report(t, scheme):
-    """A report of the (t, scheme) cell whose every estimate is t."""
+    """A report of the (t, scheme) cell whose every estimate is t, as a sweep reports its scheme.
+
+    The label collisions are the scheme's codebook's, and the CMI is left
+    out above `CMI_MAX_BITS` bits.
+    """
     values = dict.fromkeys(
         ("i_ab", "i_ae", "i_be", "i_ab_sym", "i_ae_sym", "i_be_sym", "ber_ab", "ber_ae",
          "ber_be", "delta_direct", "delta_reverse", "cmi_ab_given_e"), t,
     )
-    return SecrecyReport(transmission=t, scheme=scheme, label_collisions=0, n=100, seed=1,
-                         **values)
+    if scheme.bits > CMI_MAX_BITS:
+        values["cmi_ab_given_e"] = None
+    collisions = build_labels(scheme.numbering, scheme.bits).collisions
+    return SecrecyReport(transmission=t, scheme=scheme, label_collisions=collisions, n=100,
+                         seed=1, **values)
 
 
 _SCHEMES = st.builds(

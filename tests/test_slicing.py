@@ -185,6 +185,15 @@ class TestComputeEdges:
         with pytest.raises(ValueError, match="equal-width boundaries overflow a float"):
             compute_edges(samples, scheme)
 
+    @pytest.mark.parametrize("samples, std", [
+        (np.array([-1e-320, 1e-320] * 4), "0"),  # distinct samples whose squares underflow
+        (np.array([1e6, np.nextafter(1e6, 2e6)] * 4), "8.23e-11"),  # 8 bins within one ulp
+    ], ids=["underflow", "below-ulp"])
+    def test_equal_width_names_boundaries_that_collapse(self, samples, std):
+        scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, 3)
+        with pytest.raises(ValueError, match=rf"^equal-width boundaries collapse \(std {std}\)$"):
+            compute_edges(samples, scheme)
+
 
 @settings(max_examples=200, deadline=None)
 @given(
