@@ -452,10 +452,10 @@ def selftest() -> int:
     check("bins of both positionings equal a binary search over the same edges", ok)
 
     # Equal-width ties: 512 samples at -1 and at +1 and 3072 at 0 have mean 0
-    # and std 0.5 exactly, so at width 2 and b = 2 the boundaries are -0.5, 0
-    # and 0.5, and the 3072 zeros sit on a boundary, which sends them higher.
+    # and std 0.5 exactly, so at b = 2 the boundaries are -0.75, 0 and 0.75,
+    # and the 3072 zeros sit on a boundary, which sends them higher.
     tied = np.random.default_rng(0).permutation(np.repeat([-1.0, 0.0, 1.0], [512, 3072, 512]))
-    scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 2, 2.0)
+    scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 2)
     edges = slicing.compute_edges(tied, scheme)
     check("equal-width bins of samples tied on a boundary equal a binary search",
           np.isin(tied, edges.boundaries).sum() > 0

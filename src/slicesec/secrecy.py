@@ -142,9 +142,9 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
 
     Every quantity is a function of the parties' bin indices and the label
     table. Each party is binned by one `party_bins` call per cell, at the
-    deepest bit count of every (positioning, width multiplier) group, so
-    it is sorted once even when every scheme is equal-width, which needs
-    no sort; the call also gives the party's symbol counts (see
+    deepest bit count of each positioning's group, so it is sorted once
+    even when every scheme is equal-width, which needs no sort; the call
+    also gives the party's symbol counts (see
     `party_bins`). A shallower depth is an exact right shift of those
     indices, so one `histograms_by_depth` chain of the group's bins gives
     each pair's histogram at every depth, and one the (A, B, E) histogram
@@ -166,9 +166,9 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
     histogram is alive at a time (see `_evaluate_group`).
     """
     schemes = list(schemes)
-    groups: dict[tuple[Positioning, float], list[SlicingScheme]] = {}
+    groups: dict[Positioning, list[SlicingScheme]] = {}
     for scheme in dict.fromkeys(schemes):  # distinct, so a depth has at most 3 numberings
-        groups.setdefault((scheme.positioning, scheme.width_multiplier), []).append(scheme)
+        groups.setdefault(scheme.positioning, []).append(scheme)
     deepest = [max(group, key=lambda s: s.bits) for group in groups.values()]
 
     params = realization.params
@@ -186,7 +186,7 @@ def evaluate_schemes(realization: ChannelRealization, schemes) -> list[SecrecyRe
 def _evaluate_group(
     p: ChannelParams, binned: list[tuple[np.ndarray, np.ndarray]], group: list[SlicingScheme]
 ) -> dict[SlicingScheme, SecrecyReport]:
-    """Reports of one (positioning, width multiplier) group of schemes.
+    """Reports of one positioning's group of schemes.
 
     ``binned`` holds A's, B's and E's (bins, counts) at the group's deepest
     depth (see `party_bins`); a shallower depth's counts are block sums.
@@ -276,9 +276,9 @@ def check_sweep(t_grid, schemes, base: ChannelParams, workers) -> None:
     row, then too few ``base.samples`` for the deepest scheme (see
     `check_sample_count`) and a ``workers`` count that fails `check_count`.
     Rows are keyed as the CSV prints them: by the transmission at
-    FLOAT_FORMAT and the scheme's name, which leaves out the width
-    multiplier. Sweep streams are keyed by a cell's index in ``t_grid``, so
-    a repeated transmission would also get a second realization.
+    FLOAT_FORMAT and the scheme's name, which is the whole scheme. Sweep
+    streams are keyed by a cell's index in ``t_grid``, so a repeated
+    transmission would also get a second realization.
     """
     if not t_grid:
         raise ValueError("empty transmission grid")

@@ -1,8 +1,8 @@
 """Quantization of continuous samples into labeled bit strings.
 
 A slicing scheme is (bin positioning, bin numbering, bits per symbol).
-Positioning places the 2^b - 1 interior boundaries either uniformly over a
-sigma-multiple range (equal width) or at empirical quantiles (equal
+Positioning places the 2^b - 1 interior boundaries either uniformly over
+mean +/- WIDTH_MULTIPLIER std (equal width) or at empirical quantiles (equal
 probability). Numbering maps each bin index to a b-bit label: plain binary,
 reflected Gray, or a Fibonacci LFSR sequence whose adjacent labels differ in
 many bits. Each party slices its own received samples; no cross-party data
@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import check_integer, check_positive_finite
+from .channel import check_integer
 
 
 class Positioning(str, Enum):
@@ -32,6 +32,7 @@ class Numbering(str, Enum):
 
 
 MAX_BITS = 16  # bin indices are stored as uint16 (see party_bins)
+WIDTH_MULTIPLIER = 3.0  # equal-width bins span the sample mean +/- this many stds
 
 
 def _bit_count(value, name: str) -> int:
@@ -47,13 +48,11 @@ class SlicingScheme:
     positioning: Positioning
     numbering: Numbering
     bits: int
-    width_multiplier: float = 3.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positioning", Positioning(self.positioning))
         object.__setattr__(self, "numbering", Numbering(self.numbering))
         object.__setattr__(self, "bits", _bit_count(self.bits, "bits"))
-        check_positive_finite("width_multiplier", self.width_multiplier)
 
     @property
     def n_bins(self) -> int:
@@ -186,11 +185,10 @@ def compute_edges(samples: np.ndarray, scheme: SlicingScheme) -> BinEdges:
         raise ValueError("degenerate samples: zero variance")
 
     if by_width:
-        k = scheme.width_multiplier
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
             std = samples.std()
-            lo = samples.mean() - k * std
-            step = 2.0 * k * std / n_bins
+            lo = samples.mean() - WIDTH_MULTIPLIER * std
+            step = 2.0 * WIDTH_MULTIPLIER * std / n_bins
             boundaries = lo + step * np.arange(1, n_bins)
         if not np.all(np.isfinite(boundaries)):
             raise ValueError(f"equal-width boundaries overflow a float (std {std:.3g})")
@@ -227,9 +225,9 @@ def bin_indices(samples: np.ndarray, scheme: SlicingScheme) -> np.ndarray:
     The one-scheme call of `party_bins`, which states the bin rule; its
     failures end ``(party at <b> bits, ...)``. uint16 holds every index up
     to MAX_BITS = 16. The indices at any shallower depth b of the same
-    positioning and width multiplier are an exact right shift,
-    ``bin_indices(samples, scheme) >> (scheme.bits - b)``: the equal-width
-    step 2 k std / 2^b and the equal-probability quantile levels i / 2^b
+    positioning are an exact right shift, ``bin_indices(samples, scheme) >>
+    (scheme.bits - b)``: the equal-width step 2 k std / 2^b (k =
+    WIDTH_MULTIPLIER) and the equal-probability quantile levels i / 2^b
     differ from the deeper depth's only by a power of two, which floating
     point scales exactly, so the shallower boundaries are the same floats as
     every 2^(bits - b)-th deeper boundary.
@@ -260,8 +258,8 @@ def party_bins(
     The samples are handed over: they are popped from ``parties``, so that
     they die once their sorted copy exists whatever the caller holds, and
     the sort and the sorted copy die on return. A failure names the party,
-    the depth and the scheme's (positioning, width multiplier) group,
-    ``<error> (<party> at <b> bits, in <positioning> group, width <k>)``.
+    the depth and the scheme's positioning group,
+    ``<error> (<party> at <b> bits, in <positioning> group)``.
     """
     samples = np.asarray(parties.pop(party), dtype=float)
 
@@ -270,8 +268,7 @@ def party_bins(
             return compute_edges(values, scheme)
         except ValueError as exc:
             raise ValueError(
-                f"{exc} ({party} at {scheme.bits} bits, in {scheme.positioning.value} group,"
-                f" width {scheme.width_multiplier:g})"
+                f"{exc} ({party} at {scheme.bits} bits, in {scheme.positioning.value} group)"
             ) from exc
 
     by_width = [edges(samples, scheme) if scheme.positioning is Positioning.EQUAL_WIDTH

@@ -362,7 +362,7 @@ def test_sweep_error_names_the_failing_transmission(monkeypatch, tmp_path, capsy
     assert out.read_text() == "an earlier sweep\n"  # a failed sweep leaves the file as it was
     # The cell's own error, wrapped once: nothing between "error:" and the transmission.
     assert capsys.readouterr().err == (
-        "error: T=0: degenerate samples: zero variance (bob at 4 bits, in eqprob group, width 3)\n"
+        "error: T=0: degenerate samples: zero variance (bob at 4 bits, in eqprob group)\n"
     )
 
 
@@ -379,7 +379,7 @@ def test_sweep_error_names_the_earliest_failing_transmission(
         "--schemes", "eqprob:gray:4", "--workers", workers, "--out", str(tmp_path / "x.csv"),
     ]) == 1
     assert capsys.readouterr().err == (
-        "error: T=1: degenerate samples: zero variance (eve at 4 bits, in eqprob group, width 3)\n"
+        "error: T=1: degenerate samples: zero variance (eve at 4 bits, in eqprob group)\n"
     )
 
 

@@ -121,12 +121,11 @@ class TestEvaluateScheme:
         assert all(rep.cmi_ab_given_e >= 0.0 for rep in small_table.rows)
 
 
-# Mixed depths, both positionings and two width multipliers, so the batched
-# engine shifts deep bin indices down where evaluate_scheme bins directly.
+# Mixed depths and both positionings, so the batched engine shifts deep bin
+# indices down where evaluate_scheme bins directly.
 MIXED_SCHEMES = [
-    SlicingScheme(pos, num, bits, width)
-    for pos, width in ((Positioning.EQUAL_WIDTH, 3.0), (Positioning.EQUAL_WIDTH, 2.0),
-                       (Positioning.EQUAL_PROBABILITY, 3.0))
+    SlicingScheme(pos, num, bits)
+    for pos in Positioning
     for num in Numbering
     for bits in (7, 1, 3)
 ]
@@ -204,7 +203,7 @@ class TestEvaluateSchemes:
         monkeypatch.setattr(secrecy, "label_bit_tables", recording)
         batch = evaluate_schemes(mixed_realization, MIXED_SCHEMES + MIXED_SCHEMES[:4])
         assert batch[-4:] == batch[:4]
-        groups = 3
+        groups = 2
         assert sorted(calls) == sorted([(3, (3, 1 << d), (d,) * 3) for d in (7, 1, 3)] * groups)
 
 
@@ -221,7 +220,7 @@ def test_failure_names_the_scheme_group():
     with pytest.raises(
         ValueError,
         match=r"^quantile boundaries are not strictly increasing .*"
-        r" \(alice at 5 bits, in eqprob group, width 3\)$",
+        r" \(alice at 5 bits, in eqprob group\)$",
     ):
         evaluate_schemes(tied, schemes)
 
@@ -235,14 +234,14 @@ def test_failure_names_the_failing_party(party):
     with pytest.raises(
         ValueError,
         match=r"^quantile boundaries are not strictly increasing .*"
-        rf" \({party} at 5 bits, in eqprob group, width 3\)$",
+        rf" \({party} at 5 bits, in eqprob group\)$",
     ):
         evaluate_schemes(tied, [SlicingScheme.parse("eqprob:gray:5")])
 
 
 def test_one_sort_per_party_per_cell(monkeypatch):
-    # Three groups, two of them equal-width, and still one argsort per party:
-    # every group's bins are read off the ranks of the same sort.
+    # Three schemes in two groups, and still one argsort per party: every
+    # group's bins are read off the ranks of the same sort.
     sorts = []
     argsort = np.argsort
 
@@ -253,7 +252,7 @@ def test_one_sort_per_party_per_cell(monkeypatch):
     monkeypatch.setattr(np, "argsort", counting)
     schemes = [
         SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 4),
-        SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, 3, 2.0),
+        SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, 3),
         SlicingScheme(Positioning.EQUAL_PROBABILITY, Numbering.FLFSR, 5),
     ]
     n = 3000
@@ -276,20 +275,18 @@ def test_deepest_scheme_runs_on_sparse_histograms(text):
 
 
 @settings(max_examples=120, deadline=None)
-@example(positioning=Positioning.EQUAL_WIDTH, depths=[9, 8], width=1e6, t=1.0, extra=0, seed=0)
-@example(positioning=Positioning.EQUAL_WIDTH, depths=[16], width=0.05, t=0.0, extra=0, seed=1)
-@example(positioning=Positioning.EQUAL_PROBABILITY, depths=[16, 8, 9], width=3.0, t=0.5,
-         extra=0, seed=2)
+@example(positioning=Positioning.EQUAL_WIDTH, depths=[9, 8], t=1.0, extra=0, seed=0)
+@example(positioning=Positioning.EQUAL_WIDTH, depths=[16], t=0.0, extra=0, seed=1)
+@example(positioning=Positioning.EQUAL_PROBABILITY, depths=[16, 8, 9], t=0.5, extra=0, seed=2)
 @given(
     positioning=st.sampled_from(list(Positioning)),
     depths=st.lists(st.integers(1, MAX_BITS), min_size=1, max_size=3, unique=True),
-    width=st.floats(0.05, 1e6),
     t=st.sampled_from([0.0, 0.01, 0.3, 0.5, 0.99, 1.0]),
     extra=st.integers(0, 2000),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_cmi_is_reported_by_depth_as_the_alphabet_product_rule_did(
-    positioning, depths, width, t, extra, seed
+    positioning, depths, t, extra, seed
 ):
     # CMI is reported up to CMI_MAX_BITS = 8 bits per party. The former rule
     # multiplied the parties' occupied alphabets and reported up to 2^24
@@ -297,7 +294,7 @@ def test_cmi_is_reported_by_depth_as_the_alphabet_product_rule_did(
     # 2^(d - 1), its largest sample being no less than the middle boundary.
     samples = (1 << max(depths)) + extra  # down to one sample per bin
     realization = transmit(ChannelParams(transmission=t, samples=samples, seed=seed))
-    schemes = [SlicingScheme(positioning, Numbering.BINARY, d, width) for d in depths]
+    schemes = [SlicingScheme(positioning, Numbering.BINARY, d) for d in depths]
     for scheme, report in zip(schemes, evaluate_schemes(realization, schemes)):
         reported = scheme.bits <= CMI_MAX_BITS
         assert (report.cmi_ab_given_e is not None) == reported
@@ -633,7 +630,7 @@ def _report(t, scheme):
 
 _SCHEMES = st.builds(
     SlicingScheme, st.sampled_from(list(Positioning)), st.sampled_from(list(Numbering)),
-    st.integers(1, MAX_BITS), st.sampled_from([2.0, 3.0]),
+    st.integers(1, MAX_BITS),
 )
 
 
@@ -643,8 +640,7 @@ _SCHEMES = st.builds(
                     min_size=1, max_size=4),
     schemes=st.lists(_SCHEMES, min_size=1, max_size=4),
 )
-# Width-only twins, and transmissions that print alike at 9 digits.
-@example([0.5], [SlicingScheme("eqwidth", "gray", 4, 2.0), SlicingScheme("eqwidth", "gray", 4)])
+# Transmissions that print alike at 9 digits.
 @example([0.5, 0.500000000001], [SlicingScheme("eqwidth", "gray", 4)])
 @example([0.0, -0.0], [SlicingScheme("eqwidth", "gray", 4)])
 def test_every_grid_check_sweep_accepts_reads_back(t_grid, schemes):

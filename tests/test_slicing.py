@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from unittest import mock
 
@@ -18,6 +19,7 @@ from slicesec import (
     slice_samples,
 )
 from slicesec import slicing
+from slicesec.cli import CSV_FIELDS
 from slicesec.slicing import _label_table, _ranked_bins, party_bins
 
 
@@ -43,19 +45,20 @@ class TestSchemeParsing:
         with pytest.raises(ValueError):
             SlicingScheme.parse(bad)
 
-    def test_width_multiplier_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 4, width_multiplier=0.0)
-
-    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
-    def test_width_multiplier_must_be_finite(self, k):
-        with pytest.raises(ValueError):
-            SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.GRAY, 4, width_multiplier=k)
-
-    @pytest.mark.parametrize("k", [True, np.bool_(True)], ids=["bool", "numpy-bool"])
-    def test_width_multiplier_must_be_a_number(self, k):
-        with pytest.raises(ValueError, match="width_multiplier must be a number, got"):
-            SlicingScheme("eqwidth", "gray", 3, k)
+    def test_a_scheme_is_its_name_and_its_columns(self):
+        # A scheme field that no CSV column records makes a row read back as a
+        # different scheme, so every field is a column and the name is the scheme.
+        fields = {f.name for f in dataclasses.fields(SlicingScheme)}
+        assert fields == {"positioning", "numbering", "bits"}
+        read = {path.split(".")[1] for path in CSV_FIELDS.values() if path.startswith("scheme.")}
+        assert read == fields
+        schemes = [SlicingScheme(p, n, b) for p in Positioning for n in Numbering
+                   for b in range(1, slicing.MAX_BITS + 1)]
+        assert len(set(schemes)) == 96
+        for s in schemes:
+            assert SlicingScheme.parse(str(s)) == s
+        with pytest.raises(TypeError):
+            SlicingScheme("eqwidth", "gray", 4, 2.0)
 
     @pytest.mark.parametrize("bits", [4.0, 4.5, np.float64(4.0), True, np.bool_(True)],
                              ids=["float", "fraction", "numpy-float", "bool", "numpy-bool"])
@@ -176,12 +179,12 @@ class TestComputeEdges:
             with pytest.raises(ValueError, match=message):
                 compute_edges(samples, scheme)
 
-    @pytest.mark.parametrize("samples, k", [
-        (np.array([-1e200, 1e200] * 4), 3.0),  # finite samples whose squares are not
-        (np.array([-1e300, 1e300] * 4), 1e9),  # a finite std, but not k times it
-    ], ids=["std", "k-std"])
-    def test_equal_width_names_an_overflow(self, samples, k):
-        scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, 2, k)
+    # Finite samples whose squares, and so whose std, are not. At k = 3 no
+    # finite std overflows the span: a std whose square is finite is below
+    # about 1.34e154.
+    @pytest.mark.parametrize("samples", [np.array([-1e200, 1e200] * 4)], ids=["std"])
+    def test_equal_width_names_an_overflow(self, samples):
+        scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, 2)
         with pytest.raises(ValueError, match="equal-width boundaries overflow a float"):
             compute_edges(samples, scheme)
 
@@ -280,12 +283,11 @@ class TestAssignBins:
     top=st.integers(1, 8),
     shallower=st.integers(0, 7),
     positioning=st.sampled_from(list(Positioning)),
-    width_multiplier=st.floats(0.25, 8.0),
-    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    scale=st.floats(1e-3, 1e3),  # any scale, so the edge arithmetic rounds non-dyadic products
     decimals=st.sampled_from([None, 1]),
 )
 def test_shallower_bins_are_exact_right_shifts(
-    seed, n, top, shallower, positioning, width_multiplier, scale, decimals
+    seed, n, top, shallower, positioning, scale, decimals
 ):
     bits = max(1, top - shallower)
     samples = 5.0 + scale * np.random.default_rng(seed).normal(size=n)
@@ -293,8 +295,7 @@ def test_shallower_bins_are_exact_right_shifts(
         samples = np.round(samples, decimals)
 
     def indices(b):
-        scheme = SlicingScheme(positioning, Numbering.BINARY, b, width_multiplier)
-        return bin_indices(samples, scheme)
+        return bin_indices(samples, SlicingScheme(positioning, Numbering.BINARY, b))
 
     try:
         deep = indices(top)
@@ -309,17 +310,14 @@ def test_shallower_bins_are_exact_right_shifts(
 @given(
     seed=st.integers(0, 2**32 - 1),
     loc=st.sampled_from([0.0, 5.0, -1e4]),
-    scale=st.sampled_from([1e-3, 1.0, 1e3]),
-    width_multiplier=st.floats(0.25, 8.0),
+    scale=st.floats(1e-3, 1e3),  # any scale, so the edge arithmetic rounds non-dyadic products
     decimals=st.sampled_from([None, 0, 2]),
 )
-def test_equal_width_bins_by_rank_equal_searchsorted(
-    bits, seed, loc, scale, width_multiplier, decimals
-):
+def test_equal_width_bins_by_rank_equal_searchsorted(bits, seed, loc, scale, decimals):
     samples = loc + scale * np.random.default_rng(seed).normal(size=max(1 << bits, 500))
     if decimals is not None:  # coarse values put many samples on boundaries
         samples = np.round(samples, decimals)
-    scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, bits, width_multiplier)
+    scheme = SlicingScheme(Positioning.EQUAL_WIDTH, Numbering.BINARY, bits)
     try:
         edges = compute_edges(samples, scheme)
     except ValueError:  # zero variance, or a step below the float spacing
@@ -401,7 +399,7 @@ def test_equal_probability_bins_reject_what_edges_reject(samples):
     with pytest.raises(ValueError) as rejected:
         compute_edges(samples, scheme)
     # The same error, naming the scheme's group as `party_bins` does.
-    suffix = r" \(party at 2 bits, in eqprob group, width 3\)$"
+    suffix = r" \(party at 2 bits, in eqprob group\)$"
     with pytest.raises(ValueError, match="^" + re.escape(str(rejected.value)) + suffix):
         bin_indices(samples, scheme)
 

@@ -55,7 +55,7 @@ def test_per_cell_layer_counts(tmp_path):
 
 
 def test_histograms_read_the_samples_once_per_cell_and_positioning(tmp_path, monkeypatch):
-    # Each (positioning, width multiplier) group counts its three pair
+    # Each positioning's group counts its three pair
     # histograms from the N bin indices, and its (A, B, E) histogram only
     # when some depth's CMI is within capacity, at the deepest such depth.
     # Every other histogram comes from the one above in its depth chain:
@@ -76,10 +76,9 @@ def test_histograms_read_the_samples_once_per_cell_and_positioning(tmp_path, mon
     schemes = [
         slicing.SlicingScheme("eqwidth", "gray", 3),
         slicing.SlicingScheme("eqwidth", "flfsr", 5),
-        slicing.SlicingScheme("eqwidth", "binary", 10, 2.0),  # 2^30 CMI cells: no triple
-        slicing.SlicingScheme("eqwidth", "gray", 9, 2.0),  # 2^18 codes for 3000 cells: recount
-        slicing.SlicingScheme("eqprob", "binary", 4),
-        slicing.SlicingScheme("eqprob", "gray", 9),  # 2^27 CMI cells, reported at 4 bits only
+        slicing.SlicingScheme("eqprob", "binary", 10),  # 2^30 CMI cells: no triple
+        slicing.SlicingScheme("eqprob", "gray", 9),  # 2^18 codes for 3000 cells: recount
+        slicing.SlicingScheme("eqprob", "binary", 4),  # CMI reported at 4 bits only
     ]
     n = 3000
     tracing = load_tracing()
@@ -88,10 +87,10 @@ def test_histograms_read_the_samples_once_per_cell_and_positioning(tmp_path, mon
     cells = 2
     # (parties, samples, bits per coordinate) of every histogram read from
     # the N samples, per cell: the first of each chain, and the 9-bit recounts.
-    per_cell = [(2, n, 5)] * 3 + [(2, n, 10)] * 3 + [(2, n, 9)] * 6 + [(3, n, 5), (3, n, 4)]
+    per_cell = [(2, n, 5)] * 3 + [(2, n, 10)] * 3 + [(2, n, 9)] * 3 + [(3, n, 5), (3, n, 4)]
     assert Counter(counted) == Counter(per_cell * cells)
     # Merged from the cells above: the 3-bit depth's pairs and triple, and
-    # the equal-probability group's 4-bit pairs.
+    # the equal-probability group's 4-bit pairs, from the 9-bit ones.
     assert Counter(merged) == Counter(([(2, n, 3)] * 3 + [(3, n, 3)] + [(2, n, 4)] * 3) * cells)
     for name in ("mutual_information_symbols", "conditional_mi", "mutual_information_bitwise",
                  "bit_error_rate"):
@@ -99,5 +98,5 @@ def test_histograms_read_the_samples_once_per_cell_and_positioning(tmp_path, mon
     assert tracer.calls["slicing.assign_bins"] == 0
     reported = {str(r.scheme): r.cmi_ab_given_e is not None for r in table.rows}
     assert reported == {"eqwidth:gray:3": True, "eqwidth:flfsr:5": True,
-                        "eqwidth:binary:10": False, "eqwidth:gray:9": False,
-                        "eqprob:binary:4": True, "eqprob:gray:9": False}
+                        "eqprob:binary:10": False, "eqprob:gray:9": False,
+                        "eqprob:binary:4": True}
