@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -103,23 +104,19 @@ class Stream:
 class ChannelParams:
     """Physical and sampling parameters of one simulated channel.
 
-    ``seed`` is the u64 master seed of `Stream`.
+    ``seed`` is the u64 master seed of `Stream`. The fields are exactly the
+    three inputs that a sweep's CSV row records; Alice's and the vacuum's
+    standard deviations are the paper's unit constants.
     """
 
+    sigma_alice: ClassVar[float] = 1.0
+    sigma_vacuum: ClassVar[float] = 1.0
     transmission: float
-    sigma_alice: float = 1.0
-    sigma_vacuum: float = 1.0
     samples: int = 200_000
     seed: int = 42
 
     def __post_init__(self) -> None:
         check_transmission(self.transmission)
-        check_positive_finite("sigma_alice", self.sigma_alice)
-        _check_number("sigma_vacuum", self.sigma_vacuum)
-        if not 0 <= self.sigma_vacuum < math.inf:
-            raise ValueError(
-                f"sigma_vacuum must be nonnegative and finite, got {self.sigma_vacuum}"
-            )
         check_count("samples", self.samples)
         _check_u64("seed", self.seed)
 
@@ -169,13 +166,8 @@ def transmit(params: ChannelParams, base_stream: Stream | None = None) -> Channe
     alice = gaussian_source(n, params.sigma_alice, base_stream.child(ALICE_STREAM))
     ct, cr = math.sqrt(t), math.sqrt(1.0 - t)
 
-    if params.sigma_vacuum > 0:
-        v = gaussian_source(n, params.sigma_vacuum, base_stream.child(BOB_NOISE_STREAM))
-        w = gaussian_source(n, params.sigma_vacuum, base_stream.child(EVE_NOISE_STREAM))
-    else:
-        v = np.zeros(n)
-        w = np.zeros(n)
-
+    v = gaussian_source(n, params.sigma_vacuum, base_stream.child(BOB_NOISE_STREAM))
+    w = gaussian_source(n, params.sigma_vacuum, base_stream.child(EVE_NOISE_STREAM))
     v *= cr
     v += ct * alice
     w *= ct

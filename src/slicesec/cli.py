@@ -254,8 +254,9 @@ def read_csv(path: str) -> list[dict]:
     cells), a transmission, sample count or seed that `ChannelParams`
     rejects, a bit count that no `SlicingScheme` has, a mutual information
     (plain, symbol-level or conditional) below 0, a BER outside [0, 1], a
-    CMI empty at `CMI_MAX_BITS` bits or fewer or present above, or a label
-    collision count not the scheme's is rejected with its data row
+    CMI empty at `CMI_MAX_BITS` bits or fewer or present above, a label
+    collision count not the scheme's, or fewer samples than the scheme has
+    bins (`slicing.check_sample_count`) is rejected with its data row
     (1-based) and column, and with the reason where there is one. So is a
     row whose field count differs from the header's, and a second row of
     the same (transmission, scheme) cell, naming both rows. Only the columns
@@ -302,13 +303,14 @@ def read_csv(path: str) -> list[dict]:
                     )
                 row[col] = value
             # The library's rules on a sweep's inputs, then the ranges of its
-            # measures and the two columns that its scheme fixes; positioning
+            # measures and the three columns that its scheme fixes; positioning
             # and numbering parsed above, so of the scheme only bits can fail.
             try:
                 for col in ("transmission", "samples", "seed"):
                     replace(channel, **{col: row[col]})
                 col = "bits"
-                row["scheme"] = str(SlicingScheme(row["positioning"], row["numbering"], row["bits"]))
+                scheme = SlicingScheme(row["positioning"], row["numbering"], row["bits"])
+                row["scheme"] = str(scheme)
                 for col, (lo, hi) in _MEASURED_RANGES.items():
                     if row[col] is not None and not lo <= row[col] <= hi:
                         raise ValueError(f"{col} {row[col]} outside [{lo}, {hi}]")
@@ -319,6 +321,8 @@ def read_csv(path: str) -> list[dict]:
                 collisions = build_labels(row["numbering"], row["bits"]).collisions
                 if row[col] != collisions:
                     raise ValueError(f"{row['scheme']} has {collisions} label collisions")
+                col = "samples"
+                slicing.check_sample_count(row[col], scheme)
             except ValueError as exc:
                 raise ValueError(
                     f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}: {exc}"

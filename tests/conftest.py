@@ -7,8 +7,7 @@ from slicesec import ChannelParams, default_schemes, default_t_grid, sweep
 
 @pytest.fixture(scope="session")
 def default_base():
-    return ChannelParams(transmission=0.5, sigma_alice=1.0, sigma_vacuum=1.0,
-                         samples=200_000, seed=42)
+    return ChannelParams(transmission=0.5, samples=200_000, seed=42)
 
 
 @pytest.fixture(scope="session")

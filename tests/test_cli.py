@@ -338,23 +338,28 @@ def test_too_few_samples_for_the_deepest_scheme_exit_2(tmp_path, capsys, workers
     assert parse_args(["sweep", "--samples", "64", "--out", str(out)]).base.samples == 64
 
 
-def _draw_cells_with(monkeypatch, **channel):
-    """Make every sweep cell draw with ``channel`` in place of its base's fields.
+def _draw_cells_without_noise_at_the_ends(monkeypatch):
+    """Make every sweep cell zero Bob's samples at T = 0 and Eve's at T = 1.
 
-    `sweep` looks `realization_for_cell` up at each cell, so forked workers
-    draw with it too.
+    That party then receives nothing, as without vacuum noise. `sweep` looks
+    `realization_for_cell` up at each cell, so forked workers draw with it too.
     """
     draw = secrecy.realization_for_cell
-    monkeypatch.setattr(secrecy, "realization_for_cell",
-                        lambda base, t, t_index: draw(replace(base, **channel), t, t_index))
+
+    def silenced(base, t, t_index):
+        r = draw(base, t, t_index)
+        party = {0.0: "bob", 1.0: "eve"}.get(t)
+        return replace(r, **{party: np.zeros(len(r.alice))}) if party else r
+
+    monkeypatch.setattr(secrecy, "realization_for_cell", silenced)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_error_names_the_failing_transmission(monkeypatch, tmp_path, capsys, workers):
     out = tmp_path / "x.csv"
     out.write_text("an earlier sweep\n")
-    # Without vacuum noise Bob receives nothing at T = 0: zero variance.
-    _draw_cells_with(monkeypatch, sigma_vacuum=0.0)
+    # Bob receives nothing at T = 0: zero variance.
+    _draw_cells_without_noise_at_the_ends(monkeypatch)
     assert main([
         "sweep", "--t", "0,0.5", "--samples", "1000",
         "--schemes", "eqprob:gray:4", "--workers", workers, "--out", str(out),
@@ -370,10 +375,10 @@ def test_sweep_error_names_the_failing_transmission(monkeypatch, tmp_path, capsy
 def test_sweep_error_names_the_earliest_failing_transmission(
     monkeypatch, tmp_path, capsys, workers
 ):
-    # Without vacuum noise Eve receives nothing at T = 1 and Bob nothing at
-    # T = 0. With 2 workers, child 0 runs T = 0.5 and fails at T = 0 (cell
-    # 2), and child 1 fails at T = 1 (cell 1), which a serial sweep names.
-    _draw_cells_with(monkeypatch, sigma_vacuum=0.0)
+    # Eve receives nothing at T = 1 and Bob nothing at T = 0. With 2
+    # workers, child 0 runs T = 0.5 and fails at T = 0 (cell 2), and child 1
+    # fails at T = 1 (cell 1), which a serial sweep names.
+    _draw_cells_without_noise_at_the_ends(monkeypatch)
     assert main([
         "sweep", "--t", "0.5,1,0", "--samples", "1000",
         "--schemes", "eqprob:gray:4", "--workers", workers, "--out", str(tmp_path / "x.csv"),
@@ -385,7 +390,7 @@ def test_sweep_error_names_the_earliest_failing_transmission(
 
 def test_sweep_names_an_equal_width_overflow(monkeypatch, tmp_path, capsys):
     # Alice's samples are finite, but their squares, and so their std, are not.
-    _draw_cells_with(monkeypatch, sigma_alice=1e200)
+    monkeypatch.setattr(ChannelParams, "sigma_alice", 1e200)
     assert main([
         "sweep", "--t", "0.5", "--samples", "1000",
         "--schemes", "eqwidth:gray:4", "--workers", "1", "--out", str(tmp_path / "x.csv"),
@@ -466,7 +471,11 @@ def _hand_made_row(**fields) -> str:
     ({"cmi_ab_given_e": ""}, "cmi_ab_given_e", "",
      "a sweep leaves it empty exactly above 8 bits"),
     ({"bits": "10"}, "cmi_ab_given_e", "0.15", "a sweep leaves it empty exactly above 8 bits"),
-], ids=["binary-collisions", "flfsr-collisions", "4-bit-empty-cmi", "10-bit-cmi"])
+    # Fewer samples than bins: `check_sample_count` stops such a sweep before any cell.
+    ({"numbering": "gray", "bits": "6", "samples": "10"}, "samples", "10",
+     "need at least 64 samples to place 64 bins, got 10"),
+], ids=["binary-collisions", "flfsr-collisions", "4-bit-empty-cmi", "10-bit-cmi",
+        "too-few-samples"])
 def test_a_column_that_the_scheme_fixes_exits_1_naming_row_and_column(
     tmp_path, capsys, fields, column, value, reason
 ):

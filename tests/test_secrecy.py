@@ -614,8 +614,9 @@ def test_post_exchange_conditions_are_the_engines_symbol_estimates(t):
 def _report(t, scheme):
     """A report of the (t, scheme) cell whose every estimate is t, as a sweep reports its scheme.
 
-    The label collisions are the scheme's codebook's, and the CMI is left
-    out above `CMI_MAX_BITS` bits.
+    The label collisions are the scheme's codebook's, the CMI is left out
+    above `CMI_MAX_BITS` bits, and the sample count has room for the
+    deepest scheme's bins.
     """
     values = dict.fromkeys(
         ("i_ab", "i_ae", "i_be", "i_ab_sym", "i_ae_sym", "i_be_sym", "ber_ab", "ber_ae",
@@ -624,8 +625,8 @@ def _report(t, scheme):
     if scheme.bits > CMI_MAX_BITS:
         values["cmi_ab_given_e"] = None
     collisions = build_labels(scheme.numbering, scheme.bits).collisions
-    return SecrecyReport(transmission=t, scheme=scheme, label_collisions=collisions, n=100,
-                         seed=1, **values)
+    return SecrecyReport(transmission=t, scheme=scheme, label_collisions=collisions,
+                         n=1 << MAX_BITS, seed=1, **values)
 
 
 _SCHEMES = st.builds(

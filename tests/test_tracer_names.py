@@ -52,6 +52,8 @@ def test_per_cell_layer_counts(tmp_path):
     assert calls["slicing.compute_edges.eqprob"] == 3 * cells
     assert calls["slicing.assign_bins"] == 0
     assert calls["slicing.build_labels"] == len(schemes) * cells
+    # Alice's samples and both noise draws, as the tracer reads off `sigma_vacuum`.
+    assert tracer.counts["channel.normal_draws"] == 3 * 3000 * cells
 
 
 def test_histograms_read_the_samples_once_per_cell_and_positioning(tmp_path, monkeypatch):
