@@ -39,8 +39,9 @@ CSV_FIELDS = {
     "numbering": "scheme.numbering.value", "bits": "scheme.bits", "samples": "n", "seed": "seed",
     **{col: col for col in (
         "i_ab", "i_ae", "i_be", "i_ab_sym", "i_ae_sym", "i_be_sym", "ber_ab", "ber_ae",
-        "ber_be", "delta_direct", "delta_reverse", "cmi_ab_given_e", "label_collisions",
+        "ber_be", "delta_direct", "delta_reverse", "cmi_ab_given_e",
     )},
+    "label_collisions": "scheme.label_collisions",
 }
 CSV_COLUMNS = list(CSV_FIELDS)
 
@@ -255,12 +256,17 @@ def read_csv(path: str) -> list[dict]:
     rejects, a bit count that no `SlicingScheme` has, a mutual information
     (plain, symbol-level or conditional) below 0, a BER outside [0, 1], a
     CMI empty at `CMI_MAX_BITS` bits or fewer or present above, a label
-    collision count not the scheme's, or fewer samples than the scheme has
-    bins (`slicing.check_sample_count`) is rejected with its data row
-    (1-based) and column, and with the reason where there is one. So is a
-    row whose field count differs from the header's, and a second row of
-    the same (transmission, scheme) cell, naming both rows. Only the columns
-    of `CSV_FIELDS` are read; blank lines are skipped. The secrecy margins
+    collision count not the scheme's (`SlicingScheme.label_collisions`), or
+    fewer samples than the scheme has bins (`slicing.check_sample_count`)
+    is rejected with its data row (1-based) and column, and with the reason
+    where there is one. So is a row whose field count differs from the
+    header's, and a second row of the same (transmission, scheme) cell,
+    naming both rows. After those rules a row must keep the file one
+    sweep's (see `_sweep_break`): the first row with another sample count
+    or seed than row 1's, or out of the (transmission x scheme) rectangle
+    in grid order, is rejected with its row and column, and so is the last
+    row when its transmission's block ends short. Only the columns of
+    `CSV_FIELDS` are read; blank lines are skipped. The secrecy margins
     are not cross-checked against the mutual informations, since 9 printed
     digits cannot reproduce them exactly.
     Each row's ``scheme`` is the `SlicingScheme` string of its positioning,
@@ -280,6 +286,8 @@ def read_csv(path: str) -> list[dict]:
         rows = []
         channel = ChannelParams(transmission=0.5)  # a row's inputs replace its fields one by one
         first_row = {}  # (transmission, scheme) -> the row number that holds it
+        starts = {}  # transmission -> the row number that begins its block
+        width = 0  # the first transmission's row count, once its block has ended
         for number, fields in enumerate(filter(None, reader), start=1):
             if len(fields) != len(header):
                 how = "more" if len(fields) > len(header) else "fewer"
@@ -318,9 +326,8 @@ def read_csv(path: str) -> list[dict]:
                 if (row[col] is None) != (row["bits"] > CMI_MAX_BITS):
                     raise ValueError(f"a sweep leaves it empty exactly above {CMI_MAX_BITS} bits")
                 col = "label_collisions"
-                collisions = build_labels(row["numbering"], row["bits"]).collisions
-                if row[col] != collisions:
-                    raise ValueError(f"{row['scheme']} has {collisions} label collisions")
+                if row[col] != scheme.label_collisions:
+                    raise ValueError(f"{scheme} has {scheme.label_collisions} label collisions")
                 col = "samples"
                 slicing.check_sample_count(row[col], scheme)
             except ValueError as exc:
@@ -334,10 +341,65 @@ def read_csv(path: str) -> list[dict]:
                     f" transmission {raw['transmission']} and scheme {row['scheme']}"
                 )
             first_row[cell] = number
+            if rows and not width and row["transmission"] != rows[0]["transmission"]:
+                width = len(rows)  # the first transmission's block has ended
+            broken = _sweep_break(rows, row, width, starts)
+            if broken:
+                col, why = broken
+                raise ValueError(
+                    f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}: {why}"
+                )
             rows.append(row)
     if not rows:
         raise ValueError(f"no data rows in {path}")
+    if width and len(rows) % width:  # the last transmission's block ends short
+        raise ValueError(
+            f"bad value {raw['transmission']!r} in column 'transmission' of row {number} in {path}:"
+            f" {_short_block(rows, width)}"
+        )
     return rows
+
+
+def _short_block(rows: list[dict], width: int) -> str:
+    """Why the block that ends at ``rows[-1]`` breaks one sweep: it has fewer than ``width`` rows."""
+    return (f"transmission {FLOAT_FORMAT % rows[-1]['transmission']} has {len(rows) % width}"
+            f" of the first transmission's {width} schemes")
+
+
+def _sweep_break(rows: list[dict], row: dict, width: int, starts: dict) -> tuple[str, str] | None:
+    """The column and the reason by which ``row``, read after ``rows``, leaves one sweep, else None.
+
+    A CSV holds one sweep: one sample count and one seed, and the full
+    (transmission x scheme) rectangle in grid order. Each transmission, in
+    the order it first appears, fills one contiguous block of rows, and every
+    block holds the first block's schemes in the same order. ``width`` is the
+    first block's row count once that block has ended, else 0; ``starts``
+    maps each transmission read so far to the row number that begins its
+    block, and gains ``row``'s transmission when the row begins a block.
+    """
+    t = row["transmission"]
+    if not rows:
+        starts[t] = 1
+        return None
+    for col in ("samples", "seed"):
+        if row[col] != rows[0][col]:
+            return col, f"row 1 has {col} {rows[0][col]}, and a CSV holds one sweep"
+    if not width:
+        return None  # still in the first block, whose schemes set the order
+    place = len(rows) % width
+    if place == 0:
+        if t in starts:
+            return "transmission", (f"transmission {FLOAT_FORMAT % t} already has a block,"
+                                    f" from row {starts[t]}")
+        starts[t] = len(rows) + 1
+    elif t != rows[-1]["transmission"]:
+        return "transmission", _short_block(rows, width)
+    expected = rows[place]
+    for col in ("positioning", "numbering", "bits"):
+        if row[col] != expected[col]:
+            return col, (f"scheme {place + 1} of every transmission is {expected['scheme']},"
+                         f" as in rows 1-{width}")
+    return None
 
 
 def _margin_column(mode: str) -> str:

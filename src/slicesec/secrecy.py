@@ -91,7 +91,12 @@ def t_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SecrecyReport:
-    """All secrecy quantities for one (transmission, scheme) cell."""
+    """One (transmission, scheme) cell: its inputs and its ten measurements.
+
+    The secrecy margins are computed from the stored mutual informations by
+    `secrecy_deltas`, the one margin rule; the label collision count is the
+    scheme's own (`SlicingScheme.label_collisions`).
+    """
 
     transmission: float
     scheme: SlicingScheme
@@ -104,12 +109,19 @@ class SecrecyReport:
     ber_ab: float
     ber_ae: float
     ber_be: float
-    delta_direct: float
-    delta_reverse: float
     cmi_ab_given_e: float | None
-    label_collisions: int
     n: int
     seed: int
+
+    @property
+    def delta_direct(self) -> float:
+        """I_AB - max(I_AE, I_BE), the direct-reconciliation margin."""
+        return secrecy_deltas(self.i_ab, self.i_ae, self.i_be)[0]
+
+    @property
+    def delta_reverse(self) -> float:
+        """I_AB - I_BE, the reverse-reconciliation margin."""
+        return secrecy_deltas(self.i_ab, self.i_ae, self.i_be)[1]
 
 
 @dataclass(frozen=True)
@@ -223,10 +235,9 @@ def _evaluate_group(
         bit_tables = label_bit_tables(pair_labels[bits], marginals, codebooks[bits])
         bitwise_mi, ber = bitwise_mi_from_tables(bit_tables), bit_error_rate_from_tables(bit_tables)
 
-        for k, (scheme, table) in enumerate(zip(at_depth[bits], codebooks[bits])):
+        for k, scheme in enumerate(at_depth[bits]):
             i_ab, i_ae, i_be = (float(mi) for mi in bitwise_mi[:, k])
             ber_ab, ber_ae, ber_be = (float(rate) for rate in ber[:, k])
-            delta_direct, delta_reverse = secrecy_deltas(i_ab, i_ae, i_be)
             reports[scheme] = SecrecyReport(
                 transmission=p.transmission,
                 scheme=scheme,
@@ -239,10 +250,7 @@ def _evaluate_group(
                 ber_ab=ber_ab,
                 ber_ae=ber_ae,
                 ber_be=ber_be,
-                delta_direct=delta_direct,
-                delta_reverse=delta_reverse,
                 cmi_ab_given_e=cmi,
-                label_collisions=table.collisions,
                 n=p.samples,
                 seed=p.seed,
             )

@@ -58,6 +58,12 @@ class SlicingScheme:
     def n_bins(self) -> int:
         return 1 << self.bits
 
+    @property
+    def label_collisions(self) -> int:
+        """Bins whose label repeats an earlier bin's in this scheme's codebook (see `LabelTable`)."""
+        # The fields are already checked, so the cache is read without `build_labels`' checks.
+        return _label_table(self.numbering, self.bits).collisions
+
     def __str__(self) -> str:
         return f"{self.positioning.value}:{self.numbering.value}:{self.bits}"
 

@@ -531,6 +531,79 @@ def test_row_longer_than_header_exits_1_naming_the_row(small_csv, tmp_path, caps
         )
 
 
+def test_rows_of_two_sweeps_exit_1_naming_row_and_column(tmp_path, capsys):
+    # Two one-cell sweeps of different sizes and seeds under one header: `best`
+    # used to rank one sweep's scheme against the other's.
+    parts = []
+    for seed, samples, scheme in (("7", "4000", "eqprob:gray:3"), ("8", "9000", "eqwidth:gray:3")):
+        part = tmp_path / f"{seed}.csv"
+        assert main(["sweep", "--seed", seed, "--samples", samples, "--t", "0.5",
+                     "--schemes", scheme, "--workers", "1", "--out", str(part)]) == 0
+        parts.append(part.read_text().splitlines())
+    both = tmp_path / "ab.csv"
+    both.write_text("\n".join(parts[0] + parts[1][1:]) + "\n")
+    assert main(["best", str(both)]) == 1
+    assert capsys.readouterr() == ("", f"error: bad value '9000' in column 'samples' of row 2"
+                                       f" in {both}: row 1 has samples 4000, and a CSV holds"
+                                       f" one sweep\n")
+
+
+BIN, GRAY = {}, {"numbering": "gray"}  # the fields that make eqprob:binary:4 and eqprob:gray:4
+
+
+@pytest.mark.parametrize("cells,number,column,value,reason", [
+    ([("0.1", BIN), ("0.1", {"seed": "2", **GRAY})], 2, "seed", "2",
+     "row 1 has seed 1, and a CSV holds one sweep"),
+    ([("0.1", BIN), ("0.1", GRAY), ("0.2", BIN), ("0.3", BIN), ("0.3", GRAY)],
+     4, "transmission", "0.3", "transmission 0.2 has 1 of the first transmission's 2 schemes"),
+    ([("0.1", BIN), ("0.1", GRAY), ("0.2", BIN)],
+     3, "transmission", "0.2", "transmission 0.2 has 1 of the first transmission's 2 schemes"),
+    ([("0.1", BIN), ("0.1", GRAY), ("0.2", GRAY), ("0.2", BIN)],
+     3, "numbering", "gray", "scheme 1 of every transmission is eqprob:binary:4, as in rows 1-2"),
+    ([("0.1", BIN), ("0.2", BIN), ("0.1", GRAY)],
+     3, "transmission", "0.1", "transmission 0.1 already has a block, from row 1"),
+    # A check of the schemes alone, row by row modulo the first block, passes this.
+    ([("0.1", BIN), ("0.1", GRAY), ("0.2", BIN), ("0.3", GRAY)],
+     4, "transmission", "0.3", "transmission 0.2 has 1 of the first transmission's 2 schemes"),
+], ids=["two-seeds", "missing-cell", "missing-last-cell", "other-scheme-order", "split-block",
+        "modulo-schemes"])
+def test_rows_off_one_sweeps_grid_exit_1_naming_row_and_column(
+    tmp_path, capsys, cells, number, column, value, reason
+):
+    path = tmp_path / "rows.csv"
+    rows = [",".join(CSV_COLUMNS)] + [_hand_made_row(transmission=t, **fields)
+                                      for t, fields in cells]
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["best", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: bad value {value!r} in column {column!r}"
+                                       f" of row {number} in {path}: {reason}\n")
+
+
+BENCH_REFERENCE = Path(__file__).parent.parent / "bench" / "reference"
+
+
+@pytest.mark.parametrize("path,transmissions,schemes,samples", [
+    (GOLDEN_CSV, 19, 18, 4000),
+    (GOLDEN_FINE_CSV, 2, 6, 5000),
+    (BENCH_REFERENCE / "paper_grid" / "sweep.csv", 19, 18, 50000),
+    (BENCH_REFERENCE / "fine_slices" / "sweep.csv", 3, 18, 50000),
+], ids=["golden_sweep", "golden_fine", "paper_grid", "fine_slices"])
+def test_every_committed_sweep_csv_reads_back(path, transmissions, schemes, samples, capsys):
+    # A new `read_csv` rule must accept every file a sweep wrote.
+    rows = read_csv(str(path))
+    assert len(rows) == transmissions * schemes
+    assert len({r["transmission"] for r in rows}) == transmissions
+    assert len({r["scheme"] for r in rows}) == schemes
+    assert {(r["samples"], r["seed"]) for r in rows} == {(samples, 42)}
+    for mode in ("direct", "reverse"):
+        assert main(["best", str(path), "--mode", mode]) == 0
+        winners = capsys.readouterr().out
+        assert len(winners.splitlines()) == 1 + transmissions
+        table = path.parent / f"best_{mode}.csv"
+        if table.exists():
+            assert winners == table.read_text()
+
+
 def test_a_column_no_sweep_writes_is_ignored(small_csv, tmp_path, capsys):
     assert main(["best", str(small_csv)]) == 0
     winners = capsys.readouterr().out

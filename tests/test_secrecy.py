@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -116,6 +117,24 @@ class TestEvaluateScheme:
             assert rep.delta_reverse == rr
             assert min(rep.i_ab, rep.i_ae, rep.i_be) >= 0.0
 
+    def test_a_report_holds_only_what_its_cell_measured(self, small_table):
+        # A stored margin or collision count could disagree with the values it
+        # is a function of, and `emit_csv` would print it as the cell's.
+        assert {f.name for f in dataclasses.fields(SecrecyReport)} == {
+            "transmission", "scheme", "i_ab", "i_ae", "i_be", "i_ab_sym", "i_ae_sym",
+            "i_be_sym", "ber_ab", "ber_ae", "ber_be", "cmi_ab_given_e", "n", "seed",
+        }
+        rep = small_table.rows[0]
+        for derived in ("delta_direct", "delta_reverse", "label_collisions"):
+            with pytest.raises(TypeError):
+                replace(rep, **{derived: 0})
+        for rep in small_table.rows:
+            assert rep.delta_direct == rep.i_ab - max(rep.i_ae, rep.i_be)
+            assert rep.delta_reverse == rep.i_ab - rep.i_be
+        for scheme in (SlicingScheme(p, n, b) for p in Positioning for n in Numbering
+                       for b in range(1, MAX_BITS + 1)):
+            assert scheme.label_collisions == build_labels(scheme.numbering, scheme.bits).collisions
+
     def test_cmi_present_at_small_alphabets(self, small_table):
         assert all(rep.cmi_ab_given_e is not None for rep in small_table.rows)
         assert all(rep.cmi_ab_given_e >= 0.0 for rep in small_table.rows)
@@ -155,10 +174,7 @@ def bitmatrix_report(realization, scheme):
         i_ae_sym=mutual_information_symbols(a.symbol_index, e.symbol_index).value,
         i_be_sym=mutual_information_symbols(b.symbol_index, e.symbol_index).value,
         ber_ab=bit_error_rate(a, b), ber_ae=bit_error_rate(a, e), ber_be=bit_error_rate(b, e),
-        delta_direct=i_ab - max(i_ae, i_be), delta_reverse=i_ab - i_be,
-        cmi_ab_given_e=cmi,
-        label_collisions=build_labels(scheme.numbering, scheme.bits).collisions,
-        n=p.samples, seed=p.seed,
+        cmi_ab_given_e=cmi, n=p.samples, seed=p.seed,
     )
 
 
@@ -612,21 +628,18 @@ def test_post_exchange_conditions_are_the_engines_symbol_estimates(t):
 
 
 def _report(t, scheme):
-    """A report of the (t, scheme) cell whose every estimate is t, as a sweep reports its scheme.
+    """A report of the (t, scheme) cell whose every measurement is t, as a sweep reports its scheme.
 
-    The label collisions are the scheme's codebook's, the CMI is left out
-    above `CMI_MAX_BITS` bits, and the sample count has room for the
-    deepest scheme's bins.
+    The CMI is left out above `CMI_MAX_BITS` bits, and the sample count has
+    room for the deepest scheme's bins; the margins are then 0.
     """
     values = dict.fromkeys(
         ("i_ab", "i_ae", "i_be", "i_ab_sym", "i_ae_sym", "i_be_sym", "ber_ab", "ber_ae",
-         "ber_be", "delta_direct", "delta_reverse", "cmi_ab_given_e"), t,
+         "ber_be", "cmi_ab_given_e"), t,
     )
     if scheme.bits > CMI_MAX_BITS:
         values["cmi_ab_given_e"] = None
-    collisions = build_labels(scheme.numbering, scheme.bits).collisions
-    return SecrecyReport(transmission=t, scheme=scheme, label_collisions=collisions,
-                         n=1 << MAX_BITS, seed=1, **values)
+    return SecrecyReport(transmission=t, scheme=scheme, n=1 << MAX_BITS, seed=1, **values)
 
 
 _SCHEMES = st.builds(

@@ -48,10 +48,12 @@ class TestSchemeParsing:
     def test_a_scheme_is_its_name_and_its_columns(self):
         # A scheme field that no CSV column records makes a row read back as a
         # different scheme, so every field is a column and the name is the scheme.
+        # The one other scheme column is a property computed from the fields.
         fields = {f.name for f in dataclasses.fields(SlicingScheme)}
         assert fields == {"positioning", "numbering", "bits"}
         read = {path.split(".")[1] for path in CSV_FIELDS.values() if path.startswith("scheme.")}
-        assert read == fields
+        assert read == fields | {"label_collisions"}
+        assert isinstance(vars(SlicingScheme)["label_collisions"], property)
         schemes = [SlicingScheme(p, n, b) for p in Positioning for n in Numbering
                    for b in range(1, slicing.MAX_BITS + 1)]
         assert len(set(schemes)) == 96
