@@ -13,6 +13,7 @@ import math
 import operator
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 import numpy as np
@@ -246,37 +247,50 @@ def emit_csv(table: SweepTable, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _csv_records(fh: Iterable[str], path: str) -> Iterator[list[str]]:
+    """The records a CSV reader parses from ``fh``; bytes it cannot read raise ValueError."""
+    import csv  # on use: only `best` and `plot` read a CSV
+
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(
+            f"{path} cannot be read as CSV (lines read: {reader.line_num}): {exc}"
+        ) from None
+
+
 def read_csv(path: str) -> list[dict]:
     """Read a sweep CSV back into per-row dicts of parsed values.
 
-    A header that names a column twice is rejected, naming the column. A
-    value that does not parse, a non-finite float, a transmission that a
-    sweep would not print as it stands (at `FLOAT_FORMAT`, which keys its
-    cells), a transmission, sample count or seed that `ChannelParams`
-    rejects, a bit count that no `SlicingScheme` has, a mutual information
-    (plain, symbol-level or conditional) below 0, a BER outside [0, 1], a
-    CMI empty at `CMI_MAX_BITS` bits or fewer or present above, a label
-    collision count not the scheme's (`SlicingScheme.label_collisions`), or
-    fewer samples than the scheme has bins (`slicing.check_sample_count`)
-    is rejected with its data row (1-based) and column, and with the reason
-    where there is one. So is a row whose field count differs from the
-    header's, and a second row of the same (transmission, scheme) cell,
-    naming both rows. After those rules a row must keep the file one
-    sweep's (see `_sweep_break`): the first row with another sample count
-    or seed than row 1's, or out of the (transmission x scheme) rectangle
-    in grid order, is rejected with its row and column, and so is the last
-    row when its transmission's block ends short. Only the columns of
-    `CSV_FIELDS` are read; blank lines are skipped. The secrecy margins
-    are not cross-checked against the mutual informations, since 9 printed
-    digits cannot reproduce them exactly.
-    Each row's ``scheme`` is the `SlicingScheme` string of its positioning,
-    numbering and bits.
+    A file that a CSV reader cannot decode or parse is rejected, naming the
+    lines it read. A header that names a column twice is rejected, naming
+    the column. A value that does not parse, a non-finite float, a
+    transmission that a sweep would not print as it stands (at
+    `FLOAT_FORMAT`, which keys its cells), a transmission, sample count or
+    seed that `ChannelParams` rejects, a bit count that no `SlicingScheme`
+    has, a mutual information (plain, symbol-level or conditional) below 0,
+    a BER outside [0, 1], a CMI empty at `CMI_MAX_BITS` bits or fewer or
+    present above, a label collision count not the scheme's
+    (`SlicingScheme.label_collisions`), or fewer samples than the scheme has
+    bins (`slicing.check_sample_count`) is rejected with its data row
+    (1-based) and column, and with the reason where there is one. So is a
+    row whose field count differs from the header's. Once every row passes
+    those rules, the rows must be one sweep's: the (transmission x scheme)
+    grid that they span, in grid order, with row 1's sample count and seed.
+    Its transmissions come in order of first appearance, and its schemes are
+    the first transmission's, up to a change of transmission or a repeated
+    scheme. The first row off its cell is rejected with the first column
+    that differs; a file of another length, with its first row past the
+    grid or else its last row. Only the columns of `CSV_FIELDS` are read;
+    blank lines are skipped. The secrecy margins are not cross-checked
+    against the mutual informations, since 9 printed digits cannot
+    reproduce them exactly. Each row's ``scheme`` is the `SlicingScheme`
+    string of its positioning, numbering and bits.
     """
-    import csv  # on use: only `best` and `plot` read a CSV
-
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        records = _csv_records(fh, path)
+        header = next(records, [])
         for i, col in enumerate(header):
             if col in header[:i]:
                 raise ValueError(f"column {col!r} appears twice in the header of {path}")
@@ -285,10 +299,7 @@ def read_csv(path: str) -> list[dict]:
                 raise ValueError(f"missing column {col!r} in {path}")
         rows = []
         channel = ChannelParams(transmission=0.5)  # a row's inputs replace its fields one by one
-        first_row = {}  # (transmission, scheme) -> the row number that holds it
-        starts = {}  # transmission -> the row number that begins its block
-        width = 0  # the first transmission's row count, once its block has ended
-        for number, fields in enumerate(filter(None, reader), start=1):
+        for number, fields in enumerate(filter(None, records), start=1):
             if len(fields) != len(header):
                 how = "more" if len(fields) > len(header) else "fewer"
                 raise ValueError(f"row {number} in {path} has {len(fields)} fields,"
@@ -334,72 +345,36 @@ def read_csv(path: str) -> list[dict]:
                 raise ValueError(
                     f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}: {exc}"
                 ) from None
-            cell = (row["transmission"], row["scheme"])
-            if cell in first_row:
-                raise ValueError(
-                    f"rows {first_row[cell]} and {number} in {path} both hold"
-                    f" transmission {raw['transmission']} and scheme {row['scheme']}"
-                )
-            first_row[cell] = number
-            if rows and not width and row["transmission"] != rows[0]["transmission"]:
-                width = len(rows)  # the first transmission's block has ended
-            broken = _sweep_break(rows, row, width, starts)
-            if broken:
-                col, why = broken
-                raise ValueError(
-                    f"bad value {raw[col]!r} in column {col!r} of row {number} in {path}: {why}"
-                )
             rows.append(row)
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    if width and len(rows) % width:  # the last transmission's block ends short
-        raise ValueError(
-            f"bad value {raw['transmission']!r} in column 'transmission' of row {number} in {path}:"
-            f" {_short_block(rows, width)}"
-        )
-    return rows
-
-
-def _short_block(rows: list[dict], width: int) -> str:
-    """Why the block that ends at ``rows[-1]`` breaks one sweep: it has fewer than ``width`` rows."""
-    return (f"transmission {FLOAT_FORMAT % rows[-1]['transmission']} has {len(rows) % width}"
-            f" of the first transmission's {width} schemes")
-
-
-def _sweep_break(rows: list[dict], row: dict, width: int, starts: dict) -> tuple[str, str] | None:
-    """The column and the reason by which ``row``, read after ``rows``, leaves one sweep, else None.
-
-    A CSV holds one sweep: one sample count and one seed, and the full
-    (transmission x scheme) rectangle in grid order. Each transmission, in
-    the order it first appears, fills one contiguous block of rows, and every
-    block holds the first block's schemes in the same order. ``width`` is the
-    first block's row count once that block has ended, else 0; ``starts``
-    maps each transmission read so far to the row number that begins its
-    block, and gains ``row``'s transmission when the row begins a block.
-    """
-    t = row["transmission"]
-    if not rows:
-        starts[t] = 1
-        return None
-    for col in ("samples", "seed"):
-        if row[col] != rows[0][col]:
-            return col, f"row 1 has {col} {rows[0][col]}, and a CSV holds one sweep"
-    if not width:
-        return None  # still in the first block, whose schemes set the order
-    place = len(rows) % width
-    if place == 0:
-        if t in starts:
-            return "transmission", (f"transmission {FLOAT_FORMAT % t} already has a block,"
-                                    f" from row {starts[t]}")
-        starts[t] = len(rows) + 1
-    elif t != rows[-1]["transmission"]:
-        return "transmission", _short_block(rows, width)
-    expected = rows[place]
-    for col in ("positioning", "numbering", "bits"):
-        if row[col] != expected[col]:
-            return col, (f"scheme {place + 1} of every transmission is {expected['scheme']},"
-                         f" as in rows 1-{width}")
-    return None
+    # One sweep: row k holds cell k of the grid that the rows span.
+    cols = ("transmission", "positioning", "numbering", "bits", "samples", "seed")
+    key = operator.itemgetter(*cols)
+    ts = list(dict.fromkeys(r["transmission"] for r in rows))
+    schemes = []
+    for r in rows:
+        scheme = key(r)[1:4]
+        if r["transmission"] != ts[0] or scheme in schemes:
+            break
+        schemes.append(scheme)
+    grid = ((t, *scheme, *key(rows[0])[4:]) for t in ts for scheme in schemes)
+    for number, (row, cell) in enumerate(zip(rows, grid), start=1):
+        if key(row) != cell:
+            col = next(c for c, value, want in zip(cols, key(row), cell) if value != want)
+            why = (f"one sweep's row {number} holds transmission {FLOAT_FORMAT % cell[0]},"
+                   f" scheme {SlicingScheme(*cell[1:4])}, samples {cell[4]} and seed {cell[5]}")
+            break
+    else:
+        size = len(ts) * len(schemes)
+        if len(rows) == size:
+            return rows
+        number, col = min(len(rows), size + 1), "transmission"
+        why = (f"one sweep of {len(ts)} transmissions x {len(schemes)} schemes has {size} rows,"
+               f" and this file {len(rows)}")
+    value = rows[number - 1][col]
+    text = FLOAT_FORMAT % value if col == "transmission" else getattr(value, "value", value)
+    raise ValueError(f"bad value {str(text)!r} in column {col!r} of row {number} in {path}: {why}")
 
 
 def _margin_column(mode: str) -> str:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicesec import (
     ChannelParams, LabelTable, Numbering, SlicingScheme, Stream, cli, default_schemes,
@@ -492,7 +494,9 @@ def test_a_column_that_the_scheme_fixes_exits_1_naming_row_and_column(
     ["best", "--mode", "direct"],
     ["plot", "--plot-mode", "best_vs_t", "--mode", "direct"],
 ])
-def test_repeated_cell_exits_1_naming_both_rows(small_csv, tmp_path, capsys, command):
+def test_repeated_cell_exits_1_naming_the_row_past_the_grid(
+    small_csv, tmp_path, capsys, command
+):
     lines = small_csv.read_text().splitlines()
     lines.append(lines[2])  # data row 2 again, as data row 7
     bad = tmp_path / "dup.csv"
@@ -502,8 +506,9 @@ def test_repeated_cell_exits_1_naming_both_rows(small_csv, tmp_path, capsys, com
     if command[0] == "plot":
         argv += ["--out", str(tmp_path / "x.svg")]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert "rows 2 and 7" in err and "transmission 0.2 and scheme eqwidth:flfsr:3" in err
+    assert capsys.readouterr() == ("", f"error: bad value '0.2' in column 'transmission' of row 7"
+                                       f" in {bad}: one sweep of 3 transmissions x 2 schemes"
+                                       f" has 6 rows, and this file 7\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -531,6 +536,31 @@ def test_row_longer_than_header_exits_1_naming_the_row(small_csv, tmp_path, caps
         )
 
 
+@pytest.mark.parametrize("edit,lines_read,reason", [
+    # Data row 1 with one more field, longer than the CSV reader's field limit.
+    (lambda lines: [lines[0], lines[1] + b"," + b"x" * 200_000, *lines[2:]], 2,
+     "field larger than field limit (131072)"),
+    (lambda lines: [b"\xff\xfe" + lines[0], *lines[1:]], 0,
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["long-field", "ff-fe"])
+@pytest.mark.parametrize("command", [
+    ["best", "--mode", "direct"],
+    ["plot", "--plot-mode", "best_vs_t", "--mode", "direct"],
+])
+def test_bytes_no_csv_reader_reads_exit_1_naming_the_file(
+    small_csv, tmp_path, capsys, edit, lines_read, reason, command
+):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(edit(small_csv.read_bytes().splitlines())) + b"\n")
+
+    argv = [command[0], str(bad), *command[1:]]
+    if command[0] == "plot":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {bad} cannot be read as CSV (lines read:"
+                                       f" {lines_read}): {reason}\n")
+
+
 def test_rows_of_two_sweeps_exit_1_naming_row_and_column(tmp_path, capsys):
     # Two one-cell sweeps of different sizes and seeds under one header: `best`
     # used to rank one sweep's scheme against the other's.
@@ -544,8 +574,8 @@ def test_rows_of_two_sweeps_exit_1_naming_row_and_column(tmp_path, capsys):
     both.write_text("\n".join(parts[0] + parts[1][1:]) + "\n")
     assert main(["best", str(both)]) == 1
     assert capsys.readouterr() == ("", f"error: bad value '9000' in column 'samples' of row 2"
-                                       f" in {both}: row 1 has samples 4000, and a CSV holds"
-                                       f" one sweep\n")
+                                       f" in {both}: one sweep's row 2 holds transmission 0.5,"
+                                       f" scheme eqwidth:gray:3, samples 4000 and seed 7\n")
 
 
 BIN, GRAY = {}, {"numbering": "gray"}  # the fields that make eqprob:binary:4 and eqprob:gray:4
@@ -553,18 +583,23 @@ BIN, GRAY = {}, {"numbering": "gray"}  # the fields that make eqprob:binary:4 an
 
 @pytest.mark.parametrize("cells,number,column,value,reason", [
     ([("0.1", BIN), ("0.1", {"seed": "2", **GRAY})], 2, "seed", "2",
-     "row 1 has seed 1, and a CSV holds one sweep"),
+     "one sweep's row 2 holds transmission 0.1, scheme eqprob:gray:4, samples 1000 and seed 1"),
     ([("0.1", BIN), ("0.1", GRAY), ("0.2", BIN), ("0.3", BIN), ("0.3", GRAY)],
-     4, "transmission", "0.3", "transmission 0.2 has 1 of the first transmission's 2 schemes"),
+     4, "transmission", "0.3",
+     "one sweep's row 4 holds transmission 0.2, scheme eqprob:gray:4, samples 1000 and seed 1"),
     ([("0.1", BIN), ("0.1", GRAY), ("0.2", BIN)],
-     3, "transmission", "0.2", "transmission 0.2 has 1 of the first transmission's 2 schemes"),
+     3, "transmission", "0.2",
+     "one sweep of 2 transmissions x 2 schemes has 4 rows, and this file 3"),
     ([("0.1", BIN), ("0.1", GRAY), ("0.2", GRAY), ("0.2", BIN)],
-     3, "numbering", "gray", "scheme 1 of every transmission is eqprob:binary:4, as in rows 1-2"),
+     3, "numbering", "gray",
+     "one sweep's row 3 holds transmission 0.2, scheme eqprob:binary:4, samples 1000 and seed 1"),
     ([("0.1", BIN), ("0.2", BIN), ("0.1", GRAY)],
-     3, "transmission", "0.1", "transmission 0.1 already has a block, from row 1"),
+     3, "transmission", "0.1",
+     "one sweep of 2 transmissions x 1 schemes has 2 rows, and this file 3"),
     # A check of the schemes alone, row by row modulo the first block, passes this.
     ([("0.1", BIN), ("0.1", GRAY), ("0.2", BIN), ("0.3", GRAY)],
-     4, "transmission", "0.3", "transmission 0.2 has 1 of the first transmission's 2 schemes"),
+     4, "transmission", "0.3",
+     "one sweep's row 4 holds transmission 0.2, scheme eqprob:gray:4, samples 1000 and seed 1"),
 ], ids=["two-seeds", "missing-cell", "missing-last-cell", "other-scheme-order", "split-block",
         "modulo-schemes"])
 def test_rows_off_one_sweeps_grid_exit_1_naming_row_and_column(
@@ -577,6 +612,85 @@ def test_rows_off_one_sweeps_grid_exit_1_naming_row_and_column(
     assert main(["best", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: bad value {value!r} in column {column!r}"
                                        f" of row {number} in {path}: {reason}\n")
+
+
+def _one_sweep(rows: list[tuple]) -> bool:
+    """Whether (transmission, scheme, samples, seed) rows are one sweep's, read off the rule.
+
+    One sample count and one seed, no (transmission, scheme) cell twice,
+    each transmission's rows contiguous, and every transmission's schemes,
+    in row order, those of the first transmission.
+    """
+    if len({r[2:] for r in rows}) > 1 or len({r[:2] for r in rows}) < len(rows):
+        return False
+    schemes: dict = {}
+    for k, (t, scheme, *_) in enumerate(rows):
+        if t in schemes and rows[k - 1][0] != t:
+            return False
+        schemes.setdefault(t, []).append(scheme)
+    return all(s == schemes[rows[0][0]] for s in schemes.values())
+
+
+def _starts_one_sweep(rows: list[tuple]) -> bool:
+    """Whether some one-sweep file begins with ``rows``.
+
+    Its last transmission's rows must go on with the first transmission's
+    remaining schemes, so the file is one sweep's once they are added.
+    """
+    if not rows:
+        return True
+    first = [r[1] for r in rows if r[0] == rows[0][0]]
+    last = [r[1] for r in rows if r[0] == rows[-1][0]]
+    return _one_sweep(rows + [(rows[-1][0], s, *rows[0][2:]) for s in first[len(last):]])
+
+
+# Transmissions and the fields of three 4-bit schemes, each with no label collision.
+GRID_TS = ("0.1", "0.2", "0.3")
+GRID_SCHEMES = ({}, {"numbering": "gray"}, {"positioning": "eqwidth"})
+
+
+@st.composite
+def edited_sweeps(draw) -> list[tuple]:
+    """A sweep's (transmission, scheme index, samples, seed) rows after 0-2 edits."""
+    ts = draw(st.lists(st.sampled_from(GRID_TS), min_size=1, max_size=3, unique=True))
+    schemes = draw(st.lists(st.sampled_from(range(3)), min_size=1, max_size=3, unique=True))
+    samples, seed = draw(st.sampled_from([1000, 2000])), draw(st.sampled_from([1, 2]))
+    rows = [(t, s, samples, seed) for t in ts for s in schemes]
+    for edit in draw(st.lists(st.sampled_from(["drop", "insert", "swap", "samples", "seed"]),
+                              max_size=2)):
+        k = draw(st.integers(0, len(rows) - 1))
+        if edit == "drop" and len(rows) > 1:
+            del rows[k]
+        elif edit == "insert":
+            cell = draw(st.sampled_from(GRID_TS)), draw(st.sampled_from(range(3)))
+            rows.insert(draw(st.integers(0, len(rows))), (*cell, samples, seed))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[k], rows[j] = rows[j], rows[k]
+        elif edit == "samples":
+            rows[k] = (*rows[k][:2], 3000 - rows[k][2], rows[k][3])
+        elif edit == "seed":
+            rows[k] = (*rows[k][:3], 3 - rows[k][3])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=edited_sweeps())
+def test_one_sweep_rule_agrees_with_an_oracle_that_builds_no_grid(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "edited.csv"
+    lines = [_hand_made_row(transmission=t, samples=str(n), seed=str(seed), **GRID_SCHEMES[s])
+             for t, s, n, seed in rows]
+    path.write_text("\n".join([",".join(CSV_COLUMNS), *lines]) + "\n")
+    if _one_sweep(rows):
+        read_csv(str(path))
+        return
+    # A rejected file names its first row that no one-sweep file begins with,
+    # or its last row when every row could begin one.
+    with pytest.raises(ValueError) as exc:
+        read_csv(str(path))
+    assert int(re.search(r" of row (\d+) in ", str(exc.value))[1]) == next(
+        (k for k in range(1, len(rows) + 1) if not _starts_one_sweep(rows[:k])), len(rows)
+    )
 
 
 BENCH_REFERENCE = Path(__file__).parent.parent / "bench" / "reference"
