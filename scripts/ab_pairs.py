@@ -7,10 +7,12 @@ PARENT_DIR is a whole checkout in a sibling directory whose name is as long as
 this checkout's: from a checkout in `repo`, `git worktree add ../base HEAD~1`.
 A sweep's peak RSS moves by a few tenths of a MB with the length of the path
 it runs from (heap layout), so two names of one length keep `peak_rss_mb`
-comparable. Pair i runs each checkout's own `bench/rep.py` once, as
-`bench/run.py` runs it: from the checkout's directory, with `--workload NAME
---seed S+i --outdir DIR`. The parent goes first in even pairs and the change
-in odd ones, so that a drift in the machine's speed falls on both sides alike.
+comparable; a PARENT_DIR whose resolved path differs in length from this
+checkout's draws a warning on stderr, and the pairs run all the same. Pair i
+runs each checkout's own `bench/rep.py` once, as `bench/run.py` runs it: from
+the checkout's directory, with `--workload NAME --seed S+i --outdir DIR`. The
+parent goes first in even pairs and the change in odd ones, so that a drift in
+the machine's speed falls on both sides alike.
 Every number is the one that side's `rep.py` printed: `setup_s`, `sweep_s`,
 `cpu_s` and `peak_rss_mb`. The benchmark's fifth measure, `rows_per_s`, is the
 workload's rows over `sweep_s`, so its verdict is `sweep_s`'s. Each pair's
@@ -78,6 +80,9 @@ def main() -> int:
         ap.error(f"{args.parent_dir} has no bench/rep.py: give a whole checkout,"
                  " e.g. one made by `git worktree add ../base HEAD~1`")
     sides = {"parent": args.parent_dir.resolve(), "change": ROOT}
+    if len(str(sides["parent"])) != len(str(ROOT)):
+        print(f"warning: {sides['parent']} and {ROOT} differ in path length, so peak_rss_mb"
+              " may differ by heap layout alone", file=sys.stderr)
     # Each measure `rep.py` prints, with its unit and printed decimals.
     measures = {"setup_s": ("s", 3), "sweep_s": ("s", 3), "cpu_s": ("s", 3),
                 "peak_rss_mb": ("MB", 2)}

@@ -286,9 +286,10 @@ def read_csv(path: str) -> list[dict]:
     blank lines are skipped. The secrecy margins are not cross-checked
     against the mutual informations, since 9 printed digits cannot
     reproduce them exactly. Each row's ``scheme`` is the `SlicingScheme`
-    string of its positioning, numbering and bits.
+    string of its positioning, numbering and bits. The file is read as
+    UTF-8, a leading byte-order mark skipped, as a spreadsheet may save one.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = _csv_records(fh, path)
         header = next(records, [])
         for i, col in enumerate(header):

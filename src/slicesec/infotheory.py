@@ -21,9 +21,10 @@ imports `numpy.ma`, about 13 ms in every fresh process.
 several depths, deepest first, each merged from the one above or counted
 again. One term sum, `_term_sum`, adds the plug-in MI terms in sorted
 order and clamps at 0 for `plugin_mi` and `plugin_mi_2x2`.
-Products with the binary codebook's 0/1 labels are float64 BLAS products:
-every partial sum is an integer of at most N < 2^53, which a float64 holds
-exactly, while numpy's int64 products have no BLAS. No bias correction is
+`label_bit_tables` multiplies each party's int64 symbol counts by a
+codebook's uint8 labels in int64, and the pairs' float64 AND-label counts
+by the binary codebook's in the one float64 BLAS product, exact as every
+partial sum is an integer of at most N < 2^53. No bias correction is
 applied; the known positive bias of the plug-in MI, roughly
 (|A|-1)(|B|-1)/(2 N ln 2), is exposed as an oracle so tests and sanity
 checks can bound it.
@@ -305,11 +306,11 @@ def bitwise_mi_from_tables(tables: np.ndarray) -> np.ndarray:
     return total[()]
 
 
-def pair_label_counts(cells: JointCells, tables: Sequence[LabelTable]) -> list[np.ndarray]:
-    """Each codebook's counts of the AND of a pair's two labels, one float64 row of 2^b apiece.
+def pair_label_counts(cells: JointCells, tables: Sequence[LabelTable]) -> np.ndarray:
+    """Each codebook's counts of the AND of a pair's two labels, float64, shape (m, 2^b).
 
     ``cells`` is one pair's histogram at a depth (see `joint_cells`) and
-    ``tables`` m <= 3 label codebooks of that depth. Entry [i][l] counts the
+    ``tables`` m <= 3 label codebooks of that depth. Entry [i, l] counts the
     samples whose two labels under codebook i AND to l, the label that is one
     where both bits are. A bin's m labels are packed b bits apiece into one
     int64 code, so one gather per coordinate and one AND over the occupied
@@ -330,39 +331,37 @@ def pair_label_counts(cells: JointCells, tables: Sequence[LabelTable]) -> list[n
         np.right_shift(anded, i * b, out=label)
         label &= k - 1
         rows.append(np.bincount(label, weights=counts, minlength=k))
-    return rows
+    return np.stack(rows)
 
 
-def label_bit_tables(pair_labels: Sequence[Sequence[np.ndarray]], marginals: np.ndarray,
+def label_bit_tables(pair_labels: np.ndarray, marginals: np.ndarray,
                      tables: Sequence[LabelTable]) -> np.ndarray:
     """Per-bit 2x2 count tables of three labelled parties' pairs, shape (3, m, b, 2, 2).
 
-    ``pair_labels`` are `pair_label_counts` of the (A, B), (A, E) and (B, E)
-    histograms of one depth under ``tables``, m <= 3 label codebooks of that
-    depth, and ``marginals`` the int64 symbol counts of A, B and E, shape
-    (3, 2^b). Entry [p, i, j, u, v] counts the samples whose first party of
-    pair p has bit j u under codebook i and whose second has v: each per-bit
-    table is an exact marginal of the pair's symbol joint.
+    ``pair_labels`` stacks the `pair_label_counts` of the (A, B), (A, E) and
+    (B, E) histograms of one depth under ``tables``, m <= 3 label codebooks
+    of that depth, shape (3, m, 2^b), and ``marginals`` the int64 symbol
+    counts of A, B and E, shape (3, 2^b). Entry [p, i, j, u, v] counts the
+    samples whose first party of pair p has bit j u under codebook i and
+    whose second has v: each per-bit table is an exact marginal of the
+    pair's symbol joint.
 
     Every per-bit sum is taken over a 2^b-entry histogram, b <= MAX_BITS.
-    Each party's marginal, counted once for both its pairs, is summed over
-    the bins of each label. A float64 product with the binary codebook's
-    own labels (`build_labels`, uint8, cast by the product) then gives the
-    parties' ones and the pairs' both-ones, for every codebook and bit. It
-    is exact: each count and partial sum is an integer of at most the total
-    count, which stays below 2^53.
+    Each party's ones under codebook i are its marginal times that
+    codebook's own uint8 labels, an int64 product. The pairs' both-ones are
+    their AND-label rows times the binary codebook's labels (`build_labels`,
+    the bits of every b-bit label), a float64 product. Both are exact: each
+    count and partial sum is an integer of at most the total count, which
+    stays below 2^53.
     """
-    m, (k, b) = len(tables), tables[0].labels.shape
-    by_label = [np.bincount(t.codes, weights=marginal, minlength=k)
-                for marginal in marginals.astype(np.float64) for t in tables]
-    by_label += [row for rows in pair_labels for row in rows]
-    binary = build_labels(Numbering.BINARY, b).labels  # the bits of every b-bit label
-    ones, both = (np.stack(by_label) @ binary).astype(np.int64).reshape(2, 3, m, b)
+    binary = build_labels(Numbering.BINARY, tables[0].bits).labels
+    both = (pair_labels @ binary).astype(np.int64)
+    ones = np.stack([marginals @ t.labels for t in tables], axis=1)
     first, second = ones[[0, 0, 1]], ones[[1, 2, 2]]  # the parties of (A, B), (A, E), (B, E)
     n = marginals[0].sum()
     return np.stack(
         [n - first - second + both, second - both, first - both, both], axis=-1
-    ).reshape(3, m, b, 2, 2)
+    ).reshape(*both.shape, 2, 2)
 
 
 def bit_error_rate_from_tables(tables: np.ndarray) -> np.ndarray:

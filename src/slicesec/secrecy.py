@@ -220,19 +220,16 @@ def _evaluate_group(
     at_depth = {bits: [s for s in group if s.bits == bits] for bits in depths}
     codebooks = {bits: [build_labels(s.numbering, bits) for s in at_depth[bits]]
                  for bits in depths}
-    symbol_mi = {bits: [] for bits in depths}
-    pair_labels = {bits: [] for bits in depths}
-    for pair in ((a, b), (a, e), (b, e)):
-        for bits, cells in histograms_by_depth(pair, deep, depths):
-            symbol_mi[bits].append(plugin_mi(cells))
-            pair_labels[bits].append(pair_label_counts(cells, codebooks[bits]))
-        del cells
+    # Per pair, one (symbol MI, label counts) per depth, deepest first.
+    by_pair = [[(plugin_mi(cells), pair_label_counts(cells, codebooks[bits]))
+                for bits, cells in histograms_by_depth(pair, deep, depths)]
+               for pair in ((a, b), (a, e), (b, e))]
     marginals = np.stack(counts)
-    for bits in depths:
+    for bits, *at_pairs in zip(depths, *by_pair):
         marginals = marginals.reshape(3, 1 << bits, -1).sum(axis=2)
         cmi = cmis.get(bits)
-        i_ab_sym, i_ae_sym, i_be_sym = symbol_mi[bits]
-        bit_tables = label_bit_tables(pair_labels[bits], marginals, codebooks[bits])
+        (i_ab_sym, i_ae_sym, i_be_sym), pair_labels = zip(*at_pairs)
+        bit_tables = label_bit_tables(np.stack(pair_labels), marginals, codebooks[bits])
         bitwise_mi, ber = bitwise_mi_from_tables(bit_tables), bit_error_rate_from_tables(bit_tables)
 
         for k, scheme in enumerate(at_depth[bits]):

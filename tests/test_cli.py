@@ -718,6 +718,20 @@ def test_every_committed_sweep_csv_reads_back(path, transmissions, schemes, samp
             assert winners == table.read_text()
 
 
+def test_a_csv_saved_with_a_byte_order_mark_reads_back(tmp_path, capsys):
+    # A spreadsheet that re-saves a sweep CSV as UTF-8 may put a byte-order
+    # mark first; `best` used to read the header's first column as
+    # '\ufefftransmission' and exit 1 on a missing 'transmission'.
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + GOLDEN_CSV.read_bytes())
+    assert read_csv(str(marked)) == read_csv(str(GOLDEN_CSV))
+    for mode in ("direct", "reverse"):
+        assert main(["best", str(GOLDEN_CSV), "--mode", mode]) == 0
+        winners = capsys.readouterr().out
+        assert main(["best", str(marked), "--mode", mode]) == 0
+        assert capsys.readouterr() == (winners, "")
+
+
 def test_a_column_no_sweep_writes_is_ignored(small_csv, tmp_path, capsys):
     assert main(["best", str(small_csv)]) == 0
     winners = capsys.readouterr().out

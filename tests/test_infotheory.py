@@ -243,35 +243,41 @@ def party_label_tables(parties, tables):
     k = 1 << tables[0].bits
     marginals = np.stack([np.bincount(v, minlength=k) for v in parties])
     pairs = [joint_cells(parties[x], parties[y]) for x, y in PAIRS]
-    return label_bit_tables([pair_label_counts(c, tables) for c in pairs], marginals, tables)
+    return label_bit_tables(np.stack([pair_label_counts(c, tables) for c in pairs]),
+                            marginals, tables)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    bits=st.integers(min_value=1, max_value=6),
-    numbering=st.sampled_from(list(Numbering)),
+    bits=st.integers(min_value=1, max_value=16),
+    numberings=st.lists(st.sampled_from(list(Numbering)), min_size=1, max_size=3, unique=True),
     n=st.integers(min_value=1, max_value=3000),
     noise=st.integers(min_value=0, max_value=3),
 )
-def test_label_bit_tables_are_marginals_of_the_symbol_joint(seed, bits, numbering, n, noise):
-    # Against the BitMatrix path: expand labels to N x b bits and count per bit.
+def test_label_bit_tables_are_marginals_of_the_symbol_joint(seed, bits, numberings, n, noise):
+    # Against the BitMatrix path: expand labels to N x b bits and count per
+    # bit. One to three codebooks share one call, so `pair_label_counts`
+    # packs and extracts each codebook's field; an F-LFSR codebook repeats
+    # labels, up to 65,281 of its bins at b = 16.
     rng = np.random.default_rng(seed)
     k = 1 << bits
     a = rng.integers(0, k, size=n)
     b, e = (np.clip(a + rng.integers(-noise, noise + 1, size=n), 0, k - 1) for _ in range(2))
-    table = build_labels(numbering, bits)
-    tables = party_label_tables((a, b, e), [table])
+    codebooks = [build_labels(numbering, bits) for numbering in numberings]
+    tables = party_label_tables((a, b, e), codebooks)
     mi, ber = bitwise_mi_from_tables(tables), bit_error_rate_from_tables(tables)
-    assert tables.shape == (3, 1, bits, 2, 2) and mi.shape == ber.shape == (3, 1)
+    m = len(codebooks)
+    assert tables.shape == (3, m, bits, 2, 2) and mi.shape == ber.shape == (3, m)
 
     for p, (x, y) in enumerate(PAIRS):
-        bx, by = (table.labels[v] for v in ((a, b, e)[x], (a, b, e)[y]))
-        for j in range(bits):
-            expected = np.bincount(2 * bx[:, j] + by[:, j], minlength=4).reshape(2, 2)
-            assert np.array_equal(tables[p, 0, j], expected)
-        assert mi[p, 0] == mutual_information_bitwise(matrix(bx), matrix(by)).value
-        assert ber[p, 0] == bit_error_rate(matrix(bx), matrix(by))
+        for i, table in enumerate(codebooks):
+            bx, by = (table.labels[v] for v in ((a, b, e)[x], (a, b, e)[y]))
+            for j in range(bits):
+                expected = np.bincount(2 * bx[:, j] + by[:, j], minlength=4).reshape(2, 2)
+                assert np.array_equal(tables[p, i, j], expected)
+            assert mi[p, i] == mutual_information_bitwise(matrix(bx), matrix(by)).value
+            assert ber[p, i] == bit_error_rate(matrix(bx), matrix(by))
 
 
 @settings(max_examples=60, deadline=None)
@@ -714,16 +720,24 @@ def pair_cells(triple, x, y):
     return JointCells(codes, counts, triple.bits, 2)
 
 
-@pytest.mark.parametrize("bits", [3, 12])
-def test_label_bit_tables_are_exact_above_two_to_the_32_samples(bits):
+@pytest.mark.parametrize("bits,every_bin_once", [
+    pytest.param(3, False, id="3"), pytest.param(12, False, id="12"),
+    pytest.param(12, True, id="12-every-bin-once"),
+])
+def test_label_bit_tables_are_exact_above_two_to_the_32_samples(bits, every_bin_once):
     # Cell counts near 2^40 make a total near 2^44, past any 32-bit sum and
-    # within the 2^53 up to which the float64 products are exact. The
+    # within the 2^53 up to which the pairs' float64 product is exact. The
     # distinct (A, B, E) cells of 4000 samples take the chosen counts, and
-    # the pairs and marginals are their int64 sums.
+    # the pairs and marginals are their int64 sums. With every bin once, A
+    # is each bin and B and E permutations of it, so each party's int64
+    # marginal is near 2^40 in every bin and the total near 2^52.
     rng = np.random.default_rng(bits)
     k = 1 << bits
-    a = rng.integers(0, k, size=4000)
-    b, e = (np.clip(a + rng.integers(-2, 3, size=a.size), 0, k - 1) for _ in range(2))
+    if every_bin_once:
+        a, b, e = np.arange(k), rng.permutation(k), rng.permutation(k)
+    else:
+        a = rng.integers(0, k, size=4000)
+        b, e = (np.clip(a + rng.integers(-2, 3, size=a.size), 0, k - 1) for _ in range(2))
     distinct = joint_cells(a, b, e)
     counts = rng.integers(1 << 39, 1 << 40, size=distinct.codes.size)
     triple = JointCells(distinct.codes, counts, distinct.bits, 3)
@@ -733,7 +747,8 @@ def test_label_bit_tables_are_exact_above_two_to_the_32_samples(bits):
     for i, marginal in enumerate(marginals):
         np.add.at(marginal, triple.coordinate(i), triple.counts)
     tables = [build_labels(numbering, bits) for numbering in Numbering]
-    got = label_bit_tables([pair_label_counts(c, tables) for c in pairs], marginals, tables)
+    got = label_bit_tables(np.stack([pair_label_counts(c, tables) for c in pairs]),
+                           marginals, tables)
     for pair, cells in zip(got, pairs):
         for stacked, table in zip(pair, tables):
             assert np.array_equal(stacked, gathered_label_tables(cells, table))

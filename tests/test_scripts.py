@@ -39,6 +39,7 @@ def test_ab_pairs_times_each_side_once_per_pair():
     result = run_script("ab_pairs.py", str(ROOT), "--workload", "fine_slices",
                         "--pairs", "2", "--seed", "3")
     assert result.returncode == 0, result.stderr
+    assert "warning" not in result.stderr  # one path, so one length
     lines = result.stdout.splitlines()
     assert lines[0].split("\t") == ["pair", "seed", "first",
                                     *(f"{side}_{m}" for side in ("parent", "change")
@@ -111,6 +112,21 @@ def test_ab_pairs_exits_1_naming_a_side_that_fails(tmp_path):
                         "--pairs", "2", "--seed", "3")
     assert result.returncode == 1
     assert "error: the parent's bench/rep.py failed in pair 0, seed 3" in result.stderr
+    assert len(result.stdout.splitlines()) == 1  # the header only
+
+
+def test_ab_pairs_warns_when_the_parent_path_differs_in_length(tmp_path):
+    # A parent whose slicesec fails at import ends the run at pair 0; the
+    # warning comes before any pair, on stderr only.
+    parent = tmp_path if len(str(tmp_path)) != len(str(ROOT)) else tmp_path / "parent"
+    copy_checkout(parent)
+    init = parent / "src" / "slicesec" / "__init__.py"
+    init.write_text('raise ImportError("broken on purpose")\n' + init.read_text())
+    result = run_script("ab_pairs.py", str(parent), "--workload", "fine_slices",
+                        "--pairs", "1", "--seed", "3")
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"warning: {parent.resolve()} and {ROOT} differ in path"
+                                     " length, so peak_rss_mb may differ by heap layout alone\n")
     assert len(result.stdout.splitlines()) == 1  # the header only
 
 

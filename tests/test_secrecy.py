@@ -206,21 +206,21 @@ class TestEvaluateSchemes:
     def test_one_label_call_per_group_and_depth(self, mixed_realization, monkeypatch):
         # One `label_bit_tables` call per (group, depth) serves all three
         # pairs and every numbering; a repeated scheme adds no codebook, so
-        # a call takes at most three, and each pair's label counts one row
-        # per codebook.
+        # a call takes at most three, and the pairs' label counts are one
+        # array of one row per pair and codebook.
         calls = []
         label_bit_tables = secrecy.label_bit_tables
 
         def recording(pair_labels, marginals, tables):
-            calls.append((len(pair_labels), marginals.shape, tuple(t.bits for t in tables)))
-            assert [len(rows) for rows in pair_labels] == [len(tables)] * 3
+            calls.append((pair_labels.shape, marginals.shape, tuple(t.bits for t in tables)))
             return label_bit_tables(pair_labels, marginals, tables)
 
         monkeypatch.setattr(secrecy, "label_bit_tables", recording)
         batch = evaluate_schemes(mixed_realization, MIXED_SCHEMES + MIXED_SCHEMES[:4])
         assert batch[-4:] == batch[:4]
         groups = 2
-        assert sorted(calls) == sorted([(3, (3, 1 << d), (d,) * 3) for d in (7, 1, 3)] * groups)
+        assert sorted(calls) == sorted([((3, 3, 1 << d), (3, 1 << d), (d,) * 3)
+                                        for d in (7, 1, 3)] * groups)
 
 
 def test_failure_names_the_scheme_group():
