@@ -21,11 +21,11 @@ imports `numpy.ma`, about 13 ms in every fresh process.
 several depths, deepest first, each merged from the one above or counted
 again. One term sum, `_term_sum`, adds the plug-in MI terms in sorted
 order and clamps at 0 for `plugin_mi` and `plugin_mi_2x2`.
-`label_bit_tables` multiplies each party's int64 symbol counts by a
-codebook's uint8 labels in int64, and the pairs' float64 AND-label counts
-by the binary codebook's in the one float64 BLAS product, exact as every
-partial sum is an integer of at most N < 2^53. No bias correction is
-applied; the known positive bias of the plug-in MI, roughly
+Every per-bit count is one exact float64 BLAS product of counts over 2^b
+symbols with 0/1 labels (each party's symbol counts with each codebook's,
+the pairs' AND-label counts with the binary codebook's): every partial sum
+is an integer of at most N < 2^53. No bias correction is applied; the
+known positive bias of the plug-in MI, roughly
 (|A|-1)(|B|-1)/(2 N ln 2), is exposed as an oracle so tests and sanity
 checks can bound it.
 """
@@ -346,22 +346,21 @@ def label_bit_tables(pair_labels: np.ndarray, marginals: np.ndarray,
     whose second has v: each per-bit table is an exact marginal of the
     pair's symbol joint.
 
-    Every per-bit sum is taken over a 2^b-entry histogram, b <= MAX_BITS.
     Each party's ones under codebook i are its marginal times that
-    codebook's own uint8 labels, an int64 product. The pairs' both-ones are
+    codebook's labels, one product per codebook; the pairs' both-ones are
     their AND-label rows times the binary codebook's labels (`build_labels`,
-    the bits of every b-bit label), a float64 product. Both are exact: each
-    count and partial sum is an integer of at most the total count, which
-    stays below 2^53.
+    the bits of every b-bit label), by the module's one exact product rule.
     """
-    binary = build_labels(Numbering.BINARY, tables[0].bits).labels
-    both = (pair_labels @ binary).astype(np.int64)
+    marginals = marginals.astype(np.float64)
     ones = np.stack([marginals @ t.labels for t in tables], axis=1)
+    binary = build_labels(Numbering.BINARY, tables[0].bits).labels
+    # 2-D, as numpy runs a stacked product as one BLAS call per pair.
+    both = (pair_labels.reshape(-1, len(binary)) @ binary).reshape(ones.shape)
     first, second = ones[[0, 0, 1]], ones[[1, 2, 2]]  # the parties of (A, B), (A, E), (B, E)
     n = marginals[0].sum()
     return np.stack(
         [n - first - second + both, second - both, first - both, both], axis=-1
-    ).reshape(*both.shape, 2, 2)
+    ).astype(np.int64).reshape(*both.shape, 2, 2)
 
 
 def bit_error_rate_from_tables(tables: np.ndarray) -> np.ndarray:

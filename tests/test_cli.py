@@ -1025,25 +1025,30 @@ def test_keep_freed_memory_does_nothing_without_mallopt(monkeypatch):
 def test_serial_sweep_leaves_one_thread(tmp_path):
     # numpy is imported first, as bench/rep.py does, so its OpenBLAS pool is
     # running before the command starts. A CDLL that loaded a second copy of
-    # the library would shut down that copy's pool and leave this one.
+    # the library would shut down that copy's pool and leave this one. The
+    # second sweep runs the per-bit products at their widest, three 16-bit
+    # codebooks, where a product shape that OpenBLAS threads would restart
+    # the pool.
     script = textwrap.dedent("""
         import os, sys
         import numpy
         print(len(os.listdir("/proc/self/task")))
         from slicesec import cli
-        status = cli.main(["sweep", "--samples", "4000", "--t", "0.3,0.6", "--workers", "1",
-                           "--schemes", "eqprob:gray:4", "--out", sys.argv[1]])
-        print(status, len(os.listdir("/proc/self/task")))
+        for argv in (["--samples", "4000", "--t", "0.3,0.6", "--schemes", "eqprob:gray:4"],
+                     ["--samples", "70000", "--t", "0.5",
+                      "--schemes", "eqprob:binary:16,eqprob:gray:16,eqprob:flfsr:16"]):
+            status = cli.main(["sweep", *argv, "--workers", "1", "--out", sys.argv[1]])
+            print(status, len(os.listdir("/proc/self/task")))
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
                OPENBLAS_NUM_THREADS="2")
     result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "x.csv")], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    before, after = result.stdout.splitlines()
+    before, *after = result.stdout.splitlines()
     if int(before) < 2:
         pytest.skip(f"import numpy started no BLAS thread here ({before} thread)")
-    assert after.split() == ["0", "1"]
+    assert [line.split() for line in after] == [["0", "1"]] * 2
 
 
 def test_stop_blas_threads_does_nothing_without_maps_or_library(monkeypatch):

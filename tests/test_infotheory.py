@@ -726,7 +726,7 @@ def pair_cells(triple, x, y):
 ])
 def test_label_bit_tables_are_exact_above_two_to_the_32_samples(bits, every_bin_once):
     # Cell counts near 2^40 make a total near 2^44, past any 32-bit sum and
-    # within the 2^53 up to which the pairs' float64 product is exact. The
+    # within the 2^53 up to which the float64 products are exact. The
     # distinct (A, B, E) cells of 4000 samples take the chosen counts, and
     # the pairs and marginals are their int64 sums. With every bin once, A
     # is each bin and B and E permutations of it, so each party's int64
