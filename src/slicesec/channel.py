@@ -39,24 +39,12 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _check_number(name: str, value) -> None:
-    """Reject a ``value`` that is not a real number; a bool compares as 0 or 1 but is none."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-
-
 def check_transmission(t) -> None:
     """Reject a transmission outside [0, 1]; NaN is outside, a bool is no number."""
-    _check_number("transmission", t)
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise ValueError(f"transmission must be a number, got {t!r}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmission {t} outside [0, 1]")
-
-
-def check_positive_finite(name: str, value) -> None:
-    """Reject a ``value`` that is not positive and finite; NaN is neither, a bool no number."""
-    _check_number(name, value)
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_u64(name: str, value: int) -> None:
@@ -105,8 +93,9 @@ class ChannelParams:
     """Physical and sampling parameters of one simulated channel.
 
     ``seed`` is the u64 master seed of `Stream`. The fields are exactly the
-    three inputs that a sweep's CSV row records; Alice's and the vacuum's
-    standard deviations are the paper's unit constants.
+    three inputs that a sweep's CSV row records. Alice's and the vacuum's
+    standard deviations are the paper's unit constants (shot-noise units),
+    which `transmit` applies to its unit normal draws.
     """
 
     sigma_alice: ClassVar[float] = 1.0
@@ -138,39 +127,43 @@ class ChannelRealization:
             arr.setflags(write=False)
 
 
-def gaussian_source(n: int, sigma: float, stream: Stream) -> np.ndarray:
-    """Draw n i.i.d. samples from N(0, sigma^2), fully determined by stream."""
+def gaussian_source(n: int, stream: Stream) -> np.ndarray:
+    """Draw n i.i.d. unit normal samples, N(0, 1), fully determined by stream."""
     check_count("n", n)
-    check_positive_finite("sigma", sigma)
-    return stream.generator().normal(0.0, sigma, size=n)
+    return stream.generator().standard_normal(n)
 
 
 def transmit(params: ChannelParams, base_stream: Stream | None = None) -> ChannelRealization:
     """Generate one channel realization.
 
-    bob = sqrt(T) * alice + sqrt(1-T) * v,  eve = sqrt(1-T) * alice + sqrt(T) * w,
-    with v, w independent N(0, sigma_vacuum^2) noise from disjoint sub-streams.
+    alice = sigma_alice * a,
+    bob = sqrt(T) * alice + (sqrt(1-T) * sigma_vacuum) * v,
+    eve = sqrt(1-T) * alice + (sqrt(T) * sigma_vacuum) * w,
+    where a, v and w are independent unit normal draws from disjoint
+    sub-streams, each scaled in place: a by sigma_alice, v and w by the
+    factors in parentheses.
 
     ``base_stream`` defaults to Stream(params.seed); sweeps pass a child
     stream per transmission cell. Bob's and Eve's samples are mixed in
     place into their noise draws, so the four N-sample arrays that are
     alive at once (Alice's, both draws and one product) are the peak. IEEE
-    addition commutes, so sqrt(1-T) * v + sqrt(T) * alice is the formula's
-    bob bit for bit, and likewise eve.
+    addition commutes, so (sqrt(1-T) * sigma_vacuum) * v + sqrt(T) * alice
+    is the formula's bob bit for bit, and likewise eve.
     """
     if base_stream is None:
         base_stream = Stream(params.seed)
     t = params.transmission
     n = params.samples
 
-    alice = gaussian_source(n, params.sigma_alice, base_stream.child(ALICE_STREAM))
+    alice = gaussian_source(n, base_stream.child(ALICE_STREAM))
+    alice *= params.sigma_alice
     ct, cr = math.sqrt(t), math.sqrt(1.0 - t)
 
-    v = gaussian_source(n, params.sigma_vacuum, base_stream.child(BOB_NOISE_STREAM))
-    w = gaussian_source(n, params.sigma_vacuum, base_stream.child(EVE_NOISE_STREAM))
-    v *= cr
+    v = gaussian_source(n, base_stream.child(BOB_NOISE_STREAM))
+    w = gaussian_source(n, base_stream.child(EVE_NOISE_STREAM))
+    v *= cr * params.sigma_vacuum
     v += ct * alice
-    w *= ct
+    w *= ct * params.sigma_vacuum
     w += cr * alice
     return ChannelRealization(alice=alice, bob=v, eve=w, params=params)
 

@@ -327,7 +327,7 @@ def sweep(
     t_grid = list(t_grid)
     schemes = list(schemes)
     check_sweep(t_grid, schemes, base, workers)
-    t_grid = [float(t) for t in t_grid]
+    t_grid = [float(t) + 0.0 for t in t_grid]  # + 0.0 turns -0.0 into the 0 it equals
 
     cells = [(base, t, i, schemes) for i, t in enumerate(t_grid)]
     if workers > 1 and len(cells) > 1 and hasattr(os, "fork"):

@@ -110,28 +110,32 @@ class BinEdges:
 class LabelTable:
     """Bin index -> b-bit label codebook, as integer codes and as bits.
 
-    ``codes`` holds each of the 2^b bins' label as a b-bit integer;
-    ``labels`` is the same codebook expanded to shape (2^b, b), one row per
-    bin, most significant bit first. Both are read-only. Binary and Gray
-    tables are bijections; F-LFSR tables may repeat labels (the register
-    period can fall short of 2^b and never emits the all-zero word), which
-    is tracked by ``collisions``.
+    ``codes`` holds each of the 2^b bins' label as a b-bit integer, and
+    ``bits`` is b, read off their count; ``labels`` is the same codebook
+    expanded to shape (2^b, b), one row per bin, most significant bit
+    first. Both arrays are read-only. Binary and Gray tables are
+    bijections; F-LFSR tables may repeat labels (the register period can
+    fall short of 2^b and never emits the all-zero word), which is tracked
+    by ``collisions``.
     """
 
     codes: np.ndarray
-    bits: int
+    bits: int = field(init=False)
     labels: np.ndarray = field(init=False, repr=False)
     collisions: int = field(init=False)  # bins sharing a label with an earlier bin
 
     def __post_init__(self) -> None:
         codes = np.asarray(self.codes)
-        n = 1 << self.bits
-        if codes.shape != (n,) or not (0 <= codes.min() and codes.max() < n):
-            raise ValueError(f"label table must hold 2^{self.bits} codes in [0, {n})")
-        labels = _codes_to_bits(codes, self.bits)
+        n = len(codes) if codes.ndim == 1 else 0
+        if n < 2 or n & (n - 1) or not (0 <= codes.min() and codes.max() < n):
+            raise ValueError(f"label table must hold 2^b codes in [0, 2^b) for a b >= 1, "
+                             f"got shape {codes.shape}")
+        bits = n.bit_length() - 1
+        labels = _codes_to_bits(codes, bits)
         for arr in (codes, labels):
             arr.setflags(write=False)
         object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "collisions", n - np.count_nonzero(np.bincount(codes)))
 
@@ -329,7 +333,7 @@ def _label_table(numbering: Numbering, b: int) -> LabelTable:
             states.append(s)
             s = (s >> 1) | (((s ^ (s >> 1)) & 1) << (b - 1))
         codes = np.array(states)
-    return LabelTable(codes, b)
+    return LabelTable(codes)
 
 
 def _codes_to_bits(codes: np.ndarray, b: int) -> np.ndarray:

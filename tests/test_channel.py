@@ -28,30 +28,27 @@ CORR_TOL = 0.004
 
 def test_gaussian_source_is_deterministic():
     s = Stream(123, (5,))
-    a = gaussian_source(4, 1.0, s)
-    b = gaussian_source(4, 1.0, s)
+    a = gaussian_source(4, s)
+    b = gaussian_source(4, s)
     assert np.array_equal(a, b)
 
 
 def test_gaussian_source_moments():
-    x = gaussian_source(N_BIG, 1.0, Stream(9))
+    x = gaussian_source(N_BIG, Stream(9))
     assert abs(x.mean()) < MEAN_TOL
     assert abs(x.var() - 1.0) < VAR_TOL
 
 
 def test_distinct_streams_are_uncorrelated():
-    x = gaussian_source(N_BIG, 1.0, Stream(9, (0,)))
-    y = gaussian_source(N_BIG, 1.0, Stream(9, (1,)))
+    x = gaussian_source(N_BIG, Stream(9, (0,)))
+    y = gaussian_source(N_BIG, Stream(9, (1,)))
     assert abs(np.corrcoef(x, y)[0, 1]) < CORR_TOL
 
 
-@pytest.mark.parametrize("n,sigma", [
-    (0, 1.0), (10, 0.0), (10, -1.0), (10.0, 1.0), (True, 1.0),
-    (10, math.nan), (10, math.inf), (10, -math.inf), (10, True), (10, np.bool_(True)),
-])
-def test_gaussian_source_rejects_bad_args(n, sigma):
+@pytest.mark.parametrize("n", [0, 10.0, True])
+def test_gaussian_source_rejects_bad_args(n):
     with pytest.raises(ValueError):
-        gaussian_source(n, sigma, Stream(0))
+        gaussian_source(n, Stream(0))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -154,9 +151,9 @@ def test_in_place_mix_is_the_formula_bit_for_bit(t):
     params = ChannelParams(transmission=t, samples=4000, seed=21)
     r = transmit(params)
     base = Stream(params.seed)
-    alice = gaussian_source(params.samples, params.sigma_alice, base.child(ALICE_STREAM))
-    v = gaussian_source(params.samples, params.sigma_vacuum, base.child(BOB_NOISE_STREAM))
-    w = gaussian_source(params.samples, params.sigma_vacuum, base.child(EVE_NOISE_STREAM))
+    alice = gaussian_source(params.samples, base.child(ALICE_STREAM))
+    v = gaussian_source(params.samples, base.child(BOB_NOISE_STREAM))
+    w = gaussian_source(params.samples, base.child(EVE_NOISE_STREAM))
     bob = math.sqrt(t) * alice + math.sqrt(1 - t) * v
     eve = math.sqrt(1 - t) * alice + math.sqrt(t) * w
     assert np.array_equal(r.alice.view(np.uint64), alice.view(np.uint64))
@@ -240,6 +237,6 @@ def test_child_tags_are_checked():
 
 def test_largest_u64_seed_and_tag_draw():
     top = 2**64 - 1
-    a = gaussian_source(4, 1.0, Stream(top, (top,)))
-    b = gaussian_source(4, 1.0, Stream(top, (top - 1,)))
+    a = gaussian_source(4, Stream(top, (top,)))
+    b = gaussian_source(4, Stream(top, (top - 1,)))
     assert np.isfinite(a).all() and not np.array_equal(a, b)

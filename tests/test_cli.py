@@ -195,6 +195,18 @@ class TestParseArgs:
         config = parse_args(["sweep", "--t", "0.1,0.5,0.9", "--out", "x.csv"])
         assert config.t_grid == (0.1, 0.5, 0.9)
 
+    def test_negative_zero_transmission_is_the_sweep_of_zero(self, tmp_path, capsys):
+        # -0.0 == 0.0, so a sweep of -0 is the sweep of 0, row and CSV bytes alike.
+        argv = ["sweep", "--samples", "100", "--schemes", "eqprob:gray:2", "--workers", "1"]
+        for name, spec in (("neg.csv", "--t=-0"), ("pos.csv", "--t=0")):
+            assert main([*argv, spec, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "neg.csv").read_bytes() == (tmp_path / "pos.csv").read_bytes()
+        assert main(["best", str(tmp_path / "neg.csv")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "0,eqprob:gray:2"
+        (t,) = sweep([-0.0], [SlicingScheme("eqprob", "gray", 2)],
+                     ChannelParams(0.5, samples=100)).t_grid
+        assert math.copysign(1.0, t) == 1.0
+
     def test_sweep_options_are_csv_columns_or_leave_the_csv_as_it_is(self):
         # `best` and `plot` read each row as the sweep that wrote it only if
         # every input that shapes the row is one of its columns: the seed,
@@ -226,7 +238,7 @@ class TestSharedRules:
             return _message(lambda: check_count(name, value))
 
         assert _message(lambda: ChannelParams(0.5, samples=value)) == rule("samples")
-        assert _message(lambda: gaussian_source(value, 1.0, Stream(0))) == rule("n")
+        assert _message(lambda: gaussian_source(value, Stream(0))) == rule("n")
         assert _message(
             lambda: sweep([0.5], self.SCHEMES, self.BASE, workers=value)
         ) == rule("workers")
@@ -893,7 +905,7 @@ class TestSelftest:
                 return table
             codes = table.codes.copy()
             codes[1] ^= 1 << (b - 1)  # codes 0 and 1 now differ in two bits
-            return LabelTable(codes, b)
+            return LabelTable(codes)
 
         monkeypatch.setattr(cli, "build_labels", corrupted)
         assert selftest() == 1

@@ -22,6 +22,7 @@ from slicesec import (
     Numbering,
     Positioning,
     SlicingScheme,
+    analytic_gaussian_mi,
     bin_indices,
     bit_error_rate,
     build_labels,
@@ -47,7 +48,7 @@ from slicesec.secrecy import (
     post_exchange_conditions,
     realization_for_cell,
 )
-from slicesec.infotheory import CMI_MAX_BITS
+from slicesec.infotheory import CMI_MAX_BITS, plugin_bias
 from slicesec.slicing import MAX_BITS
 
 SMALL_T = [0.2, 0.5, 0.8]
@@ -670,6 +671,22 @@ def test_every_grid_check_sweep_accepts_reads_back(t_grid, schemes):
     assert [(r["transmission"], r["scheme"]) for r in back] == [
         (float(FLOAT_FORMAT % t), str(s)) for t in t_grid for s in schemes
     ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_symbol_mi_stays_below_the_continuous_channels(seed):
+    # Data processing: binning the channel's outputs cannot add information,
+    # so each 16-bin symbol MI lies below `analytic_gaussian_mi`, up to the
+    # plug-in estimator's bias; these cells lose 0.02-0.09 bits to the bins.
+    n = 200_000
+    table = sweep([0.2, 0.5, 0.8], [SlicingScheme.parse("eqprob:binary:4")],
+                  ChannelParams(0.5, samples=n, seed=seed))
+    by_t = {r.transmission: r for r in table.rows}
+    cells = [(0.5, "bob", by_t[0.5].i_ab_sym), (0.5, "eve", by_t[0.5].i_ae_sym),
+             (0.8, "bob", by_t[0.8].i_ab_sym), (0.2, "eve", by_t[0.2].i_ae_sym)]
+    for t, party, estimate in cells:
+        analytic = analytic_gaussian_mi(ChannelParams(t), party)
+        assert analytic - 0.1 <= estimate <= analytic + plugin_bias(16, 16, n), (t, party)
 
 
 def test_post_exchange_conditions_hold_mid_transmission():

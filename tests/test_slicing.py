@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from slicesec import (
     BinEdges,
+    LabelTable,
     Numbering,
     Positioning,
     SlicingScheme,
@@ -471,6 +472,7 @@ class TestLabels:
     @pytest.mark.parametrize("b", range(1, 17))
     def test_codes_are_the_labels_read_as_integers(self, numbering, b):
         table = build_labels(numbering, b)
+        assert table.bits == b  # read off the count of the codes
         weights = 1 << np.arange(b - 1, -1, -1)
         assert np.array_equal(table.labels @ weights, table.codes)
         # Distinct label rows, counted as before the codes existed.
@@ -487,6 +489,12 @@ class TestLabels:
             with pytest.raises(ValueError, match="b must be an integer"):
                 build_labels(Numbering.GRAY, b)
             build_labels(Numbering.GRAY, int(b))
+
+    @pytest.mark.parametrize("codes", [[], [0], [0, 1, 2], [0, 2], [-1, 0], [[0, 1], [1, 0]]],
+                             ids=["empty", "one", "three", "code-too-large", "negative", "2-d"])
+    def test_a_codebook_holds_2_to_the_b_codes_in_range(self, codes):
+        with pytest.raises(ValueError, match=r"label table must hold 2\^b codes"):
+            LabelTable(np.array(codes, dtype=np.int64))
 
     def test_tables_are_built_once(self):
         table = build_labels(Numbering.FLFSR, 12)
