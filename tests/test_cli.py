@@ -4,6 +4,7 @@ import math
 import os
 import platform
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -29,6 +30,7 @@ from slicesec.secrecy import MAX_T_POINTS
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_sweep.csv"
 GOLDEN_FINE_CSV = Path(__file__).parent / "data" / "golden_fine.csv"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SMALL_ARGS = [
     "sweep", "--seed", "17", "--samples", "6000", "--t", "0.2,0.5,0.8",
@@ -890,6 +892,28 @@ class TestPlot:
         with pytest.raises(ValueError, match="mode must be 'direct' or 'reverse', got 'sideways'"):
             cli.emit_plot(str(tmp_path / "sweep.csv"), plot_mode, "sideways", str(out))
         assert not out.exists()
+
+
+def test_readme_drivers_write_the_sweep_its_charts_and_best_tables(tmp_path, monkeypatch):
+    # The README's driver block, run in order in-process: its directories
+    # made, and every `slicesec` line through `main`, the sweep kept small.
+    text = README.read_text()
+    block = text.split("Ready-made experiment drivers", 1)[1].split("```sh\n", 1)[1]
+    monkeypatch.chdir(tmp_path)
+    for line in block.split("```", 1)[0].splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:2] == ["mkdir", "-p"]:
+            for directory in words[2:]:
+                os.makedirs(directory, exist_ok=True)
+        elif words[:1] == ["slicesec"]:
+            argv = words[1:]
+            if argv[0] == "sweep":
+                argv += ["--samples", "2000", "--workers", "1"]
+            assert main(argv) == 0, line
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {f"out/{name}" for name in (
+        "sweep.csv", "mi_vs_t.svg", "delta_direct.svg", "delta_reverse.svg", "best_direct.svg",
+        "best_reverse.svg", "best_direct.csv", "best_reverse.csv")}
 
 
 class TestSelftest:

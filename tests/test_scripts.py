@@ -21,16 +21,6 @@ def run_script(name, *args):
     )
 
 
-def test_run_full_sweep_writes_charts_and_best_tables(tmp_path):
-    result = run_script("run_full_sweep.py", str(tmp_path), "--samples", "2000",
-                        "--workers", "1")
-    assert result.returncode == 0, result.stderr
-    written = {p.name for p in tmp_path.iterdir()}
-    assert written == {"sweep.csv", "mi_vs_t.svg", "delta_direct.svg", "delta_reverse.svg",
-                       "best_direct.svg", "best_reverse.svg", "best_direct.csv",
-                       "best_reverse.csv"}
-
-
 MEASURES = ("setup_s", "sweep_s", "cpu_s", "peak_rss_mb")
 
 
